@@ -40,6 +40,7 @@ from .features import (
 )
 from .forest import (
     MODEL_FORMAT_VERSION,
+    Forest,
     ForestParams,
     load_forest,
     predict_proba_batch,
@@ -136,6 +137,16 @@ def _profile(opt: _Options) -> FeatureProfile:
         return FeatureProfile(name)
     except ValueError:
         raise AlertSiftError(f"unknown profile {name!r} (expected core20 or full29)") from None
+
+
+def _check_columns(src: str, names: list[str], forest: Forest) -> None:
+    """Refuse a matrix whose columns are not the model's features, in order."""
+    expected = forest.feature_names
+    if len(names) != len(expected):
+        raise AlertSiftError(f"{src} has {len(names)} features but the model expects {len(expected)}")
+    for j, (got, want) in enumerate(zip(names, expected)):
+        if got != want:
+            raise AlertSiftError(f"{src} column {j + 1} is {got!r} but the model expects {want!r}")
 
 
 def cmd_synth(opt: _Options) -> str:
@@ -347,7 +358,7 @@ def cmd_evaluate(opt: _Options) -> str:
     if model_path is None and kfold is None:
         raise AlertSiftError("evaluate needs --model, --kfold, or both")
     with open(src, encoding="utf-8") as fh:
-        X, labels, _ = read_matrix_csv(fh)
+        X, labels, names = read_matrix_csv(fh)
     if labels is None:
         raise AlertSiftError(f"{src} has no label column")
 
@@ -364,6 +375,7 @@ def cmd_evaluate(opt: _Options) -> str:
     if model_path:
         with open(model_path, encoding="utf-8") as fh:
             forest = load_forest(fh)
+        _check_columns(src, names, forest)
         params = forest.params
         cm, rep = evaluate_forest(forest, X, labels, threshold)
         savings = workload_savings(cm.fp_as_fp, minutes)
@@ -429,12 +441,9 @@ def cmd_explain(opt: _Options) -> str:
         forest = load_forest(fh)
     with open(src, encoding="utf-8") as fh:
         X, _, names = read_matrix_csv(fh)
+    _check_columns(src, names, forest)
     if X.shape[0] == 0:
         raise AlertSiftError(f"{src} has no rows to explain")
-    if X.shape[1] != forest.width:
-        raise AlertSiftError(
-            f"{src} has {X.shape[1]} features but the model expects {forest.width}"
-        )
     ranking = global_importance(forest, X)
     with open(out, "w", encoding="utf-8") as fh:
         fh.write("feature,mean_abs_shap\n")
@@ -470,11 +479,8 @@ def cmd_predict(opt: _Options) -> str:
     with open(model_path, encoding="utf-8") as fh:
         forest = load_forest(fh)
     with open(src, encoding="utf-8") as fh:
-        X, _, _ = read_matrix_csv(fh)
-    if X.shape[1] != forest.width:
-        raise AlertSiftError(
-            f"{src} has {X.shape[1]} features but the model expects {forest.width}"
-        )
+        X, _, names = read_matrix_csv(fh)
+    _check_columns(src, names, forest)
     proba = predict_proba_batch(forest, X)
     preds = (proba >= threshold).astype(int)
     with open(out, "w", encoding="utf-8") as fh:

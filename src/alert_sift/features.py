@@ -11,6 +11,7 @@ sentinel; all other entries are non-negative.
 from __future__ import annotations
 
 import ipaddress
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import IO, Iterable, Sequence
@@ -398,5 +399,7 @@ def read_matrix_csv(
                 rows.append([float(p) for p in parts])
         except ValueError as exc:
             raise ValidationError(f"matrix CSV line {line_no}: {exc}") from None
+        if not all(map(math.isfinite, rows[-1])):
+            raise ValidationError(f"matrix CSV line {line_no}: non-finite value")
     X = np.array(rows, dtype=float) if rows else np.empty((0, len(names)))
     return X, (np.array(labels, dtype=int) if has_label else None), names

@@ -67,12 +67,6 @@ class TreeNode:
         return self.feature is None
 
     @property
-    def n_samples(self) -> int:
-        if self.is_leaf:
-            return self.n_tp + self.n_fp
-        return self.left.n_samples + self.right.n_samples
-
-    @property
     def leaf_fraction(self) -> float:
         return self.n_tp / (self.n_tp + self.n_fp)
 
@@ -318,15 +312,41 @@ def _node_to_dict(node: TreeNode) -> dict:
     }
 
 
-def _node_from_dict(obj: dict) -> TreeNode:
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _node_from_dict(obj, width: int) -> TreeNode:
+    """Rebuild one node, refusing any structure that scoring cannot use."""
+    if not isinstance(obj, dict):
+        raise ValidationError(f"model node must be an object, got {type(obj).__name__}")
     if "feature" in obj:
+        missing = [key for key in ("threshold", "left", "right") if key not in obj]
+        if missing:
+            raise ValidationError(f"model split node lacks {', '.join(missing)}")
+        feature, threshold = obj["feature"], obj["threshold"]
+        if not _is_count(feature) or feature >= width:
+            raise ValidationError(f"model split feature {feature!r} outside [0, {width})")
+        if (
+            isinstance(threshold, bool)
+            or not isinstance(threshold, (int, float))
+            or not math.isfinite(threshold)
+        ):
+            raise ValidationError(f"model split threshold {threshold!r} is not a finite number")
         return TreeNode(
-            feature=int(obj["feature"]),
-            threshold=float(obj["threshold"]),
-            left=_node_from_dict(obj["left"]),
-            right=_node_from_dict(obj["right"]),
+            feature=feature,
+            threshold=float(threshold),
+            left=_node_from_dict(obj["left"], width),
+            right=_node_from_dict(obj["right"], width),
         )
-    return TreeNode(n_tp=int(obj["tp"]), n_fp=int(obj["fp"]))
+    n_tp, n_fp = obj.get("tp"), obj.get("fp")
+    if not (_is_count(n_tp) and _is_count(n_fp)):
+        raise ValidationError(
+            f"model leaf counts must be non-negative integers, got tp={n_tp!r}, fp={n_fp!r}"
+        )
+    if n_tp + n_fp == 0:
+        raise ValidationError("model leaf has tp + fp == 0 and carries no samples")
+    return TreeNode(n_tp=n_tp, n_fp=n_fp)
 
 
 def forest_to_dict(forest: Forest) -> dict:
@@ -345,17 +365,27 @@ def forest_to_dict(forest: Forest) -> dict:
 
 
 def forest_from_dict(obj: dict) -> Forest:
+    if not isinstance(obj, dict):
+        raise ValidationError("model file must hold a JSON object")
     if obj.get("version") != MODEL_FORMAT_VERSION:
         raise ValidationError(
             f"unsupported model format version {obj.get('version')!r} "
             f"(expected {MODEL_FORMAT_VERSION!r})"
         )
-    params = ForestParams(**obj["params"])
+    try:
+        params = ForestParams(**obj["params"])
+    except (KeyError, TypeError) as exc:
+        raise ValidationError(f"model params are missing or malformed: {exc}") from None
     profile = FeatureProfile(obj["profile"]) if obj.get("profile") else None
+    names, trees = obj.get("feature_names"), obj.get("trees")
+    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+        raise ValidationError("model feature_names must be a list of strings")
+    if not isinstance(trees, list) or not trees:
+        raise ValidationError("model must hold a non-empty list of trees")
     return Forest(
-        trees=[_node_from_dict(t) for t in obj["trees"]],
+        trees=[_node_from_dict(t, len(names)) for t in trees],
         params=params,
-        feature_names=list(obj["feature_names"]),
+        feature_names=names,
         profile=profile,
     )
 

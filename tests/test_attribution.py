@@ -8,9 +8,23 @@ from math import factorial
 import numpy as np
 import pytest
 
+from alert_sift import attribution
 from alert_sift.attribution import Attribution, expected_value, global_importance, tree_shap
 from alert_sift.errors import ValidationError
-from alert_sift.forest import Forest, ForestParams, TreeNode, predict_proba, train_forest
+from alert_sift.forest import (
+    Forest,
+    ForestParams,
+    TreeNode,
+    predict_proba,
+    predict_proba_batch,
+    train_forest,
+)
+
+
+def _n_samples(node):
+    if node.is_leaf:
+        return node.n_tp + node.n_fp
+    return _n_samples(node.left) + _n_samples(node.right)
 
 
 def _cond_exp(node, row, subset):
@@ -21,7 +35,7 @@ def _cond_exp(node, row, subset):
     if node.feature in subset:
         child = node.left if row[node.feature] <= node.threshold else node.right
         return _cond_exp(child, row, subset)
-    n_left, n_right = node.left.n_samples, node.right.n_samples
+    n_left, n_right = _n_samples(node.left), _n_samples(node.right)
     return (
         n_left * _cond_exp(node.left, row, subset)
         + n_right * _cond_exp(node.right, row, subset)
@@ -104,25 +118,42 @@ def test_local_accuracy_on_trained_forests():
         assert attr.total == pytest.approx(predict_proba(forest, row), abs=1e-9)
 
 
+def _path_features(node, path=()):
+    """Split features of every root-to-leaf path."""
+    if node.is_leaf:
+        return [path]
+    path = path + (node.feature,)
+    return _path_features(node.left, path) + _path_features(node.right, path)
+
+
 def test_matches_exhaustive_shapley_on_random_forests():
     rng = np.random.default_rng(23)
-    for _ in range(10):
-        width = int(rng.integers(2, 5))
-        n = int(rng.integers(8, 25))
-        X = rng.integers(0, 3, size=(n, width)).astype(float)
-        y = rng.integers(0, 2, size=n)
+    # shallow forests of width 2-4 on random labels, then depth-6 forests of
+    # width 5-6 on parity labels, whose paths carry up to 6 unique features
+    # and repeated ones
+    configs = [(2, 5, 8, 25, 3, 3)] * 10 + [(5, 7, 60, 90, 6, 4)] * 4
+    widest, repeats = 0, False
+    for lo_width, hi_width, lo_n, hi_n, depth, levels in configs:
+        width = int(rng.integers(lo_width, hi_width))
+        n = int(rng.integers(lo_n, hi_n))
+        X = rng.integers(0, levels, size=(n, width)).astype(float)
+        y = rng.integers(0, 2, size=n) if depth == 3 else (X.sum(axis=1) % 2).astype(int)
         if len(set(y.tolist())) < 2:
             y[0] = 1 - y[0]
         forest = train_forest(
-            X, y, ForestParams(n_estimators=3, max_depth=3, seed=int(rng.integers(1000)))
+            X, y, ForestParams(n_estimators=3, max_depth=depth, seed=int(rng.integers(1000)))
         )
-        for row in rng.integers(0, 3, size=(4, width)).astype(float):
+        paths = [p for tree in forest.trees for p in _path_features(tree)]
+        widest = max([widest] + [len(set(p)) for p in paths])
+        repeats = repeats or any(len(set(p)) < len(p) for p in paths)
+        for row in rng.integers(0, levels, size=(4, width)).astype(float):
             attr = tree_shap(forest, row)
             expected = np.zeros(width)
             for tree in forest.trees:
                 expected += _brute_phi(tree, row, width)
             expected /= len(forest.trees)
             assert np.abs(np.asarray(attr.phi) - expected).max() < 1e-9
+    assert widest == 6 and repeats
 
 
 def test_repeated_split_feature_on_path():
@@ -140,6 +171,24 @@ def test_repeated_split_feature_on_path():
         ref = _brute_phi(root, np.array([x0, 0.0]), 2)
         assert attr.phi == pytest.approx(ref, abs=1e-12)
         assert attr.total == pytest.approx(_cond_exp(root, [x0, 0.0], {0, 1}), abs=1e-12)
+
+
+def test_chain_of_64_distinct_features_is_locally_accurate():
+    # one path holds 64 unique features: more pattern bits than an int64 key
+    depth, width = 64, 66
+    node = TreeNode(n_tp=3, n_fp=2)
+    for k in reversed(range(depth)):
+        leaf = TreeNode(n_tp=k % 3, n_fp=1 + k % 2)
+        node = TreeNode(feature=k, threshold=0.5, left=leaf, right=node)
+    forest = _forest_of([node], width)
+    rng = np.random.default_rng(27)
+    rows = np.vstack([rng.random((20, width)), 0.5 + 0.5 * rng.random((20, width))])
+    rows[np.arange(20, 40), rng.integers(0, depth, size=20)] = 0.25  # leave at varied depths
+    for row in rows:
+        attr = tree_shap(forest, row)
+        assert attr.total == pytest.approx(predict_proba(forest, row), abs=1e-9)
+        assert attr.phi[depth:] == (0.0, 0.0)
+    assert tree_shap(forest, np.ones(width)).total == pytest.approx(0.6, abs=1e-9)
 
 
 def test_width_mismatch_rejected():
@@ -175,6 +224,24 @@ def test_global_importance_invariant_under_row_duplication():
     assert [n for n, _ in once] == [n for n, _ in twice]
     for (_, a), (_, b) in zip(once, twice):
         assert a == pytest.approx(b, abs=1e-12)
+
+
+def test_global_importance_is_mean_abs_row_phi_across_chunks(monkeypatch):
+    rng = np.random.default_rng(28)
+    X = rng.random((80, 5))
+    y = (X[:, 1] + X[:, 4] > 1.0).astype(int)
+    forest = train_forest(X, y, ForestParams(n_estimators=8, max_depth=5))
+    rows = rng.random((50, 5))
+    paths = attribution._flatten(forest.trees)
+    cells = max(paths.edge_feature.size, paths.z.size)
+    monkeypatch.setattr(attribution, "_CHUNK_CELLS", 7 * cells)  # 7 full chunks and a row
+    ranked = dict(global_importance(forest, rows))
+    per_row = np.array([tree_shap(forest, row).phi for row in rows])
+    expected = np.abs(per_row).mean(axis=0)
+    for j, name in enumerate(forest.feature_names):
+        assert ranked[name] == pytest.approx(expected[j], abs=1e-12)
+    base, phi = attribution._shap_batch(forest, rows)
+    assert np.abs(base + phi.sum(axis=1) - predict_proba_batch(forest, rows)).max() < 1e-12
 
 
 def test_attribution_total_property():

@@ -249,3 +249,64 @@ def test_evaluate_kfold_summary(chain, tmp_path):
     assert lines[0] == "metric,value"
     keys = {line.split(",")[0] for line in lines[1:]}
     assert {"accuracy", "savings_hours", "kfold_mean_accuracy"} <= keys
+
+
+def _first_leaf(node):
+    while "feature" in node:
+        node = node["left"]
+    return node
+
+
+_MODEL_MUTATIONS = {
+    "feature-out-of-range": lambda m: m["trees"][0].update(feature=99),
+    "feature-negative": lambda m: m["trees"][0].update(feature=-1),
+    "feature-not-integer": lambda m: m["trees"][0].update(feature="3"),
+    "split-without-left": lambda m: m["trees"][0].pop("left"),
+    "split-without-right": lambda m: m["trees"][0].pop("right"),
+    "split-without-threshold": lambda m: m["trees"][0].pop("threshold"),
+    "threshold-nan": lambda m: m["trees"][0].update(threshold=float("nan")),
+    "threshold-inf": lambda m: m["trees"][0].update(threshold=float("inf")),
+    "leaf-negative-count": lambda m: _first_leaf(m["trees"][0]).update(tp=-1),
+    "leaf-fractional-count": lambda m: _first_leaf(m["trees"][0]).update(fp=1.5),
+    "leaf-without-count": lambda m: _first_leaf(m["trees"][0]).pop("tp"),
+    "leaf-empty": lambda m: _first_leaf(m["trees"][0]).update(tp=0, fp=0),
+    "no-trees": lambda m: m.update(trees=[]),
+    "no-params": lambda m: m.pop("params"),
+    "params-not-numbers": lambda m: m["params"].update(n_estimators="x"),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(_MODEL_MUTATIONS))
+def test_malformed_model_exits_with_error(chain, tmp_path, capsys, mutation):
+    with open(chain["model"], encoding="utf-8") as fh:
+        model = json.load(fh)
+    _MODEL_MUTATIONS[mutation](model)
+    bad = tmp_path / "bad_model.json"
+    bad.write_text(json.dumps(model))
+    for argv in (
+        ["predict", "--out", str(tmp_path / "predictions.csv")],
+        ["explain", "--out", str(tmp_path / "importance.csv"), "--row", "0",
+         "--attribution-out", str(tmp_path / "attribution.json")],
+        ["evaluate", "--report", str(tmp_path / "report.json")],
+    ):
+        assert cli.main(argv + ["--in", chain["matrix"], "--model", str(bad)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+    assert not any(tmp_path.glob("*.csv")) and not (tmp_path / "report.json").exists()
+
+
+def test_swapped_matrix_columns_exit_with_error(chain, tmp_path, capsys):
+    # swapping two columns keeps the width but breaks the model's encoding
+    with open(chain["matrix"], encoding="utf-8") as fh:
+        rows = [line.rstrip("\n").split(",") for line in fh]
+    assert rows[0][:2] == ["priv_src_ip", "priv_dst_ip"]
+    swapped = tmp_path / "swapped.csv"
+    swapped.write_text("".join(",".join([r[1], r[0]] + r[2:]) + "\n" for r in rows))
+    for argv in (
+        ["predict", "--out", str(tmp_path / "predictions.csv")],
+        ["explain", "--out", str(tmp_path / "importance.csv")],
+        ["evaluate", "--report", str(tmp_path / "report.json")],
+    ):
+        assert cli.main(argv + ["--in", str(swapped), "--model", chain["model"]]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'priv_dst_ip'" in err and "'priv_src_ip'" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["swapped.csv"]

@@ -431,3 +431,10 @@ def test_matrix_csv_without_labels():
     assert labels is None
     assert names == ["a", "b"]
     assert X.tolist() == [[0.5, 1.0]]
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN"])
+def test_matrix_csv_rejects_non_finite_cells(cell):
+    text = f"a,b,label\n0.5,1.0,1\n0.25,{cell},0\n"
+    with pytest.raises(ValidationError, match="line 3: non-finite"):
+        read_matrix_csv(io.StringIO(text))
