@@ -3,10 +3,10 @@
 Path-dependent TreeSHAP (Lundberg et al. 2020, "From local explanations to
 global understanding with explainable AI for trees", Alg. 2) as one numpy
 pass over a batch of rows, sharing per-leaf terms across rows as in Fast
-TreeSHAP v2 (Yang 2021, arXiv:2109.09847). Each call flattens the trees once,
-covers counted bottom-up, into per-leaf records: the value v; the path's
-unique split features, each with cover fraction z_k (the product over that
-feature's edges); the edge tests. A row follows every edge of feature k
+TreeSHAP v2 (Yang 2021, arXiv:2109.09847). The forest's node arrays give,
+walking each leaf up its parent pointers, per-leaf records: the value v; the
+path's unique split features, each with cover fraction z_k (the product over
+that feature's edges); the edge tests. A row follows every edge of feature k
 (o_k = 1) or not (o_k = 0), and feature i of a leaf with m path features gets
 
     v (o_i - z_i) prod_{zeros} z sum_t w(|A|-t) e_t(z_A),  w(s) = s!(m-1-s)!/m!
@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .features import FeatureVector, as_matrix
-from .forest import Forest, TreeNode, _check_vector
+from .forest import Forest, _check_vector
 
 # Bound on the (rows x path cells) working set of one chunk.
 _CHUNK_CELLS = 2**18
@@ -60,45 +60,40 @@ class _Paths(NamedTuple):
     edge_start: np.ndarray  # (slots,) first edge of each real slot, in (L, D) order
 
 
-def _count(node: TreeNode, cover: dict[int, int]) -> int:
-    """Fill cover[id(n)] with the training samples under every node n."""
-    if node.is_leaf:
-        n = node.n_tp + node.n_fp
-    else:
-        n = _count(node.left, cover) + _count(node.right, cover)
-    cover[id(node)] = n
-    return n
-
-
-def _flatten(trees: Sequence[TreeNode]) -> _Paths:
-    values: list[float] = []
-    edges: list[tuple] = []  # (leaf, feature, threshold, goes left, cover fraction)
-    for root in trees:
-        cover: dict[int, int] = {}
-        _count(root, cover)
-        stack = [(root, ())]
-        while stack:
-            node, path = stack.pop()
-            if node.is_leaf:
-                edges += [(len(values), *edge) for edge in path]
-                values.append(node.leaf_fraction)
-                continue
-            for child, left in ((node.left, True), (node.right, False)):
-                edge = (node.feature, node.threshold, left, cover[id(child)] / cover[id(node)])
-                stack.append((child, path + (edge,)))
-
-    table = np.array(edges, dtype=float).reshape(-1, 5)
-    table = table[np.lexsort((table[:, 1], table[:, 0]))]  # one run per (leaf, feature)
-    leaf, feat = table[:, 0].astype(np.int64), table[:, 1].astype(np.int64)
+def _flatten(forest: Forest) -> _Paths:
+    nodes = forest.nodes
+    split = np.flatnonzero(nodes.feature >= 0)
+    parent = np.full(len(nodes.feature), -1)
+    parent[nodes.left[split]] = split
+    parent[nodes.right[split]] = split
+    # every path edge as (leaf, child node), walking each leaf up to its root
+    leaves = np.flatnonzero(nodes.feature < 0)
+    leaf, child, edges = np.arange(leaves.size), leaves, []
+    while child.size:
+        keep = parent[child] >= 0
+        leaf, child = leaf[keep], child[keep]
+        edges.append((leaf, child))
+        child = parent[child]
+    leaf, child = (np.concatenate(col) for col in zip(*edges))
+    up = parent[child]
+    feat = nodes.feature[up]
+    # one run per (leaf, feature), edges in root-to-leaf (preorder) order
+    order = np.argsort((leaf * forest.width + feat) * len(parent) + child, kind="stable")
+    leaf, child, up, feat = leaf[order], child[order], up[order], feat[order]
+    # a node covers its leaf samples plus those of each leaf it is above
+    count = nodes.n_tp + nodes.n_fp
+    cover = count + np.bincount(up, weights=count[leaves[leaf]], minlength=count.size)
     starts = np.flatnonzero(np.diff(leaf, prepend=-1) | np.diff(feat, prepend=-1))
     slot_leaf = leaf[starts]
     rank = np.arange(starts.size) - np.searchsorted(slot_leaf, slot_leaf)
-    shape = (len(values), int(rank.max(initial=0)) + 1)
+    shape = (leaves.size, int(rank.max(initial=0)) + 1)
     feature, z, used = np.zeros(shape, np.int64), np.ones(shape), np.zeros(shape, bool)
     feature[slot_leaf, rank] = feat[starts]
-    z[slot_leaf, rank] = np.multiply.reduceat(table[:, 4], starts)
+    z[slot_leaf, rank] = np.multiply.reduceat(cover[child] / cover[up], starts)
     used[slot_leaf, rank] = True
-    return _Paths(np.array(values), feature, z, used, feat, table[:, 2], table[:, 3] == 1.0, starts)
+    value = nodes.n_tp[leaves] / cover[leaves]
+    edge_left = nodes.left[up] == child
+    return _Paths(value, feature, z, used, feat, nodes.threshold[up], edge_left, starts)
 
 
 def _leaf_terms(paths: _Paths, leaf: np.ndarray, o: np.ndarray) -> np.ndarray:
@@ -118,9 +113,9 @@ def _leaf_terms(paths: _Paths, leaf: np.ndarray, o: np.ndarray) -> np.ndarray:
 
 def _shap_batch(forest: Forest, X: np.ndarray) -> tuple[float, np.ndarray]:
     """Base value and phi (rows, width) for every row of X."""
-    paths = _flatten(forest.trees)
+    paths = _flatten(forest)
     # a leaf's weight in the expected value is the product of its path fractions
-    base = float(paths.value @ paths.z.prod(axis=1)) / len(forest.trees)
+    base = float(paths.value @ paths.z.prod(axis=1)) / len(forest.roots)
     phi = np.zeros((X.shape[0], forest.width))
     n_leaves, depth = paths.z.shape
     step = min(X.shape[0], max(1, _CHUNK_CELLS // max(paths.edge_feature.size, paths.z.size)))
@@ -144,13 +139,13 @@ def _shap_batch(forest: Forest, X: np.ndarray) -> tuple[float, np.ndarray]:
         phi[lo:lo + rows] = np.bincount(
             cell[:n_pairs].ravel(), weights=terms[inverse].ravel(), minlength=rows * forest.width
         ).reshape(rows, forest.width)
-    return base, phi / len(forest.trees)
+    return base, phi / len(forest.roots)
 
 
-def expected_value(root: TreeNode) -> float:
-    """Count-weighted mean leaf value: the tree's output on the empty subset."""
-    paths = _flatten([root])
-    return float(paths.value @ paths.z.prod(axis=1))
+def expected_value(forest: Forest) -> float:
+    """Mean over trees of the count-weighted mean leaf value: the output on the empty subset."""
+    paths = _flatten(forest)
+    return float(paths.value @ paths.z.prod(axis=1)) / len(forest.roots)
 
 
 def tree_shap(forest: Forest, vector: FeatureVector | Sequence[float]) -> Attribution:

@@ -85,19 +85,30 @@ def _load_config(path: str | None) -> dict:
 
 
 class _Options:
-    """Resolved option lookup: CLI flag, then config key, then default."""
+    """Resolved option lookup: CLI flag, then config key, then default.
 
-    def __init__(self, args: argparse.Namespace, config: dict):
+    A config value converts as if it were given to the flag: through the
+    flag's argparse type (str when it has none).
+    """
+
+    def __init__(self, args: argparse.Namespace, config: dict, types: dict[str, Callable]):
         self._args = args
         self._config = config
+        self._types = types
 
     def get(self, name: str, default):
         value = getattr(self._args, name, None)
         if value is not None:
             return value
-        if name in self._config:
-            return self._config[name]
-        return default
+        if name not in self._config:
+            return default
+        value, convert = self._config[name], self._types.get(name) or str
+        if not isinstance(value, bool) and isinstance(value, (str, int, float)):
+            try:
+                return convert(str(value))
+            except ValueError:
+                pass
+        raise AlertSiftError(f"config key {name!r} must be {convert.__name__}, got {value!r}")
 
 
 def _write_json(path: str, obj: dict) -> None:
@@ -115,10 +126,14 @@ def _read_labeled(path: str) -> list[LabeledAlert]:
             if not text:
                 continue
             obj = json.loads(text)
-            if "label" not in obj:
+            if not isinstance(obj, dict) or "label" not in obj:
                 raise AlertSiftError(f"{path} line {line_no}: missing label field")
+            label = obj["label"]
+            if type(label) is not int or label not in (0, 1):
+                got = json.dumps(label)
+                raise AlertSiftError(f"{path} line {line_no}: label must be 0 or 1, got {got}")
             alert = parse_alert_record(text)
-            out.append(LabeledAlert(alert=alert, label=int(obj["label"])))
+            out.append(LabeledAlert(alert=alert, label=label))
     return out
 
 
@@ -151,12 +166,12 @@ def _check_columns(src: str, names: list[str], forest: Forest) -> None:
 
 def cmd_synth(opt: _Options) -> str:
     spec = SynthSpec(
-        n_tp=int(opt.get("n_tp", 982)),
-        n_fp=int(opt.get("n_fp", 1126)),
-        n_rules=int(opt.get("n_rules", 200)),
-        duplication_factor=int(opt.get("dup", 50)),
-        signal_strength=float(opt.get("signal", 0.9)),
-        seed=int(opt.get("seed", 42)),
+        n_tp=opt.get("n_tp", 982),
+        n_fp=opt.get("n_fp", 1126),
+        n_rules=opt.get("n_rules", 200),
+        duplication_factor=opt.get("dup", 50),
+        signal_strength=opt.get("signal", 0.9),
+        seed=opt.get("seed", 42),
     )
     out = opt.get("out", "alerts.ndjson")
     comments = opt.get("comments", "rule_comments.csv")
@@ -252,8 +267,8 @@ def cmd_sample(opt: _Options) -> str:
     if src is None:
         raise AlertSiftError("sample needs --in")
     params = SampleParams(
-        stride=int(opt.get("stride", 100)),
-        per_rule_cap=int(opt.get("per_rule_cap", 10)),
+        stride=opt.get("stride", 100),
+        per_rule_cap=opt.get("per_rule_cap", 10),
     )
     labeled = _read_labeled(src)
     kept = dedup_sample(labeled, params)
@@ -298,7 +313,7 @@ def cmd_select(opt: _Options) -> str:
     if src is None:
         raise AlertSiftError("select needs --in")
     out = opt.get("out", "selection.json")
-    k = int(opt.get("k", 20))
+    k = opt.get("k", 20)
     with open(src, encoding="utf-8") as fh:
         X, labels, names = read_matrix_csv(fh)
     if labels is None:
@@ -328,10 +343,10 @@ def cmd_train(opt: _Options) -> str:
         raise AlertSiftError("train needs --in")
     model_path = opt.get("model", "model.json")
     params = ForestParams(
-        n_estimators=int(opt.get("trees", 100)),
-        max_depth=int(opt.get("depth", 6)),
-        min_samples_split=int(opt.get("min_split", 2)),
-        seed=int(opt.get("seed", 42)),
+        n_estimators=opt.get("trees", 100),
+        max_depth=opt.get("depth", 6),
+        min_samples_split=opt.get("min_split", 2),
+        seed=opt.get("seed", 42),
     )
     with open(src, encoding="utf-8") as fh:
         X, labels, names = read_matrix_csv(fh)
@@ -351,8 +366,8 @@ def cmd_evaluate(opt: _Options) -> str:
     if src is None:
         raise AlertSiftError("evaluate needs --in")
     report_path = opt.get("report", "report.json")
-    threshold = float(opt.get("threshold", 0.5))
-    minutes = float(opt.get("minutes_per_alert", 4.0))
+    threshold = opt.get("threshold", 0.5)
+    minutes = opt.get("minutes_per_alert", 4.0)
     kfold = opt.get("kfold", None)
     model_path = opt.get("model", None)
     if model_path is None and kfold is None:
@@ -371,7 +386,7 @@ def cmd_evaluate(opt: _Options) -> str:
         "variance": None,
     }
     summary_bits = []
-    params = ForestParams(seed=int(opt.get("seed", 42)))
+    params = ForestParams(seed=opt.get("seed", 42))
     if model_path:
         with open(model_path, encoding="utf-8") as fh:
             forest = load_forest(fh)
@@ -397,7 +412,7 @@ def cmd_evaluate(opt: _Options) -> str:
         rec = "n/a" if rep.tp_recall is None else f"{rep.tp_recall:.3f}"
         summary_bits.append(f"accuracy {acc}, tp_recall {rec}, savings {savings:.1f}h")
     if kfold is not None:
-        cv = cross_validate(X, labels, params, k=int(kfold), seed=params.seed, threshold=threshold)
+        cv = cross_validate(X, labels, params, k=kfold, seed=params.seed, threshold=threshold)
         report["per_fold"] = [
             {
                 "tp_precision": r.tp_precision,
@@ -411,7 +426,7 @@ def cmd_evaluate(opt: _Options) -> str:
         report["mean"] = cv.mean_accuracy
         report["variance"] = cv.accuracy_variance
         summary_bits.append(
-            f"{int(kfold)}-fold mean {cv.mean_accuracy:.3f} var {cv.accuracy_variance:.5f}"
+            f"{kfold}-fold mean {cv.mean_accuracy:.3f} var {cv.accuracy_variance:.5f}"
         )
     _write_json(report_path, report)
     summary_path = opt.get("summary", None)
@@ -451,7 +466,6 @@ def cmd_explain(opt: _Options) -> str:
             fh.write(f"{name},{score!r}\n")
     row = opt.get("row", None)
     if row is not None:
-        row = int(row)
         if not 0 <= row < X.shape[0]:
             raise AlertSiftError(f"--row {row} out of range for {X.shape[0]} rows")
         att = tree_shap(forest, X[row])
@@ -473,7 +487,7 @@ def cmd_predict(opt: _Options) -> str:
     if src is None or model_path is None:
         raise AlertSiftError("predict needs --in and --model")
     out = opt.get("out", "predictions.csv")
-    threshold = float(opt.get("threshold", 0.5))
+    threshold = opt.get("threshold", 0.5)
     if not 0.0 < threshold < 1.0:
         raise AlertSiftError(f"threshold must be in (0, 1), got {threshold}")
     with open(model_path, encoding="utf-8") as fh:
@@ -610,12 +624,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _flag_types(parser: argparse.ArgumentParser, command: str) -> dict[str, Callable]:
+    """The argparse type of each flag of one subcommand, by option name."""
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {action.dest: action.type for action in sub.choices[command]._actions}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         config = _load_config(args.config)
-        opt = _Options(args, config)
+        opt = _Options(args, config, _flag_types(parser, args.command))
         summary = _HANDLERS[args.command](opt)
     except AlertSiftError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -7,16 +7,24 @@ index, then lower threshold) never depends on float rounding order.
 
 Each tree trains on an n-row bootstrap draw; its RNG stream derives from
 (seed, tree index) via numpy's SeedSequence/PCG64, so training is
-deterministic and per-tree parallelizable. Prediction soft-votes: the mean
-over trees of the leaf true-positive fraction.
+deterministic and per-tree parallelizable. Trees grow in preorder (a node
+draws its candidates, then its left subtree grows, then its right) into one
+set of node arrays (Nodes) for the whole forest, plus each tree's root.
+
+Prediction soft-votes: the mean over trees of the leaf true-positive
+fraction. For a chunk of at most _CHUNK_CELLS (tree, row) pairs, every pair
+steps one level down at once until all rest at leaves, which are their own
+children; leaf values add up in tree order, so a row scores the same alone
+(predict_proba, a batch of one) as in any batch. Models persist as format
+"1": per tree, nested {feature, threshold, left, right} and {tp, fp} nodes.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from typing import IO, Sequence
+from dataclasses import asdict, dataclass
+from typing import IO, NamedTuple, Sequence
 
 import numpy as np
 
@@ -28,6 +36,9 @@ MODEL_FORMAT_VERSION = "1"
 # Relative float tolerance below which two split scores are re-compared
 # exactly with integers.
 _TIE_EPS = 1e-9
+
+# Bound on the (trees x rows) working set of one scoring chunk.
+_CHUNK_CELLS = 2**16
 
 
 @dataclass(frozen=True)
@@ -47,33 +58,41 @@ class ForestParams:
         return max(1, math.isqrt(width))
 
 
-@dataclass
-class TreeNode:
-    """Internal node (feature, threshold, children) or leaf (class counts).
+class Nodes(NamedTuple):
+    """Tree nodes in preorder: each node, then its left subtree, then its right."""
 
-    Internal nodes route value <= threshold to the left child. Leaves hold
-    the bootstrap-sample class counts (n_tp, n_fp) they were grown on.
-    """
-
-    feature: int | None = None
-    threshold: float | None = None
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-    n_tp: int = 0
-    n_fp: int = 0
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature is None
-
-    @property
-    def leaf_fraction(self) -> float:
-        return self.n_tp / (self.n_tp + self.n_fp)
+    feature: np.ndarray  # split feature, -1 at a leaf
+    threshold: np.ndarray  # a row goes to left iff its value <= threshold
+    left: np.ndarray  # child indices; a leaf is its own left and right child
+    right: np.ndarray
+    n_tp: np.ndarray  # a leaf's bootstrap class counts, 0 at a split
+    n_fp: np.ndarray
 
 
-@dataclass
+def _preorder(root, visit) -> Nodes:
+    """One tree's nodes; visit(item) gives a leaf (n_tp, n_fp) or a split
+    (feature, threshold, left item, right item), called in preorder."""
+    rows: list[list] = []  # [feature, threshold, left, right, n_tp, n_fp]
+
+    def add(item) -> int:
+        node = len(rows)
+        out = visit(item)
+        if len(out) == 2:
+            rows.append([-1, 0.0, node, node, *out])
+        else:
+            feature, threshold, left, right = out
+            rows.append([feature, threshold, None, None, 0, 0])
+            rows[node][2:4] = add(left), add(right)
+        return node
+
+    add(root)
+    return Nodes(*(np.array(col) for col in zip(*rows)))
+
+
+@dataclass(eq=False)
 class Forest:
-    trees: list[TreeNode]
+    nodes: Nodes  # every tree's nodes, trees concatenated in order
+    roots: np.ndarray  # index of each tree's root in nodes
     params: ForestParams
     feature_names: list[str]
     profile: FeatureProfile | None = None
@@ -81,6 +100,15 @@ class Forest:
     @property
     def width(self) -> int:
         return len(self.feature_names)
+
+
+def _join(trees: Sequence[Nodes]) -> tuple[Nodes, np.ndarray]:
+    """One node set for all trees, child indices shifted by each tree's offset."""
+    sizes = [len(tree.feature) for tree in trees]
+    roots = np.cumsum([0] + sizes[:-1])
+    offset = np.repeat(roots, sizes)
+    nodes = Nodes(*(np.concatenate(col) for col in zip(*trees)))
+    return nodes._replace(left=nodes.left + offset, right=nodes.right + offset), roots
 
 
 def gini(counts: tuple[int, int]) -> float:
@@ -166,14 +194,15 @@ def best_split(
 
 def grow_tree(
     X: np.ndarray, y: np.ndarray, params: ForestParams, rng: np.random.Generator
-) -> TreeNode:
-    """Grow one depth-limited tree; candidate features draw from rng per node."""
+) -> Nodes:
+    """Grow one depth-limited tree in preorder; candidate features draw from rng per node."""
     if len(y) == 0:
         raise ValidationError("cannot grow a tree on an empty sample")
     width = X.shape[1]
     n_candidates = min(params.max_features_for(width), width)
 
-    def build(idx: np.ndarray, depth: int) -> TreeNode:
+    def visit(item: tuple[np.ndarray, int]) -> tuple:
+        idx, depth = item
         ys = y[idx]
         n_tp = int(ys.sum())
         n_fp = len(idx) - n_tp
@@ -183,19 +212,17 @@ def grow_tree(
             or n_fp == 0
             or len(idx) < params.min_samples_split
         ):
-            return TreeNode(n_tp=n_tp, n_fp=n_fp)
+            return n_tp, n_fp
         candidates = rng.choice(width, size=n_candidates, replace=False)
         split = best_split(X[idx], ys, candidates)
         if split is None:
-            return TreeNode(n_tp=n_tp, n_fp=n_fp)
+            return n_tp, n_fp
         feat, threshold, _ = split
         mask = X[idx, feat] <= threshold
         assert mask.any() and (~mask).any(), "split must partition the node"
-        left = build(idx[mask], depth + 1)
-        right = build(idx[~mask], depth + 1)
-        return TreeNode(feature=feat, threshold=threshold, left=left, right=right)
+        return feat, threshold, (idx[mask], depth + 1), (idx[~mask], depth + 1)
 
-    return build(np.arange(len(y)), 0)
+    return _preorder((np.arange(len(y)), 0), visit)
 
 
 def _tree_rng(seed: int, tree_index: int) -> np.random.Generator:
@@ -238,7 +265,7 @@ def train_forest(
         rng = _tree_rng(params.seed, i)
         bootstrap = rng.integers(0, n, size=n)
         trees.append(grow_tree(X[bootstrap], y[bootstrap], params, rng))
-    return Forest(trees=trees, params=params, feature_names=list(feature_names), profile=profile)
+    return Forest(*_join(trees), params, list(feature_names), profile)
 
 
 def _check_vector(forest: Forest, vector: FeatureVector | Sequence[float]) -> np.ndarray:
@@ -249,18 +276,9 @@ def _check_vector(forest: Forest, vector: FeatureVector | Sequence[float]) -> np
     return arr
 
 
-def _descend(node: TreeNode, row: np.ndarray) -> TreeNode:
-    while not node.is_leaf:
-        node = node.left if row[node.feature] <= node.threshold else node.right
-    return node
-
-
 def predict_proba(forest: Forest, vector: FeatureVector | Sequence[float]) -> float:
     """Mean over trees of the leaf TP fraction at the vector's leaf."""
-    row = _check_vector(forest, vector)
-    return float(
-        sum(_descend(tree, row).leaf_fraction for tree in forest.trees) / len(forest.trees)
-    )
+    return float(predict_proba_batch(forest, _check_vector(forest, vector)[None, :])[0])
 
 
 def predict(
@@ -273,42 +291,37 @@ def predict(
 
 
 def predict_proba_batch(forest: Forest, X: np.ndarray) -> np.ndarray:
-    """Vectorized predict_proba over matrix rows."""
+    """predict_proba of every matrix row, all trees descended at once per chunk."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != forest.width:
         raise ValidationError(f"matrix shape {X.shape} does not match forest width {forest.width}")
-    total = np.zeros(X.shape[0])
-
-    def accumulate(node: TreeNode, idx: np.ndarray):
-        if node.is_leaf:
-            total[idx] += node.leaf_fraction
-            return
-        mask = X[idx, node.feature] <= node.threshold
-        if mask.any():
-            accumulate(node.left, idx[mask])
-        if (~mask).any():
-            accumulate(node.right, idx[~mask])
-
-    for tree in forest.trees:
-        accumulate(tree, np.arange(X.shape[0]))
-    return total / len(forest.trees)
-
-
-def max_depth_of(node: TreeNode) -> int:
-    """Longest root-to-leaf path in edges."""
-    if node.is_leaf:
-        return 0
-    return 1 + max(max_depth_of(node.left), max_depth_of(node.right))
+    nodes, n_trees = forest.nodes, len(forest.roots)
+    children = np.stack([nodes.right, nodes.left], axis=1).ravel()  # node i: 2i right, 2i+1 left
+    total = np.empty(X.shape[0])
+    step = max(1, _CHUNK_CELLS // n_trees)
+    for lo in range(0, X.shape[0], step):
+        chunk = X[lo:lo + step]
+        cells, offset = chunk.ravel(), np.arange(chunk.shape[0]) * forest.width
+        node = np.repeat(forest.roots[:, None], chunk.shape[0], axis=1)  # (trees, rows)
+        feature = nodes.feature[node]
+        while (feature >= 0).any():
+            left = cells[offset + feature] <= nodes.threshold[node]
+            node = children[2 * node + left]
+            feature = nodes.feature[node]
+        value = nodes.n_tp[node] / (nodes.n_tp[node] + nodes.n_fp[node])
+        # cumsum adds the trees one by one in order, as a loop would; sum may pair them
+        total[lo:lo + step] = np.cumsum(value, axis=0)[-1]
+    return total / n_trees
 
 
-def _node_to_dict(node: TreeNode) -> dict:
-    if node.is_leaf:
-        return {"tp": node.n_tp, "fp": node.n_fp}
+def _node_to_dict(nodes: Nodes, i: int) -> dict:
+    if nodes.feature[i] < 0:
+        return {"tp": int(nodes.n_tp[i]), "fp": int(nodes.n_fp[i])}
     return {
-        "feature": node.feature,
-        "threshold": node.threshold,
-        "left": _node_to_dict(node.left),
-        "right": _node_to_dict(node.right),
+        "feature": int(nodes.feature[i]),
+        "threshold": float(nodes.threshold[i]),
+        "left": _node_to_dict(nodes, nodes.left[i]),
+        "right": _node_to_dict(nodes, nodes.right[i]),
     }
 
 
@@ -316,8 +329,8 @@ def _is_count(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
-def _node_from_dict(obj, width: int) -> TreeNode:
-    """Rebuild one node, refusing any structure that scoring cannot use."""
+def _node_from_dict(obj, width: int) -> tuple:
+    """Visit one model node, refusing any structure that scoring cannot use."""
     if not isinstance(obj, dict):
         raise ValidationError(f"model node must be an object, got {type(obj).__name__}")
     if "feature" in obj:
@@ -333,12 +346,7 @@ def _node_from_dict(obj, width: int) -> TreeNode:
             or not math.isfinite(threshold)
         ):
             raise ValidationError(f"model split threshold {threshold!r} is not a finite number")
-        return TreeNode(
-            feature=feature,
-            threshold=float(threshold),
-            left=_node_from_dict(obj["left"], width),
-            right=_node_from_dict(obj["right"], width),
-        )
+        return feature, float(threshold), obj["left"], obj["right"]
     n_tp, n_fp = obj.get("tp"), obj.get("fp")
     if not (_is_count(n_tp) and _is_count(n_fp)):
         raise ValidationError(
@@ -346,21 +354,18 @@ def _node_from_dict(obj, width: int) -> TreeNode:
         )
     if n_tp + n_fp == 0:
         raise ValidationError("model leaf has tp + fp == 0 and carries no samples")
-    return TreeNode(n_tp=n_tp, n_fp=n_fp)
+    if n_tp + n_fp >= 2**53:  # the node arrays hold int64 counts, added exactly as floats
+        raise ValidationError(f"model leaf has tp + fp = {n_tp + n_fp}, not below 2**53")
+    return n_tp, n_fp
 
 
 def forest_to_dict(forest: Forest) -> dict:
     return {
         "version": MODEL_FORMAT_VERSION,
-        "params": {
-            "n_estimators": forest.params.n_estimators,
-            "max_depth": forest.params.max_depth,
-            "min_samples_split": forest.params.min_samples_split,
-            "seed": forest.params.seed,
-        },
+        "params": asdict(forest.params),
         "profile": forest.profile.value if forest.profile else None,
         "feature_names": forest.feature_names,
-        "trees": [_node_to_dict(t) for t in forest.trees],
+        "trees": [_node_to_dict(forest.nodes, root) for root in forest.roots],
     }
 
 
@@ -382,12 +387,8 @@ def forest_from_dict(obj: dict) -> Forest:
         raise ValidationError("model feature_names must be a list of strings")
     if not isinstance(trees, list) or not trees:
         raise ValidationError("model must hold a non-empty list of trees")
-    return Forest(
-        trees=[_node_from_dict(t, len(names)) for t in trees],
-        params=params,
-        feature_names=names,
-        profile=profile,
-    )
+    trees = [_preorder(t, lambda obj: _node_from_dict(obj, len(names))) for t in trees]
+    return Forest(*_join(trees), params, names, profile)
 
 
 def save_forest(forest: Forest, stream: IO[str]) -> None:

@@ -22,7 +22,13 @@ from test_forest import _oracle_split
 from alert_sift import cli
 from alert_sift.evaluation import cross_validate, kfold_split, workload_savings
 from alert_sift.features import FeatureProfile, chi2_select, encode_alert
-from alert_sift.forest import ForestParams, best_split, predict_proba, train_forest
+from alert_sift.forest import (
+    ForestParams,
+    best_split,
+    forest_to_dict,
+    predict_proba,
+    train_forest,
+)
 from alert_sift.attribution import tree_shap
 from alert_sift.ingest import parse_alert_record
 from alert_sift.labeling import LabeledAlert
@@ -178,9 +184,10 @@ def test_criterion_4_shap_exactness(capsys):
         for row in rng.integers(0, 4, size=(2, width)).astype(float):
             got = np.asarray(tree_shap(forest, row).phi)
             ref = np.zeros(width)
-            for tree in forest.trees:
+            trees = forest_to_dict(forest)["trees"]
+            for tree in trees:
                 ref += _brute_phi(tree, row, width)
-            ref /= len(forest.trees)
+            ref /= len(trees)
             worst_phi = max(worst_phi, float(np.abs(got - ref).max()))
 
     X = rng.random((200, 10))

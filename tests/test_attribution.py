@@ -12,33 +12,45 @@ from alert_sift import attribution
 from alert_sift.attribution import Attribution, expected_value, global_importance, tree_shap
 from alert_sift.errors import ValidationError
 from alert_sift.forest import (
-    Forest,
+    MODEL_FORMAT_VERSION,
     ForestParams,
-    TreeNode,
+    forest_from_dict,
+    forest_to_dict,
     predict_proba,
     predict_proba_batch,
     train_forest,
 )
 
+# Reference trees are nested model-format dicts: a split is
+# {feature, threshold, left, right}, a leaf {tp, fp}.
+
+
+def _leaf(n_tp, n_fp):
+    return {"tp": n_tp, "fp": n_fp}
+
+
+def _split(feature, threshold, left, right):
+    return {"feature": feature, "threshold": threshold, "left": left, "right": right}
+
 
 def _n_samples(node):
-    if node.is_leaf:
-        return node.n_tp + node.n_fp
-    return _n_samples(node.left) + _n_samples(node.right)
+    if "feature" not in node:
+        return node["tp"] + node["fp"]
+    return _n_samples(node["left"]) + _n_samples(node["right"])
 
 
 def _cond_exp(node, row, subset):
     # conditional expectation: follow the branch when the split feature is in
     # the subset, otherwise average children by training-sample counts
-    if node.is_leaf:
-        return node.leaf_fraction
-    if node.feature in subset:
-        child = node.left if row[node.feature] <= node.threshold else node.right
+    if "feature" not in node:
+        return node["tp"] / (node["tp"] + node["fp"])
+    if node["feature"] in subset:
+        child = node["left"] if row[node["feature"]] <= node["threshold"] else node["right"]
         return _cond_exp(child, row, subset)
-    n_left, n_right = _n_samples(node.left), _n_samples(node.right)
+    n_left, n_right = _n_samples(node["left"]), _n_samples(node["right"])
     return (
-        n_left * _cond_exp(node.left, row, subset)
-        + n_right * _cond_exp(node.right, row, subset)
+        n_left * _cond_exp(node["left"], row, subset)
+        + n_right * _cond_exp(node["right"], row, subset)
     ) / (n_left + n_right)
 
 
@@ -57,24 +69,23 @@ def _brute_phi(root, row, width):
 
 
 def _forest_of(trees, width):
-    return Forest(
-        trees=trees,
-        params=ForestParams(n_estimators=len(trees)),
-        feature_names=[f"f{j}" for j in range(width)],
+    return forest_from_dict(
+        {
+            "version": MODEL_FORMAT_VERSION,
+            "params": {"n_estimators": len(trees)},
+            "profile": None,
+            "feature_names": [f"f{j}" for j in range(width)],
+            "trees": trees,
+        }
     )
 
 
 def _stump(feature=0, threshold=0.5, left=(3, 1), right=(1, 3)):
-    return TreeNode(
-        feature=feature,
-        threshold=threshold,
-        left=TreeNode(n_tp=left[0], n_fp=left[1]),
-        right=TreeNode(n_tp=right[0], n_fp=right[1]),
-    )
+    return _split(feature, threshold, _leaf(*left), _leaf(*right))
 
 
 def test_single_leaf_gives_zero_phi():
-    forest = _forest_of([TreeNode(n_tp=3, n_fp=1)], width=2)
+    forest = _forest_of([_leaf(3, 1)], width=2)
     attr = tree_shap(forest, [0.4, 0.9])
     assert attr.phi == (0.0, 0.0)
     assert attr.base_value == 0.75
@@ -104,8 +115,8 @@ def test_unused_feature_gets_zero_attribution():
 
 def test_expected_value_is_count_weighted_leaf_mean():
     tree = _stump(left=(2, 0), right=(0, 6))
-    assert expected_value(tree) == pytest.approx(2 / 8)
-    assert expected_value(TreeNode(n_tp=1, n_fp=4)) == pytest.approx(0.2)
+    assert expected_value(_forest_of([tree], width=2)) == pytest.approx(2 / 8)
+    assert expected_value(_forest_of([_leaf(1, 4)], width=2)) == pytest.approx(0.2)
 
 
 def test_local_accuracy_on_trained_forests():
@@ -120,10 +131,10 @@ def test_local_accuracy_on_trained_forests():
 
 def _path_features(node, path=()):
     """Split features of every root-to-leaf path."""
-    if node.is_leaf:
+    if "feature" not in node:
         return [path]
-    path = path + (node.feature,)
-    return _path_features(node.left, path) + _path_features(node.right, path)
+    path = path + (node["feature"],)
+    return _path_features(node["left"], path) + _path_features(node["right"], path)
 
 
 def test_matches_exhaustive_shapley_on_random_forests():
@@ -143,28 +154,24 @@ def test_matches_exhaustive_shapley_on_random_forests():
         forest = train_forest(
             X, y, ForestParams(n_estimators=3, max_depth=depth, seed=int(rng.integers(1000)))
         )
-        paths = [p for tree in forest.trees for p in _path_features(tree)]
+        trees = forest_to_dict(forest)["trees"]
+        paths = [p for tree in trees for p in _path_features(tree)]
         widest = max([widest] + [len(set(p)) for p in paths])
         repeats = repeats or any(len(set(p)) < len(p) for p in paths)
         for row in rng.integers(0, levels, size=(4, width)).astype(float):
             attr = tree_shap(forest, row)
             expected = np.zeros(width)
-            for tree in forest.trees:
+            for tree in trees:
                 expected += _brute_phi(tree, row, width)
-            expected /= len(forest.trees)
+            expected /= len(trees)
             assert np.abs(np.asarray(attr.phi) - expected).max() < 1e-9
     assert widest == 6 and repeats
 
 
 def test_repeated_split_feature_on_path():
     # same feature twice on one path exercises the unwind/re-extend branch
-    inner = TreeNode(
-        feature=0,
-        threshold=0.25,
-        left=TreeNode(n_tp=4, n_fp=0),
-        right=TreeNode(n_tp=1, n_fp=3),
-    )
-    root = TreeNode(feature=0, threshold=0.75, left=inner, right=TreeNode(n_tp=0, n_fp=8))
+    inner = _split(0, 0.25, _leaf(4, 0), _leaf(1, 3))
+    root = _split(0, 0.75, inner, _leaf(0, 8))
     forest = _forest_of([root], width=2)
     for x0 in (0.1, 0.5, 0.9):
         attr = tree_shap(forest, [x0, 0.0])
@@ -176,10 +183,9 @@ def test_repeated_split_feature_on_path():
 def test_chain_of_64_distinct_features_is_locally_accurate():
     # one path holds 64 unique features: more pattern bits than an int64 key
     depth, width = 64, 66
-    node = TreeNode(n_tp=3, n_fp=2)
+    node = _leaf(3, 2)
     for k in reversed(range(depth)):
-        leaf = TreeNode(n_tp=k % 3, n_fp=1 + k % 2)
-        node = TreeNode(feature=k, threshold=0.5, left=leaf, right=node)
+        node = _split(k, 0.5, _leaf(k % 3, 1 + k % 2), node)
     forest = _forest_of([node], width)
     rng = np.random.default_rng(27)
     rows = np.vstack([rng.random((20, width)), 0.5 + 0.5 * rng.random((20, width))])
@@ -198,7 +204,7 @@ def test_width_mismatch_rejected():
 
 
 def test_global_importance_all_leaves_is_zero():
-    forest = _forest_of([TreeNode(n_tp=2, n_fp=2), TreeNode(n_tp=1, n_fp=0)], width=2)
+    forest = _forest_of([_leaf(2, 2), _leaf(1, 0)], width=2)
     ranked = global_importance(forest, np.random.default_rng(24).random((5, 2)))
     assert ranked == [("f0", 0.0), ("f1", 0.0)]
 
@@ -232,7 +238,7 @@ def test_global_importance_is_mean_abs_row_phi_across_chunks(monkeypatch):
     y = (X[:, 1] + X[:, 4] > 1.0).astype(int)
     forest = train_forest(X, y, ForestParams(n_estimators=8, max_depth=5))
     rows = rng.random((50, 5))
-    paths = attribution._flatten(forest.trees)
+    paths = attribution._flatten(forest)
     cells = max(paths.edge_feature.size, paths.z.size)
     monkeypatch.setattr(attribution, "_CHUNK_CELLS", 7 * cells)  # 7 full chunks and a row
     ranked = dict(global_importance(forest, rows))

@@ -270,6 +270,7 @@ _MODEL_MUTATIONS = {
     "leaf-fractional-count": lambda m: _first_leaf(m["trees"][0]).update(fp=1.5),
     "leaf-without-count": lambda m: _first_leaf(m["trees"][0]).pop("tp"),
     "leaf-empty": lambda m: _first_leaf(m["trees"][0]).update(tp=0, fp=0),
+    "leaf-count-too-large": lambda m: _first_leaf(m["trees"][0]).update(tp=2**64),
     "no-trees": lambda m: m.update(trees=[]),
     "no-params": lambda m: m.pop("params"),
     "params-not-numbers": lambda m: m["params"].update(n_estimators="x"),
@@ -310,3 +311,59 @@ def test_swapped_matrix_columns_exit_with_error(chain, tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "'priv_dst_ip'" in err and "'priv_src_ip'" in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["swapped.csv"]
+
+
+@pytest.mark.parametrize("label", ['"x"', "true", "1.5", '"1"'])
+def test_label_other_than_integer_0_or_1_exits_with_error(chain, tmp_path, capsys, label):
+    with open(chain["sampled"], encoding="utf-8") as fh:
+        good, record = fh.readline(), json.loads(fh.readline())
+    record["label"] = json.loads(label)
+    bad = tmp_path / "bad.ndjson"
+    bad.write_text(good + json.dumps(record) + "\n", encoding="utf-8")
+    for argv in (
+        ["encode", "--out", str(tmp_path / "matrix.csv")],
+        ["sample", "--out", str(tmp_path / "sampled.ndjson")],
+    ):
+        assert cli.main(argv + ["--in", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad} line 2: ") and label in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.ndjson"]
+
+
+def test_labeled_line_that_is_not_an_object_exits_with_error(tmp_path, capsys):
+    bad = tmp_path / "bad.ndjson"
+    bad.write_text("5\n", encoding="utf-8")
+    assert cli.main(["encode", "--in", str(bad), "--out", str(tmp_path / "m.csv")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {bad} line 1: ")
+    assert not (tmp_path / "m.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        ("train", "trees", "abc"),
+        ("train", "depth", 2.5),
+        ("train", "seed", True),
+        ("synth", "n_tp", "many"),
+        ("synth", "signal", [0.9]),
+        ("predict", "threshold", "high"),
+        ("predict", "out", {"path": "p.csv"}),
+        ("evaluate", "kfold", None),
+        ("evaluate", "minutes_per_alert", "four"),
+    ],
+)
+def test_ill_typed_config_value_exits_with_error(chain, tmp_path, capsys, command, key, value):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: value}), encoding="utf-8")
+    argv = {
+        "train": ["--in", chain["matrix"], "--model", str(tmp_path / "model.json")],
+        "synth": ["--out", str(tmp_path / "a.ndjson"), "--comments", str(tmp_path / "c.csv"),
+                  "--truth", str(tmp_path / "t.csv")],
+        "predict": ["--in", chain["matrix"], "--model", chain["model"]],
+        "evaluate": ["--in", chain["matrix"], "--model", chain["model"],
+                     "--report", str(tmp_path / "report.json")],
+    }[command]
+    assert cli.main([command, "--config", str(config)] + argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config key {key!r} ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 from fractions import Fraction
@@ -9,17 +10,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from alert_sift import forest as forest_mod
 from alert_sift.errors import ValidationError
 from alert_sift.forest import (
-    Forest,
+    MODEL_FORMAT_VERSION,
     ForestParams,
-    TreeNode,
     best_split,
+    forest_from_dict,
     forest_to_dict,
     gini,
     grow_tree,
     load_forest,
-    max_depth_of,
     predict,
     predict_proba,
     predict_proba_batch,
@@ -151,12 +152,19 @@ def _rng(seed=0):
     return np.random.Generator(np.random.PCG64(seed))
 
 
+def _depth(nodes, node=0):
+    """Longest path in edges from node to a leaf."""
+    if nodes.feature[node] < 0:
+        return 0
+    return 1 + max(_depth(nodes, nodes.left[node]), _depth(nodes, nodes.right[node]))
+
+
 def test_grow_tree_pure_input_is_single_leaf():
     X = np.array([[0.0], [1.0], [2.0]])
     y = np.array([1, 1, 1])
     tree = grow_tree(X, y, ForestParams(), _rng())
-    assert tree.is_leaf
-    assert (tree.n_tp, tree.n_fp) == (3, 0)
+    assert tree.feature.tolist() == [-1]
+    assert (tree.n_tp[0], tree.n_fp[0]) == (3, 0)
 
 
 def test_grow_tree_depth_one_is_at_most_a_stump():
@@ -164,7 +172,7 @@ def test_grow_tree_depth_one_is_at_most_a_stump():
     X = rng.random((30, 3))
     y = rng.integers(0, 2, size=30)
     tree = grow_tree(X, y, ForestParams(max_depth=1), _rng())
-    assert max_depth_of(tree) <= 1
+    assert _depth(tree) <= 1
 
 
 def test_greedy_depth_two_fits_weighted_xor_with_all_features():
@@ -178,18 +186,18 @@ def test_greedy_depth_two_fits_weighted_xor_with_all_features():
         ys = y[idx]
         t = int(ys.sum())
         if depth >= 2 or t == 0 or t == len(idx):
-            return TreeNode(n_tp=t, n_fp=len(idx) - t)
+            return {"tp": t, "fp": len(idx) - t}
         split = best_split(X[idx], ys, [0, 1])
         if split is None:
-            return TreeNode(n_tp=t, n_fp=len(idx) - t)
+            return {"tp": t, "fp": len(idx) - t}
         feat, thr, _ = split
         mask = X[idx, feat] <= thr
-        return TreeNode(
-            feature=feat,
-            threshold=thr,
-            left=grow_all_features(idx[mask], depth + 1),
-            right=grow_all_features(idx[~mask], depth + 1),
-        )
+        return {
+            "feature": feat,
+            "threshold": thr,
+            "left": grow_all_features(idx[mask], depth + 1),
+            "right": grow_all_features(idx[~mask], depth + 1),
+        }
 
     tree = grow_all_features(np.arange(len(y)), 0)
 
@@ -200,9 +208,9 @@ def test_greedy_depth_two_fits_weighted_xor_with_all_features():
         return hits / len(y)
 
     def greedy_predict(row, node=tree):
-        while not node.is_leaf:
-            node = node.left if row[node.feature] <= node.threshold else node.right
-        return int(node.n_tp >= node.n_fp)
+        while "feature" in node:
+            node = node["left"] if row[node["feature"]] <= node["threshold"] else node["right"]
+        return int(node["tp"] >= node["fp"])
 
     # exhaustive search over all depth-2 trees on midpoint thresholds
     def candidate_splits():
@@ -254,8 +262,8 @@ def test_train_forest_default_shape():
     X = rng.random((60, 5))
     y = rng.integers(0, 2, size=60)
     forest = train_forest(X, y)
-    assert len(forest.trees) == 100
-    assert all(max_depth_of(t) <= 6 for t in forest.trees)
+    assert len(forest.roots) == 100
+    assert all(_depth(forest.nodes, root) <= 6 for root in forest.roots)
 
 
 def test_train_forest_deterministic_serialization():
@@ -294,13 +302,15 @@ def test_train_forest_rejects_degenerate_input():
 
 
 def _leaf_forest(fractions):
-    trees = [
-        TreeNode(n_tp=int(f * 4), n_fp=4 - int(f * 4)) for f in fractions
-    ]
-    return Forest(
-        trees=trees,
-        params=ForestParams(n_estimators=len(trees)),
-        feature_names=["a", "b"],
+    trees = [{"tp": int(f * 4), "fp": 4 - int(f * 4)} for f in fractions]
+    return forest_from_dict(
+        {
+            "version": MODEL_FORMAT_VERSION,
+            "params": {"n_estimators": len(trees)},
+            "profile": None,
+            "feature_names": ["a", "b"],
+            "trees": trees,
+        }
     )
 
 
@@ -350,6 +360,42 @@ def test_predict_proba_batch_matches_single_rows():
     assert batch.tolist() == pytest.approx(singles, abs=1e-12)
 
 
+def _walk_proba(trees, row):
+    """Reference score: walk each nested model-format tree, add leaf fractions in tree order."""
+    total = 0.0
+    for node in trees:
+        while "feature" in node:
+            node = node["left"] if row[node["feature"]] <= node["threshold"] else node["right"]
+        total += node["tp"] / (node["tp"] + node["fp"])
+    return total / len(trees)
+
+
+def test_predict_proba_batch_equals_single_rows_across_chunks(monkeypatch):
+    rng = np.random.default_rng(14)
+    X = np.round(rng.random((70, 4)) * 8) / 8
+    y = (X[:, 0] + X[:, 3] > 1.0).astype(int)
+    forest = train_forest(X, y, ForestParams(n_estimators=11))
+    trees = forest_to_dict(forest)["trees"]
+    monkeypatch.setattr(forest_mod, "_CHUNK_CELLS", 3 * 11)  # 3 rows per chunk
+    rows = np.round(rng.random((8, 4)) * 8) / 8
+    singles = np.array([predict_proba(forest, row) for row in rows])
+    assert singles.tolist() == [_walk_proba(trees, row) for row in rows]
+    for n in (1, 2, 3, 4, 6, 7, 8):
+        assert np.array_equal(predict_proba_batch(forest, rows[:n]), singles[:n])
+
+
+def test_saved_model_bytes_match_golden_digest():
+    # pins the RNG draw order, the split search and the format "1" bytes:
+    # the same seed must keep writing the same model
+    rng = np.random.default_rng(31)
+    X = np.round(rng.random((60, 5)) * 4) / 4
+    y = (X[:, 0] + X[:, 2] + 0.5 * rng.random(60) > 1.2).astype(int)
+    buf = io.StringIO()
+    save_forest(train_forest(X, y, ForestParams(n_estimators=6, seed=13)), buf)
+    digest = hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest()
+    assert digest == "d05a2ad39f99373de69eb8d8f5d403dcddbb1863d18a76869a5244777c487f12"
+
+
 def test_model_round_trip_is_lossless():
     rng = np.random.default_rng(10)
     X = rng.random((40, 4))
@@ -358,7 +404,8 @@ def test_model_round_trip_is_lossless():
     buf = io.StringIO()
     save_forest(forest, buf)
     loaded = load_forest(io.StringIO(buf.getvalue()))
-    assert loaded.trees == forest.trees
+    assert all(np.array_equal(a, b) for a, b in zip(loaded.nodes, forest.nodes))
+    assert np.array_equal(loaded.roots, forest.roots)
     assert loaded.params == forest.params
     assert loaded.feature_names == forest.feature_names
     assert loaded.profile == forest.profile
