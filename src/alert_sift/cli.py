@@ -7,7 +7,8 @@ model stages (select, train, evaluate, explain, predict) operate on that
 CSV plus a JSON model file.
 
 Option precedence is flags > config file > built-in defaults; the config
-file is JSON keyed by the long flag names with dashes as underscores.
+file is JSON keyed by the long flag names with dashes as underscores, and
+a key that names no flag of any subcommand is an error.
 Every run prints a one-line summary on success and exits nonzero with a
 diagnostic on failure. All randomness flows from --seed.
 """
@@ -624,9 +625,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _flag_types(parser: argparse.ArgumentParser, command: str) -> dict[str, Callable]:
-    """The argparse type of each flag of one subcommand, by option name."""
+def _config_types(
+    parser: argparse.ArgumentParser, command: str, config: dict
+) -> dict[str, Callable]:
+    """The argparse type of each flag of one subcommand, by option name.
+
+    Every config key must name a flag of some subcommand (one config file
+    may serve several), so a misspelt key fails instead of being ignored.
+    """
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    known = {a.dest for p in sub.choices.values() for a in p._actions if a.dest != "help"}
+    unknown = sorted(set(config) - known)
+    if unknown:
+        raise AlertSiftError(f"unknown config key {unknown[0]!r}")
     return {action.dest: action.type for action in sub.choices[command]._actions}
 
 
@@ -635,7 +646,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _load_config(args.config)
-        opt = _Options(args, config, _flag_types(parser, args.command))
+        opt = _Options(args, config, _config_types(parser, args.command, config))
         summary = _HANDLERS[args.command](opt)
     except AlertSiftError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,9 +1,10 @@
 """Bagged ensemble of depth-limited binary CART trees, built from scratch.
 
-Trees greedily split on Gini impurity decrease over candidate thresholds at
-midpoints between consecutive distinct feature values. Split comparison uses
-exact integer arithmetic for near-ties so that tie-breaking (lower feature
-index, then lower threshold) never depends on float rounding order.
+Trees greedily split on Gini impurity decrease at thresholds between
+consecutive distinct feature values. Columns are rank-coded once per
+forest, so a node counts its rows per value with bincount, without a sort.
+Near-ties are re-compared in exact integers, so tie-breaking (lower feature,
+then lower threshold) never depends on float rounding order.
 
 Each tree trains on an n-row bootstrap draw; its RNG stream derives from
 (seed, tree index) via numpy's SeedSequence/PCG64, so training is
@@ -29,12 +30,11 @@ from typing import IO, NamedTuple, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .features import FeatureProfile, FeatureVector
+from .features import FeatureProfile, FeatureVector, as_matrix
 
 MODEL_FORMAT_VERSION = "1"
 
-# Relative float tolerance below which two split scores are re-compared
-# exactly with integers.
+# Relative float tolerance below which split scores are re-compared exactly.
 _TIE_EPS = 1e-9
 
 # Bound on the (trees x rows) working set of one scoring chunk.
@@ -111,94 +111,100 @@ def _join(trees: Sequence[Nodes]) -> tuple[Nodes, np.ndarray]:
     return nodes._replace(left=nodes.left + offset, right=nodes.right + offset), roots
 
 
-def gini(counts: tuple[int, int]) -> float:
-    """Gini impurity of a two-class count pair: 1 - p_tp^2 - p_fp^2."""
-    n_tp, n_fp = counts
-    total = n_tp + n_fp
-    if total < 1:
-        raise ValidationError("gini of an empty node is undefined")
-    p_tp = n_tp / total
-    p_fp = n_fp / total
-    return 1.0 - p_tp * p_tp - p_fp * p_fp
+class Ranked(NamedTuple):
+    """Rows of a rank-coded matrix: row i holds values[j][codes[j, rows[i]]] in column j."""
+
+    values: list[np.ndarray]  # each column's distinct values, ascending: codes sort as values
+    codes: np.ndarray  # (width, n), column-major
+    rows: np.ndarray
+
+
+def _ranked(X: np.ndarray | Ranked) -> Ranked:
+    """Rank-code each column of a finite float matrix once; a Ranked passes through."""
+    if isinstance(X, Ranked):
+        return X
+    X = np.asarray(X, dtype=float)
+    if not np.isfinite(X).all():
+        raise ValidationError("cannot split on non-finite values")
+    columns = [np.unique(column, return_inverse=True) for column in X.T]
+    values = [distinct for distinct, _ in columns]
+    dtype = np.min_scalar_type(max(map(len, values), default=0))
+    codes = np.array([inverse for _, inverse in columns], dtype=dtype).reshape(X.shape[::-1])
+    return Ranked(values, codes, np.arange(X.shape[0]))
 
 
 def best_split(
-    X: np.ndarray, y: np.ndarray, candidate_features: Sequence[int]
+    X: np.ndarray | Ranked, y: np.ndarray, candidate_features: Sequence[int]
 ) -> tuple[int, float, float] | None:
     """Best (feature, threshold, Gini decrease) over the candidates, or None.
 
-    Thresholds are midpoints between consecutive distinct sorted values.
-    The split maximizing weighted Gini decrease wins; ties go to the lower
-    feature index, then the lower threshold. None when no split strictly
-    decreases impurity.
-
-    Scores are compared as s = (tp_l^2+fp_l^2)/n_l + (tp_r^2+fp_r^2)/n_r,
-    a monotone transform of the Gini decrease with the parent fixed; exact
-    integer comparison settles candidates within float tolerance of each
-    other.
+    Thresholds are midpoints between consecutive distinct values present
+    (the lower value where the midpoint rounds onto the upper). The split
+    maximizing weighted Gini decrease wins; ties go to the lower feature
+    index, then the lower threshold. None when no split strictly decreases
+    impurity. Scores are compared as s = (tp_l^2+fp_l^2)/n_l +
+    (tp_r^2+fp_r^2)/n_r, a monotone transform of the Gini decrease with the
+    parent fixed; exact integers settle candidates within float tolerance.
     """
+    X = _ranked(X)
     n = len(y)
     total_tp = int(y.sum())
     total_fp = n - total_tp
     parent_mass = total_tp * total_tp + total_fp * total_fp
     eps = _TIE_EPS * max(1.0, float(n))
+    tp_rows, fp_rows = X.rows[y == 1], X.rows[y != 1]
 
     best: tuple[float, int, int, float, int] | None = None  # (score, N, D, threshold, feature)
     for feat in sorted(set(int(f) for f in candidate_features)):
-        order = np.argsort(X[:, feat], kind="stable")
-        xs = X[order, feat]
-        tp_cum = np.cumsum(y[order])
-        boundaries = np.nonzero(xs[:-1] < xs[1:])[0]
-        if boundaries.size == 0:
+        column, size = X.codes[feat], len(X.values[feat])
+        tp_at = np.bincount(column.take(tp_rows), minlength=size)
+        n_at = np.bincount(column.take(fp_rows), minlength=size) + tp_at
+        present = n_at.nonzero()[0]  # codes of the values present, ascending
+        if present.size < 2:
             continue
-        n_left = boundaries + 1
-        tp_left = tp_cum[boundaries]
+        tp_left = tp_at[present[:-1]].cumsum()
+        n_left = n_at[present[:-1]].cumsum()
         fp_left = n_left - tp_left
         n_right = n - n_left
-        tp_right = total_tp - tp_left
-        fp_right = total_fp - fp_left
         mass_left = tp_left * tp_left + fp_left * fp_left
-        mass_right = tp_right * tp_right + fp_right * fp_right
+        mass_right = (total_tp - tp_left) ** 2 + (total_fp - fp_left) ** 2
         scores = mass_left / n_left + mass_right / n_right
 
-        top = float(scores.max())
-        close = np.nonzero(scores >= top - eps)[0]
-        pick = None  # (N, D, position in boundaries), exact max at lowest threshold
-        for i in close:
+        pick = None  # (N, D, boundary), exact max at lowest threshold
+        for i in (scores >= scores.max() - eps).nonzero()[0]:
             num = int(mass_left[i]) * int(n_right[i]) + int(mass_right[i]) * int(n_left[i])
             den = int(n_left[i]) * int(n_right[i])
             if pick is None or num * pick[1] > pick[0] * den:
                 pick = (num, den, int(i))
         num, den, i = pick
-        boundary = int(boundaries[i])
-        threshold = float((xs[boundary] + xs[boundary + 1]) / 2.0)
+        lo, hi = X.values[feat][present[i:i + 2]]
+        mid = (lo + hi) / 2.0
+        threshold = float(mid if lo <= mid < hi else lo)
         score = float(scores[i])
 
-        if best is None:
-            best = (score, num, den, threshold, feat)
-        elif score > best[0] + eps:
-            best = (score, num, den, threshold, feat)
-        elif score >= best[0] - eps and num * best[2] > best[1] * den:
-            # exact strict improvement; exact ties keep the lower feature
+        # a clear float win, or an exact strict one within eps; exact ties keep the lower feature
+        if best is None or score > best[0] + eps or (
+            score >= best[0] - eps and num * best[2] > best[1] * den
+        ):
             best = (score, num, den, threshold, feat)
 
-    if best is None:
+    # require a strict impurity decrease: s_split > s_parent, exactly
+    if best is None or best[1] * n <= parent_mass * best[2]:
         return None
     _, num, den, threshold, feat = best
-    # require a strict impurity decrease: s_split > s_parent, exactly
-    if num * n <= parent_mass * den:
-        return None
     decrease = (num / den - parent_mass / n) / n
     return feat, threshold, float(decrease)
 
 
 def grow_tree(
-    X: np.ndarray, y: np.ndarray, params: ForestParams, rng: np.random.Generator
+    X: np.ndarray | Ranked, y: np.ndarray, params: ForestParams, rng: np.random.Generator
 ) -> Nodes:
     """Grow one depth-limited tree in preorder; candidate features draw from rng per node."""
     if len(y) == 0:
         raise ValidationError("cannot grow a tree on an empty sample")
-    width = X.shape[1]
+    X = _ranked(X)
+    codes = X.codes.take(X.rows, axis=1)  # this tree's rows, in order
+    width = len(X.values)
     n_candidates = min(params.max_features_for(width), width)
 
     def visit(item: tuple[np.ndarray, int]) -> tuple:
@@ -206,21 +212,17 @@ def grow_tree(
         ys = y[idx]
         n_tp = int(ys.sum())
         n_fp = len(idx) - n_tp
-        if (
-            depth >= params.max_depth
-            or n_tp == 0
-            or n_fp == 0
-            or len(idx) < params.min_samples_split
-        ):
-            return n_tp, n_fp
-        candidates = rng.choice(width, size=n_candidates, replace=False)
-        split = best_split(X[idx], ys, candidates)
+        split = None
+        if depth < params.max_depth and n_tp and n_fp and len(idx) >= params.min_samples_split:
+            candidates = rng.choice(width, size=n_candidates, replace=False)
+            split = best_split(Ranked(X.values, codes, idx), ys, candidates)
         if split is None:
             return n_tp, n_fp
         feat, threshold, _ = split
-        mask = X[idx, feat] <= threshold
-        assert mask.any() and (~mask).any(), "split must partition the node"
-        return feat, threshold, (idx[mask], depth + 1), (idx[~mask], depth + 1)
+        mask = (X.values[feat] <= threshold)[codes[feat].take(idx)]
+        left, right = idx[mask], idx[~mask]
+        assert len(left) and len(right), "split must partition the node"
+        return feat, threshold, (left, depth + 1), (right, depth + 1)
 
     return _preorder((np.arange(len(y)), 0), visit)
 
@@ -237,8 +239,6 @@ def train_forest(
     feature_names: Sequence[str] | None = None,
 ) -> Forest:
     """Train the bagged ensemble; deterministic given (data, params)."""
-    from .features import as_matrix  # local to avoid cycle at import time
-
     params = params or ForestParams()
     X = as_matrix(matrix)
     y = np.asarray(labels, dtype=np.int64)
@@ -259,12 +259,12 @@ def train_forest(
         raise ValidationError(f"{len(feature_names)} names vs width {width}")
     profile = next((p for p in FeatureProfile if p.width == width), None)
 
-    n = X.shape[0]
+    ranked = _ranked(X)
     trees = []
     for i in range(params.n_estimators):
         rng = _tree_rng(params.seed, i)
-        bootstrap = rng.integers(0, n, size=n)
-        trees.append(grow_tree(X[bootstrap], y[bootstrap], params, rng))
+        bootstrap = rng.integers(0, len(y), size=len(y))
+        trees.append(grow_tree(ranked._replace(rows=bootstrap), y[bootstrap], params, rng))
     return Forest(*_join(trees), params, list(feature_names), profile)
 
 

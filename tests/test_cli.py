@@ -3,14 +3,22 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from alert_sift import cli
+from alert_sift.forest import load_forest, predict_proba_batch
 
 
 def run_ok(argv):
     assert cli.main(argv) == 0
+
+
+def _count_lines(path) -> int:
+    with open(path, encoding="utf-8") as fh:
+        return sum(1 for _ in fh)
 
 
 @pytest.fixture(scope="module")
@@ -101,8 +109,8 @@ def test_sample_split_date_writes_both_partitions(chain, tmp_path):
          "--split-date", "2025-04-01T00:00:00Z",
          "--train-out", str(train), "--test-out", str(test)]
     )
-    n_train = sum(1 for _ in open(train, encoding="utf-8"))
-    n_test = sum(1 for _ in open(test, encoding="utf-8"))
+    n_train = _count_lines(train)
+    n_test = _count_lines(test)
     assert n_train > 0 and n_test > 0
     for path, before in ((train, True), (test, False)):
         with open(path, encoding="utf-8") as fh:
@@ -167,7 +175,7 @@ def test_rerun_is_byte_identical(tmp_path):
         run_ok(["evaluate", "--in", paths["matrix"], "--model", paths["model"],
                 "--report", paths["report"]])
         outputs[name] = {
-            key: open(paths[key], "rb").read()
+            key: Path(paths[key]).read_bytes()
             for key in ("alerts", "labeled", "sampled", "matrix", "model", "report")
         }
     assert outputs["a"] == outputs["b"]
@@ -193,9 +201,9 @@ def test_config_file_supplies_defaults_and_flags_override(tmp_path):
         )
     )
     run_ok(["synth", "--config", str(config)])
-    assert sum(1 for _ in open(tmp_path / "alerts.ndjson", encoding="utf-8")) == 16
+    assert _count_lines(tmp_path / "alerts.ndjson") == 16
     run_ok(["synth", "--config", str(config), "--dup", "1"])
-    assert sum(1 for _ in open(tmp_path / "alerts.ndjson", encoding="utf-8")) == 8
+    assert _count_lines(tmp_path / "alerts.ndjson") == 8
 
 
 def test_missing_required_input_exits_nonzero(capsys):
@@ -367,3 +375,48 @@ def test_ill_typed_config_value_exits_with_error(chain, tmp_path, capsys, comman
     err = capsys.readouterr().err
     assert err.startswith(f"error: config key {key!r} ")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+@pytest.mark.parametrize(
+    "command, key",
+    [
+        ("train", "tress"),
+        ("train", "min_samples_split"),
+        ("synth", "n-tp"),
+        ("predict", "treshold"),
+    ],
+)
+def test_unknown_config_key_exits_with_error(chain, tmp_path, capsys, command, key):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: 5}), encoding="utf-8")
+    argv = {
+        "train": ["--in", chain["matrix"], "--model", str(tmp_path / "model.json")],
+        "synth": ["--out", str(tmp_path / "a.ndjson"), "--comments", str(tmp_path / "c.csv"),
+                  "--truth", str(tmp_path / "t.csv")],
+        "predict": ["--in", chain["matrix"], "--model", chain["model"],
+                    "--out", str(tmp_path / "p.csv")],
+    }[command]
+    assert cli.main([command, "--config", str(config)] + argv) == 1
+    assert capsys.readouterr().err == f"error: unknown config key {key!r}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+def test_config_key_of_another_subcommand_is_allowed(chain, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"trees": 3, "kfold": 4, "n_rules": 9}), encoding="utf-8")
+    model = tmp_path / "model.json"
+    run_ok(["train", "--config", str(config), "--in", chain["matrix"], "--model", str(model)])
+    assert len(json.loads(model.read_text(encoding="utf-8"))["trees"]) == 3
+
+
+def test_train_on_adjacent_doubles_exits_zero(tmp_path):
+    # the midpoint of two adjacent doubles rounds onto the upper one; the
+    # split must still separate them
+    matrix, model = tmp_path / "m.csv", tmp_path / "model.json"
+    lo, hi = "1.0000000000000002", "1.0000000000000004"
+    matrix.write_text(f"x,label\n{lo},0\n{lo},0\n{hi},1\n{hi},1\n", encoding="utf-8")
+    run_ok(["train", "--in", str(matrix), "--model", str(model), "--trees", "20"])
+    with open(model, encoding="utf-8") as fh:
+        forest = load_forest(fh)
+    proba = predict_proba_batch(forest, np.array([[float(lo)], [float(hi)]]))
+    assert proba[0] < 0.5 <= proba[1]

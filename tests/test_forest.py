@@ -9,6 +9,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alert_sift import forest as forest_mod
 from alert_sift.errors import ValidationError
@@ -18,7 +20,6 @@ from alert_sift.forest import (
     best_split,
     forest_from_dict,
     forest_to_dict,
-    gini,
     grow_tree,
     load_forest,
     predict,
@@ -27,6 +28,17 @@ from alert_sift.forest import (
     save_forest,
     train_forest,
 )
+
+
+def gini(counts: tuple[int, int]) -> float:
+    """Gini impurity of a two-class count pair: 1 - p_tp^2 - p_fp^2."""
+    n_tp, n_fp = counts
+    total = n_tp + n_fp
+    if total < 1:
+        raise ValidationError("gini of an empty node is undefined")
+    p_tp = n_tp / total
+    p_fp = n_fp / total
+    return 1.0 - p_tp * p_tp - p_fp * p_fp
 
 
 def test_gini_examples():
@@ -146,6 +158,47 @@ def test_best_split_fuzz_matches_exact_oracle():
             assert got[0] == ref[1]
             assert got[1] == pytest.approx(ref[2])
             assert got[2] == pytest.approx(float(ref[0]), abs=1e-9)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda w: st.tuples(
+            st.lists(
+                st.tuples(st.lists(st.integers(-3, 3), min_size=w, max_size=w), st.integers(0, 1)),
+                min_size=2,
+                max_size=10,
+            ),
+            st.lists(st.integers(0, w - 1), min_size=1, max_size=4),
+        )
+    )
+)
+def test_best_split_matches_exact_oracle_on_tied_negative_values(case):
+    # halves in [-1.5, 1.5]: heavy ties, negative values, exact midpoints
+    rows, candidates = case
+    X = np.array([values for values, _ in rows], dtype=float) / 2
+    y = np.array([label for _, label in rows], dtype=np.int64)
+    got = best_split(X, y, candidates)
+    ref = _oracle_split(X, y, sorted(set(candidates)))
+    if ref is None:
+        assert got is None
+    else:
+        assert got[:2] == (ref[1], ref[2])
+        assert got[2] == pytest.approx(float(ref[0]), abs=1e-12)
+
+
+def test_best_split_threshold_between_adjacent_doubles_partitions():
+    lo = 1.0000000000000002
+    hi = np.nextafter(lo, 2.0)  # 1.0000000000000004, the next double
+    assert (lo + hi) / 2.0 == hi  # the midpoint rounds onto the upper value
+    X = np.array([[lo], [lo], [hi], [hi]])
+    y = np.array([0, 0, 1, 1])
+    feat, threshold, decrease = best_split(X, y, [0])
+    assert (feat, threshold) == (0, lo)
+    assert decrease == pytest.approx(0.5)
+    tree = grow_tree(X, y, ForestParams(), _rng())
+    assert tree.feature.tolist() == [0, -1, -1]
+    assert (tree.n_tp[1:].tolist(), tree.n_fp[1:].tolist()) == ([0, 2], [2, 0])
 
 
 def _rng(seed=0):
@@ -299,6 +352,10 @@ def test_train_forest_rejects_degenerate_input():
         train_forest(X, [0, 1, 1])
     with pytest.raises(ValidationError):
         train_forest(np.zeros((1, 2)), [1])
+    for bad in (np.nan, np.inf, -np.inf):
+        X[2, 0] = bad
+        with pytest.raises(ValidationError, match="non-finite"):
+            train_forest(X, [0, 1, 0, 1])
 
 
 def _leaf_forest(fractions):
@@ -394,6 +451,21 @@ def test_saved_model_bytes_match_golden_digest():
     save_forest(train_forest(X, y, ForestParams(n_estimators=6, seed=13)), buf)
     digest = hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest()
     assert digest == "d05a2ad39f99373de69eb8d8f5d403dcddbb1863d18a76869a5244777c487f12"
+
+
+def test_saved_model_bytes_match_golden_digest_on_encoder_like_matrix():
+    # encoder-like columns: 2 to 100 integer levels, -1 sentinels, heavily
+    # duplicated rows; pins the split search where many values tie
+    rng = np.random.default_rng(47)
+    levels = [2, 3, 5, 9, 17, 33, 65, 100]
+    base = np.column_stack([rng.integers(0, k, size=400) for k in levels]).astype(float)
+    base[rng.random(base.shape) < 0.15] = -1.0
+    X = base[rng.integers(0, 400, size=2000)]
+    y = ((X[:, 1] + X[:, 4] > 8) ^ (rng.random(2000) < 0.15)).astype(int)
+    buf = io.StringIO()
+    save_forest(train_forest(X, y, ForestParams(n_estimators=10, seed=5)), buf)
+    digest = hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest()
+    assert digest == "611713d2bf0ab3c6b4edc6335017de3c3e6d301de427f366e4814fd6663f07e7"
 
 
 def test_model_round_trip_is_lossless():
