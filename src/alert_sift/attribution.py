@@ -113,6 +113,8 @@ def _leaf_terms(paths: _Paths, leaf: np.ndarray, o: np.ndarray) -> np.ndarray:
 
 def _shap_batch(forest: Forest, X: np.ndarray) -> tuple[float, np.ndarray]:
     """Base value and phi (rows, width) for every row of X."""
+    if not np.isfinite(X).all():
+        raise ValidationError("cannot attribute non-finite feature values")
     paths = _flatten(forest)
     # a leaf's weight in the expected value is the product of its path fractions
     base = float(paths.value @ paths.z.prod(axis=1)) / len(forest.roots)

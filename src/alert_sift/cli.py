@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .errors import AlertSiftError
+from .errors import AlertSiftError, ValidationError
 from .evaluation import (
     cross_validate,
     evaluate_forest,
@@ -49,13 +49,15 @@ from .forest import (
     train_forest,
 )
 from .ingest import (
+    FieldPaths,
     alert_to_record,
     attach_comments,
+    decode_record,
     load_field_map,
-    parse_alert_record,
     parse_timestamp,
     read_corpus,
     read_rule_comments,
+    record_to_alert,
 )
 from .labeling import (
     KeywordConfig,
@@ -119,29 +121,41 @@ def _write_json(path: str, obj: dict) -> None:
 
 
 def _read_labeled(path: str) -> list[LabeledAlert]:
-    """Read normalized NDJSON that carries a top-level label field."""
+    """Read normalized NDJSON that carries a top-level label field.
+
+    Each line is decoded once: the same dict yields the label and the alert.
+    """
     out: list[LabeledAlert] = []
+    fields = FieldPaths()
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             text = line.strip()
             if not text:
                 continue
-            obj = json.loads(text)
-            if not isinstance(obj, dict) or "label" not in obj:
-                raise AlertSiftError(f"{path} line {line_no}: missing label field")
-            label = obj["label"]
-            if type(label) is not int or label not in (0, 1):
-                got = json.dumps(label)
-                raise AlertSiftError(f"{path} line {line_no}: label must be 0 or 1, got {got}")
-            alert = parse_alert_record(text)
-            out.append(LabeledAlert(alert=alert, label=label))
+            try:
+                obj = decode_record(text)
+                if "label" not in obj:
+                    raise ValidationError("missing label field")
+                label = obj["label"]
+                if type(label) is not int or label not in (0, 1):
+                    raise ValidationError(f"label must be 0 or 1, got {json.dumps(label)}")
+                out.append(LabeledAlert(alert=record_to_alert(obj, fields), label=label))
+            except AlertSiftError as exc:
+                raise AlertSiftError(f"{path} line {line_no}: {exc}") from None
     return out
 
 
-def _write_labeled(path: str, labeled: list[LabeledAlert]) -> None:
+def _write_labeled(
+    path: str, labeled: list[LabeledAlert], comments: dict[str, str] | None = None
+) -> None:
+    """Write labeled alerts as NDJSON; a rule's entry in comments replaces its alerts' own."""
+    comments = comments or {}
     with open(path, "w", encoding="utf-8") as fh:
         for item in labeled:
             record = alert_to_record(item.alert)
+            comment = comments.get(item.alert.rule_uuid)
+            if comment is not None:
+                record["rev_comment"] = comment
             record["label"] = item.label
             fh.write(json.dumps(record, sort_keys=True))
             fh.write("\n")
@@ -241,7 +255,6 @@ def cmd_label(opt: _Options) -> str:
     if sidecar:
         with open(sidecar, encoding="utf-8") as fh:
             rules = read_rule_comments(fh)
-        alerts = attach_comments(alerts, rules)
     else:
         seen: dict[str, str] = {}
         for alert in alerts:
@@ -250,7 +263,8 @@ def cmd_label(opt: _Options) -> str:
         rules = list(seen.items())
     tp_list, fp_list = build_label_lists(rules, cfg)
     labeled = label_corpus(alerts, tp_list, fp_list)
-    _write_labeled(out, labeled)
+    # the sidecar comment of a rule is written onto its alerts, as ingest attaches it
+    _write_labeled(out, labeled, dict(rules) if sidecar else None)
     lists_path = opt.get("lists", None)
     if lists_path:
         with open(lists_path, "w", encoding="utf-8") as fh:
@@ -656,6 +670,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except json.JSONDecodeError as exc:
         print(f"error: invalid JSON input: {exc}", file=sys.stderr)
+        return 1
+    except UnicodeDecodeError as exc:
+        print(f"error: input is not UTF-8 text: {exc}", file=sys.stderr)
         return 1
     print(summary)
     return 0

@@ -295,6 +295,8 @@ def predict_proba_batch(forest: Forest, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != forest.width:
         raise ValidationError(f"matrix shape {X.shape} does not match forest width {forest.width}")
+    if not np.isfinite(X).all():
+        raise ValidationError("cannot score non-finite feature values")
     nodes, n_trees = forest.nodes, len(forest.roots)
     children = np.stack([nodes.right, nodes.left], axis=1).ravel()  # node i: 2i right, 2i+1 left
     total = np.empty(X.shape[0])

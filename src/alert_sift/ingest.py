@@ -9,6 +9,12 @@ paths is configurable via a field-map file of ``field=json.path`` lines.
 Analyst comments on the matched rule (``rev_comment``) may arrive embedded in
 each record or via a sidecar CSV with header ``rule_uuid,rev_comment``; both
 paths are supported.
+
+Parsing is two steps, ``decode_record`` (line to dict) and ``record_to_alert``
+(dict to validated RawAlert); ``parse_alert_record`` is the two in a row. A
+reader that needs the decoded dict for more (a label field) calls them
+itself, so no line is decoded twice. One ``FieldPaths`` per read holds the
+field map split into keys and the addresses that read has validated.
 """
 
 from __future__ import annotations
@@ -95,22 +101,39 @@ class IngestReport:
     rejection_reasons: list[tuple[int, str]] = field(default_factory=list)
 
 
-def _dig(obj: dict, dotted: str):
-    """Walk a dotted path into nested dicts; None when any segment is absent."""
-    cur = obj
-    for key in dotted.split("."):
-        if not isinstance(cur, dict) or key not in cur:
-            return None
-        cur = cur[key]
-    return cur
+# One compiled field: (RawAlert field, parent JSON keys, leaf JSON key).
+_Path = tuple[str, tuple[str, ...], str]
 
 
-def _set_path(obj: dict, dotted: str, value) -> None:
-    parts = dotted.split(".")
-    cur = obj
-    for key in parts[:-1]:
-        cur = cur.setdefault(key, {})
-    cur[parts[-1]] = value
+def _compile(field_map: dict[str, str] | None) -> tuple[_Path, ...]:
+    """Split each path of a field map; no map means the default, compiled once."""
+    if not field_map:
+        return _DEFAULT_PATHS
+    out = []
+    for field, dotted in field_map.items():
+        *parents, leaf = dotted.split(".")
+        out.append((field, tuple(parents), leaf))
+    return tuple(out)
+
+
+_DEFAULT_PATHS = _compile(DEFAULT_FIELD_MAP)
+
+
+class FieldPaths:
+    """A field map compiled for one read of a corpus.
+
+    Each dotted JSON path is split into its keys once. The read also
+    remembers the address strings it has validated: a corpus repeats a few
+    thousand addresses across all its alerts, so the repeats skip
+    ``ipaddress``. Build one per read and drop it with the read, so the set
+    lives no longer than the alerts it serves.
+    """
+
+    __slots__ = ("paths", "valid_ips")
+
+    def __init__(self, field_map: dict[str, str] | None = None):
+        self.paths = _compile(field_map)
+        self.valid_ips: set[str] = set()
 
 
 def parse_timestamp(value) -> datetime:
@@ -141,39 +164,52 @@ def _require_int(name: str, value, lo: int, hi: int | None = None) -> int:
     return value
 
 
-def _validate_ip(name: str, value) -> str:
+def _validate_ip(name: str, value, valid: set[str]) -> str:
+    """Check an address string, once per distinct string in `valid`."""
     if not isinstance(value, str):
         raise ValidationError(f"{name} must be a string, got {value!r}")
-    try:
-        ipaddress.ip_address(value)
-    except ValueError:
-        raise ValidationError(f"{name} is not a valid IP address: {value!r}") from None
+    if value not in valid:
+        try:
+            ipaddress.ip_address(value)
+        except ValueError:
+            raise ValidationError(f"{name} is not a valid IP address: {value!r}") from None
+        valid.add(value)
     return value
 
 
-def parse_alert_record(line: str, field_map: dict[str, str] | None = None) -> RawAlert:
-    """Parse one JSON object into a RawAlert.
-
-    Absent optional fields stay missing (None); unknown JSON keys are ignored.
-    Raises ParseError for malformed JSON and ValidationError for out-of-range
-    or missing required fields.
-    """
-    fmap = field_map or DEFAULT_FIELD_MAP
+def decode_record(line: str) -> dict:
+    """Decode one NDJSON line; ParseError unless it holds a JSON object."""
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed JSON: {exc.msg}") from None
     if not isinstance(obj, dict):
         raise ParseError("record is not a JSON object")
+    return obj
 
-    raw = {field: _dig(obj, path) for field, path in fmap.items()}
+
+def record_to_alert(obj: dict, field_map: dict[str, str] | FieldPaths | None = None) -> RawAlert:
+    """Validate one decoded record into a RawAlert.
+
+    Absent optional fields stay missing (None); unknown JSON keys are ignored.
+    Raises ValidationError for out-of-range or missing required fields. Pass
+    the FieldPaths of a read to reuse its compiled paths and addresses.
+    """
+    fields = field_map if isinstance(field_map, FieldPaths) else FieldPaths(field_map)
+    raw = {}
+    for field, parents, leaf in fields.paths:
+        value = obj
+        for key in parents:
+            value = value.get(key) if isinstance(value, dict) else None
+        raw[field] = value.get(leaf) if isinstance(value, dict) else None
     for field in _REQUIRED_FIELDS:
         if raw.get(field) is None:
-            raise ValidationError(f"missing required field {field!r} (key {fmap[field]!r})")
+            path = {f: ".".join((*p, leaf)) for f, p, leaf in fields.paths}[field]
+            raise ValidationError(f"missing required field {field!r} (key {path!r})")
 
     kwargs: dict = {
-        "src_ip": _validate_ip("src_ip", raw["src_ip"]),
-        "dst_ip": _validate_ip("dst_ip", raw["dst_ip"]),
+        "src_ip": _validate_ip("src_ip", raw["src_ip"], fields.valid_ips),
+        "dst_ip": _validate_ip("dst_ip", raw["dst_ip"], fields.valid_ips),
         "src_port": _require_int("src_port", raw["src_port"], 0, 65535),
         "dst_port": _require_int("dst_port", raw["dst_port"], 0, 65535),
         "rule_sid": _require_int("rule_sid", raw["rule_sid"], 0),
@@ -196,17 +232,28 @@ def parse_alert_record(line: str, field_map: dict[str, str] | None = None) -> Ra
     return RawAlert(**kwargs)
 
 
+def parse_alert_record(line: str, field_map: dict[str, str] | FieldPaths | None = None) -> RawAlert:
+    """Parse one NDJSON line into a RawAlert: decode_record, then record_to_alert.
+
+    Raises ParseError for malformed JSON and ValidationError for out-of-range
+    or missing required fields.
+    """
+    return record_to_alert(decode_record(line), field_map)
+
+
 def alert_to_record(alert: RawAlert, field_map: dict[str, str] | None = None) -> dict:
     """Serialize a RawAlert back to the nested input-record layout."""
-    fmap = field_map or DEFAULT_FIELD_MAP
     obj: dict = {}
-    for field, path in fmap.items():
+    for field, parents, leaf in _compile(field_map):
         value = getattr(alert, field)
         if value is None:
             continue
         if field == "timestamp":
             value = value.isoformat()
-        _set_path(obj, path, value)
+        cur = obj
+        for key in parents:
+            cur = cur.setdefault(key, {})
+        cur[leaf] = value
     return obj
 
 
@@ -220,6 +267,7 @@ def read_corpus(
     """Read newline-delimited records; bad lines are counted, never fatal."""
     alerts: list[RawAlert] = []
     report = IngestReport()
+    fields = FieldPaths(field_map)
     for line_no, line in enumerate(source, start=1):
         stripped = line.strip()
         if not stripped:
@@ -227,7 +275,7 @@ def read_corpus(
             report.rejection_reasons.append((line_no, "empty line"))
             continue
         try:
-            alerts.append(parse_alert_record(stripped, field_map))
+            alerts.append(parse_alert_record(stripped, fields))
             report.accepted += 1
         except (ParseError, ValidationError) as exc:
             report.rejected += 1

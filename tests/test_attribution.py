@@ -203,6 +203,23 @@ def test_width_mismatch_rejected():
         tree_shap(forest, [0.1, 0.2, 0.3])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_attribution_refuses_non_finite_features(bad):
+    rng = np.random.default_rng(12)
+    X = rng.random((30, 3))
+    forest = train_forest(X, (X[:, 2] > 0.5).astype(int), ForestParams(n_estimators=5))
+    with pytest.raises(ValidationError, match="non-finite"):
+        tree_shap(forest, [0.5, bad, 0.5])
+    with pytest.raises(ValidationError, match="non-finite"):
+        tree_shap(forest, [bad, bad, bad])
+    rows = rng.random((4, 3))
+    rows[3, 0] = bad
+    with pytest.raises(ValidationError, match="non-finite"):
+        global_importance(forest, rows)
+    with pytest.raises(ValidationError, match="non-finite"):
+        global_importance(forest, np.full((2, 3), bad))
+
+
 def test_global_importance_all_leaves_is_zero():
     forest = _forest_of([_leaf(2, 2), _leaf(1, 0)], width=2)
     ranked = global_importance(forest, np.random.default_rng(24).random((5, 2)))

@@ -2,14 +2,22 @@
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alert_sift import cli
 from alert_sift.forest import load_forest, predict_proba_batch
+
+from conftest import make_record
 
 
 def run_ok(argv):
@@ -420,3 +428,225 @@ def test_train_on_adjacent_doubles_exits_zero(tmp_path):
         forest = load_forest(fh)
     proba = predict_proba_batch(forest, np.array([[float(lo)], [float(hi)]]))
     assert proba[0] < 0.5 <= proba[1]
+
+
+_NESTED_FIELD_MAP = {
+    "src_ip": "net.src.addr",
+    "dst_ip": "net.dst.addr",
+    "rule_uuid": "meta.rule.id",
+    "rule_sid": "meta.rule.sid",
+    "timestamp": "meta.when",
+}
+
+
+def _nest(record: dict) -> dict:
+    """Move the remapped fields of one synth record to their nested paths."""
+    flat = {
+        "src_ip": record.pop("src_ip"),
+        "dst_ip": record.pop("dest_ip"),
+        "rule_uuid": record.pop("rule_uuid"),
+        "rule_sid": record["alert"].pop("signature_id"),
+        "timestamp": record.pop("timestamp"),
+    }
+    for name, path in _NESTED_FIELD_MAP.items():
+        *parents, last = path.split(".")
+        node = record
+        for key in parents:
+            node = node.setdefault(key, {})
+        node[last] = flat[name]
+    return record
+
+
+@pytest.fixture(scope="module")
+def digest_run(tmp_path_factory):
+    """The stages that read alert NDJSON, run once on a small synth corpus."""
+    d = tmp_path_factory.mktemp("digests")
+    alerts, comments = str(d / "alerts.ndjson"), str(d / "comments.csv")
+    run_ok(["synth", "--out", alerts, "--comments", comments, "--truth", str(d / "truth.csv"),
+            "--n-tp", "40", "--n-fp", "40", "--n-rules", "6", "--dup", "4", "--seed", "11"])
+    with open(alerts, encoding="utf-8") as fh:
+        nested = [json.dumps(_nest(json.loads(line)), sort_keys=True) for line in fh]
+    (d / "nested.ndjson").write_text("\n".join(nested) + "\n", encoding="utf-8")
+    (d / "nested.map").write_text(
+        "".join(f"{name}={path}\n" for name, path in _NESTED_FIELD_MAP.items()), encoding="utf-8"
+    )
+    run_ok(["ingest", "--in", str(d / "nested.ndjson"), "--field-map", str(d / "nested.map"),
+            "--out", str(d / "ingested_nested.ndjson")])
+    run_ok(["ingest", "--in", alerts, "--comments", comments,
+            "--out", str(d / "ingested.ndjson")])
+    run_ok(["label", "--in", alerts, "--comments", comments,
+            "--out", str(d / "labeled_sidecar.ndjson")])
+    run_ok(["label", "--in", str(d / "ingested.ndjson"),
+            "--out", str(d / "labeled_embedded.ndjson")])
+    run_ok(["sample", "--in", str(d / "labeled_sidecar.ndjson"), "--stride", "2",
+            "--per-rule-cap", "8", "--split-date", "2025-03-01T00:00:00Z",
+            "--train-out", str(d / "train.ndjson"), "--test-out", str(d / "test.ndjson")])
+    run_ok(["sample", "--in", str(d / "labeled_sidecar.ndjson"), "--stride", "4",
+            "--out", str(d / "strided.ndjson")])
+    return d
+
+
+# sha256 of each output, computed before label, sample and ingest were
+# rewritten to decode each line once; any change to the bytes fails here.
+_GOLDEN_DIGESTS = {
+    "ingested_nested.ndjson": "606eb044ea5af51e11b67dd3d7e2c47eb4e5a94850e88e2fea3504f2db56a517",
+    "ingested.ndjson": "c5b30f836f8ed83e07696840072d6b4e4329193e0c45e1dcca4273c63f372b40",
+    "labeled_sidecar.ndjson": "3f0ae61bac18e95ad183efc657122a518c75809c70b1e616940ba334fc5ea4e5",
+    "labeled_embedded.ndjson": "3f0ae61bac18e95ad183efc657122a518c75809c70b1e616940ba334fc5ea4e5",
+    "train.ndjson": "dfb63fe765afa1847cde9fc1d544025c1c24270ef8a7c0e7ec14a7839939591f",
+    "test.ndjson": "87688b842bc37805219c8bfee739aadebd018c2f9fc57e2f2eaf2b5d48f7a1a5",
+    "strided.ndjson": "110aadf70d85f7658289960ac253bab87f383d72bc9d631709219064886f9aef",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN_DIGESTS))
+def test_ndjson_stage_output_matches_golden_digest(digest_run, name):
+    data = (digest_run / name).read_bytes()
+    assert data.count(b"\n") > 0
+    assert hashlib.sha256(data).hexdigest() == _GOLDEN_DIGESTS[name]
+
+
+def _labeled_line(**overrides) -> str:
+    return json.dumps({**make_record(**overrides), "label": 1}, sort_keys=True)
+
+
+@pytest.mark.parametrize("command", ["sample", "encode"])
+@pytest.mark.parametrize(
+    "bad_line, reason",
+    [
+        ('{"label" 1}', "malformed JSON: Expecting ':' delimiter"),
+        (_labeled_line(src_ip="999.1.1.1"), "src_ip is not a valid IP address: '999.1.1.1'"),
+    ],
+    ids=["malformed-json", "bad-address"],
+)
+def test_labeled_input_errors_name_file_and_line(tmp_path, capsys, command, bad_line, reason):
+    bad = tmp_path / "bad.ndjson"
+    bad.write_text(_labeled_line() + "\n" + bad_line + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli.main([command, "--in", str(bad), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {bad} line 2: {reason}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.ndjson"]
+
+
+def test_invalid_address_repeated_in_labeled_input_fails_on_its_first_line(tmp_path, capsys):
+    # the first line validates 203.0.113.7; a later bad address still fails
+    lines = [_labeled_line(), _labeled_line(dest_ip="10.0.0.300"), _labeled_line()]
+    bad = tmp_path / "bad.ndjson"
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    for command in ("sample", "encode"):
+        assert cli.main([command, "--in", str(bad), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {bad} line 2: dst_ip is not a valid IP address: '10.0.0.300'\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.ndjson"]
+
+
+@pytest.mark.parametrize("command", ["sample", "encode"])
+def test_each_labeled_line_is_decoded_once(chain, tmp_path, monkeypatch, command):
+    calls = []
+    loads = json.loads
+
+    def counting_loads(text, *args, **kwargs):
+        calls.append(text)
+        return loads(text, *args, **kwargs)
+
+    monkeypatch.setattr(json, "loads", counting_loads)
+    run_ok([command, "--in", chain["labeled"], "--out", str(tmp_path / "out")])
+    assert len(calls) == _count_lines(chain["labeled"]) > 0
+
+
+@pytest.mark.parametrize(
+    "corpus_error, sidecar",
+    [
+        ("src_ip is not a valid IP address: '1.2.3'", "rule_uuid,rev_comment\n"),
+        (None, "rule_uuid,rev_comment\nrule-aaa,alerted\nrule-aaa,benign\n"),
+    ],
+)
+def test_failing_label_writes_no_output(tmp_path, capsys, corpus_error, sidecar):
+    lines = [json.dumps(make_record())] * 3
+    if corpus_error:
+        lines.append(json.dumps(make_record(src_ip="1.2.3")))
+    src, comments = tmp_path / "alerts.ndjson", tmp_path / "comments.csv"
+    src.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    comments.write_text(sidecar, encoding="utf-8")
+    labeled = tmp_path / "labeled.ndjson"
+    argv = ["label", "--in", str(src), "--comments", str(comments), "--out", str(labeled)]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    expected = f"{src} line 4: {corpus_error}" if corpus_error else "duplicate rule_uuid"
+    assert err.startswith("error: ") and expected in err
+    assert not labeled.exists()
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def _mutated_line(draw, line: str) -> tuple[str, bool]:
+    """A mutation of one NDJSON line, and whether it can no longer be valid."""
+    kind = draw(st.sampled_from(["truncate", "replace", "insert", "delete", "value"]))
+    if kind == "value":
+        record = json.loads(line)
+        node = record
+        key = draw(st.sampled_from(sorted(record)))
+        if isinstance(node[key], dict) and draw(st.booleans()):
+            node, key = node[key], draw(st.sampled_from(sorted(node[key])))
+        node[key] = draw(_JSON_VALUES)
+        return json.dumps(record), False
+    i = draw(st.integers(0, len(line) - 1))
+    if kind == "truncate":  # a non-empty proper prefix of a JSON object is never JSON
+        return line[:max(i, 1)], True
+    char = draw(st.characters(codec="utf-8", exclude_characters="\n\r"))
+    if kind == "replace":
+        return line[:i] + char + line[i + 1:], False
+    if kind == "insert":
+        return line[:i] + char + line[i:], False
+    return line[:i] + line[i + 1:], False
+
+
+@pytest.mark.parametrize("command", ["label", "sample", "encode"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_mutated_ndjson_line_exits_with_error_never_a_traceback(command, data):
+    if command == "label":
+        line = json.dumps(make_record(rev_comment="alerted the customer"), sort_keys=True)
+    else:
+        line = _labeled_line()
+    mutated, must_fail = data.draw(_mutated_line(line))
+    with tempfile.TemporaryDirectory() as tmp:
+        src, out = Path(tmp) / "in.ndjson", Path(tmp) / "out"
+        src.write_text(line + "\n" + mutated + "\n", encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main([command, "--in", str(src), "--out", str(out)])
+        if code == 0:
+            assert not must_fail and out.exists()
+        else:
+            assert code == 1
+            assert err.getvalue().startswith(f"error: {src} line 2: ")
+            assert err.getvalue().count("\n") == 1
+            assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["label", "sample", "encode"])
+def test_input_that_is_not_utf8_exits_with_error(tmp_path, capsys, command):
+    src, out = tmp_path / "in.ndjson", tmp_path / "out"
+    src.write_bytes(_labeled_line().encode() + b'\n{"src_ip": "\xff"}\n')
+    assert cli.main([command, "--in", str(src), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: input is not UTF-8 text: ")
+    assert not out.exists()
+
+
+def test_label_writes_the_sidecar_comment_over_the_embedded_one(tmp_path):
+    src, comments = tmp_path / "alerts.ndjson", tmp_path / "comments.csv"
+    src.write_text(json.dumps(make_record(rev_comment="expected benign scan")) + "\n",
+                   encoding="utf-8")
+    comments.write_text("rule_uuid,rev_comment\nrule-aaa,alerted the customer\n",
+                        encoding="utf-8")
+    labeled = tmp_path / "labeled.ndjson"
+    run_ok(["label", "--in", str(src), "--comments", str(comments), "--out", str(labeled)])
+    record = json.loads(labeled.read_text(encoding="utf-8"))
+    assert (record["label"], record["rev_comment"]) == (1, "alerted the customer")

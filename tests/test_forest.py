@@ -417,6 +417,23 @@ def test_predict_proba_batch_matches_single_rows():
     assert batch.tolist() == pytest.approx(singles, abs=1e-12)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_scoring_refuses_non_finite_features(bad):
+    rng = np.random.default_rng(10)
+    X = rng.random((30, 3))
+    forest = train_forest(X, (X[:, 0] > 0.5).astype(int), ForestParams(n_estimators=5))
+    rows = rng.random((4, 3))
+    rows[2, 1] = bad
+    with pytest.raises(ValidationError, match="non-finite"):
+        predict_proba_batch(forest, rows)
+    with pytest.raises(ValidationError, match="non-finite"):
+        predict_proba_batch(forest, np.full((1, 3), bad))
+    with pytest.raises(ValidationError, match="non-finite"):
+        predict_proba(forest, [0.5, bad, 0.5])
+    with pytest.raises(ValidationError, match="non-finite"):
+        predict(forest, [bad, bad, bad])
+
+
 def _walk_proba(trees, row):
     """Reference score: walk each nested model-format tree, add leaf fractions in tree order."""
     total = 0.0

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from alert_sift.errors import ParseError, ValidationError
 from alert_sift.ingest import (
+    FieldPaths,
     alert_to_json,
     attach_comments,
     load_field_map,
@@ -19,6 +20,7 @@ from alert_sift.ingest import (
     parse_timestamp,
     read_corpus,
     read_rule_comments,
+    record_to_alert,
 )
 
 from conftest import make_line, make_record
@@ -199,3 +201,61 @@ def test_sidecar_wins_over_embedded_comment():
 def test_sidecar_requires_header():
     with pytest.raises(ValidationError, match="header"):
         read_rule_comments(io.StringIO("uuid,comment\nrule-aaa,x\n"))
+
+
+def test_invalid_address_on_two_lines_is_rejected_on_both():
+    bad = make_line(src_ip="300.1.2.3")
+    alerts, report = read_corpus([bad, make_line(), bad])
+    reason = "src_ip is not a valid IP address: '300.1.2.3'"
+    assert report.accepted == 1 and len(alerts) == 1
+    assert report.rejection_reasons == [(1, reason), (3, reason)]
+
+
+def test_valid_and_invalid_addresses_side_by_side_in_one_read():
+    good, bad = "198.51.100.4", "198.51.100.400"
+    lines = [
+        make_line(src_ip=good),
+        make_line(src_ip=bad),
+        make_line(src_ip=good, dest_ip=bad),
+        make_line(dest_ip=good),
+    ]
+    alerts, report = read_corpus(lines)
+    assert [(a.src_ip, a.dst_ip) for a in alerts] == [(good, "10.20.30.40"), ("203.0.113.7", good)]
+    assert report.rejection_reasons == [
+        (2, f"src_ip is not a valid IP address: {bad!r}"),
+        (3, f"dst_ip is not a valid IP address: {bad!r}"),
+    ]
+
+
+@pytest.mark.parametrize("value", [["198.51.100.4"], {"ip": "198.51.100.4"}, 3325256708])
+def test_non_string_address_rejected_after_the_same_text_was_accepted(value):
+    lines = [make_line(src_ip="198.51.100.4", dest_ip="198.51.100.4")]
+    lines += [make_line(src_ip=value), make_line(dest_ip=value)]
+    alerts, report = read_corpus(lines)
+    assert len(alerts) == 1
+    assert report.rejection_reasons == [
+        (2, f"src_ip must be a string, got {value!r}"),
+        (3, f"dst_ip must be a string, got {value!r}"),
+    ]
+    fields = FieldPaths()
+    record_to_alert(make_record(src_ip="198.51.100.4"), fields)
+    assert fields.valid_ips == {"198.51.100.4", "10.20.30.40"}
+    with pytest.raises(ValidationError, match="src_ip must be a string"):
+        record_to_alert(make_record(src_ip=value), fields)
+
+
+def test_field_paths_compile_nested_map_once():
+    fmap = load_field_map(["src_ip = net.src.addr", "rule_uuid = meta.rule.id"])
+    record = make_record(src_ip=None, rule_uuid=None)
+    record["net"] = {"src": {"addr": "192.0.2.9"}}
+    record["meta"] = {"rule": {"id": "rule-zzz"}}
+    fields = FieldPaths(fmap)
+    assert ("src_ip", ("net", "src"), "addr") in fields.paths
+    for _ in range(2):
+        alert = record_to_alert(record, fields)
+        assert (alert.src_ip, alert.rule_uuid) == ("192.0.2.9", "rule-zzz")
+    assert record_to_alert(record, fmap) == alert
+    assert parse_alert_record(json.dumps(record), fmap) == alert
+    record["net"]["src"] = "192.0.2.9"  # a leaf where a parent object belongs
+    with pytest.raises(ValidationError, match="'src_ip' \\(key 'net.src.addr'\\)"):
+        record_to_alert(record, fields)
