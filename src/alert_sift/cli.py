@@ -50,7 +50,6 @@ from .forest import (
 )
 from .ingest import (
     FieldPaths,
-    alert_to_record,
     attach_comments,
     decode_record,
     load_field_map,
@@ -58,6 +57,7 @@ from .ingest import (
     read_corpus,
     read_rule_comments,
     record_to_alert,
+    write_records,
 )
 from .labeling import (
     KeywordConfig,
@@ -149,16 +149,8 @@ def _write_labeled(
     path: str, labeled: list[LabeledAlert], comments: dict[str, str] | None = None
 ) -> None:
     """Write labeled alerts as NDJSON; a rule's entry in comments replaces its alerts' own."""
-    comments = comments or {}
     with open(path, "w", encoding="utf-8") as fh:
-        for item in labeled:
-            record = alert_to_record(item.alert)
-            comment = comments.get(item.alert.rule_uuid)
-            if comment is not None:
-                record["rev_comment"] = comment
-            record["label"] = item.label
-            fh.write(json.dumps(record, sort_keys=True))
-            fh.write("\n")
+        write_records(fh, [x.alert for x in labeled], [x.label for x in labeled], comments)
 
 
 def _profile(opt: _Options) -> FeatureProfile:
@@ -226,9 +218,7 @@ def cmd_ingest(opt: _Options) -> str:
             f"all {report.rejected} records rejected; first: line {first[0]}: {first[1]}"
         )
     with open(out, "w", encoding="utf-8") as fh:
-        for alert in alerts:
-            fh.write(json.dumps(alert_to_record(alert), sort_keys=True))
-            fh.write("\n")
+        write_records(fh, alerts)
     return f"ingest: accepted {report.accepted}, rejected {report.rejected} -> {out}"
 
 

@@ -60,17 +60,20 @@ def confusion(predictions: Sequence[int], truths: Sequence[int]) -> ConfusionMat
         raise ValidationError(
             f"{len(predictions)} predictions vs {len(truths)} truths"
         )
-    counts = {(1, 1): 0, (1, 0): 0, (0, 0): 0, (0, 1): 0}
-    for pred, truth in zip(predictions, truths):
-        key = (int(truth), int(pred))
-        if key not in counts:
-            raise ValidationError(f"labels must be 0/1, got truth={truth} pred={pred}")
-        counts[key] += 1
+    pred, truth = np.asarray(predictions), np.asarray(truths)
+    # every value must equal 0 or 1, so that no pair lands in another's cell
+    bad = ~(np.isin(pred, (0, 1)) & np.isin(truth, (0, 1)))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValidationError(
+            f"labels must be 0/1, got truth={truths[i]} pred={predictions[i]}"
+        )
+    counts = np.bincount(2 * truth.astype(np.intp) + pred.astype(np.intp), minlength=4)
     return ConfusionMatrix(
-        tp_as_tp=counts[(1, 1)],
-        tp_as_fp=counts[(1, 0)],
-        fp_as_fp=counts[(0, 0)],
-        fp_as_tp=counts[(0, 1)],
+        tp_as_tp=int(counts[3]),
+        tp_as_fp=int(counts[2]),
+        fp_as_fp=int(counts[0]),
+        fp_as_tp=int(counts[1]),
     )
 
 
@@ -151,7 +154,7 @@ def cross_validate(
         forest = train_forest(X[mask], train_y, params)
         proba = predict_proba_batch(forest, X[held])
         preds = (proba >= threshold).astype(int)
-        report = metrics(confusion(preds.tolist(), y[held].tolist()))
+        report = metrics(confusion(preds, y[held]))
         reports.append(report)
         accuracies.append(report.accuracy if report.accuracy is not None else 0.0)
     return CrossValidation(reports=tuple(reports), accuracies=tuple(accuracies))
@@ -170,7 +173,7 @@ def evaluate_forest(
         raise ValidationError(f"{X.shape[0]} rows vs {y.shape[0]} labels")
     proba = predict_proba_batch(forest, X)
     preds = (proba >= threshold).astype(int)
-    cm = confusion(preds.tolist(), y.tolist())
+    cm = confusion(preds, y)
     return cm, metrics(cm)
 
 

@@ -356,7 +356,12 @@ def write_matrix_csv(
     labels: Sequence[int] | None,
     names: Sequence[str],
 ) -> None:
-    """Export a feature matrix as CSV: named columns plus trailing label."""
+    """Export a feature matrix as CSV: named columns plus trailing label.
+
+    No vectors give a header-only matrix.
+    """
+    if not isinstance(matrix, np.ndarray) and len(matrix) == 0:
+        matrix = np.empty((0, len(names)))
     X = as_matrix(matrix)
     if X.shape[1] != len(names):
         raise ValidationError(f"{X.shape[1]} columns vs {len(names)} names")

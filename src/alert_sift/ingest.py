@@ -10,11 +10,19 @@ Analyst comments on the matched rule (``rev_comment``) may arrive embedded in
 each record or via a sidecar CSV with header ``rule_uuid,rev_comment``; both
 paths are supported.
 
-Parsing is two steps, ``decode_record`` (line to dict) and ``record_to_alert``
-(dict to validated RawAlert); ``parse_alert_record`` is the two in a row. A
-reader that needs the decoded dict for more (a label field) calls them
-itself, so no line is decoded twice. One ``FieldPaths`` per read holds the
-field map split into keys and the addresses that read has validated.
+A RawAlert is an immutable NamedTuple; derive a changed copy with
+``_replace``. Parsing is two steps, ``decode_record`` (line to dict) and
+``record_to_alert`` (dict to validated RawAlert, in one pass over the
+fields); ``parse_alert_record`` is the two in a row. A reader that needs the
+decoded dict for more (a label field) calls them itself, so no line is
+decoded twice. One ``FieldPaths`` per read holds the field map split into
+keys and memoises what that read has validated: addresses, and timestamp
+strings with their parsed datetimes.
+
+There is one writer, ``write_records``: it writes alerts, optionally
+labeled, as the NDJSON lines ``json.dumps(alert_to_record(alert),
+sort_keys=True)`` would give, from templates compiled from the default
+layout. ``alert_to_record`` stays as the plain reference for that layout.
 """
 
 from __future__ import annotations
@@ -22,9 +30,12 @@ from __future__ import annotations
 import csv
 import ipaddress
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import IO, Iterable, Iterator
+from itertools import repeat
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
+from typing import IO, Callable, Iterable, Iterator, NamedTuple
 
 from .errors import ParseError, ValidationError
 
@@ -59,18 +70,21 @@ _REQUIRED_FIELDS = (
     "timestamp",
 )
 
-_OPTIONAL_INT_FIELDS = (
+# Fields whose absence changes a written record's layout: the optional
+# RawAlert fields and the label, which only labeled output carries.
+_ABSENT_KEYS = (
     "http_status",
     "pkts_to_server",
     "pkts_to_client",
     "bytes_to_server",
     "bytes_to_client",
+    "rev_comment",
+    "label",
 )
 
 
-@dataclass(frozen=True)
-class RawAlert:
-    """One parsed IDS alert record."""
+class RawAlert(NamedTuple):
+    """One parsed IDS alert record; immutable, so derive a changed copy with ``_replace``."""
 
     src_ip: str
     dst_ip: str
@@ -106,13 +120,17 @@ _Path = tuple[str, tuple[str, ...], str]
 
 
 def _compile(field_map: dict[str, str] | None) -> tuple[_Path, ...]:
-    """Split each path of a field map; no map means the default, compiled once."""
+    """Split each path of a field map, in RawAlert field order.
+
+    No map means the default, compiled once.
+    """
     if not field_map:
         return _DEFAULT_PATHS
     out = []
-    for field, dotted in field_map.items():
-        *parents, leaf = dotted.split(".")
-        out.append((field, tuple(parents), leaf))
+    for field in RawAlert._fields:
+        if field in field_map:
+            *parents, leaf = field_map[field].split(".")
+            out.append((field, tuple(parents), leaf))
     return tuple(out)
 
 
@@ -123,17 +141,20 @@ class FieldPaths:
     """A field map compiled for one read of a corpus.
 
     Each dotted JSON path is split into its keys once. The read also
-    remembers the address strings it has validated: a corpus repeats a few
-    thousand addresses across all its alerts, so the repeats skip
-    ``ipaddress``. Build one per read and drop it with the read, so the set
-    lives no longer than the alerts it serves.
+    remembers what it has validated: a corpus repeats a few thousand
+    addresses and timestamps across all its alerts, so the repeats skip
+    ``ipaddress`` and ``parse_timestamp``. Only values that passed enter
+    ``valid_ips`` and ``timestamps``, so a bad value is rejected on every
+    line it is on. Build one per read and drop it with the read, so the
+    memos live no longer than the alerts they serve.
     """
 
-    __slots__ = ("paths", "valid_ips")
+    __slots__ = ("paths", "valid_ips", "timestamps")
 
     def __init__(self, field_map: dict[str, str] | None = None):
         self.paths = _compile(field_map)
         self.valid_ips: set[str] = set()
+        self.timestamps: dict[str, datetime] = {}
 
 
 def parse_timestamp(value) -> datetime:
@@ -192,44 +213,65 @@ def record_to_alert(obj: dict, field_map: dict[str, str] | FieldPaths | None = N
     """Validate one decoded record into a RawAlert.
 
     Absent optional fields stay missing (None); unknown JSON keys are ignored.
-    Raises ValidationError for out-of-range or missing required fields. Pass
-    the FieldPaths of a read to reuse its compiled paths and addresses.
+    Raises ValidationError for out-of-range or missing required fields; a
+    record with several faults reports the first in field order, after any
+    missing required field. Pass the FieldPaths of a read to reuse its
+    compiled paths, addresses and timestamps.
     """
     fields = field_map if isinstance(field_map, FieldPaths) else FieldPaths(field_map)
-    raw = {}
-    for field, parents, leaf in fields.paths:
+    raw = []
+    for _, parents, leaf in fields.paths:
         value = obj
         for key in parents:
             value = value.get(key) if isinstance(value, dict) else None
-        raw[field] = value.get(leaf) if isinstance(value, dict) else None
-    for field in _REQUIRED_FIELDS:
-        if raw.get(field) is None:
-            path = {f: ".".join((*p, leaf)) for f, p, leaf in fields.paths}[field]
-            raise ValidationError(f"missing required field {field!r} (key {path!r})")
+        raw.append(value.get(leaf) if isinstance(value, dict) else None)
+    (src_ip, dst_ip, src_port, dst_port, rule_sid, description, class_type, rule_uuid, action,
+     stamp, payload_len, http_status, pkts_ts, pkts_tc, bytes_ts, bytes_tc, comment) = raw
+    if (src_ip is None or dst_ip is None or src_port is None or dst_port is None
+            or rule_sid is None or rule_uuid is None or stamp is None):
+        for (field, parents, leaf), value in zip(fields.paths, raw):
+            if value is None and field in _REQUIRED_FIELDS:
+                path = ".".join((*parents, leaf))
+                raise ValidationError(f"missing required field {field!r} (key {path!r})")
 
-    kwargs: dict = {
-        "src_ip": _validate_ip("src_ip", raw["src_ip"], fields.valid_ips),
-        "dst_ip": _validate_ip("dst_ip", raw["dst_ip"], fields.valid_ips),
-        "src_port": _require_int("src_port", raw["src_port"], 0, 65535),
-        "dst_port": _require_int("dst_port", raw["dst_port"], 0, 65535),
-        "rule_sid": _require_int("rule_sid", raw["rule_sid"], 0),
-        "rule_description": str(raw["rule_description"] or ""),
-        "class_type": str(raw["class_type"] or ""),
-        "rule_uuid": str(raw["rule_uuid"]),
-        "action": str(raw["action"] or ""),
-        "timestamp": parse_timestamp(raw["timestamp"]),
-        "payload_len": _require_int("payload_len", raw["payload_len"], 0)
-        if raw["payload_len"] is not None
-        else 0,
-    }
-    if raw["http_status"] is not None:
-        kwargs["http_status"] = _require_int("http_status", raw["http_status"], 100, 599)
-    for field in _OPTIONAL_INT_FIELDS[1:]:
-        if raw[field] is not None:
-            kwargs[field] = _require_int(field, raw[field], 0)
-    if raw["rev_comment"] is not None:
-        kwargs["rev_comment"] = str(raw["rev_comment"])
-    return RawAlert(**kwargs)
+    # Fast checks inline; the helpers run only to raise, or for a value of
+    # a subclass of str or int, which they accept.
+    valid_ips = fields.valid_ips
+    if type(src_ip) is not str or src_ip not in valid_ips:
+        _validate_ip("src_ip", src_ip, valid_ips)
+    if type(dst_ip) is not str or dst_ip not in valid_ips:
+        _validate_ip("dst_ip", dst_ip, valid_ips)
+    if type(src_port) is not int or not 0 <= src_port <= 65535:
+        _require_int("src_port", src_port, 0, 65535)
+    if type(dst_port) is not int or not 0 <= dst_port <= 65535:
+        _require_int("dst_port", dst_port, 0, 65535)
+    if type(rule_sid) is not int or rule_sid < 0:
+        _require_int("rule_sid", rule_sid, 0)
+    timestamp = fields.timestamps.get(stamp) if type(stamp) is str else None
+    if timestamp is None:
+        timestamp = parse_timestamp(stamp)
+        if type(stamp) is str:
+            fields.timestamps[stamp] = timestamp
+    if payload_len is None:
+        payload_len = 0
+    elif type(payload_len) is not int or payload_len < 0:
+        _require_int("payload_len", payload_len, 0)
+    if http_status is not None and (type(http_status) is not int or not 100 <= http_status <= 599):
+        _require_int("http_status", http_status, 100, 599)
+    if pkts_ts is not None and (type(pkts_ts) is not int or pkts_ts < 0):
+        _require_int("pkts_to_server", pkts_ts, 0)
+    if pkts_tc is not None and (type(pkts_tc) is not int or pkts_tc < 0):
+        _require_int("pkts_to_client", pkts_tc, 0)
+    if bytes_ts is not None and (type(bytes_ts) is not int or bytes_ts < 0):
+        _require_int("bytes_to_server", bytes_ts, 0)
+    if bytes_tc is not None and (type(bytes_tc) is not int or bytes_tc < 0):
+        _require_int("bytes_to_client", bytes_tc, 0)
+    return RawAlert(
+        src_ip, dst_ip, src_port, dst_port, rule_sid, str(description or ""),
+        str(class_type or ""), str(rule_uuid), str(action or ""), timestamp, payload_len,
+        http_status, pkts_ts, pkts_tc, bytes_ts, bytes_tc,
+        None if comment is None else str(comment),
+    )
 
 
 def parse_alert_record(line: str, field_map: dict[str, str] | FieldPaths | None = None) -> RawAlert:
@@ -259,6 +301,83 @@ def alert_to_record(alert: RawAlert, field_map: dict[str, str] | None = None) ->
 
 def alert_to_json(alert: RawAlert, field_map: dict[str, str] | None = None) -> str:
     return json.dumps(alert_to_record(alert, field_map), sort_keys=True)
+
+
+def _template(absent: tuple[bool, ...]) -> tuple[str, Callable]:
+    """The %-template of one pattern of absent fields, and a getter.
+
+    The template is the line ``json.dumps(record, sort_keys=True)`` gives in
+    the default layout, with a ``%s`` per value; the getter picks those
+    values, in template order, from the tuple of a RawAlert's JSON-encoded
+    values and the label.
+    """
+    skip = {name for name, gone in zip(_ABSENT_KEYS, absent) if gone}
+    tree: dict = {}
+    for index, (field, parents, leaf) in enumerate((*_DEFAULT_PATHS, ("label", (), "label"))):
+        if field not in skip:
+            node = tree
+            for key in parents:
+                node = node.setdefault(key, {})
+            node[leaf] = index
+    order: list[int] = []
+
+    def emit(node: dict) -> str:
+        items = []
+        for key in sorted(node):
+            value = node[key]
+            if isinstance(value, dict):
+                text = emit(value)
+            else:
+                order.append(value)
+                text = "%s"
+            items.append(encode_basestring_ascii(key).replace("%", "%%") + ": " + text)
+        return "{" + ", ".join(items) + "}"
+
+    template = emit(tree) + "\n"
+    return template, itemgetter(*order)
+
+
+def write_records(
+    stream: IO[str],
+    alerts: Iterable[RawAlert],
+    labels: Iterable[int] | None = None,
+    comments: dict[str, str] | None = None,
+) -> None:
+    """Write alerts as NDJSON in the default layout, one line each.
+
+    Each line is byte for byte ``json.dumps(record, sort_keys=True)`` of
+    ``alert_to_record(alert)``, with ``rev_comment`` replaced by
+    ``comments[rule_uuid]`` where the alert's rule has one and, when labels
+    are given, ``label`` added. One template per pattern of absent fields
+    is filled with ``encode_basestring_ascii`` strings and ints; each
+    timestamp object is formatted once per write.
+    """
+    templates: dict[tuple[bool, ...], tuple[str, Callable]] = {}
+    # id(timestamp) -> (timestamp, its encoded isoformat); holding the
+    # timestamp keeps its id from being reused while the write runs
+    isoformats: dict[int, tuple[datetime, str]] = {}
+    comments = comments or {}
+    enc = encode_basestring_ascii
+    write = stream.write
+    for alert, label in zip(alerts, repeat(None) if labels is None else labels):
+        (src_ip, dst_ip, src_port, dst_port, rule_sid, description, class_type, rule_uuid,
+         action, timestamp, payload_len, http_status, pkts_ts, pkts_tc, bytes_ts, bytes_tc,
+         comment) = alert
+        comment = comments.get(rule_uuid, comment)
+        absent = (http_status is None, pkts_ts is None, pkts_tc is None, bytes_ts is None,
+                  bytes_tc is None, comment is None, label is None)
+        form = templates.get(absent)
+        if form is None:
+            form = templates[absent] = _template(absent)
+        iso = isoformats.get(id(timestamp))
+        if iso is None:
+            iso = isoformats[id(timestamp)] = (timestamp, enc(timestamp.isoformat()))
+        # RawAlert field order, then the label: the indices _template picks by
+        values = (enc(src_ip), enc(dst_ip), src_port, dst_port, rule_sid, enc(description),
+                  enc(class_type), enc(rule_uuid), enc(action), iso[1], payload_len,
+                  http_status, pkts_ts, pkts_tc, bytes_ts, bytes_tc,
+                  None if comment is None else enc(comment), label)
+        write(form[0] % form[1](values))
 
 
 def read_corpus(
@@ -327,5 +446,5 @@ def attach_comments(
     out = []
     for alert in alerts:
         comment = by_rule.get(alert.rule_uuid)
-        out.append(replace(alert, rev_comment=comment) if comment is not None else alert)
+        out.append(alert._replace(rev_comment=comment) if comment is not None else alert)
     return out

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alert_sift import cli
+from alert_sift.features import FeatureProfile, feature_names
 from alert_sift.forest import load_forest, predict_proba_batch
 
 from conftest import make_record
@@ -428,6 +429,54 @@ def test_train_on_adjacent_doubles_exits_zero(tmp_path):
         forest = load_forest(fh)
     proba = predict_proba_batch(forest, np.array([[float(lo)], [float(hi)]]))
     assert proba[0] < 0.5 <= proba[1]
+
+
+@pytest.fixture(scope="module")
+def header_only_matrix(tmp_path_factory):
+    """encode of an empty labeled file, as an empty test split gives."""
+    d = tmp_path_factory.mktemp("empty")
+    (d / "test.ndjson").write_text("", encoding="utf-8")
+    run_ok(["encode", "--in", str(d / "test.ndjson"), "--out", str(d / "test.csv")])
+    return d / "test.csv"
+
+
+def test_encode_of_empty_labeled_file_writes_header_only_matrix(header_only_matrix):
+    header = ",".join(feature_names(FeatureProfile.CORE20)) + ",label\n"
+    assert header_only_matrix.read_text(encoding="utf-8") == header
+
+
+@pytest.mark.parametrize(
+    "command, code, message",
+    [
+        ("train", 1, "error: training needs at least 2 samples"),
+        ("predict", 0, "predict: 0 rows, 0 filtered as fp -> {out}"),
+        ("evaluate", 0, "evaluate: accuracy n/a, tp_recall n/a, savings 0.0h -> {out}"),
+        ("explain", 1, "error: {src} has no rows to explain"),
+    ],
+)
+def test_later_stages_on_header_only_matrix(
+    chain, header_only_matrix, tmp_path, capsys, command, code, message
+):
+    out = tmp_path / "out"
+    argv = [command, "--in", str(header_only_matrix)]
+    if command == "train":
+        argv += ["--model", str(out)]
+    else:
+        flag = "--report" if command == "evaluate" else "--out"
+        argv += ["--model", chain["model"], flag, str(out)]
+    assert cli.main(argv) == code
+    captured = capsys.readouterr()
+    assert (captured.err if code else captured.out) == message.format(
+        out=out, src=header_only_matrix
+    ) + "\n"
+    if code:
+        assert not out.exists()
+    elif command == "predict":
+        assert out.read_text(encoding="utf-8") == "row,proba,label\n"
+    else:
+        report = json.loads(out.read_text(encoding="utf-8"))
+        assert set(report["confusion"].values()) == {0}
+        assert set(report["metrics"].values()) == {None}
 
 
 _NESTED_FIELD_MAP = {

@@ -89,6 +89,32 @@ def test_confusion_validates_input():
         confusion([1, 0], [1, -1])
 
 
+@pytest.mark.parametrize(
+    "predictions, truths, bad",
+    [
+        ([1, 2], [1, 0], "truth=0 pred=2"),  # 2 * 0 + 2 would count as tp_as_fp
+        ([0, 1, 1], [1, 0, 3], "truth=3 pred=1"),
+        ([0.5, 1], [0, 1], "truth=0 pred=0.5"),
+        (np.array([1, 0, -1]), np.array([1, 1, 1]), "truth=1 pred=-1"),
+    ],
+)
+def test_confusion_names_the_first_pair_that_is_not_0_or_1(predictions, truths, bad):
+    with pytest.raises(ValidationError, match=f"^labels must be 0/1, got {bad}$"):
+        confusion(predictions, truths)
+
+
+def test_confusion_counts_arrays_as_lists():
+    rng = np.random.default_rng(5)
+    pred, truth = rng.integers(0, 2, 200), rng.integers(0, 2, 200)
+    cm = confusion(pred, truth)
+    assert cm == confusion(pred.tolist(), truth.tolist()) == confusion(
+        [bool(v) for v in pred], [float(v) for v in truth]
+    )
+    assert (cm.tp_as_tp, cm.fp_as_tp) == (int(((truth == 1) & (pred == 1)).sum()),
+                                          int(((truth == 0) & (pred == 1)).sum()))
+    assert cm.total == 200
+
+
 def test_confusion_matrix_rejects_negative_counts():
     with pytest.raises(ValidationError):
         ConfusionMatrix(tp_as_tp=-1)

@@ -7,13 +7,15 @@ import json
 from datetime import timezone
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alert_sift.errors import ParseError, ValidationError
 from alert_sift.ingest import (
+    DEFAULT_FIELD_MAP,
     FieldPaths,
     alert_to_json,
+    alert_to_record,
     attach_comments,
     load_field_map,
     parse_alert_record,
@@ -21,6 +23,7 @@ from alert_sift.ingest import (
     read_corpus,
     read_rule_comments,
     record_to_alert,
+    write_records,
 )
 
 from conftest import make_line, make_record
@@ -259,3 +262,139 @@ def test_field_paths_compile_nested_map_once():
     record["net"]["src"] = "192.0.2.9"  # a leaf where a parent object belongs
     with pytest.raises(ValidationError, match="'src_ip' \\(key 'net.src.addr'\\)"):
         record_to_alert(record, fields)
+
+
+_ALERT_BLOCK = {"signature": "ET SCAN", "category": "attempted-recon"}
+
+
+# Records with two or more faults, and the first fault each reports: the
+# fields are checked in a fixed order (required presence, addresses, ports,
+# rule id, timestamp, payload length, then the optional counters).
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"src_ip": None, "dest_ip": "1.2.3"}, "missing required field 'src_ip' (key 'src_ip')"),
+        ({"timestamp": None, "src_ip": "1.2.3"},
+         "missing required field 'timestamp' (key 'timestamp')"),
+        ({"dest_ip": "10.0.0.300", "src_port": 70000},
+         "dst_ip is not a valid IP address: '10.0.0.300'"),
+        ({"src_ip": 7, "dest_ip": "1.2.3"}, "src_ip must be a string, got 7"),
+        ({"dest_port": -5, "timestamp": "yesterday"},
+         "dst_port out of range: -5 (expected in 0..65535)"),
+        ({"timestamp": "yesterday", "payload_len": -1},
+         "bad timestamp 'yesterday': Invalid isoformat string: 'yesterday'"),
+        ({"timestamp": 12345, "dest_port": 1.5}, "dst_port must be an integer, got 1.5"),
+        ({"timestamp": 12345, "payload_len": -1}, "timestamp must be a string, got 12345"),
+        ({"src_port": True, "timestamp": "nope"}, "src_port must be an integer, got True"),
+        ({"alert": {**_ALERT_BLOCK, "signature_id": False}, "http": {"status": 600}},
+         "rule_sid must be an integer, got False"),
+        ({"flow": {"pkts_toserver": True}, "http": {"status": 600}},
+         "http_status out of range: 600 (expected in 100..599)"),
+        ({"http": {"status": 99}, "flow": {"bytes_toclient": -1}},
+         "http_status out of range: 99 (expected in 100..599)"),
+        ({"http": {"status": 600}, "payload_len": "x"}, "payload_len must be an integer, got 'x'"),
+        ({"http": {"status": True}, "flow": {"pkts_toclient": -1}},
+         "http_status must be an integer, got True"),
+        ({"flow": {"pkts_toclient": -1, "bytes_toserver": False}},
+         "pkts_to_client out of range: -1 (expected >= 0)"),
+    ],
+)
+def test_record_with_several_faults_reports_the_first(overrides, message):
+    line = make_line(**overrides)
+    with pytest.raises(ValidationError) as info:
+        parse_alert_record(line)
+    assert str(info.value) == message
+    _, report = read_corpus([make_line(), line])
+    assert report.rejection_reasons == [(2, message)]
+
+
+def test_bad_timestamp_on_several_lines_is_rejected_on_each():
+    good, bad = make_line(), make_line(timestamp="2025-13-01T00:00:00Z")
+    alerts, report = read_corpus([bad, good, bad, good, bad, make_line(timestamp=["x"])])
+    reason = "bad timestamp '2025-13-01T00:00:00Z': month must be in 1..12"
+    assert len(alerts) == report.accepted == 2
+    assert alerts[0].timestamp == alerts[1].timestamp
+    assert report.rejection_reasons == [
+        (1, reason), (3, reason), (5, reason), (6, "timestamp must be a string, got ['x']")
+    ]
+
+
+# Text that JSON must escape or that a %-template could misread.
+_TEXT = st.text(
+    st.sampled_from('%"\\/\x00\x08\x1f\x7f\u2028é€😀 ab') | st.characters(codec="utf-8"),
+    max_size=10,
+)
+_STAMPS = (
+    "2025-03-04T10:20:30Z",
+    "2025-03-04T19:20:30+09:00",  # the same instant as the first, another offset
+    "2025-03-04T10:20:30.250000-0230",
+    "2025-03-04T10:20:30",
+)
+_NESTED_MAP = {
+    "src_ip": "net.src.addr",
+    "timestamp": "meta.when",
+    "rev_comment": "meta.note.text",
+    "pkts_to_server": "counters.pkts",
+}
+
+
+def _move(record: dict, field_map: dict[str, str]) -> dict:
+    """Move each remapped field of a default-layout record to its new path."""
+    for field, path in field_map.items():
+        *parents, leaf = DEFAULT_FIELD_MAP[field].split(".")
+        node = record
+        for key in parents:
+            node = node.get(key, {})
+        if leaf in node:
+            value = node.pop(leaf)
+            *parents, leaf = path.split(".")
+            node = record
+            for key in parents:
+                node = node.setdefault(key, {})
+            node[leaf] = value
+    return record
+
+
+@st.composite
+def _record(draw) -> dict:
+    counters = ("pkts_toserver", "pkts_toclient", "bytes_toserver", "bytes_toclient")
+    flow = {k: draw(st.integers(0, 2**40)) for k in counters if draw(st.booleans())}
+    return make_record(
+        timestamp=draw(st.sampled_from(_STAMPS)),
+        src_ip=draw(st.sampled_from(["203.0.113.7", "2001:db8::1"])),
+        rule_uuid=draw(_TEXT),
+        action=draw(_TEXT | st.none()),
+        alert={"signature_id": draw(st.integers(0, 2**40)), "signature": draw(_TEXT),
+               "category": draw(_TEXT)},
+        http={"status": draw(st.integers(100, 599))} if draw(st.booleans()) else None,
+        flow=flow or None,
+        payload_len=draw(st.integers(0, 2**40) | st.none()),
+        rev_comment=draw(_TEXT | st.none()),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    records=st.lists(_record(), min_size=1, max_size=6),
+    nested=st.booleans(),
+    labeled=st.booleans(),
+    data=st.data(),
+)
+def test_write_records_matches_json_dumps_byte_for_byte(records, nested, labeled, data):
+    field_map = load_field_map(f"{k}={v}" for k, v in _NESTED_MAP.items()) if nested else None
+    fields = FieldPaths(field_map)  # one read: equal timestamps share one datetime
+    alerts = [record_to_alert(_move(r, _NESTED_MAP) if nested else r, fields) for r in records]
+    labels = [data.draw(st.sampled_from([0, 1])) for _ in alerts] if labeled else None
+    rules = sorted({a.rule_uuid for a in alerts})
+    comments = data.draw(st.dictionaries(st.sampled_from(rules), _TEXT, max_size=len(rules)))
+    out = io.StringIO()
+    write_records(out, alerts, labels, comments)
+    expected = []
+    for i, alert in enumerate(alerts):
+        if alert.rule_uuid in comments:
+            alert = alert._replace(rev_comment=comments[alert.rule_uuid])
+        record = alert_to_record(alert)
+        if labeled:
+            record = {**record, "label": labels[i]}
+        expected.append(json.dumps(record, sort_keys=True) + "\n")
+    assert out.getvalue() == "".join(expected)
