@@ -6,6 +6,12 @@ extra keyword flags. Scaled fields are bucketed by rounding: ports to 2
 decimal places (101 classes), IPs / rule sid / payload length to 3 decimal
 places (1,001 classes). Flow counters use -1.00 as the missing-value
 sentinel; all other entries are non-negative.
+
+Each address is parsed once per alert, by ``ingest.ip_value``, and both its
+entries (private flag and scaled value) come from that one integer. The
+private ranges are integer intervals computed once from the networks below,
+so the flag is exactly ``ip in net`` over them (not ``ipaddress``'s own
+``is_private``, which also counts loopback, link-local and others).
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from typing import IO, Iterable, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .ingest import RawAlert
+from .ingest import RawAlert, ip_value
 
 PORT_MAX = 65535
 
@@ -77,6 +83,12 @@ _PRIVATE_V4 = [
 ]
 _PRIVATE_V6 = ipaddress.ip_network("fc00::/7")
 
+# IP version -> (first, last) integer value of each private network
+_PRIVATE_SPANS = {
+    4: tuple((int(net.network_address), int(net.broadcast_address)) for net in _PRIVATE_V4),
+    6: ((int(_PRIVATE_V6.network_address), int(_PRIVATE_V6.broadcast_address)),),
+}
+
 
 class FeatureProfile(Enum):
     CORE20 = "core20"
@@ -85,6 +97,12 @@ class FeatureProfile(Enum):
     @property
     def width(self) -> int:
         return 20 if self is FeatureProfile.CORE20 else 29
+
+
+_KEYWORD_SPEC = {
+    FeatureProfile.CORE20: _KEYWORD_FEATURES_CORE,
+    FeatureProfile.FULL29: _KEYWORD_FEATURES_CORE + _KEYWORD_FEATURES_EXTRA,
+}
 
 
 def feature_names(profile: FeatureProfile) -> list[str]:
@@ -122,6 +140,9 @@ class ScalingCaps:
                 raise ValidationError(f"{name} must be >= 1")
 
 
+_DEFAULT_CAPS = ScalingCaps()
+
+
 def load_caps(source: Iterable[str]) -> ScalingCaps:
     """Read a ``name=value`` caps file; unlisted caps keep defaults."""
     known = {"pkts_cap", "bytes_cap", "payload_cap", "sid_max"}
@@ -148,23 +169,30 @@ def scale_port(port: int) -> float:
     return round(port / PORT_MAX, 2)
 
 
+def _address(addr: str) -> tuple[float, float]:
+    """(private flag, scaled value) of an address, from one parse."""
+    version, value = ip_value(addr)
+    private = 0.0
+    for first, last in _PRIVATE_SPANS[version]:
+        if first <= value <= last:
+            private = 1.0
+            break
+    if version == 4:
+        return private, round(value / (2**32 - 1), 3)
+    return private, round((value >> 64) / (2**64 - 1), 3)
+
+
 def scale_ip(addr: str) -> float:
     """Bucket an address into 1,001 classes over its numeric space.
 
     IPv4 scales the 32-bit value; IPv6 scales the top 64 bits.
     """
-    ip = ipaddress.ip_address(addr)
-    if ip.version == 4:
-        return round(int(ip) / (2**32 - 1), 3)
-    return round((int(ip) >> 64) / (2**64 - 1), 3)
+    return _address(addr)[1]
 
 
 def is_private(addr: str) -> float:
     """1.0 iff the address is in a reserved private range, else 0.0."""
-    ip = ipaddress.ip_address(addr)
-    if ip.version == 4:
-        return 1.0 if any(ip in net for net in _PRIVATE_V4) else 0.0
-    return 1.0 if ip in _PRIVATE_V6 else 0.0
+    return _address(addr)[0]
 
 
 def ip_diff(src_scaled: float, dst_scaled: float) -> float:
@@ -214,15 +242,11 @@ def keyword_flags(
     rule_description: str, class_type: str, profile: FeatureProfile
 ) -> list[float]:
     """{0,1} flag per keyword feature, in fixed layout order."""
-    spec = list(_KEYWORD_FEATURES_CORE)
-    if profile is FeatureProfile.FULL29:
-        spec += _KEYWORD_FEATURES_EXTRA
     class_folded = class_type.lower()
-    flags = []
-    for _, source, keyword in spec:
-        haystack = rule_description if source == "description" else class_folded
-        flags.append(1.0 if keyword in haystack else 0.0)
-    return flags
+    return [
+        1.0 if keyword in (rule_description if source == "description" else class_folded) else 0.0
+        for _, source, keyword in _KEYWORD_SPEC[profile]
+    ]
 
 
 def encode_alert(
@@ -230,14 +254,18 @@ def encode_alert(
     profile: FeatureProfile = FeatureProfile.CORE20,
     caps: ScalingCaps | None = None,
 ) -> FeatureVector:
-    """Assemble the full fixed-order vector for one alert."""
-    caps = caps or ScalingCaps()
-    sip = scale_ip(alert.src_ip)
-    dip = scale_ip(alert.dst_ip)
+    """Assemble the full fixed-order vector for one alert.
+
+    Each address is parsed once, for both its entries.
+    """
+    if caps is None:
+        caps = _DEFAULT_CAPS
+    src_private, sip = _address(alert.src_ip)
+    dst_private, dip = _address(alert.dst_ip)
     flags = keyword_flags(alert.rule_description, alert.class_type, profile)
     values = [
-        is_private(alert.src_ip),
-        is_private(alert.dst_ip),
+        src_private,
+        dst_private,
         sip,
         dip,
         ip_diff(sip, dip),

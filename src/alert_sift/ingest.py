@@ -17,7 +17,9 @@ fields); ``parse_alert_record`` is the two in a row. A reader that needs the
 decoded dict for more (a label field) calls them itself, so no line is
 decoded twice. One ``FieldPaths`` per read holds the field map split into
 keys and memoises what that read has validated: addresses, and timestamp
-strings with their parsed datetimes.
+strings with their parsed datetimes. Addresses are read by ``ip_value``:
+a plain dotted quad by one compiled pattern, anything else by ``ipaddress``,
+so both accept the same strings and give the same number.
 
 There is one writer, ``write_records``: it writes alerts, optionally
 labeled, as the NDJSON lines ``json.dumps(alert_to_record(alert),
@@ -30,11 +32,13 @@ from __future__ import annotations
 import csv
 import ipaddress
 import json
+import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
+from socket import inet_aton
 from typing import IO, Callable, Iterable, Iterator, NamedTuple
 
 from .errors import ParseError, ValidationError
@@ -122,15 +126,19 @@ _Path = tuple[str, tuple[str, ...], str]
 def _compile(field_map: dict[str, str] | None) -> tuple[_Path, ...]:
     """Split each path of a field map, in RawAlert field order.
 
-    No map means the default, compiled once.
+    Unlisted fields keep their default path, and a key that names no
+    RawAlert field is a ValidationError. No map means the default, compiled
+    once.
     """
     if not field_map:
         return _DEFAULT_PATHS
+    for field in field_map:
+        if field not in DEFAULT_FIELD_MAP:
+            raise ValidationError(f"field map: unknown field {field!r}")
     out = []
     for field in RawAlert._fields:
-        if field in field_map:
-            *parents, leaf = field_map[field].split(".")
-            out.append((field, tuple(parents), leaf))
+        *parents, leaf = field_map.get(field, DEFAULT_FIELD_MAP[field]).split(".")
+        out.append((field, tuple(parents), leaf))
     return tuple(out)
 
 
@@ -185,16 +193,46 @@ def _require_int(name: str, value, lo: int, hi: int | None = None) -> int:
     return value
 
 
+# A plain dotted quad: four decimal octets of ASCII digits, no leading zeros.
+_OCTET = "(?:25[0-5]|2[0-4][0-9]|1[0-9][0-9]|[1-9]?[0-9])"
+_DOTTED_QUAD = re.compile(r"\.".join([_OCTET] * 4))
+
+
+def ip_value(text: str) -> tuple[int, int]:
+    """(IP version, integer value) of an address string.
+
+    A plain dotted quad is matched by one compiled pattern and packed by
+    ``inet_aton``; any other string (IPv6, a scope id, or not an address at
+    all) is read by ``ipaddress``, whose ValueError it raises. The pattern
+    accepts only strings ``ipaddress`` accepts, and none of the shorthand
+    forms ``inet_aton`` would also take, so the result is always
+    ``(ip.version, int(ip))``.
+    """
+    if _DOTTED_QUAD.fullmatch(text) is not None:
+        return 4, int.from_bytes(inet_aton(text), "big")
+    ip = ipaddress.ip_address(text)
+    return ip.version, int(ip)
+
+
 def _validate_ip(name: str, value, valid: set[str]) -> str:
     """Check an address string, once per distinct string in `valid`."""
     if not isinstance(value, str):
         raise ValidationError(f"{name} must be a string, got {value!r}")
     if value not in valid:
         try:
-            ipaddress.ip_address(value)
+            ip_value(value)
         except ValueError:
             raise ValidationError(f"{name} is not a valid IP address: {value!r}") from None
         valid.add(value)
+    return value
+
+
+def _text(name: str, value, absent: str | None) -> str | None:
+    """A text field: `absent` when missing, else the value, which must be a string."""
+    if value is None:
+        return absent
+    if type(value) is not str:
+        raise ValidationError(f"{name} must be a string, got {value!r}")
     return value
 
 
@@ -213,9 +251,10 @@ def record_to_alert(obj: dict, field_map: dict[str, str] | FieldPaths | None = N
     """Validate one decoded record into a RawAlert.
 
     Absent optional fields stay missing (None); unknown JSON keys are ignored.
-    Raises ValidationError for out-of-range or missing required fields; a
-    record with several faults reports the first in field order, after any
-    missing required field. Pass the FieldPaths of a read to reuse its
+    Raises ValidationError for out-of-range, ill-typed or missing required
+    fields; a text field that is present must be a string. A record with
+    several faults reports the first in field order, after any missing
+    required field. Pass the FieldPaths of a read to reuse its
     compiled paths, addresses and timestamps.
     """
     fields = field_map if isinstance(field_map, FieldPaths) else FieldPaths(field_map)
@@ -234,8 +273,9 @@ def record_to_alert(obj: dict, field_map: dict[str, str] | FieldPaths | None = N
                 path = ".".join((*parents, leaf))
                 raise ValidationError(f"missing required field {field!r} (key {path!r})")
 
-    # Fast checks inline; the helpers run only to raise, or for a value of
-    # a subclass of str or int, which they accept.
+    # Fast checks inline; the helpers run only to raise, for an absent text
+    # field, or for an address or number of a subclass of str or int, which
+    # they accept. Text fields must be exactly str.
     valid_ips = fields.valid_ips
     if type(src_ip) is not str or src_ip not in valid_ips:
         _validate_ip("src_ip", src_ip, valid_ips)
@@ -247,6 +287,16 @@ def record_to_alert(obj: dict, field_map: dict[str, str] | FieldPaths | None = N
         _require_int("dst_port", dst_port, 0, 65535)
     if type(rule_sid) is not int or rule_sid < 0:
         _require_int("rule_sid", rule_sid, 0)
+    if type(description) is not str:
+        description = _text("rule_description", description, "")
+    if type(class_type) is not str:
+        class_type = _text("class_type", class_type, "")
+    if type(rule_uuid) is not str:
+        rule_uuid = _text("rule_uuid", rule_uuid, None)
+    if type(action) is not str:
+        action = _text("action", action, "")
+    if type(comment) is not str:
+        comment = _text("rev_comment", comment, None)
     timestamp = fields.timestamps.get(stamp) if type(stamp) is str else None
     if timestamp is None:
         timestamp = parse_timestamp(stamp)
@@ -267,10 +317,9 @@ def record_to_alert(obj: dict, field_map: dict[str, str] | FieldPaths | None = N
     if bytes_tc is not None and (type(bytes_tc) is not int or bytes_tc < 0):
         _require_int("bytes_to_client", bytes_tc, 0)
     return RawAlert(
-        src_ip, dst_ip, src_port, dst_port, rule_sid, str(description or ""),
-        str(class_type or ""), str(rule_uuid), str(action or ""), timestamp, payload_len,
-        http_status, pkts_ts, pkts_tc, bytes_ts, bytes_tc,
-        None if comment is None else str(comment),
+        src_ip, dst_ip, src_port, dst_port, rule_sid, description, class_type, rule_uuid,
+        action, timestamp, payload_len, http_status, pkts_ts, pkts_tc, bytes_ts, bytes_tc,
+        comment,
     )
 
 
@@ -405,9 +454,10 @@ def read_corpus(
 def load_field_map(source: Iterable[str]) -> dict[str, str]:
     """Load a field-map file: one ``field=json.path`` per line, # comments.
 
-    Unlisted fields keep their default mapping.
+    Returns only the listed fields; the reader fills the others with their
+    default paths. Errors name the line.
     """
-    fmap = dict(DEFAULT_FIELD_MAP)
+    fmap: dict[str, str] = {}
     for line_no, line in enumerate(source, start=1):
         text = line.strip()
         if not text or text.startswith("#"):

@@ -532,7 +532,22 @@ def digest_run(tmp_path_factory):
             "--train-out", str(d / "train.ndjson"), "--test-out", str(d / "test.ndjson")])
     run_ok(["sample", "--in", str(d / "labeled_sidecar.ndjson"), "--stride", "4",
             "--out", str(d / "strided.ndjson")])
+    (d / "caps.txt").write_text(
+        "pkts_cap=7\nbytes_cap=3000\npayload_cap=200\nsid_max=2500000\n", encoding="utf-8"
+    )
+    for split in ("train", "test"):
+        for name, extra in _MATRIX_RUNS.items():
+            run_ok(["encode", "--in", str(d / f"{split}.ndjson"),
+                    "--out", str(d / f"{split}_{name}.csv"), *extra(d)])
     return d
+
+
+# encode options per matrix run; the caps file sets all four caps off their defaults
+_MATRIX_RUNS = {
+    "core20": lambda d: ["--profile", "core20"],
+    "full29": lambda d: ["--profile", "full29"],
+    "caps": lambda d: ["--caps", str(d / "caps.txt")],
+}
 
 
 # sha256 of each output, computed before label, sample and ingest were
@@ -555,6 +570,25 @@ def test_ndjson_stage_output_matches_golden_digest(digest_run, name):
     assert hashlib.sha256(data).hexdigest() == _GOLDEN_DIGESTS[name]
 
 
+# sha256 of each encoded matrix, computed before encode_alert parsed each
+# address once without ipaddress; any change to a feature value fails here.
+_MATRIX_DIGESTS = {
+    "train_core20.csv": "078422b1057086b9d9604a7d20c5739a14ec4788f7da3a6884d178792952125a",
+    "test_core20.csv": "cc2ccba12dc485b9f183361ef1c937b3871f9e2eb3180d51e6eee927fbeeefea",
+    "train_full29.csv": "e9479e2a1ffa2577dd2c2ffa3aff021df93ca4dcd2203137ed0ac652ac7053ac",
+    "test_full29.csv": "05d101587ecee6863a072718f9158fcc3ed3e65d6c5ae36f32bf553d1dc61bf5",
+    "train_caps.csv": "ff09c8aa9490069c8f931ea66f76874c1068c1ceaa30cf3413ce713e717d0876",
+    "test_caps.csv": "f44308a7d70a766abff889879c84d50a405b513849ce3c62a9aa920990518100",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MATRIX_DIGESTS))
+def test_encoded_matrix_matches_golden_digest(digest_run, name):
+    data = (digest_run / name).read_bytes()
+    assert data.count(b"\n") > 1
+    assert hashlib.sha256(data).hexdigest() == _MATRIX_DIGESTS[name]
+
+
 def _labeled_line(**overrides) -> str:
     return json.dumps({**make_record(**overrides), "label": 1}, sort_keys=True)
 
@@ -565,8 +599,9 @@ def _labeled_line(**overrides) -> str:
     [
         ('{"label" 1}', "malformed JSON: Expecting ':' delimiter"),
         (_labeled_line(src_ip="999.1.1.1"), "src_ip is not a valid IP address: '999.1.1.1'"),
+        (_labeled_line(rule_uuid={"a": [1]}), "rule_uuid must be a string, got {'a': [1]}"),
     ],
-    ids=["malformed-json", "bad-address"],
+    ids=["malformed-json", "bad-address", "non-string-rule"],
 )
 def test_labeled_input_errors_name_file_and_line(tmp_path, capsys, command, bad_line, reason):
     bad = tmp_path / "bad.ndjson"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import ipaddress
 import math
 
 import numpy as np
@@ -85,6 +86,80 @@ def test_is_private_ranges():
     assert is_private("fc00::1") == 1.0
     assert is_private("fd12::1") == 1.0
     assert is_private("fe80::1") == 0.0
+
+
+# Reference encoding: addresses through ipaddress objects and `ip in net`,
+# every other entry through its public helper. encode_alert (one parse per
+# address, integer intervals) must match it exactly.
+_ORACLE_PRIVATE_V4 = [
+    ipaddress.ip_network("10.0.0.0/8"),
+    ipaddress.ip_network("172.16.0.0/12"),
+    ipaddress.ip_network("192.168.0.0/16"),
+]
+_ORACLE_PRIVATE_V6 = ipaddress.ip_network("fc00::/7")
+
+
+def oracle_scale_ip(addr: str) -> float:
+    ip = ipaddress.ip_address(addr)
+    if ip.version == 4:
+        return round(int(ip) / (2**32 - 1), 3)
+    return round((int(ip) >> 64) / (2**64 - 1), 3)
+
+
+def oracle_is_private(addr: str) -> float:
+    ip = ipaddress.ip_address(addr)
+    if ip.version == 4:
+        return 1.0 if any(ip in net for net in _ORACLE_PRIVATE_V4) else 0.0
+    return 1.0 if ip in _ORACLE_PRIVATE_V6 else 0.0
+
+
+def oracle_encode(alert, profile: FeatureProfile, caps: ScalingCaps) -> tuple[float, ...]:
+    sip = oracle_scale_ip(alert.src_ip)
+    dip = oracle_scale_ip(alert.dst_ip)
+    flags = keyword_flags(alert.rule_description, alert.class_type, profile)
+    return (
+        oracle_is_private(alert.src_ip),
+        oracle_is_private(alert.dst_ip),
+        sip,
+        dip,
+        ip_diff(sip, dip),
+        encode_http_status(alert.http_status),
+        encode_counter(alert.pkts_to_server, caps.pkts_cap),
+        encode_counter(alert.pkts_to_client, caps.pkts_cap),
+        encode_counter(alert.bytes_to_server, caps.bytes_cap),
+        encode_counter(alert.bytes_to_client, caps.bytes_cap),
+        scale_rule_sid(alert.rule_sid, caps.sid_max),
+        *flags[:6],
+        scale_port(alert.src_port),
+        scale_port(alert.dst_port),
+        scale_payload(alert.payload_len, caps.payload_cap),
+        *flags[6:],
+    )
+
+
+# (address, private) on each side of each private range's ends
+_PRIVATE_BOUNDARIES = [
+    ("9.255.255.255", 0.0), ("10.0.0.0", 1.0), ("10.255.255.255", 1.0), ("11.0.0.0", 0.0),
+    ("172.15.255.255", 0.0), ("172.16.0.0", 1.0), ("172.31.255.255", 1.0), ("172.32.0.0", 0.0),
+    ("192.167.255.255", 0.0), ("192.168.0.0", 1.0), ("192.168.255.255", 1.0),
+    ("192.169.0.0", 0.0),
+    ("fbff:ffff:ffff:ffff:ffff:ffff:ffff:ffff", 0.0), ("fc00::", 1.0),
+    ("fdff:ffff:ffff:ffff:ffff:ffff:ffff:ffff", 1.0), ("fe00::", 0.0),
+]
+# reserved, but not in the private ranges: loopback, link-local, shared (CGNAT)
+_SPECIAL_NOT_PRIVATE = ["127.0.0.1", "169.254.1.1", "100.64.0.1", "::1", "fe80::1"]
+
+
+@pytest.mark.parametrize("addr, private", _PRIVATE_BOUNDARIES)
+def test_private_range_boundaries(addr, private):
+    assert is_private(addr) == oracle_is_private(addr) == private
+
+
+@pytest.mark.parametrize("addr", _SPECIAL_NOT_PRIVATE)
+def test_special_ranges_encode_as_not_private(addr):
+    assert is_private(addr) == oracle_is_private(addr) == 0.0
+    vec = encode_alert(parse_alert_record(make_line(src_ip=addr, dest_ip=addr)))
+    assert vec.values[:2] == (0.0, 0.0)
 
 
 def test_ip_diff_examples():
@@ -217,6 +292,25 @@ def test_fixture_alert_golden_vector():
     )
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("http_status", 600, "http_status out of range: 600"),
+        ("pkts_to_server", -1, "counter must be >= 0, got -1"),
+        ("bytes_to_client", -2, "counter must be >= 0, got -2"),
+        ("rule_sid", -1, "rule_sid must be >= 0, got -1"),
+        ("src_port", 65536, "port out of range: 65536"),
+        ("dst_port", -1, "port out of range: -1"),
+        ("payload_len", -1, "payload_len must be >= 0, got -1"),
+    ],
+)
+def test_encode_refuses_an_out_of_range_field_with_the_helpers_error(field, value, message):
+    alert = parse_alert_record(make_line())._replace(**{field: value})
+    with pytest.raises(ValidationError) as info:
+        encode_alert(alert)
+    assert str(info.value) == message
+
+
 def test_encode_is_pure():
     alert = parse_alert_record(make_line())
     assert encode_alert(alert, FeatureProfile.FULL29) == encode_alert(
@@ -272,6 +366,61 @@ def test_encoder_invariants_hold_for_random_alerts(
     alert = parse_alert_record(make_line(**overrides))
     vec = encode_alert(alert, profile)
     assert_vector_invariants(vec)
+
+
+_oracle_ip_strategy = st.one_of(
+    _ip_strategy,
+    st.sampled_from([addr for addr, _ in _PRIVATE_BOUNDARIES] + _SPECIAL_NOT_PRIVATE),
+    st.tuples(
+        st.integers(0, 2**128 - 1).map(lambda v: str(ipaddress.IPv6Address(v))),
+        st.sampled_from(["%eth0", "%1"]),
+    ).map("".join),
+    st.integers(0, 2**32 - 1).map(lambda v: f"::ffff:{ipaddress.IPv4Address(v)}"),
+)
+_caps_strategy = st.builds(
+    ScalingCaps,
+    pkts_cap=st.integers(1, 10**5),
+    bytes_cap=st.integers(1, 10**7),
+    payload_cap=st.integers(1, 10**5),
+    sid_max=st.integers(1, 10**8),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    src_ip=_oracle_ip_strategy,
+    dest_ip=_oracle_ip_strategy,
+    src_port=st.integers(0, 65535),
+    dest_port=st.integers(0, 65535),
+    sid=st.integers(0, 99_999_999),
+    status=st.one_of(st.none(), st.integers(100, 599)),
+    counters=st.lists(st.one_of(st.none(), st.integers(0, 10**8)), min_size=4, max_size=4),
+    payload=st.integers(0, 10**6),
+    description=st.text(max_size=60),
+    category=st.text(max_size=30),
+    profile=st.sampled_from(list(FeatureProfile)),
+    caps=st.one_of(st.none(), _caps_strategy),
+)
+def test_encode_alert_matches_ipaddress_oracle(
+    src_ip, dest_ip, src_port, dest_port, sid, status, counters, payload,
+    description, category, profile, caps,
+):
+    overrides = {
+        "src_ip": src_ip,
+        "dest_ip": dest_ip,
+        "src_port": src_port,
+        "dest_port": dest_port,
+        "alert": {"signature_id": sid, "signature": description, "category": category},
+        "payload_len": payload,
+        "http": None if status is None else {"status": status},
+        "flow": dict(zip(["pkts_toserver", "pkts_toclient", "bytes_toserver", "bytes_toclient"],
+                         counters)),
+    }
+    alert = parse_alert_record(make_line(**overrides))
+    vec = encode_alert(alert, profile, caps)
+    assert vec.values == oracle_encode(alert, profile, caps or ScalingCaps())
+    assert (is_private(src_ip), scale_ip(src_ip)) == (oracle_is_private(src_ip),
+                                                      oracle_scale_ip(src_ip))
 
 
 def assert_vector_invariants(vec: FeatureVector) -> None:

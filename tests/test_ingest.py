@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import io
+import ipaddress
 import json
 from datetime import timezone
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from alert_sift.errors import ParseError, ValidationError
@@ -17,6 +18,7 @@ from alert_sift.ingest import (
     alert_to_json,
     alert_to_record,
     attach_comments,
+    ip_value,
     load_field_map,
     parse_alert_record,
     parse_timestamp,
@@ -89,6 +91,54 @@ def test_malformed_json_is_parse_error():
 def test_invalid_ip_rejected():
     with pytest.raises(ValidationError):
         parse_alert_record(make_line(src_ip="999.1.2.3"))
+
+
+# Strings an address reader could misread: octets out of range or with
+# leading zeros, 3 or 5 parts, empty parts, non-ASCII digits, whitespace and
+# suffixes; IPv6 with a scope id, and IPv4-mapped IPv6.
+_OCTET_TEXT = st.one_of(
+    st.integers(0, 999).map(str),
+    st.integers(0, 99).map(lambda v: f"0{v}"),
+    st.just(""),
+    st.sampled_from(["\u0661", "\u0662\u0665\u0665", "\uff11", "\u00b2", " 1", "1 ", "+1", "-1",
+                     "0x1", "1\n"]),
+)
+_ADDRESS_TEXT = st.one_of(
+    st.integers(0, 2**32 - 1).map(lambda v: str(ipaddress.IPv4Address(v))),
+    st.lists(_OCTET_TEXT, min_size=3, max_size=5).map(".".join),
+    st.tuples(
+        st.lists(_OCTET_TEXT, min_size=4, max_size=4).map(".".join),
+        st.sampled_from(["\n", " ", "/32", "%eth0", "."]),
+    ).map("".join),
+    st.tuples(
+        st.integers(0, 2**128 - 1).map(lambda v: str(ipaddress.IPv6Address(v))),
+        st.sampled_from(["", "%eth0", "%1"]),
+    ).map("".join),
+    st.integers(0, 2**32 - 1).map(lambda v: f"::ffff:{ipaddress.IPv4Address(v)}"),
+    st.text(max_size=16),
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(text=_ADDRESS_TEXT)
+@example(text="\u0661.2.3.4")
+@example(text=" 1.2.3.4")
+@example(text="1.2.3.4\n")
+@example(text="1.2.3.4/32")
+@example(text="01.2.3.4")
+@example(text="1.2.3")
+@example(text="1.2.3.4.5")
+@example(text="1..3.4")
+@example(text="fe80::1%eth0")
+@example(text="::ffff:10.0.0.1")
+def test_ip_value_matches_ipaddress(text):
+    try:
+        ip = ipaddress.ip_address(text)
+    except ValueError:
+        with pytest.raises(ValueError):
+            ip_value(text)
+    else:
+        assert ip_value(text) == (ip.version, int(ip))
 
 
 def test_unknown_keys_ignored():
@@ -173,6 +223,7 @@ def test_bad_timestamp_rejected():
 
 def test_field_map_remaps_keys():
     fmap = load_field_map(["rule_uuid = meta.filter_id", "# comment", ""])
+    assert fmap == {"rule_uuid": "meta.filter_id"}
     record = make_record()
     del record["rule_uuid"]
     record["meta"] = {"filter_id": "rule-zzz"}
@@ -269,7 +320,8 @@ _ALERT_BLOCK = {"signature": "ET SCAN", "category": "attempted-recon"}
 
 # Records with two or more faults, and the first fault each reports: the
 # fields are checked in a fixed order (required presence, addresses, ports,
-# rule id, timestamp, payload length, then the optional counters).
+# rule id, text fields, timestamp, payload length, then the optional
+# counters).
 @pytest.mark.parametrize(
     "overrides, message",
     [
@@ -297,6 +349,13 @@ _ALERT_BLOCK = {"signature": "ET SCAN", "category": "attempted-recon"}
          "http_status must be an integer, got True"),
         ({"flow": {"pkts_toclient": -1, "bytes_toserver": False}},
          "pkts_to_client out of range: -1 (expected >= 0)"),
+        ({"alert": {"signature_id": -1, "signature": 5}, "action": ["x"]},
+         "rule_sid out of range: -1 (expected >= 0)"),
+        ({"rule_uuid": {"a": [1]}, "action": ["x"]}, "rule_uuid must be a string, got {'a': [1]}"),
+        ({"alert": {"signature_id": 1, "category": 0}, "rev_comment": 3},
+         "class_type must be a string, got 0"),
+        ({"action": ["x"], "timestamp": "yesterday"}, "action must be a string, got ['x']"),
+        ({"rev_comment": ["c"], "timestamp": "nope"}, "rev_comment must be a string, got ['c']"),
     ],
 )
 def test_record_with_several_faults_reports_the_first(overrides, message):
@@ -398,3 +457,61 @@ def test_write_records_matches_json_dumps_byte_for_byte(records, nested, labeled
             record = {**record, "label": labels[i]}
         expected.append(json.dumps(record, sort_keys=True) + "\n")
     assert out.getvalue() == "".join(expected)
+
+
+def _with_field(field: str, value) -> dict:
+    """The fixture record with one field, at its default path, set or (None) removed."""
+    record = make_record()
+    *parents, leaf = DEFAULT_FIELD_MAP[field].split(".")
+    node = record
+    for key in parents:
+        node = node[key]
+    if value is None:
+        node.pop(leaf, None)
+    else:
+        node[leaf] = value
+    return record
+
+
+_TEXT_FIELDS = ("rule_description", "class_type", "rule_uuid", "action", "rev_comment")
+
+
+@pytest.mark.parametrize("field", _TEXT_FIELDS)
+@pytest.mark.parametrize("value", [{"a": [1]}, ["x"], 7, 0, False, 1.5])
+def test_text_field_that_is_not_a_string_is_rejected(field, value):
+    with pytest.raises(ValidationError) as info:
+        record_to_alert(_with_field(field, value))
+    assert str(info.value) == f"{field} must be a string, got {value!r}"
+    _, report = read_corpus([make_line(), json.dumps(_with_field(field, value))])
+    assert report.rejection_reasons == [(2, f"{field} must be a string, got {value!r}")]
+
+
+@pytest.mark.parametrize(
+    "field, absent",
+    [("rule_description", ""), ("class_type", ""), ("action", ""), ("rev_comment", None)],
+)
+def test_absent_text_field_keeps_its_default(field, absent):
+    assert getattr(record_to_alert(_with_field(field, None)), field) == absent
+    assert getattr(record_to_alert(_with_field(field, "")), field) == ""
+    with pytest.raises(ValidationError, match="missing required field 'rule_uuid'"):
+        record_to_alert(_with_field("rule_uuid", None))
+
+
+def test_partial_field_map_keeps_the_default_path_of_unlisted_fields():
+    expected = record_to_alert(make_record())
+    assert record_to_alert(make_record(), {"src_ip": "src_ip"}) == expected
+    record = make_record()
+    record["net"] = {"src": record.pop("src_ip")}
+    assert record_to_alert(record, {"src_ip": "net.src"}) == expected
+    assert parse_alert_record(json.dumps(record), {"src_ip": "net.src"}) == expected
+    written = alert_to_record(expected, {"src_ip": "net.src"})
+    assert written["net"] == {"src": "203.0.113.7"} and "src_ip" not in written
+    assert record_to_alert(written, {"src_ip": "net.src"}) == expected
+
+
+def test_field_map_key_that_names_no_field_is_rejected():
+    # dest_ip is the JSON key of dst_ip, not a RawAlert field
+    with pytest.raises(ValidationError, match="unknown field 'dest_ip'"):
+        record_to_alert(make_record(), {"dest_ip": "dest_ip"})
+    with pytest.raises(ValidationError, match="unknown field 'nope'"):
+        FieldPaths({"src_ip": "src_ip", "nope": "x"})
