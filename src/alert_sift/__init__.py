@@ -24,7 +24,6 @@ from .evaluation import (
 )
 from .features import (
     FeatureProfile,
-    FeatureVector,
     ScalingCaps,
     chi2_select,
     encode_alert,
@@ -62,7 +61,6 @@ __all__ = [
     "metrics",
     "workload_savings",
     "FeatureProfile",
-    "FeatureVector",
     "ScalingCaps",
     "chi2_select",
     "encode_alert",

@@ -30,7 +30,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .features import FeatureVector, as_matrix
+from .features import as_matrix
 from .forest import Forest, _check_vector
 
 # Bound on the (rows x path cells) working set of one chunk.
@@ -150,15 +150,13 @@ def expected_value(forest: Forest) -> float:
     return float(paths.value @ paths.z.prod(axis=1)) / len(forest.roots)
 
 
-def tree_shap(forest: Forest, vector: FeatureVector | Sequence[float]) -> Attribution:
+def tree_shap(forest: Forest, vector: Sequence[float]) -> Attribution:
     """Exact Shapley attributions averaged over the forest's trees."""
     base, phi = _shap_batch(forest, _check_vector(forest, vector)[None, :])
     return Attribution(base_value=base, phi=tuple(float(v) for v in phi[0]))
 
 
-def global_importance(
-    forest: Forest, matrix: Sequence[FeatureVector] | np.ndarray
-) -> list[tuple[str, float]]:
+def global_importance(forest: Forest, matrix: np.ndarray) -> list[tuple[str, float]]:
     """Mean |phi| per feature over all rows, sorted descending (ties by index)."""
     X = as_matrix(matrix)
     if X.shape[0] < 1:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from typing import Callable
 
 import numpy as np
@@ -32,6 +33,7 @@ from .evaluation import (
 from .features import (
     FeatureProfile,
     ScalingCaps,
+    as_matrix,
     chi2_select,
     encode_alert,
     feature_names,
@@ -43,6 +45,7 @@ from .forest import (
     MODEL_FORMAT_VERSION,
     Forest,
     ForestParams,
+    check_threshold,
     load_forest,
     predict_proba_batch,
     save_forest,
@@ -306,11 +309,13 @@ def cmd_encode(opt: _Options) -> str:
         with open(caps_path, encoding="utf-8") as fh:
             caps = load_caps(fh)
     labeled = _read_labeled(src)
-    vectors = [encode_alert(item.alert, profile, caps) for item in labeled]
+    # no labeled alerts give a header-only matrix
+    rows = [encode_alert(item.alert, profile, caps) for item in labeled]
+    X = as_matrix(rows) if rows else np.empty((0, profile.width))
     labels = [item.label for item in labeled]
     with open(out, "w", encoding="utf-8") as fh:
-        write_matrix_csv(fh, vectors, labels, feature_names(profile))
-    return f"encode: {len(vectors)} rows x {profile.width} features -> {out}"
+        write_matrix_csv(fh, X, labels, feature_names(profile))
+    return f"encode: {len(rows)} rows x {profile.width} features -> {out}"
 
 
 def cmd_select(opt: _Options) -> str:
@@ -399,35 +404,15 @@ def cmd_evaluate(opt: _Options) -> str:
         params = forest.params
         cm, rep = evaluate_forest(forest, X, labels, threshold)
         savings = workload_savings(cm.fp_as_fp, minutes)
-        report["confusion"] = {
-            "tp_as_tp": cm.tp_as_tp,
-            "tp_as_fp": cm.tp_as_fp,
-            "fp_as_fp": cm.fp_as_fp,
-            "fp_as_tp": cm.fp_as_tp,
-        }
-        report["metrics"] = {
-            "tp_precision": rep.tp_precision,
-            "tp_recall": rep.tp_recall,
-            "fp_precision": rep.fp_precision,
-            "fp_recall": rep.fp_recall,
-            "accuracy": rep.accuracy,
-        }
+        report["confusion"] = asdict(cm)
+        report["metrics"] = asdict(rep)
         report["savings_hours"] = savings
         acc = "n/a" if rep.accuracy is None else f"{rep.accuracy:.3f}"
         rec = "n/a" if rep.tp_recall is None else f"{rep.tp_recall:.3f}"
         summary_bits.append(f"accuracy {acc}, tp_recall {rec}, savings {savings:.1f}h")
     if kfold is not None:
         cv = cross_validate(X, labels, params, k=kfold, seed=params.seed, threshold=threshold)
-        report["per_fold"] = [
-            {
-                "tp_precision": r.tp_precision,
-                "tp_recall": r.tp_recall,
-                "fp_precision": r.fp_precision,
-                "fp_recall": r.fp_recall,
-                "accuracy": r.accuracy,
-            }
-            for r in cv.reports
-        ]
+        report["per_fold"] = [asdict(r) for r in cv.reports]
         report["mean"] = cv.mean_accuracy
         report["variance"] = cv.accuracy_variance
         summary_bits.append(
@@ -493,8 +478,7 @@ def cmd_predict(opt: _Options) -> str:
         raise AlertSiftError("predict needs --in and --model")
     out = opt.get("out", "predictions.csv")
     threshold = opt.get("threshold", 0.5)
-    if not 0.0 < threshold < 1.0:
-        raise AlertSiftError(f"threshold must be in (0, 1), got {threshold}")
+    check_threshold(threshold)
     with open(model_path, encoding="utf-8") as fh:
         forest = load_forest(fh)
     with open(src, encoding="utf-8") as fh:

@@ -13,8 +13,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .features import FeatureVector, as_matrix
-from .forest import Forest, ForestParams, predict_proba_batch, train_forest
+from .features import as_matrix
+from .forest import Forest, ForestParams, check_threshold, predict_proba_batch, train_forest
 
 
 @dataclass(frozen=True)
@@ -94,13 +94,14 @@ def metrics(cm: ConfusionMatrix) -> MetricsReport:
 def kfold_split(n: int, k: int, seed: int) -> list[list[int]]:
     """Shuffle 0..n-1 and cut into k folds of size floor(n/k) or ceil(n/k).
 
-    The first n mod k folds take the larger size. Deterministic per seed.
+    The first n mod k folds take the larger size. Deterministic per seed; a
+    negative seed is taken modulo 2**64, as the forest's tree seeds are.
     """
     if k < 2:
         raise ValidationError(f"k must be >= 2, got {k}")
     if k > n:
         raise ValidationError(f"k={k} exceeds sample count n={n}")
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed & 0xFFFFFFFFFFFFFFFF)))
     order = rng.permutation(n)
     base = n // k
     extra = n % k
@@ -128,7 +129,7 @@ class CrossValidation:
 
 
 def cross_validate(
-    matrix: Sequence[FeatureVector] | np.ndarray,
+    matrix: np.ndarray,
     labels: Sequence[int],
     params: ForestParams | None = None,
     k: int = 10,
@@ -136,6 +137,7 @@ def cross_validate(
     threshold: float = 0.5,
 ) -> CrossValidation:
     """Train on each fold's complement, evaluate on the fold, in fold order."""
+    check_threshold(threshold)
     X = as_matrix(matrix)
     y = np.asarray(labels, dtype=np.int64)
     if X.shape[0] != y.shape[0]:
@@ -152,9 +154,7 @@ def cross_validate(
         if len(np.unique(train_y)) < 2:
             raise ValidationError(f"fold {i}: training complement has a single class")
         forest = train_forest(X[mask], train_y, params)
-        proba = predict_proba_batch(forest, X[held])
-        preds = (proba >= threshold).astype(int)
-        report = metrics(confusion(preds, y[held]))
+        _, report = evaluate_forest(forest, X[held], y[held], threshold)
         reports.append(report)
         accuracies.append(report.accuracy if report.accuracy is not None else 0.0)
     return CrossValidation(reports=tuple(reports), accuracies=tuple(accuracies))
@@ -162,11 +162,12 @@ def cross_validate(
 
 def evaluate_forest(
     forest: Forest,
-    matrix: Sequence[FeatureVector] | np.ndarray,
+    matrix: np.ndarray,
     labels: Sequence[int],
     threshold: float = 0.5,
 ) -> tuple[ConfusionMatrix, MetricsReport]:
     """Holdout evaluation of a trained forest on a labeled matrix."""
+    check_threshold(threshold)
     X = as_matrix(matrix)
     y = np.asarray(labels, dtype=np.int64)
     if X.shape[0] != y.shape[0]:
@@ -181,6 +182,6 @@ def workload_savings(filtered_fp_count: int, minutes_per_alert: float = 4.0) -> 
     """Analyst hours saved by suppressing that many alerts from review."""
     if filtered_fp_count < 0:
         raise ValidationError("filtered_fp_count must be >= 0")
-    if minutes_per_alert <= 0:
-        raise ValidationError("minutes_per_alert must be > 0")
+    if not 0 < minutes_per_alert < np.inf:
+        raise ValidationError(f"minutes_per_alert must be finite and > 0, got {minutes_per_alert}")
     return filtered_fp_count * minutes_per_alert / 60.0

@@ -113,19 +113,6 @@ def feature_names(profile: FeatureProfile) -> list[str]:
 
 
 @dataclass(frozen=True)
-class FeatureVector:
-    values: tuple[float, ...]
-    profile: FeatureProfile
-
-    def __post_init__(self):
-        if len(self.values) != self.profile.width:
-            raise ValidationError(
-                f"profile {self.profile.value} expects {self.profile.width} values, "
-                f"got {len(self.values)}"
-            )
-
-
-@dataclass(frozen=True)
 class ScalingCaps:
     """Saturation caps for min-max scaled fields (config-exposed defaults)."""
 
@@ -253,7 +240,7 @@ def encode_alert(
     alert: RawAlert,
     profile: FeatureProfile = FeatureProfile.CORE20,
     caps: ScalingCaps | None = None,
-) -> FeatureVector:
+) -> tuple[float, ...]:
     """Assemble the full fixed-order vector for one alert.
 
     Each address is parsed once, for both its entries.
@@ -263,7 +250,7 @@ def encode_alert(
     src_private, sip = _address(alert.src_ip)
     dst_private, dip = _address(alert.dst_ip)
     flags = keyword_flags(alert.rule_description, alert.class_type, profile)
-    values = [
+    return (
         src_private,
         dst_private,
         sip,
@@ -280,21 +267,18 @@ def encode_alert(
         scale_port(alert.dst_port),
         scale_payload(alert.payload_len, caps.payload_cap),
         *flags[6:],
-    ]
-    return FeatureVector(tuple(values), profile)
+    )
 
 
-def as_matrix(matrix: Sequence[FeatureVector] | np.ndarray) -> np.ndarray:
-    """Stack vectors into an (n, width) float array; widths must agree."""
-    if isinstance(matrix, np.ndarray):
-        X = np.asarray(matrix, dtype=float)
-        if X.ndim != 2:
-            raise ValidationError(f"matrix must be 2-dimensional, got shape {X.shape}")
-        return X
-    widths = {len(v.values) for v in matrix}
-    if len(widths) > 1:
-        raise ValidationError(f"mixed vector widths: {sorted(widths)}")
-    return np.array([v.values for v in matrix], dtype=float)
+def as_matrix(rows: Sequence[Sequence[float]] | np.ndarray) -> np.ndarray:
+    """Stack rows into an (n, width) float array; a float array is not copied."""
+    try:
+        X = np.asarray(rows, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"rows do not form a float matrix: {exc}") from None
+    if X.ndim != 2:
+        raise ValidationError(f"matrix must be 2-dimensional, got shape {X.shape}")
+    return X
 
 
 @dataclass
@@ -313,9 +297,7 @@ class ScreenReport:
         return [i for i, r in enumerate(self.pearson) if r is None]
 
 
-def screen_features(
-    matrix: Sequence[FeatureVector] | np.ndarray, labels: Sequence[int]
-) -> ScreenReport:
+def screen_features(matrix: np.ndarray, labels: Sequence[int]) -> ScreenReport:
     """Variance and label correlation per feature column."""
     X = as_matrix(matrix)
     y = np.asarray(labels, dtype=float)
@@ -343,9 +325,7 @@ class SelectionResult:
     selected_indices: list[int]  # descending score, ties by lower index
 
 
-def chi2_select(
-    matrix: Sequence[FeatureVector] | np.ndarray, labels: Sequence[int], k: int
-) -> SelectionResult:
+def chi2_select(matrix: np.ndarray, labels: Sequence[int], k: int) -> SelectionResult:
     """Score features by the chi-squared statistic and keep the top k.
 
     Feature values are treated as non-negative frequency mass: per class c
@@ -380,16 +360,11 @@ def chi2_select(
 
 def write_matrix_csv(
     stream: IO[str],
-    matrix: Sequence[FeatureVector] | np.ndarray,
+    matrix: np.ndarray,
     labels: Sequence[int] | None,
     names: Sequence[str],
 ) -> None:
-    """Export a feature matrix as CSV: named columns plus trailing label.
-
-    No vectors give a header-only matrix.
-    """
-    if not isinstance(matrix, np.ndarray) and len(matrix) == 0:
-        matrix = np.empty((0, len(names)))
+    """Export a feature matrix as CSV: named columns plus trailing label."""
     X = as_matrix(matrix)
     if X.shape[1] != len(names):
         raise ValidationError(f"{X.shape[1]} columns vs {len(names)} names")

@@ -30,7 +30,7 @@ from typing import IO, NamedTuple, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .features import FeatureProfile, FeatureVector, as_matrix
+from .features import FeatureProfile, as_matrix
 
 MODEL_FORMAT_VERSION = "1"
 
@@ -233,7 +233,7 @@ def _tree_rng(seed: int, tree_index: int) -> np.random.Generator:
 
 
 def train_forest(
-    matrix: Sequence[FeatureVector] | np.ndarray,
+    matrix: np.ndarray,
     labels: Sequence[int],
     params: ForestParams | None = None,
     feature_names: Sequence[str] | None = None,
@@ -268,25 +268,27 @@ def train_forest(
     return Forest(*_join(trees), params, list(feature_names), profile)
 
 
-def _check_vector(forest: Forest, vector: FeatureVector | Sequence[float]) -> np.ndarray:
-    values = vector.values if isinstance(vector, FeatureVector) else vector
-    arr = np.asarray(values, dtype=float)
+def _check_vector(forest: Forest, vector: Sequence[float]) -> np.ndarray:
+    arr = np.asarray(vector, dtype=float)
     if arr.shape != (forest.width,):
         raise ValidationError(f"vector width {arr.shape} does not match forest width {forest.width}")
     return arr
 
 
-def predict_proba(forest: Forest, vector: FeatureVector | Sequence[float]) -> float:
+def check_threshold(threshold: float) -> None:
+    """Refuse a decision threshold outside (0, 1), NaN included."""
+    if not 0.0 < threshold < 1.0:
+        raise ValidationError(f"threshold must be in (0, 1), got {threshold}")
+
+
+def predict_proba(forest: Forest, vector: Sequence[float]) -> float:
     """Mean over trees of the leaf TP fraction at the vector's leaf."""
     return float(predict_proba_batch(forest, _check_vector(forest, vector)[None, :])[0])
 
 
-def predict(
-    forest: Forest, vector: FeatureVector | Sequence[float], threshold: float = 0.5
-) -> int:
+def predict(forest: Forest, vector: Sequence[float], threshold: float = 0.5) -> int:
     """1 (TP) iff predict_proba >= threshold; ties resolve to TP."""
-    if not 0.0 < threshold < 1.0:
-        raise ValidationError(f"threshold must be in (0, 1), got {threshold}")
+    check_threshold(threshold)
     return 1 if predict_proba(forest, vector) >= threshold else 0
 
 

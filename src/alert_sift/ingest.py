@@ -348,10 +348,6 @@ def alert_to_record(alert: RawAlert, field_map: dict[str, str] | None = None) ->
     return obj
 
 
-def alert_to_json(alert: RawAlert, field_map: dict[str, str] | None = None) -> str:
-    return json.dumps(alert_to_record(alert, field_map), sort_keys=True)
-
-
 def _template(absent: tuple[bool, ...]) -> tuple[str, Callable]:
     """The %-template of one pattern of absent fields, and a getter.
 

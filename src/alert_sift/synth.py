@@ -70,6 +70,13 @@ _FP_DST_PORTS = (80, 443, 53, 123, 8530)
 # volume ranges: (pkts lo-hi, bytes lo-hi, payload lo-hi)
 _TP_VOLUME = ((20, 200), (5_000, 80_000), (400, 1_400))
 _FP_VOLUME = ((1, 15), (100, 3_000), (0, 200))
+# label -> its marker pools, in the order generate_corpus indexes them
+_POOLS = {
+    1: (_TP_DESCRIPTIONS, _TP_CLASS_TYPES, _TP_SRC_PREFIXES, _TP_HTTP_STATUSES, _TP_DST_PORTS,
+        _TP_VOLUME),
+    0: (_FP_DESCRIPTIONS, _FP_CLASS_TYPES, _FP_SRC_PREFIXES, _FP_HTTP_STATUSES, _FP_DST_PORTS,
+        _FP_VOLUME),
+}
 
 # Comment templates; each contains exactly one class's label keywords and
 # none of the other's (watch for accidental substrings like "present").
@@ -166,16 +173,7 @@ def generate_corpus(spec: SynthSpec) -> SynthCorpus:
     for label, count, rules in ((1, spec.n_tp, tp_rules), (0, spec.n_fp, fp_rules)):
         if count > 0 and not rules:
             raise ValidationError("no rules allocated for a non-empty class")
-        if label == 1:
-            own = (_TP_DESCRIPTIONS, _TP_CLASS_TYPES, _TP_SRC_PREFIXES,
-                   _TP_HTTP_STATUSES, _TP_DST_PORTS, _TP_VOLUME)
-            other = (_FP_DESCRIPTIONS, _FP_CLASS_TYPES, _FP_SRC_PREFIXES,
-                     _FP_HTTP_STATUSES, _FP_DST_PORTS, _FP_VOLUME)
-        else:
-            own = (_FP_DESCRIPTIONS, _FP_CLASS_TYPES, _FP_SRC_PREFIXES,
-                   _FP_HTTP_STATUSES, _FP_DST_PORTS, _FP_VOLUME)
-            other = (_TP_DESCRIPTIONS, _TP_CLASS_TYPES, _TP_SRC_PREFIXES,
-                     _TP_HTTP_STATUSES, _TP_DST_PORTS, _TP_VOLUME)
+        own, other = _POOLS[label], _POOLS[1 - label]
         for _ in range(count):
             rule = rules[rng.randrange(len(rules))]
             when = _WINDOW_START + timedelta(

@@ -97,7 +97,7 @@ def test_criterion_1_encoder_invariants(capsys):
     for i in range(n_alerts):
         profile = FeatureProfile.CORE20 if i % 2 else FeatureProfile.FULL29
         alert = parse_alert_record(make_line(**_random_overrides(rng)))
-        assert_vector_invariants(encode_alert(alert, profile))
+        assert_vector_invariants(encode_alert(alert, profile), profile)
     elapsed = time.perf_counter() - start
     _verdict(
         capsys,

@@ -251,6 +251,43 @@ def test_evaluate_needs_model_or_kfold(chain, capsys):
     assert "model" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("threshold", ["0", "1", "1.5", "nan"])
+def test_evaluate_threshold_outside_open_unit_interval_exits_with_error(
+    chain, tmp_path, capsys, threshold
+):
+    report = tmp_path / "report.json"
+    for mode in (["--model", chain["model"]], ["--kfold", "3"]):
+        argv = ["evaluate", "--in", chain["matrix"], *mode, "--threshold", threshold,
+                "--report", str(report)]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: threshold must be in (0, 1), got {float(threshold)}\n"
+        assert not report.exists()
+
+
+@pytest.mark.parametrize("minutes", ["nan", "inf", "-inf"])
+def test_evaluate_non_finite_minutes_per_alert_exits_with_error(chain, tmp_path, capsys, minutes):
+    report = tmp_path / "report.json"
+    argv = ["evaluate", "--in", chain["matrix"], "--model", chain["model"],
+            f"--minutes-per-alert={minutes}", "--report", str(report)]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: minutes_per_alert must be finite")
+    assert not report.exists()
+
+
+def test_evaluate_kfold_with_negative_seed(chain, tmp_path):
+    model, report = tmp_path / "model.json", tmp_path / "report.json"
+    run_ok(["evaluate", "--in", chain["matrix"], "--kfold", "3", "--seed", "-1",
+            "--report", str(report)])
+    folds = json.loads(report.read_text(encoding="utf-8"))["per_fold"]
+    # a model trained with seed -1 carries that seed into its folds
+    run_ok(["train", "--in", chain["matrix"], "--model", str(model), "--trees", "5",
+            "--seed", "-1"])
+    run_ok(["evaluate", "--in", chain["matrix"], "--model", str(model), "--kfold", "3",
+            "--report", str(report)])
+    assert len(folds) == len(json.loads(report.read_text(encoding="utf-8"))["per_fold"]) == 3
+
+
 def test_evaluate_kfold_summary(chain, tmp_path):
     report = tmp_path / "cv_report.json"
     summary = tmp_path / "summary.csv"
@@ -539,6 +576,20 @@ def digest_run(tmp_path_factory):
         for name, extra in _MATRIX_RUNS.items():
             run_ok(["encode", "--in", str(d / f"{split}.ndjson"),
                     "--out", str(d / f"{split}_{name}.csv"), *extra(d)])
+    # a weak-signal corpus, so that evaluate reports neither perfect nor undefined metrics
+    noisy = str(d / "noisy.ndjson")
+    run_ok(["synth", "--out", noisy, "--comments", str(d / "noisy_comments.csv"),
+            "--truth", str(d / "noisy_truth.csv"), "--n-tp", "60", "--n-fp", "60",
+            "--n-rules", "8", "--dup", "1", "--signal", "0.2", "--seed", "5"])
+    run_ok(["label", "--in", noisy, "--comments", str(d / "noisy_comments.csv"),
+            "--out", str(d / "noisy_labeled.ndjson")])
+    run_ok(["encode", "--in", str(d / "noisy_labeled.ndjson"), "--out", str(d / "noisy.csv")])
+    model = str(d / "model.json")
+    run_ok(["train", "--in", str(d / "train_core20.csv"), "--model", model, "--trees", "10"])
+    run_ok(["evaluate", "--in", str(d / "noisy.csv"), "--model", model, "--threshold", "0.6",
+            "--report", str(d / "report_model.json"), "--summary", str(d / "summary_model.csv")])
+    run_ok(["evaluate", "--in", str(d / "noisy.csv"), "--kfold", "4", "--seed", "3",
+            "--report", str(d / "report_kfold.json"), "--summary", str(d / "summary_kfold.csv")])
     return d
 
 
@@ -587,6 +638,27 @@ def test_encoded_matrix_matches_golden_digest(digest_run, name):
     data = (digest_run / name).read_bytes()
     assert data.count(b"\n") > 1
     assert hashlib.sha256(data).hexdigest() == _MATRIX_DIGESTS[name]
+
+
+# sha256 of synth's three outputs and of evaluate's report and summary, computed
+# before generate_corpus and cmd_evaluate were rewritten; any changed byte fails here.
+_RUN_DIGESTS = {
+    "alerts.ndjson": "0574f874355b763ef50dc1d63e2955aefac9ae3edbd6c0c4f7ab725d39467ed8",
+    "comments.csv": "ce098c767d5367781e4431f9172e716e3ee3785119757e6636682141184dc4df",
+    "truth.csv": "f6b171c9c10b5f6456df1f43e6077c7099c08e08cfa3fe3cff53aedd605223bb",
+    "noisy.ndjson": "40a9b81059712c398230f083a6ca1b021a4d3f0471468f13665680de5bd4ba76",
+    "report_model.json": "4d55b67c6d04be53ef0145a9f9409acc0ad7cfa37d6e98882b73b7fa4923868d",
+    "summary_model.csv": "7a75c464cf8329b61e6d597adbc9a6e919794bdd7d418fbf37162849aa205880",
+    "report_kfold.json": "3f5f1b1568c4709e5b9d11c3b765f8840a4c9fd89417e02f0044174eb4ea53bb",
+    "summary_kfold.csv": "68777cef6eb0b15a3aa07847c855f0d0945d69cd63453a56fde5c693c494400b",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_RUN_DIGESTS))
+def test_synth_and_evaluate_output_matches_golden_digest(digest_run, name):
+    data = (digest_run / name).read_bytes()
+    assert data.count(b"\n") > 1
+    assert hashlib.sha256(data).hexdigest() == _RUN_DIGESTS[name]
 
 
 def _labeled_line(**overrides) -> str:

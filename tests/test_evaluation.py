@@ -36,6 +36,11 @@ def test_kfold_deterministic_per_seed():
     assert kfold_split(20, 4, seed=7) != kfold_split(20, 4, seed=8)
 
 
+def test_kfold_negative_seed_maps_modulo_2_64():
+    assert kfold_split(20, 4, seed=-1) == kfold_split(20, 4, seed=2**64 - 1)
+    assert kfold_split(20, 4, seed=-2**64) == kfold_split(20, 4, seed=0)
+
+
 def test_kfold_rejects_bad_k():
     with pytest.raises(ValidationError):
         kfold_split(5, 1, seed=0)
@@ -192,6 +197,19 @@ def test_workload_savings_validation():
         workload_savings(-1)
     with pytest.raises(ValidationError):
         workload_savings(5, 0.0)
+    for minutes in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValidationError, match="finite"):
+            workload_savings(5, minutes)
+
+
+@pytest.mark.parametrize("threshold", [0.0, 1.0, 1.5, -0.5, float("nan")])
+def test_evaluation_refuses_threshold_outside_open_unit_interval(threshold):
+    X, y = _separable()
+    forest = train_forest(X, y, ForestParams(n_estimators=3))
+    with pytest.raises(ValidationError, match=r"threshold must be in \(0, 1\)"):
+        evaluate_forest(forest, X, y, threshold)
+    with pytest.raises(ValidationError, match=r"threshold must be in \(0, 1\)"):
+        cross_validate(X, y, ForestParams(n_estimators=3), k=3, threshold=threshold)
 
 
 def _separable(n=60, seed=31):

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 from alert_sift.errors import ValidationError
 from alert_sift.features import (
     FeatureProfile,
-    FeatureVector,
     ScalingCaps,
+    as_matrix,
     chi2_select,
     encode_alert,
     encode_counter,
@@ -159,7 +159,7 @@ def test_private_range_boundaries(addr, private):
 def test_special_ranges_encode_as_not_private(addr):
     assert is_private(addr) == oracle_is_private(addr) == 0.0
     vec = encode_alert(parse_alert_record(make_line(src_ip=addr, dest_ip=addr)))
-    assert vec.values[:2] == (0.0, 0.0)
+    assert vec[:2] == (0.0, 0.0)
 
 
 def test_ip_diff_examples():
@@ -255,20 +255,20 @@ def test_encode_minimal_alert_is_all_floor_values():
     expected = [0.0] * 20
     for counter_pos in (6, 7, 8, 9):
         expected[counter_pos] = -1.0
-    assert list(vec.values) == expected
+    assert list(vec) == expected
 
 
 def test_profile_lengths():
     alert = parse_alert_record(make_line())
-    assert len(encode_alert(alert, FeatureProfile.CORE20).values) == 20
-    assert len(encode_alert(alert, FeatureProfile.FULL29).values) == 29
+    assert len(encode_alert(alert, FeatureProfile.CORE20)) == 20
+    assert len(encode_alert(alert, FeatureProfile.FULL29)) == 29
 
 
 def test_fixture_alert_golden_vector():
     # every entry hand-derived from the conftest fixture record
     alert = parse_alert_record(make_line())
     vec = encode_alert(alert, FeatureProfile.CORE20)
-    assert vec.values == (
+    assert vec == (
         0.0,    # src 203.0.113.7 is public
         1.0,    # dst 10.20.30.40 is private
         0.793,  # 3405803783 / (2^32 - 1)
@@ -364,8 +364,7 @@ def test_encoder_invariants_hold_for_random_alerts(
         },
     }
     alert = parse_alert_record(make_line(**overrides))
-    vec = encode_alert(alert, profile)
-    assert_vector_invariants(vec)
+    assert_vector_invariants(encode_alert(alert, profile), profile)
 
 
 _oracle_ip_strategy = st.one_of(
@@ -418,16 +417,15 @@ def test_encode_alert_matches_ipaddress_oracle(
     }
     alert = parse_alert_record(make_line(**overrides))
     vec = encode_alert(alert, profile, caps)
-    assert vec.values == oracle_encode(alert, profile, caps or ScalingCaps())
+    assert vec == oracle_encode(alert, profile, caps or ScalingCaps())
     assert (is_private(src_ip), scale_ip(src_ip)) == (oracle_is_private(src_ip),
                                                       oracle_scale_ip(src_ip))
 
 
-def assert_vector_invariants(vec: FeatureVector) -> None:
-    values = vec.values
-    assert len(values) == vec.profile.width
+def assert_vector_invariants(values: tuple[float, ...], profile: FeatureProfile) -> None:
+    assert len(values) == profile.width
     counter_positions = {6, 7, 8, 9}
-    boolean_positions = {0, 1} | set(range(11, 17)) | set(range(20, vec.profile.width))
+    boolean_positions = {0, 1} | set(range(11, 17)) | set(range(20, profile.width))
     two_decimal_positions = {17, 18}
     three_decimal_positions = {2, 3, 4, 5, 10, 19}
     for i, v in enumerate(values):
@@ -457,7 +455,9 @@ def test_caps_file_overrides_and_validates():
 
 def test_feature_vector_width_validated():
     with pytest.raises(ValidationError):
-        FeatureVector((0.0,) * 19, FeatureProfile.CORE20)
+        as_matrix([(0.0,) * 20, (0.0,) * 19])
+    with pytest.raises(ValidationError):
+        as_matrix([(0.0, "x")])
 
 
 def test_screen_constant_column_flagged():
@@ -566,11 +566,11 @@ def test_matrix_csv_round_trip():
     vectors = [encode_alert(a, FeatureProfile.CORE20) for a in alerts]
     names = feature_names(FeatureProfile.CORE20)
     out = io.StringIO()
-    write_matrix_csv(out, vectors, [1, 0, 1], names)
+    write_matrix_csv(out, as_matrix(vectors), [1, 0, 1], names)
     X, labels, read_names = read_matrix_csv(io.StringIO(out.getvalue()))
     assert read_names == names
     assert labels.tolist() == [1, 0, 1]
-    assert X.tolist() == [list(v.values) for v in vectors]
+    assert X.tolist() == [list(v) for v in vectors]
 
 
 def test_matrix_csv_without_labels():
