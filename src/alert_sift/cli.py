@@ -17,9 +17,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import stat
 import sys
 from dataclasses import asdict
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -53,9 +55,11 @@ from .forest import (
 )
 from .ingest import (
     FieldPaths,
+    RawAlert,
     attach_comments,
     decode_record,
     load_field_map,
+    parse_alert_record,
     parse_timestamp,
     read_corpus,
     read_rule_comments,
@@ -66,7 +70,7 @@ from .labeling import (
     KeywordConfig,
     LabeledAlert,
     build_label_lists,
-    label_corpus,
+    label_alerts,
     load_keyword_config,
     write_label_lists,
 )
@@ -123,37 +127,93 @@ def _write_json(path: str, obj: dict) -> None:
         fh.write("\n")
 
 
-def _read_labeled(path: str) -> list[LabeledAlert]:
-    """Read normalized NDJSON that carries a top-level label field.
+class _Records:
+    """The records of one NDJSON file, parsed a line at a time as it is iterated.
+
+    Each stripped line is passed to parse once. A blank line is skipped when
+    skip_blank, else refused as an empty line; an error names the file and
+    line. count is the number of records parsed so far.
+    """
+
+    def __init__(self, path: str, parse: Callable[[str], object], skip_blank: bool = False):
+        self.path = path
+        self.parse = parse
+        self.skip_blank = skip_blank
+        self.count = 0
+
+    def __iter__(self) -> Iterator:
+        parse = self.parse
+        with open(self.path, encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                text = line.strip()
+                if not text and self.skip_blank:
+                    continue
+                try:
+                    if not text:
+                        raise ValidationError("empty line")
+                    record = parse(text)
+                except AlertSiftError as exc:
+                    raise AlertSiftError(f"{self.path} line {line_no}: {exc}") from None
+                self.count += 1
+                yield record
+
+
+def _read_labeled(path: str) -> _Records:
+    """Normalized NDJSON that carries a top-level label field, as LabeledAlert values.
 
     Each line is decoded once: the same dict yields the label and the alert.
     """
-    out: list[LabeledAlert] = []
     fields = FieldPaths()
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            try:
-                obj = decode_record(text)
-                if "label" not in obj:
-                    raise ValidationError("missing label field")
-                label = obj["label"]
-                if type(label) is not int or label not in (0, 1):
-                    raise ValidationError(f"label must be 0 or 1, got {json.dumps(label)}")
-                out.append(LabeledAlert(alert=record_to_alert(obj, fields), label=label))
-            except AlertSiftError as exc:
-                raise AlertSiftError(f"{path} line {line_no}: {exc}") from None
-    return out
+
+    def parse(text: str) -> LabeledAlert:
+        obj = decode_record(text)
+        if "label" not in obj:
+            raise ValidationError("missing label field")
+        label = obj["label"]
+        if type(label) is not int or label not in (0, 1):
+            raise ValidationError(f"label must be 0 or 1, got {json.dumps(label)}")
+        return LabeledAlert(record_to_alert(obj, fields), label)
+
+    return _Records(path, parse, skip_blank=True)
 
 
-def _write_labeled(
-    path: str, labeled: list[LabeledAlert], comments: dict[str, str] | None = None
+def _write_ndjson(
+    path: str,
+    rows: Iterable[tuple[RawAlert, int | None]],
+    comments: dict[str, str] | None = None,
 ) -> None:
-    """Write labeled alerts as NDJSON; a rule's entry in comments replaces its alerts' own."""
-    with open(path, "w", encoding="utf-8") as fh:
-        write_records(fh, [x.alert for x in labeled], [x.label for x in labeled], comments)
+    """write_records to path; a regular file is replaced only once all rows are written.
+
+    A new or regular file (a symlink's target included) is written as a
+    temporary file beside it, which replaces it on success, so rows may be
+    read from path itself; any exception, an interrupt included, removes the
+    temporary file and leaves path as it was. The file gets the permissions a
+    plain open(path, "w") would give it. Anything else, such as a FIFO or a
+    device like /dev/stdout, is written straight through, as open does.
+    """
+    try:
+        mode: int | None = os.stat(path).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(path, "w", encoding="utf-8") as fh:
+            write_records(fh, rows, comments)
+        return
+    target = os.path.realpath(path)
+    tmp = os.path.join(os.path.dirname(target), f".alert-sift-{os.urandom(6).hex()}")
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
+    try:
+        if mode is not None:
+            os.fchmod(fd, stat.S_IMODE(mode))
+        with open(fd, "w", encoding="utf-8") as fh:
+            write_records(fh, rows, comments)
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _profile(opt: _Options) -> FeatureProfile:
@@ -220,8 +280,7 @@ def cmd_ingest(opt: _Options) -> str:
         raise AlertSiftError(
             f"all {report.rejected} records rejected; first: line {first[0]}: {first[1]}"
         )
-    with open(out, "w", encoding="utf-8") as fh:
-        write_records(fh, alerts)
+    _write_ndjson(out, ((alert, None) for alert in alerts))
     return f"ingest: accepted {report.accepted}, rejected {report.rejected} -> {out}"
 
 
@@ -239,35 +298,46 @@ def cmd_label(opt: _Options) -> str:
         raise AlertSiftError("label needs --in")
     out = opt.get("out", "labeled.ndjson")
     cfg = _keyword_config(opt)
-    with open(src, encoding="utf-8") as fh:
-        alerts, report = read_corpus(fh)
-    if report.rejected:
-        first = report.rejection_reasons[0]
-        raise AlertSiftError(f"{src} line {first[0]}: {first[1]}")
+    fields = FieldPaths()
+    alerts = _Records(src, lambda text: parse_alert_record(text, fields))
     sidecar = opt.get("comments", None)
     if sidecar:
+        # the rules are known before the first alert, so the alerts stream through
         with open(sidecar, encoding="utf-8") as fh:
             rules = read_rule_comments(fh)
+        stream: Iterable[RawAlert] = alerts
     else:
+        # a rule's embedded comment may first appear on its last alert
+        stream = list(alerts)
         seen: dict[str, str] = {}
-        for alert in alerts:
+        for alert in stream:
             if alert.rev_comment and alert.rule_uuid not in seen:
                 seen[alert.rule_uuid] = alert.rev_comment
         rules = list(seen.items())
     tp_list, fp_list = build_label_lists(rules, cfg)
-    labeled = label_corpus(alerts, tp_list, fp_list)
+    written = [0, 0]  # rows written with label 0, with label 1
+
+    def tally(rows: Iterator[tuple[RawAlert, int]]) -> Iterator[tuple[RawAlert, int]]:
+        for row in rows:
+            written[row[1]] += 1
+            yield row
+
+    rows = tally(label_alerts(stream, tp_list, fp_list))
     # the sidecar comment of a rule is written onto its alerts, as ingest attaches it
-    _write_labeled(out, labeled, dict(rules) if sidecar else None)
+    _write_ndjson(out, rows, dict(rules) if sidecar else None)
     lists_path = opt.get("lists", None)
     if lists_path:
         with open(lists_path, "w", encoding="utf-8") as fh:
             write_label_lists(tp_list, fp_list, fh)
-    n_tp = sum(1 for x in labeled if x.label == 1)
-    dropped = len(alerts) - len(labeled)
+    n_fp, n_tp = written
     return (
-        f"label: {len(labeled)} labeled ({n_tp} tp, {len(labeled) - n_tp} fp), "
-        f"{dropped} dropped -> {out}"
+        f"label: {n_tp + n_fp} labeled ({n_tp} tp, {n_fp} fp), "
+        f"{alerts.count - n_tp - n_fp} dropped -> {out}"
     )
+
+
+def _write_labeled(path: str, labeled: list[LabeledAlert]) -> None:
+    _write_ndjson(path, ((item.alert, item.label) for item in labeled))
 
 
 def cmd_sample(opt: _Options) -> str:
@@ -278,6 +348,7 @@ def cmd_sample(opt: _Options) -> str:
         stride=opt.get("stride", 100),
         per_rule_cap=opt.get("per_rule_cap", 10),
     )
+    # only the survivors are held; every line is still read and validated
     labeled = _read_labeled(src)
     kept = dedup_sample(labeled, params)
     split_date = opt.get("split_date", None)
@@ -289,12 +360,12 @@ def cmd_sample(opt: _Options) -> str:
         _write_labeled(train_out, train)
         _write_labeled(test_out, test)
         return (
-            f"sample: kept {len(kept)} of {len(labeled)} "
+            f"sample: kept {len(kept)} of {labeled.count} "
             f"(train {len(train)} -> {train_out}, test {len(test)} -> {test_out})"
         )
     out = opt.get("out", "sampled.ndjson")
     _write_labeled(out, kept)
-    return f"sample: kept {len(kept)} of {len(labeled)} -> {out}"
+    return f"sample: kept {len(kept)} of {labeled.count} -> {out}"
 
 
 def cmd_encode(opt: _Options) -> str:
@@ -308,7 +379,7 @@ def cmd_encode(opt: _Options) -> str:
     if caps_path:
         with open(caps_path, encoding="utf-8") as fh:
             caps = load_caps(fh)
-    labeled = _read_labeled(src)
+    labeled = list(_read_labeled(src))
     # no labeled alerts give a header-only matrix
     rows = [encode_alert(item.alert, profile, caps) for item in labeled]
     X = as_matrix(rows) if rows else np.empty((0, profile.width))

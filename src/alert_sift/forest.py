@@ -385,10 +385,18 @@ def forest_from_dict(obj: dict) -> Forest:
         params = ForestParams(**obj["params"])
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"model params are missing or malformed: {exc}") from None
-    profile = FeatureProfile(obj["profile"]) if obj.get("profile") else None
     names, trees = obj.get("feature_names"), obj.get("trees")
     if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
         raise ValidationError("model feature_names must be a list of strings")
+    profile = obj.get("profile")
+    if profile is not None:
+        width = len(names)
+        profile = next((p for p in FeatureProfile if (p.value, p.width) == (profile, width)), None)
+        if profile is None:
+            raise ValidationError(
+                f"model profile {obj['profile']!r} does not fit its {width} features "
+                "(core20 has 20, full29 has 29)"
+            )
     if not isinstance(trees, list) or not trees:
         raise ValidationError("model must hold a non-empty list of trees")
     trees = [_preorder(t, lambda obj: _node_from_dict(obj, len(names))) for t in trees]

@@ -21,8 +21,8 @@ strings with their parsed datetimes. Addresses are read by ``ip_value``:
 a plain dotted quad by one compiled pattern, anything else by ``ipaddress``,
 so both accept the same strings and give the same number.
 
-There is one writer, ``write_records``: it writes alerts, optionally
-labeled, as the NDJSON lines ``json.dumps(alert_to_record(alert),
+There is one writer, ``write_records``: it writes (alert, label or None)
+rows as they arrive, as the NDJSON lines ``json.dumps(alert_to_record(alert),
 sort_keys=True)`` would give, from templates compiled from the default
 layout. ``alert_to_record`` stays as the plain reference for that layout.
 """
@@ -35,7 +35,6 @@ import json
 import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from socket import inet_aton
@@ -384,17 +383,17 @@ def _template(absent: tuple[bool, ...]) -> tuple[str, Callable]:
 
 def write_records(
     stream: IO[str],
-    alerts: Iterable[RawAlert],
-    labels: Iterable[int] | None = None,
+    rows: Iterable[tuple[RawAlert, int | None]],
     comments: dict[str, str] | None = None,
 ) -> None:
-    """Write alerts as NDJSON in the default layout, one line each.
+    """Write (alert, label or None) rows as NDJSON in the default layout, one line each.
 
     Each line is byte for byte ``json.dumps(record, sort_keys=True)`` of
     ``alert_to_record(alert)``, with ``rev_comment`` replaced by
-    ``comments[rule_uuid]`` where the alert's rule has one and, when labels
-    are given, ``label`` added. One template per pattern of absent fields
-    is filled with ``encode_basestring_ascii`` strings and ints; each
+    ``comments[rule_uuid]`` where the alert's rule has one and, unless the
+    label is None, ``label`` added. Rows are written as they are read, so
+    they may come from a one-shot stream. One template per pattern of absent
+    fields is filled with ``encode_basestring_ascii`` strings and ints; each
     timestamp object is formatted once per write.
     """
     templates: dict[tuple[bool, ...], tuple[str, Callable]] = {}
@@ -404,7 +403,7 @@ def write_records(
     comments = comments or {}
     enc = encode_basestring_ascii
     write = stream.write
-    for alert, label in zip(alerts, repeat(None) if labels is None else labels):
+    for alert, label in rows:
         (src_ip, dst_ip, src_port, dst_port, rule_sid, description, class_type, rule_uuid,
          action, timestamp, payload_len, http_status, pkts_ts, pkts_tc, bytes_ts, bytes_tc,
          comment) = alert
@@ -471,7 +470,10 @@ def load_field_map(source: Iterable[str]) -> dict[str, str]:
 
 
 def read_rule_comments(source: IO[str] | Iterator[str]) -> list[tuple[str, str]]:
-    """Read a rule-comment sidecar CSV with header ``rule_uuid,rev_comment``."""
+    """Read a rule-comment sidecar CSV with header ``rule_uuid,rev_comment``.
+
+    A rule_uuid listed twice is a ValidationError.
+    """
     reader = csv.reader(source)
     try:
         header = next(reader)
@@ -481,7 +483,14 @@ def read_rule_comments(source: IO[str] | Iterator[str]) -> list[tuple[str, str]]
         raise ValidationError(
             f"rule-comment CSV must start with header rule_uuid,rev_comment (got {header!r})"
         )
-    return [(row[0], row[1] if len(row) > 1 else "") for row in reader if row]
+    rules: dict[str, str] = {}
+    for row in reader:
+        if not row:
+            continue
+        if row[0] in rules:
+            raise ValidationError(f"duplicate rule_uuid {row[0]!r}")
+        rules[row[0]] = row[1] if len(row) > 1 else ""
+    return list(rules.items())
 
 
 def attach_comments(

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from enum import Enum
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 from .errors import ValidationError
 from .ingest import RawAlert
@@ -103,30 +103,35 @@ def build_label_lists(
     return tp_list, fp_list
 
 
+def label_alerts(
+    alerts: Iterable[RawAlert],
+    tp_list: Sequence[tuple[str, str]],
+    fp_list: Sequence[tuple[str, str]],
+) -> Iterator[tuple[RawAlert, int]]:
+    """Yield (alert, label) for each alert whose rule_uuid sits in exactly one list.
+
+    Alerts with the client-specific action are dropped regardless of list
+    membership. Alerts are read one at a time, in order, and never mutated,
+    so the input may be a one-shot stream.
+    """
+    labels = {uuid: 1 for uuid, _ in tp_list}
+    both = {uuid for uuid, _ in fp_list if uuid in labels}
+    if both:
+        raise ValidationError(f"rule_uuids present in both lists: {sorted(both)}")
+    labels.update((uuid, 0) for uuid, _ in fp_list)
+    for alert in alerts:
+        label = labels.get(alert.rule_uuid)
+        if label is not None and alert.action != CLIENT_SPECIFIC_ACTION:
+            yield alert, label
+
+
 def label_corpus(
     alerts: Iterable[RawAlert],
     tp_list: Sequence[tuple[str, str]],
     fp_list: Sequence[tuple[str, str]],
 ) -> list[LabeledAlert]:
-    """Keep alerts whose rule_uuid sits in exactly one list; label from it.
-
-    Alerts with the client-specific action are dropped regardless of list
-    membership. Relative order is preserved; alerts are never mutated.
-    """
-    tp_uuids = {uuid for uuid, _ in tp_list}
-    fp_uuids = {uuid for uuid, _ in fp_list}
-    both = tp_uuids & fp_uuids
-    if both:
-        raise ValidationError(f"rule_uuids present in both lists: {sorted(both)}")
-    out: list[LabeledAlert] = []
-    for alert in alerts:
-        if alert.action == CLIENT_SPECIFIC_ACTION:
-            continue
-        if alert.rule_uuid in tp_uuids:
-            out.append(LabeledAlert(alert, 1))
-        elif alert.rule_uuid in fp_uuids:
-            out.append(LabeledAlert(alert, 0))
-    return out
+    """label_alerts, collected as LabeledAlert values."""
+    return [LabeledAlert(alert, label) for alert, label in label_alerts(alerts, tp_list, fp_list)]
 
 
 def load_keyword_config(source: Iterable[str]) -> KeywordConfig:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import datetime
+from typing import Iterable
 
 from .errors import ValidationError
 from .labeling import LabeledAlert
@@ -28,22 +29,26 @@ class SampleParams:
 
 
 def dedup_sample(
-    alerts: list[LabeledAlert], params: SampleParams | None = None
+    alerts: Iterable[LabeledAlert], params: SampleParams | None = None
 ) -> list[LabeledAlert]:
-    """Stride-sample each rule_uuid partition, then cap it.
+    """Stride-sample each rule_uuid partition, then cap it, in one pass.
 
     Within each partition (arrival order) positions 1, 1+stride, 1+2*stride,
     ... are kept, truncated to per_rule_cap; partitions are re-emitted in
-    first-seen rule order.
+    first-seen rule order. Only the survivors are held, so the input may be
+    a one-shot stream of any length.
     """
     params = params or SampleParams()
-    partitions: dict[str, list[LabeledAlert]] = {}
+    stride, end = params.stride, params.stride * params.per_rule_cap
+    seen: dict[str, int] = {}  # rule_uuid -> items of its partition so far
+    kept: dict[str, list[LabeledAlert]] = {}
     for item in alerts:
-        partitions.setdefault(item.alert.rule_uuid, []).append(item)
-    out: list[LabeledAlert] = []
-    for items in partitions.values():
-        out.extend(items[:: params.stride][: params.per_rule_cap])
-    return out
+        rule = item.alert.rule_uuid
+        position = seen.get(rule, 0)
+        seen[rule] = position + 1
+        if position < end and position % stride == 0:
+            kept.setdefault(rule, []).append(item)
+    return [item for items in kept.values() for item in items]
 
 
 def partition_by_period(

@@ -6,7 +6,11 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import shutil
+import stat
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +22,7 @@ from alert_sift import cli
 from alert_sift.features import FeatureProfile, feature_names
 from alert_sift.forest import load_forest, predict_proba_batch
 
-from conftest import make_record
+from conftest import make_line, make_record
 
 
 def run_ok(argv):
@@ -328,6 +332,9 @@ _MODEL_MUTATIONS = {
     "no-trees": lambda m: m.update(trees=[]),
     "no-params": lambda m: m.pop("params"),
     "params-not-numbers": lambda m: m["params"].update(n_estimators="x"),
+    "profile-unknown": lambda m: m.update(profile="bogus"),
+    "profile-not-a-string": lambda m: m.update(profile=[1]),
+    "profile-of-another-width": lambda m: m.update(profile="full29"),
 }
 
 
@@ -345,7 +352,8 @@ def test_malformed_model_exits_with_error(chain, tmp_path, capsys, mutation):
         ["evaluate", "--report", str(tmp_path / "report.json")],
     ):
         assert cli.main(argv + ["--in", chain["matrix"], "--model", str(bad)]) == 1
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
     assert not any(tmp_path.glob("*.csv")) and not (tmp_path / "report.json").exists()
 
 
@@ -744,12 +752,13 @@ _JSON_VALUES = st.recursive(
 def _mutated_line(draw, line: str) -> tuple[str, bool]:
     """A mutation of one NDJSON line, and whether it can no longer be valid."""
     kind = draw(st.sampled_from(["truncate", "replace", "insert", "delete", "value"]))
-    if kind == "value":
+    if kind == "value":  # replace a value at any depth
         record = json.loads(line)
-        node = record
-        key = draw(st.sampled_from(sorted(record)))
-        if isinstance(node[key], dict) and draw(st.booleans()):
-            node, key = node[key], draw(st.sampled_from(sorted(node[key])))
+        node, key = record, draw(st.sampled_from(sorted(record)))
+        while isinstance(node[key], (dict, list)) and node[key] and draw(st.booleans()):
+            node = node[key]
+            keys = sorted(node) if isinstance(node, dict) else range(len(node))
+            key = draw(st.sampled_from(keys))
         node[key] = draw(_JSON_VALUES)
         return json.dumps(record), False
     i = draw(st.integers(0, len(line) - 1))
@@ -806,3 +815,224 @@ def test_label_writes_the_sidecar_comment_over_the_embedded_one(tmp_path):
     run_ok(["label", "--in", str(src), "--comments", str(comments), "--out", str(labeled)])
     record = json.loads(labeled.read_text(encoding="utf-8"))
     assert (record["label"], record["rev_comment"]) == (1, "alerted the customer")
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_mutated_model_exits_with_error_never_a_traceback(chain, data):
+    with open(chain["model"], encoding="utf-8") as fh:
+        mutated, _ = data.draw(_mutated_line(fh.read()))
+    with tempfile.TemporaryDirectory() as tmp:
+        model = Path(tmp) / "model.json"
+        model.write_text(mutated, encoding="utf-8")
+        for argv in (
+            ["predict", "--out", f"{tmp}/predictions.csv"],
+            ["evaluate", "--report", f"{tmp}/report.json"],
+            ["explain", "--out", f"{tmp}/importance.csv", "--row", "0",
+             "--attribution-out", f"{tmp}/attribution.json"],
+        ):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(argv + ["--in", chain["matrix"], "--model", str(model)])
+            if code != 0:
+                assert code == 1
+                assert err.getvalue().startswith("error: ")
+                assert err.getvalue().count("\n") == 1
+
+
+def test_ingest_refuses_a_sidecar_that_lists_a_rule_twice(tmp_path, capsys):
+    src, comments, out = tmp_path / "alerts.ndjson", tmp_path / "comments.csv", tmp_path / "out"
+    src.write_text(make_line() + "\n", encoding="utf-8")
+    comments.write_text("rule_uuid,rev_comment\nrule-aaa,alerted\nrule-aaa,benign\n",
+                        encoding="utf-8")
+    for command in ("ingest", "label"):
+        assert cli.main([command, "--in", str(src), "--comments", str(comments),
+                         "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: duplicate rule_uuid 'rule-aaa'\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["alerts.ndjson", "comments.csv"]
+
+
+def test_label_reports_a_bad_sidecar_before_a_bad_corpus(tmp_path, capsys):
+    # the rules are read before the first alert, so the sidecar's error wins
+    src, comments = tmp_path / "alerts.ndjson", tmp_path / "comments.csv"
+    src.write_text(make_line(src_ip="1.2.3") + "\n", encoding="utf-8")
+    comments.write_text("rule_uuid,rev_comment\nrule-aaa,alerted\nrule-aaa,benign\n",
+                        encoding="utf-8")
+    argv = ["label", "--in", str(src), "--comments", str(comments),
+            "--out", str(tmp_path / "labeled.ndjson")]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == "error: duplicate rule_uuid 'rule-aaa'\n"
+    comments.write_text("rule_uuid,rev_comment\nrule-aaa,alerted\n", encoding="utf-8")
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: {src} line 1: src_ip is not a valid IP address: '1.2.3'\n"
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["alerts.ndjson", "comments.csv"]
+
+
+@pytest.mark.parametrize(
+    "command, source, options",
+    [
+        ("label", "alerts", lambda p: ["--comments", p["comments"]]),
+        ("label", "labeled", lambda p: []),  # the labeled file embeds each rule's comment
+        ("sample", "labeled", lambda p: ["--stride", "5"]),
+    ],
+    ids=["label-sidecar", "label-embedded", "sample"],
+)
+def test_stage_writing_over_its_own_input_gives_the_same_bytes(
+    chain, tmp_path, command, source, options
+):
+    extra = options(chain)
+    separate, same = tmp_path / "separate.ndjson", tmp_path / "same.ndjson"
+    shutil.copyfile(chain[source], same)
+    run_ok([command, "--in", chain[source], "--out", str(separate), *extra])
+    run_ok([command, "--in", str(same), "--out", str(same), *extra])
+    assert same.read_bytes() == separate.read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["same.ndjson", "separate.ndjson"]
+
+
+_SIDECAR = "rule_uuid,rev_comment\nrule-aaa,alerted\n"
+
+
+@pytest.mark.parametrize(
+    "command, tail, error",
+    [
+        ("label", b'{"src_ip": \n', "{src} line 2001: malformed JSON"),
+        ("label", _labeled_line(src_ip="1.2.3").encode() + b"\n", "{src} line 2001: src_ip"),
+        ("label", b"\n", "{src} line 2001: empty line"),
+        ("label", b'{"src_ip": "\xff"}\n', "input is not UTF-8 text"),
+        ("sample", _labeled_line(src_ip="1.2.3").encode() + b"\n", "{src} line 2001: src_ip"),
+        ("sample", b'{"src_ip": "\xff"}\n', "input is not UTF-8 text"),
+    ],
+    ids=["label-truncated", "label-bad-address", "label-blank", "label-not-utf8",
+         "sample-bad-address", "sample-not-utf8"],
+)
+def test_failure_on_the_last_line_leaves_no_file(tmp_path, capsys, command, tail, error):
+    # 2,000 good lines: the writer has flushed many of them before the last line fails
+    src, comments = tmp_path / "in.ndjson", tmp_path / "comments.csv"
+    src.write_bytes((_labeled_line() + "\n").encode() * 2000 + tail)
+    comments.write_text(_SIDECAR, encoding="utf-8")
+    argv = [command, "--in", str(src), "--out", str(tmp_path / "out.ndjson")]
+    if command == "label":
+        argv += ["--comments", str(comments)]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + error.format(src=src)) and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["comments.csv", "in.ndjson"]
+
+
+def test_interrupted_label_leaves_the_previous_output(tmp_path, monkeypatch):
+    src, comments, out = tmp_path / "in.ndjson", tmp_path / "comments.csv", tmp_path / "out"
+    src.write_text((make_line() + "\n") * 2000, encoding="utf-8")
+    comments.write_text(_SIDECAR, encoding="utf-8")
+    out.write_text("previous\n", encoding="utf-8")
+    label_alerts = cli.label_alerts
+
+    def interrupted(alerts, tp_list, fp_list):
+        for i, pair in enumerate(label_alerts(alerts, tp_list, fp_list)):
+            if i == 1500:
+                raise KeyboardInterrupt
+            yield pair
+
+    monkeypatch.setattr(cli, "label_alerts", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        cli.main(["label", "--in", str(src), "--comments", str(comments), "--out", str(out)])
+    assert out.read_text(encoding="utf-8") == "previous\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["comments.csv", "in.ndjson", "out"]
+
+
+def test_label_output_gets_the_mode_a_plain_open_gives(chain, tmp_path):
+    out = tmp_path / "labeled.ndjson"
+    argv = ["label", "--in", chain["alerts"], "--comments", chain["comments"], "--out", str(out)]
+    umask = os.umask(0o027)
+    try:
+        run_ok(argv)
+    finally:
+        os.umask(umask)
+    assert stat.S_IMODE(out.stat().st_mode) == 0o640  # a new file: 0o666 less the umask
+    out.chmod(0o604)
+    run_ok(argv)
+    assert stat.S_IMODE(out.stat().st_mode) == 0o604  # an existing file keeps its mode
+
+
+def _label_small(tmp_path: Path, out: Path) -> tuple[int, bytes]:
+    """Run label with a sidecar over 20 alerts into out; the exit code and the bytes expected."""
+    src, comments, expected = tmp_path / "in.ndjson", tmp_path / "comments.csv", tmp_path / "exp"
+    src.write_text((make_line() + "\n") * 20, encoding="utf-8")
+    comments.write_text(_SIDECAR, encoding="utf-8")
+    argv = ["label", "--in", str(src), "--comments", str(comments), "--out"]
+    run_ok(argv + [str(expected)])
+    return cli.main(argv + [str(out)]), expected.read_bytes()
+
+
+@pytest.mark.parametrize("via_symlink", [False, True], ids=["fifo", "symlink-to-fifo"])
+def test_label_writes_through_a_fifo_and_keeps_it(tmp_path, via_symlink):
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    out = fifo
+    if via_symlink:
+        out = tmp_path / "link"
+        out.symlink_to(fifo)
+    # a reader is open, so the writer's open does not block; 20 lines fit the pipe's buffer
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        code, expected = _label_small(tmp_path, out)
+        received = b""
+        while chunk := os.read(reader, 1 << 16):
+            received += chunk
+    finally:
+        os.close(reader)
+    assert code == 0 and received == expected
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert out.is_symlink() == via_symlink
+    assert not [p.name for p in tmp_path.iterdir() if p.name.startswith(".")]
+
+
+def test_label_through_a_symlink_replaces_its_target(tmp_path):
+    target, link = tmp_path / "target.ndjson", tmp_path / "link.ndjson"
+    target.write_text("previous\n", encoding="utf-8")
+    link.symlink_to(target)
+    code, expected = _label_small(tmp_path, link)
+    assert code == 0 and link.is_symlink() and target.read_bytes() == expected
+
+
+def test_unwritable_output_names_the_given_path(tmp_path, capsys):
+    out = tmp_path / "missing-dir" / "labeled.ndjson"
+    code, _ = _label_small(tmp_path, out)
+    assert code == 1
+    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{out}'\n"
+
+
+@pytest.fixture(scope="module")
+def large_inputs(tmp_path_factory):
+    """20,000 raw and 20,000 labeled lines over 20 rules, about 10 MB each."""
+    d = tmp_path_factory.mktemp("large")
+    raw, labeled = [], []
+    for i in range(20_000):
+        record = make_record(rule_uuid=f"rule-{i % 20}", src_port=i % 65536)
+        raw.append(json.dumps(record, sort_keys=True) + "\n")
+        labeled.append(json.dumps({**record, "label": i % 2}, sort_keys=True) + "\n")
+    (d / "alerts.ndjson").write_text("".join(raw), encoding="utf-8")
+    (d / "labeled.ndjson").write_text("".join(labeled), encoding="utf-8")
+    (d / "comments.csv").write_text(
+        "rule_uuid,rev_comment\n" + "".join(f"rule-{r},alerted\n" for r in range(20)),
+        encoding="utf-8",
+    )
+    return d
+
+
+@pytest.mark.parametrize("command", ["label", "sample"])
+def test_streamed_stage_holds_far_less_than_its_input(large_inputs, tmp_path, command):
+    src = large_inputs / ("alerts.ndjson" if command == "label" else "labeled.ndjson")
+    argv = [command, "--in", str(src), "--out", str(tmp_path / "out.ndjson")]
+    if command == "label":
+        argv += ["--comments", str(large_inputs / "comments.csv")]
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # every alert held as objects takes more than the file; a stream holds a few percent
+    assert peak < src.stat().st_size / 4

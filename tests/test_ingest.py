@@ -256,6 +256,11 @@ def test_sidecar_requires_header():
         read_rule_comments(io.StringIO("uuid,comment\nrule-aaa,x\n"))
 
 
+def test_sidecar_refuses_a_rule_listed_twice():
+    with pytest.raises(ValidationError, match="duplicate rule_uuid 'rule-aaa'"):
+        read_rule_comments(io.StringIO("rule_uuid,rev_comment\nrule-aaa,x\nrule-aaa,y\n"))
+
+
 def test_invalid_address_on_two_lines_is_rejected_on_both():
     bad = make_line(src_ip="300.1.2.3")
     alerts, report = read_corpus([bad, make_line(), bad])
@@ -446,7 +451,8 @@ def test_write_records_matches_json_dumps_byte_for_byte(records, nested, labeled
     rules = sorted({a.rule_uuid for a in alerts})
     comments = data.draw(st.dictionaries(st.sampled_from(rules), _TEXT, max_size=len(rules)))
     out = io.StringIO()
-    write_records(out, alerts, labels, comments)
+    # rows arrive as a one-shot iterator, as the CLI streams them
+    write_records(out, zip(alerts, labels if labeled else [None] * len(alerts)), comments)
     expected = []
     for i, alert in enumerate(alerts):
         if alert.rule_uuid in comments:

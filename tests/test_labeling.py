@@ -14,6 +14,7 @@ from alert_sift.labeling import (
     LabeledAlert,
     build_label_lists,
     classify_comment,
+    label_alerts,
     label_corpus,
     load_keyword_config,
     write_label_lists,
@@ -104,6 +105,15 @@ def test_label_corpus_preserves_order_and_input():
     labeled = label_corpus(alerts, [("r1", "alerted")], [("r2", "benign")])
     assert [x.alert.rule_uuid for x in labeled] == ["r1", "r2", "r1"]
     assert labeled[0].alert is alerts[0]
+
+
+def test_label_alerts_reads_one_alert_at_a_time():
+    alerts = _alerts(("r1", "a"), ("r2", "a"), ("r1", "a"))
+    source = iter(alerts)
+    pairs = label_alerts(source, [("r1", "alerted")], [("r2", "benign")])
+    assert next(pairs) == (alerts[0], 1)
+    assert next(source) is alerts[1]  # not yet read by label_alerts
+    assert list(pairs) == [(alerts[2], 1)]
 
 
 def test_label_corpus_rejects_overlapping_lists():

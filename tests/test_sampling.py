@@ -74,6 +74,27 @@ def test_per_rule_size_bound(rules, stride, cap):
         assert kept_n == min(cap, math.ceil(n / stride))
 
 
+def _sliced(items, params):
+    """The reference dedup: each whole rule partition, sliced [::stride][:cap]."""
+    partitions = {}
+    for item in items:
+        partitions.setdefault(item.alert.rule_uuid, []).append(item)
+    stride, cap = params.stride, params.per_rule_cap
+    return [x for part in partitions.values() for x in part[::stride][:cap]]
+
+
+@given(
+    st.lists(st.sampled_from(["a", "b", "c", "d"]), max_size=200),
+    st.integers(1, 12),
+    st.integers(1, 6),
+)
+def test_streamed_dedup_matches_per_rule_slices(rules, stride, cap):
+    stream = _stream(rules)
+    params = SampleParams(stride=stride, per_rule_cap=cap)
+    # a one-shot iterator: dedup_sample may read each item only once
+    assert dedup_sample(iter(stream), params) == _sliced(stream, params)
+
+
 def test_stride_one_idempotent():
     stream = _stream(["a", "b", "a", "a", "b"])
     params = SampleParams(stride=1, per_rule_cap=3)
