@@ -12,15 +12,22 @@ entries (private flag and scaled value) come from that one integer. The
 private ranges are integer intervals computed once from the networks below,
 so the flag is exactly ``ip in net`` over them (not ``ipaddress``'s own
 ``is_private``, which also counts loopback, link-local and others).
+
+The scaling helpers (``scale_port``, ``encode_counter`` and the rest) define
+every scaled entry, but ``encode_alert`` reads each one from a step table: the
+integers at which the helper's output changes, and its output at each. The
+tables are built from the helpers, once per cap value, and are exact.
 """
 
 from __future__ import annotations
 
 import ipaddress
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from typing import IO, Iterable, Sequence
+from functools import lru_cache, partial
+from typing import IO, Callable, Iterable, NoReturn, Sequence
 
 import numpy as np
 
@@ -156,8 +163,8 @@ def scale_port(port: int) -> float:
     return round(port / PORT_MAX, 2)
 
 
-def _address(addr: str) -> tuple[float, float]:
-    """(private flag, scaled value) of an address, from one parse."""
+def _address(addr: str) -> tuple[float, int]:
+    """(private flag, index of the scaled value in _ADDRESS_GRID) of an address, from one parse."""
     version, value = ip_value(addr)
     private = 0.0
     for first, last in _PRIVATE_SPANS[version]:
@@ -165,8 +172,8 @@ def _address(addr: str) -> tuple[float, float]:
             private = 1.0
             break
     if version == 4:
-        return private, round(value / (2**32 - 1), 3)
-    return private, round((value >> 64) / (2**64 - 1), 3)
+        return private, bisect_right(_IPV4_THRESHOLDS, value) - 1
+    return private, bisect_right(_ipv6_thresholds(), value >> 64) - 1
 
 
 def scale_ip(addr: str) -> float:
@@ -174,7 +181,7 @@ def scale_ip(addr: str) -> float:
 
     IPv4 scales the 32-bit value; IPv6 scales the top 64 bits.
     """
-    return _address(addr)[1]
+    return _ADDRESS_GRID[_address(addr)[1]]
 
 
 def is_private(addr: str) -> float:
@@ -220,9 +227,89 @@ def scale_rule_sid(sid: int, sid_max: int) -> float:
 
 
 def scale_payload(length: int, cap: int) -> float:
+    """Saturate the payload length at cap and scale, 3 decimal places."""
+    if cap < 1:
+        raise ValidationError(f"cap must be >= 1, got {cap}")
     if length < 0:
         raise ValidationError(f"payload_len must be >= 0, got {length}")
     return round(min(length, cap) / cap, 3)
+
+
+def _steps(f: Callable[[int], float], cap: int, places: int, lo: int = 0, hi: int | None = None):
+    """(thresholds, values) of f(v) = round(min(v, cap) / cap, places) for lo <= v <= hi.
+
+    f(v) is values[bisect_right(thresholds, v) - 1], exactly: each threshold
+    is where f reaches the next level, and each value is f's own output.
+    Level k / 10**places starts where v / cap passes (k - 1/2) / 10**places;
+    the float quotient errs by at most 2**-53, so f is searched only over
+    the integers whose exact quotient lies that near the boundary (below a
+    cap of 2**42, only one that lies on it). hi defaults to cap.
+    """
+    hi = cap if hi is None else hi
+    f = lru_cache(maxsize=None)(f)
+    scale = 10**places
+    slack = 2 * scale * cap >> 53  # in units of 1 / (2 * scale * cap)
+    thresholds, values = [lo], [f(lo)]
+    for k in range(1, scale + 1):
+        edge = (2 * k - 1) * cap
+        unsure = range(max(-((slack - edge) // (2 * scale)), lo),
+                       min((edge + slack) // (2 * scale), hi) + 1)
+        t = unsure.start + bisect_left(unsure, k / scale, key=f)
+        if t > hi:
+            break
+        if t > thresholds[-1]:
+            thresholds.append(t)
+            values.append(f(t))
+    return thresholds, values
+
+
+# IPv4 scales all 32 bits of an address and IPv6 its top 64, onto the same
+# 1,001-level grid, so the distance of two addresses is the grid value at the
+# distance of their step indices.
+_IPV4_THRESHOLDS, _ADDRESS_GRID = _steps(lambda v: round(v / (2**32 - 1), 3), 2**32 - 1, 3)
+_PORT_AT, _PORTS = _steps(scale_port, PORT_MAX, 2)
+_STATUS_AT, _STATUSES = _steps(encode_http_status, 1000, 3, lo=100, hi=599)
+
+
+@lru_cache(maxsize=None)
+def _ipv6_thresholds() -> list[int]:
+    """Built at the first IPv6 address: its search spans up to 2**12 integers a level."""
+    return _steps(lambda v: round(v / (2**64 - 1), 3), 2**64 - 1, 3)[0]
+
+
+@lru_cache(maxsize=32)
+def _cap_steps(caps: ScalingCaps) -> tuple:
+    """(thresholds, values) of the packet, byte, rule-sid and payload entries under `caps`."""
+    return (
+        _steps(partial(encode_counter, cap=caps.pkts_cap), caps.pkts_cap, 2),
+        _steps(partial(encode_counter, cap=caps.bytes_cap), caps.bytes_cap, 2),
+        _steps(partial(scale_rule_sid, sid_max=caps.sid_max), caps.sid_max, 3),
+        _steps(partial(scale_payload, cap=caps.payload_cap), caps.payload_cap, 3),
+    )
+
+
+_DEFAULT_STEPS = _cap_steps(_DEFAULT_CAPS)
+# Each table-read field in encoding order: whether it may be missing, and the
+# helper that checks its range.
+_FIELD_CHECKS = (
+    ("http_status", True, encode_http_status),
+    *((name, True, partial(encode_counter, cap=1)) for name in
+      ("pkts_to_server", "pkts_to_client", "bytes_to_server", "bytes_to_client")),
+    ("rule_sid", False, partial(scale_rule_sid, sid_max=1)),
+    ("src_port", False, scale_port),
+    ("dst_port", False, scale_port),
+    ("payload_len", False, partial(scale_payload, cap=1)),
+)
+
+
+def _refuse(alert: RawAlert) -> NoReturn:
+    """Raise the error of the first field of `alert` that its step table cannot take."""
+    for name, missable, check in _FIELD_CHECKS:
+        value = getattr(alert, name)
+        if type(value) is not int and not (missable and value is None):
+            raise ValidationError(f"{name} must be an integer, got {value!r}")
+        check(value)  # an integer out of range: the helper raises its own error
+    raise AssertionError(f"every field of {alert!r} is in range")
 
 
 def keyword_flags(
@@ -243,29 +330,44 @@ def encode_alert(
 ) -> tuple[float, ...]:
     """Assemble the full fixed-order vector for one alert.
 
-    Each address is parsed once, for both its entries.
+    Each address is parsed once, for both its entries. Every other scaled
+    entry is read from its step table; a number that is not an int is refused.
     """
-    if caps is None:
-        caps = _DEFAULT_CAPS
-    src_private, sip = _address(alert.src_ip)
-    dst_private, dip = _address(alert.dst_ip)
-    flags = keyword_flags(alert.rule_description, alert.class_type, profile)
+    (src_ip, dst_ip, sport, dport, sid, description, class_type, _, _, _,
+     payload, status, pkts_ts, pkts_tc, bytes_ts, bytes_tc, _) = alert
+    if not (
+        type(sport) is type(dport) is type(sid) is type(payload) is int
+        and 0 <= sport <= PORT_MAX and 0 <= dport <= PORT_MAX and sid >= 0 and payload >= 0
+        and (status is None or type(status) is int and 100 <= status <= 599)
+        and (pkts_ts is None or type(pkts_ts) is int and pkts_ts >= 0)
+        and (pkts_tc is None or type(pkts_tc) is int and pkts_tc >= 0)
+        and (bytes_ts is None or type(bytes_ts) is int and bytes_ts >= 0)
+        and (bytes_tc is None or type(bytes_tc) is int and bytes_tc >= 0)
+    ):
+        _refuse(alert)
+    src_private, ks = _address(src_ip)
+    dst_private, kd = _address(dst_ip)
+    (pkts_at, pkts), (bytes_at, nbytes), (sid_at, sids), (payload_at, payloads) = (
+        _DEFAULT_STEPS if caps is None else _cap_steps(caps)
+    )
+    grid = _ADDRESS_GRID
+    flags = keyword_flags(description, class_type, profile)
     return (
         src_private,
         dst_private,
-        sip,
-        dip,
-        ip_diff(sip, dip),
-        encode_http_status(alert.http_status),
-        encode_counter(alert.pkts_to_server, caps.pkts_cap),
-        encode_counter(alert.pkts_to_client, caps.pkts_cap),
-        encode_counter(alert.bytes_to_server, caps.bytes_cap),
-        encode_counter(alert.bytes_to_client, caps.bytes_cap),
-        scale_rule_sid(alert.rule_sid, caps.sid_max),
+        grid[ks],
+        grid[kd],
+        grid[abs(ks - kd)],
+        0.0 if status is None else _STATUSES[bisect_right(_STATUS_AT, status) - 1],
+        -1.0 if pkts_ts is None else pkts[bisect_right(pkts_at, pkts_ts) - 1],
+        -1.0 if pkts_tc is None else pkts[bisect_right(pkts_at, pkts_tc) - 1],
+        -1.0 if bytes_ts is None else nbytes[bisect_right(bytes_at, bytes_ts) - 1],
+        -1.0 if bytes_tc is None else nbytes[bisect_right(bytes_at, bytes_tc) - 1],
+        sids[bisect_right(sid_at, sid) - 1],
         *flags[:6],
-        scale_port(alert.src_port),
-        scale_port(alert.dst_port),
-        scale_payload(alert.payload_len, caps.payload_cap),
+        _PORTS[bisect_right(_PORT_AT, sport) - 1],
+        _PORTS[bisect_right(_PORT_AT, dport) - 1],
+        payloads[bisect_right(payload_at, payload) - 1],
         *flags[6:],
     )
 

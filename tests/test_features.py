@@ -5,12 +5,14 @@ from __future__ import annotations
 import io
 import ipaddress
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from alert_sift import features
 from alert_sift.errors import ValidationError
 from alert_sift.features import (
     FeatureProfile,
@@ -207,6 +209,12 @@ def test_payload_scaling_saturates():
     assert scale_payload(100_000, 65535) == 1.0
 
 
+@pytest.mark.parametrize("cap", [0, -3])
+def test_payload_scaling_refuses_a_cap_below_one(cap):
+    with pytest.raises(ValidationError, match=f"cap must be >= 1, got {cap}"):
+        scale_payload(5, cap)
+
+
 def test_keyword_flags_core_examples():
     flags = keyword_flags(
         "ET EXPLOIT CVE-2021-44228 attempt", "attempted-admin", FeatureProfile.CORE20
@@ -311,11 +319,122 @@ def test_encode_refuses_an_out_of_range_field_with_the_helpers_error(field, valu
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("src_port", 443.7),
+        ("dst_port", True),
+        ("src_port", None),
+        ("pkts_to_server", True),
+        ("pkts_to_client", 4.0),
+        ("bytes_to_server", 1200.5),
+        ("bytes_to_client", "5400"),
+        ("rule_sid", 2.5e6),
+        ("rule_sid", None),
+        ("payload_len", 320.0),
+        ("payload_len", None),
+        ("http_status", 404.0),
+        ("http_status", False),
+    ],
+)
+def test_encode_refuses_a_number_that_is_not_an_int(field, value):
+    # a non-integer can sit on the other side of a table step from the
+    # helper's formula, so it is refused as record_to_alert refuses it
+    alert = parse_alert_record(make_line())._replace(**{field: value})
+    with pytest.raises(ValidationError) as info:
+        encode_alert(alert)
+    assert str(info.value) == f"{field} must be an integer, got {value!r}"
+
+
 def test_encode_is_pure():
     alert = parse_alert_record(make_line())
     assert encode_alert(alert, FeatureProfile.FULL29) == encode_alert(
         alert, FeatureProfile.FULL29
     )
+
+
+# Step tables. Each helper is a non-decreasing function of an integer
+# (correctly rounded division, then correctly rounded round), so a table is
+# exact iff at each threshold t the helper steps from the previous value to
+# this one, and the last value holds to the domain's end.
+_ODD_CAPS = [1, 3, 7919, 999_983]
+
+
+def _lookup(table, v):
+    thresholds, values = table
+    return values[bisect_right(thresholds, v) - 1]
+
+
+def _address_formula(bits):
+    return lambda v: round(v / (2**bits - 1), 3)
+
+
+def _cap_tables():
+    # (name, helper of one integer, table, largest integer to check)
+    for caps in [ScalingCaps()] + [ScalingCaps(c, c, c, c) for c in _ODD_CAPS]:
+        for name, helper, cap, table in zip(
+            ["pkts", "bytes", "sid", "payload"],
+            [encode_counter, encode_counter, scale_rule_sid, scale_payload],
+            [caps.pkts_cap, caps.bytes_cap, caps.sid_max, caps.payload_cap],
+            features._cap_steps(caps),
+        ):
+            yield f"{name}@{cap}", lambda v, h=helper, c=cap: h(v, c), table, 3 * cap + 1
+
+
+def _all_tables():
+    yield "port", scale_port, (features._PORT_AT, features._PORTS), 65535
+    yield "http_status", encode_http_status, (features._STATUS_AT, features._STATUSES), 599
+    yield ("ipv4", _address_formula(32),
+           (features._IPV4_THRESHOLDS, features._ADDRESS_GRID), 2**32 - 1)
+    yield ("ipv6", _address_formula(64),
+           (features._ipv6_thresholds(), features._ADDRESS_GRID), 2**64 - 1)
+    yield from _cap_tables()
+
+
+_TABLES = list(_all_tables())
+
+
+@pytest.mark.parametrize("name, f, table, top", _TABLES, ids=[name for name, *_ in _TABLES])
+def test_step_table_is_exact(name, f, table, top):
+    thresholds, values = table
+    assert len(thresholds) == len(values) and thresholds == sorted(set(thresholds))
+    assert values[0] == f(thresholds[0])
+    for i in range(1, len(thresholds)):
+        t = thresholds[i]
+        assert f(t - 1) == values[i - 1] < values[i] == f(t), (name, t)
+    assert f(top) == values[-1]
+
+
+def test_step_tables_have_the_documented_levels():
+    assert len(features._PORTS) == 101
+    assert features._STATUS_AT == list(range(100, 600))
+    assert len(features._ADDRESS_GRID) == 1001
+    assert len(features._ipv6_thresholds()) == 1001
+    assert [len(t[0]) for t in features._cap_steps(ScalingCaps())] == [101, 101, 1001, 1001]
+    assert [len(t[0]) for t in features._cap_steps(ScalingCaps(3, 3, 3, 3))] == [4, 4, 4, 4]
+
+
+def test_step_tables_match_the_helpers_over_cheap_domains():
+    port_table = (features._PORT_AT, features._PORTS)
+    assert [_lookup(port_table, p) for p in range(65536)] == [scale_port(p) for p in range(65536)]
+    status_table = (features._STATUS_AT, features._STATUSES)
+    assert [_lookup(status_table, s) for s in range(100, 600)] == [
+        encode_http_status(s) for s in range(100, 600)
+    ]
+    pkts = features._cap_steps(ScalingCaps())[0]
+    assert [_lookup(pkts, v) for v in range(10_002)] == [
+        encode_counter(v, 10_000) for v in range(10_002)
+    ]
+
+
+def test_ip_diff_is_the_grid_value_at_the_index_distance():
+    # encode_alert's diff entry is grid[|ks - kd|]; ip_diff rounds the
+    # difference of the two scaled values. They agree on all 1001 x 1001 pairs.
+    grid = features._ADDRESS_GRID
+    column = np.array(grid)
+    for i in range(len(grid)):
+        by_distance = grid[i::-1] + grid[1 : len(grid) - i]
+        assert [round(d, 3) for d in np.abs(column - grid[i]).tolist()] == by_distance, i
 
 
 _ip_strategy = st.one_of(
@@ -385,6 +504,20 @@ _caps_strategy = st.builds(
 )
 
 
+def _near_step(data, thresholds, lo, hi):
+    """An integer at a table threshold, or one either side of it, within [lo, hi]."""
+    t = data.draw(st.sampled_from(thresholds))
+    return min(max(t + data.draw(st.integers(-1, 1)), lo), hi)
+
+
+def _address_near_step(data, version):
+    if version == 4:
+        v = _near_step(data, features._IPV4_THRESHOLDS, 0, 2**32 - 1)
+        return str(ipaddress.IPv4Address(v))
+    top = _near_step(data, features._ipv6_thresholds(), 0, 2**64 - 1)
+    return str(ipaddress.IPv6Address(top << 64 | data.draw(st.integers(0, 2**64 - 1))))
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     src_ip=_oracle_ip_strategy,
@@ -399,11 +532,24 @@ _caps_strategy = st.builds(
     category=st.text(max_size=30),
     profile=st.sampled_from(list(FeatureProfile)),
     caps=st.one_of(st.none(), _caps_strategy),
+    data=st.data(),
 )
 def test_encode_alert_matches_ipaddress_oracle(
     src_ip, dest_ip, src_port, dest_port, sid, status, counters, payload,
-    description, category, profile, caps,
+    description, category, profile, caps, data,
 ):
+    # random integers almost never land on a table step: half the time, move
+    # each scaled field to a step of its table, or one either side of it
+    if data.draw(st.booleans(), label="at steps"):
+        pkts, nbytes, sids, payloads = features._cap_steps(caps or ScalingCaps())
+        src_ip = _address_near_step(data, data.draw(st.sampled_from([4, 6])))
+        dest_ip = _address_near_step(data, data.draw(st.sampled_from([4, 6])))
+        src_port = _near_step(data, features._PORT_AT, 0, 65535)
+        dest_port = _near_step(data, features._PORT_AT, 0, 65535)
+        sid = _near_step(data, sids[0], 0, 10**9)
+        status = _near_step(data, features._STATUS_AT, 100, 599)
+        counters = [_near_step(data, table[0], 0, 10**9) for table in (pkts, pkts, nbytes, nbytes)]
+        payload = _near_step(data, payloads[0], 0, 10**9)
     overrides = {
         "src_ip": src_ip,
         "dest_ip": dest_ip,
