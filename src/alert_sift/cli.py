@@ -6,9 +6,18 @@ optionally splits by date, encode emits a feature-matrix CSV, and the
 model stages (select, train, evaluate, explain, predict) operate on that
 CSV plus a JSON model file.
 
-Option precedence is flags > config file > built-in defaults; the config
-file is JSON keyed by the long flag names with dashes as underscores, and
-a key that names no flag of any subcommand is an error.
+_COMMANDS is the one place where flags and their defaults live: each
+subcommand's handler, its help line and one (name, flag, type, default,
+help) row per option. The parser, each flag's "(default X)" help, config
+typing and the unknown-key check all come from it.
+
+Each option resolves from its flag, else its config key, else its default
+(flags > config file > built-in defaults). The config file is JSON keyed by
+option names, the long flag with dashes as underscores (--in is input); a
+value converts as the flag's type converts its text, and a key that names
+no option of any subcommand is an error, so one file may serve a whole
+pipeline. A row whose default is _REQUIRED must be given by flag or config
+key, or the run fails with "<cmd> needs" and the command's required flags.
 Every run prints a one-line summary on success and exits nonzero with a
 diagnostic on failure. All randomness flows from --seed.
 """
@@ -20,6 +29,7 @@ import json
 import os
 import stat
 import sys
+from argparse import Namespace
 from dataclasses import asdict
 from typing import Callable, Iterable, Iterator
 
@@ -88,37 +98,14 @@ def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
     with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
+        text = fh.read()  # outside the try: a UnicodeDecodeError is a ValueError too
+    try:
+        obj = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # malformed, a long integer, deep nesting
+        raise AlertSiftError(f"invalid JSON input: {exc}") from None
     if not isinstance(obj, dict):
         raise AlertSiftError(f"config file {path} must hold a JSON object")
     return obj
-
-
-class _Options:
-    """Resolved option lookup: CLI flag, then config key, then default.
-
-    A config value converts as if it were given to the flag: through the
-    flag's argparse type (str when it has none).
-    """
-
-    def __init__(self, args: argparse.Namespace, config: dict, types: dict[str, Callable]):
-        self._args = args
-        self._config = config
-        self._types = types
-
-    def get(self, name: str, default):
-        value = getattr(self._args, name, None)
-        if value is not None:
-            return value
-        if name not in self._config:
-            return default
-        value, convert = self._config[name], self._types.get(name) or str
-        if not isinstance(value, bool) and isinstance(value, (str, int, float)):
-            try:
-                return convert(str(value))
-            except ValueError:
-                pass
-        raise AlertSiftError(f"config key {name!r} must be {convert.__name__}, got {value!r}")
 
 
 def _write_json(path: str, obj: dict) -> None:
@@ -216,8 +203,7 @@ def _write_ndjson(
         raise
 
 
-def _profile(opt: _Options) -> FeatureProfile:
-    name = opt.get("profile", "core20")
+def _profile(name: str) -> FeatureProfile:
     try:
         return FeatureProfile(name)
     except ValueError:
@@ -234,76 +220,57 @@ def _check_columns(src: str, names: list[str], forest: Forest) -> None:
             raise AlertSiftError(f"{src} column {j + 1} is {got!r} but the model expects {want!r}")
 
 
-def cmd_synth(opt: _Options) -> str:
+def cmd_synth(opt: Namespace) -> str:
     spec = SynthSpec(
-        n_tp=opt.get("n_tp", 982),
-        n_fp=opt.get("n_fp", 1126),
-        n_rules=opt.get("n_rules", 200),
-        duplication_factor=opt.get("dup", 50),
-        signal_strength=opt.get("signal", 0.9),
-        seed=opt.get("seed", 42),
+        n_tp=opt.n_tp,
+        n_fp=opt.n_fp,
+        n_rules=opt.n_rules,
+        duplication_factor=opt.dup,
+        signal_strength=opt.signal,
+        seed=opt.seed,
     )
-    out = opt.get("out", "alerts.ndjson")
-    comments = opt.get("comments", "rule_comments.csv")
-    truth = opt.get("truth", "ground_truth.csv")
     corpus = generate_corpus(spec)
-    with open(out, "w", encoding="utf-8") as fh:
+    with open(opt.out, "w", encoding="utf-8") as fh:
         write_alerts(corpus, fh)
-    with open(comments, "w", encoding="utf-8") as fh:
+    with open(opt.comments, "w", encoding="utf-8") as fh:
         write_comments(corpus, fh)
-    with open(truth, "w", encoding="utf-8") as fh:
+    with open(opt.truth, "w", encoding="utf-8") as fh:
         write_truth(corpus, fh)
     return (
         f"synth: wrote {len(corpus.alerts)} alerts over {len(corpus.comments)} rules "
-        f"to {out} (comments {comments}, truth {truth})"
+        f"to {opt.out} (comments {opt.comments}, truth {opt.truth})"
     )
 
 
-def cmd_ingest(opt: _Options) -> str:
-    src = opt.get("input", None)
-    if src is None:
-        raise AlertSiftError("ingest needs --in")
-    out = opt.get("out", "parsed.ndjson")
+def cmd_ingest(opt: Namespace) -> str:
     fmap = None
-    fmap_path = opt.get("field_map", None)
-    if fmap_path:
-        with open(fmap_path, encoding="utf-8") as fh:
+    if opt.field_map:
+        with open(opt.field_map, encoding="utf-8") as fh:
             fmap = load_field_map(fh)
-    with open(src, encoding="utf-8") as fh:
+    with open(opt.input, encoding="utf-8") as fh:
         alerts, report = read_corpus(fh, fmap)
-    sidecar = opt.get("comments", None)
-    if sidecar:
-        with open(sidecar, encoding="utf-8") as fh:
+    if opt.comments:
+        with open(opt.comments, encoding="utf-8") as fh:
             alerts = attach_comments(alerts, read_rule_comments(fh))
     if report.accepted == 0 and report.rejected > 0:
         first = report.rejection_reasons[0]
         raise AlertSiftError(
             f"all {report.rejected} records rejected; first: line {first[0]}: {first[1]}"
         )
-    _write_ndjson(out, ((alert, None) for alert in alerts))
-    return f"ingest: accepted {report.accepted}, rejected {report.rejected} -> {out}"
+    _write_ndjson(opt.out, ((alert, None) for alert in alerts))
+    return f"ingest: accepted {report.accepted}, rejected {report.rejected} -> {opt.out}"
 
 
-def _keyword_config(opt: _Options) -> KeywordConfig:
-    path = opt.get("keywords", None)
-    if path:
-        with open(path, encoding="utf-8") as fh:
-            return load_keyword_config(fh)
-    return KeywordConfig()
-
-
-def cmd_label(opt: _Options) -> str:
-    src = opt.get("input", None)
-    if src is None:
-        raise AlertSiftError("label needs --in")
-    out = opt.get("out", "labeled.ndjson")
-    cfg = _keyword_config(opt)
+def cmd_label(opt: Namespace) -> str:
+    cfg = KeywordConfig()
+    if opt.keywords:
+        with open(opt.keywords, encoding="utf-8") as fh:
+            cfg = load_keyword_config(fh)
     fields = FieldPaths()
-    alerts = _Records(src, lambda text: parse_alert_record(text, fields))
-    sidecar = opt.get("comments", None)
-    if sidecar:
+    alerts = _Records(opt.input, lambda text: parse_alert_record(text, fields))
+    if opt.comments:
         # the rules are known before the first alert, so the alerts stream through
-        with open(sidecar, encoding="utf-8") as fh:
+        with open(opt.comments, encoding="utf-8") as fh:
             rules = read_rule_comments(fh)
         stream: Iterable[RawAlert] = alerts
     else:
@@ -324,15 +291,14 @@ def cmd_label(opt: _Options) -> str:
 
     rows = tally(label_alerts(stream, tp_list, fp_list))
     # the sidecar comment of a rule is written onto its alerts, as ingest attaches it
-    _write_ndjson(out, rows, dict(rules) if sidecar else None)
-    lists_path = opt.get("lists", None)
-    if lists_path:
-        with open(lists_path, "w", encoding="utf-8") as fh:
+    _write_ndjson(opt.out, rows, dict(rules) if opt.comments else None)
+    if opt.lists:
+        with open(opt.lists, "w", encoding="utf-8") as fh:
             write_label_lists(tp_list, fp_list, fh)
     n_fp, n_tp = written
     return (
         f"label: {n_tp + n_fp} labeled ({n_tp} tp, {n_fp} fp), "
-        f"{alerts.count - n_tp - n_fp} dropped -> {out}"
+        f"{alerts.count - n_tp - n_fp} dropped -> {opt.out}"
     )
 
 
@@ -340,123 +306,86 @@ def _write_labeled(path: str, labeled: list[LabeledAlert]) -> None:
     _write_ndjson(path, ((item.alert, item.label) for item in labeled))
 
 
-def cmd_sample(opt: _Options) -> str:
-    src = opt.get("input", None)
-    if src is None:
-        raise AlertSiftError("sample needs --in")
-    params = SampleParams(
-        stride=opt.get("stride", 100),
-        per_rule_cap=opt.get("per_rule_cap", 10),
-    )
+def cmd_sample(opt: Namespace) -> str:
+    params = SampleParams(stride=opt.stride, per_rule_cap=opt.per_rule_cap)
     # only the survivors are held; every line is still read and validated
-    labeled = _read_labeled(src)
+    labeled = _read_labeled(opt.input)
     kept = dedup_sample(labeled, params)
-    split_date = opt.get("split_date", None)
-    if split_date:
-        instant = parse_timestamp(split_date)
-        train, test = partition_by_period(kept, instant)
-        train_out = opt.get("train_out", "train.ndjson")
-        test_out = opt.get("test_out", "test.ndjson")
-        _write_labeled(train_out, train)
-        _write_labeled(test_out, test)
+    if opt.split_date:
+        train, test = partition_by_period(kept, parse_timestamp(opt.split_date))
+        _write_labeled(opt.train_out, train)
+        _write_labeled(opt.test_out, test)
         return (
             f"sample: kept {len(kept)} of {labeled.count} "
-            f"(train {len(train)} -> {train_out}, test {len(test)} -> {test_out})"
+            f"(train {len(train)} -> {opt.train_out}, test {len(test)} -> {opt.test_out})"
         )
-    out = opt.get("out", "sampled.ndjson")
-    _write_labeled(out, kept)
-    return f"sample: kept {len(kept)} of {labeled.count} -> {out}"
+    _write_labeled(opt.out, kept)
+    return f"sample: kept {len(kept)} of {labeled.count} -> {opt.out}"
 
 
-def cmd_encode(opt: _Options) -> str:
-    src = opt.get("input", None)
-    if src is None:
-        raise AlertSiftError("encode needs --in")
-    out = opt.get("out", "matrix.csv")
-    profile = _profile(opt)
-    caps_path = opt.get("caps", None)
+def cmd_encode(opt: Namespace) -> str:
+    profile = _profile(opt.profile)
     caps = ScalingCaps()
-    if caps_path:
-        with open(caps_path, encoding="utf-8") as fh:
+    if opt.caps:
+        with open(opt.caps, encoding="utf-8") as fh:
             caps = load_caps(fh)
-    labeled = list(_read_labeled(src))
+    labeled = list(_read_labeled(opt.input))
     # no labeled alerts give a header-only matrix
     rows = [encode_alert(item.alert, profile, caps) for item in labeled]
     X = as_matrix(rows) if rows else np.empty((0, profile.width))
     labels = [item.label for item in labeled]
-    with open(out, "w", encoding="utf-8") as fh:
+    with open(opt.out, "w", encoding="utf-8") as fh:
         write_matrix_csv(fh, X, labels, feature_names(profile))
-    return f"encode: {len(rows)} rows x {profile.width} features -> {out}"
+    return f"encode: {len(rows)} rows x {profile.width} features -> {opt.out}"
 
 
-def cmd_select(opt: _Options) -> str:
-    src = opt.get("input", None)
-    if src is None:
-        raise AlertSiftError("select needs --in")
-    out = opt.get("out", "selection.json")
-    k = opt.get("k", 20)
-    with open(src, encoding="utf-8") as fh:
+def cmd_select(opt: Namespace) -> str:
+    with open(opt.input, encoding="utf-8") as fh:
         X, labels, names = read_matrix_csv(fh)
     if labels is None:
-        raise AlertSiftError(f"{src} has no label column; run encode on labeled input")
+        raise AlertSiftError(f"{opt.input} has no label column; run encode on labeled input")
     # missing-counter sentinels (-1.0) carry no frequency mass
-    result = chi2_select(np.where(X < 0, 0.0, X), labels, k)
+    result = chi2_select(np.where(X < 0, 0.0, X), labels, opt.k)
     _write_json(
-        out,
+        opt.out,
         {
-            "k": k,
+            "k": opt.k,
             "scores": {names[j]: result.chi2_scores[j] for j in range(len(names))},
             "selected_indices": result.selected_indices,
             "selected_features": [names[j] for j in result.selected_indices],
         },
     )
-    reduced = opt.get("matrix_out", None)
-    if reduced:
+    if opt.matrix_out:
         keep = result.selected_indices
-        with open(reduced, "w", encoding="utf-8") as fh:
+        with open(opt.matrix_out, "w", encoding="utf-8") as fh:
             write_matrix_csv(fh, X[:, keep], labels, [names[j] for j in keep])
-    return f"select: top {len(result.selected_indices)} of {len(names)} by chi2 -> {out}"
+    return f"select: top {len(result.selected_indices)} of {len(names)} by chi2 -> {opt.out}"
 
 
-def cmd_train(opt: _Options) -> str:
-    src = opt.get("input", None)
-    if src is None:
-        raise AlertSiftError("train needs --in")
-    model_path = opt.get("model", "model.json")
+def cmd_train(opt: Namespace) -> str:
     params = ForestParams(
-        n_estimators=opt.get("trees", 100),
-        max_depth=opt.get("depth", 6),
-        min_samples_split=opt.get("min_split", 2),
-        seed=opt.get("seed", 42),
+        n_estimators=opt.trees, max_depth=opt.depth, min_samples_split=opt.min_split, seed=opt.seed
     )
-    with open(src, encoding="utf-8") as fh:
+    with open(opt.input, encoding="utf-8") as fh:
         X, labels, names = read_matrix_csv(fh)
     if labels is None:
-        raise AlertSiftError(f"{src} has no label column; run encode on labeled input")
+        raise AlertSiftError(f"{opt.input} has no label column; run encode on labeled input")
     forest = train_forest(X, labels, params, feature_names=names)
-    with open(model_path, "w", encoding="utf-8") as fh:
+    with open(opt.model, "w", encoding="utf-8") as fh:
         save_forest(forest, fh)
     return (
         f"train: trained {params.n_estimators} trees, depth<={params.max_depth} "
-        f"on {X.shape[0]} samples -> {model_path}"
+        f"on {X.shape[0]} samples -> {opt.model}"
     )
 
 
-def cmd_evaluate(opt: _Options) -> str:
-    src = opt.get("input", None)
-    if src is None:
-        raise AlertSiftError("evaluate needs --in")
-    report_path = opt.get("report", "report.json")
-    threshold = opt.get("threshold", 0.5)
-    minutes = opt.get("minutes_per_alert", 4.0)
-    kfold = opt.get("kfold", None)
-    model_path = opt.get("model", None)
-    if model_path is None and kfold is None:
+def cmd_evaluate(opt: Namespace) -> str:
+    if opt.model is None and opt.kfold is None:
         raise AlertSiftError("evaluate needs --model, --kfold, or both")
-    with open(src, encoding="utf-8") as fh:
+    with open(opt.input, encoding="utf-8") as fh:
         X, labels, names = read_matrix_csv(fh)
     if labels is None:
-        raise AlertSiftError(f"{src} has no label column")
+        raise AlertSiftError(f"{opt.input} has no label column")
 
     report: dict = {
         "confusion": None,
@@ -467,32 +396,33 @@ def cmd_evaluate(opt: _Options) -> str:
         "variance": None,
     }
     summary_bits = []
-    params = ForestParams(seed=opt.get("seed", 42))
-    if model_path:
-        with open(model_path, encoding="utf-8") as fh:
+    params = ForestParams(seed=opt.seed)
+    if opt.model:
+        with open(opt.model, encoding="utf-8") as fh:
             forest = load_forest(fh)
-        _check_columns(src, names, forest)
+        _check_columns(opt.input, names, forest)
         params = forest.params
-        cm, rep = evaluate_forest(forest, X, labels, threshold)
-        savings = workload_savings(cm.fp_as_fp, minutes)
+        cm, rep = evaluate_forest(forest, X, labels, opt.threshold)
+        savings = workload_savings(cm.fp_as_fp, opt.minutes_per_alert)
         report["confusion"] = asdict(cm)
         report["metrics"] = asdict(rep)
         report["savings_hours"] = savings
         acc = "n/a" if rep.accuracy is None else f"{rep.accuracy:.3f}"
         rec = "n/a" if rep.tp_recall is None else f"{rep.tp_recall:.3f}"
         summary_bits.append(f"accuracy {acc}, tp_recall {rec}, savings {savings:.1f}h")
-    if kfold is not None:
-        cv = cross_validate(X, labels, params, k=kfold, seed=params.seed, threshold=threshold)
+    if opt.kfold is not None:
+        cv = cross_validate(
+            X, labels, params, k=opt.kfold, seed=params.seed, threshold=opt.threshold
+        )
         report["per_fold"] = [asdict(r) for r in cv.reports]
         report["mean"] = cv.mean_accuracy
         report["variance"] = cv.accuracy_variance
         summary_bits.append(
-            f"{kfold}-fold mean {cv.mean_accuracy:.3f} var {cv.accuracy_variance:.5f}"
+            f"{opt.kfold}-fold mean {cv.mean_accuracy:.3f} var {cv.accuracy_variance:.5f}"
         )
-    _write_json(report_path, report)
-    summary_path = opt.get("summary", None)
-    if summary_path:
-        with open(summary_path, "w", encoding="utf-8") as fh:
+    _write_json(opt.report, report)
+    if opt.summary:
+        with open(opt.summary, "w", encoding="utf-8") as fh:
             fh.write("metric,value\n")
             if report["metrics"]:
                 for key, value in report["metrics"].items():
@@ -502,18 +432,14 @@ def cmd_evaluate(opt: _Options) -> str:
             if report["mean"] is not None:
                 fh.write(f"kfold_mean_accuracy,{report['mean']!r}\n")
                 fh.write(f"kfold_accuracy_variance,{report['variance']!r}\n")
-    return f"evaluate: {'; '.join(summary_bits)} -> {report_path}"
+    return f"evaluate: {'; '.join(summary_bits)} -> {opt.report}"
 
 
-def cmd_explain(opt: _Options) -> str:
+def cmd_explain(opt: Namespace) -> str:
     from .attribution import global_importance, tree_shap
 
-    src = opt.get("input", None)
-    model_path = opt.get("model", None)
-    if src is None or model_path is None:
-        raise AlertSiftError("explain needs --in and --model")
-    out = opt.get("out", "importance.csv")
-    with open(model_path, encoding="utf-8") as fh:
+    src, row = opt.input, opt.row
+    with open(opt.model, encoding="utf-8") as fh:
         forest = load_forest(fh)
     with open(src, encoding="utf-8") as fh:
         X, _, names = read_matrix_csv(fh)
@@ -521,17 +447,16 @@ def cmd_explain(opt: _Options) -> str:
     if X.shape[0] == 0:
         raise AlertSiftError(f"{src} has no rows to explain")
     ranking = global_importance(forest, X)
-    with open(out, "w", encoding="utf-8") as fh:
+    with open(opt.out, "w", encoding="utf-8") as fh:
         fh.write("feature,mean_abs_shap\n")
         for name, score in ranking:
             fh.write(f"{name},{score!r}\n")
-    row = opt.get("row", None)
     if row is not None:
         if not 0 <= row < X.shape[0]:
             raise AlertSiftError(f"--row {row} out of range for {X.shape[0]} rows")
         att = tree_shap(forest, X[row])
         _write_json(
-            opt.get("attribution_out", "attribution.json"),
+            opt.attribution_out,
             {
                 "row": row,
                 "base_value": att.base_value,
@@ -539,44 +464,110 @@ def cmd_explain(opt: _Options) -> str:
                 "prediction": att.total,
             },
         )
-    return f"explain: ranked {len(ranking)} features over {X.shape[0]} rows -> {out}"
+    return f"explain: ranked {len(ranking)} features over {X.shape[0]} rows -> {opt.out}"
 
 
-def cmd_predict(opt: _Options) -> str:
-    src = opt.get("input", None)
-    model_path = opt.get("model", None)
-    if src is None or model_path is None:
-        raise AlertSiftError("predict needs --in and --model")
-    out = opt.get("out", "predictions.csv")
-    threshold = opt.get("threshold", 0.5)
-    check_threshold(threshold)
-    with open(model_path, encoding="utf-8") as fh:
+def cmd_predict(opt: Namespace) -> str:
+    check_threshold(opt.threshold)
+    with open(opt.model, encoding="utf-8") as fh:
         forest = load_forest(fh)
-    with open(src, encoding="utf-8") as fh:
+    with open(opt.input, encoding="utf-8") as fh:
         X, _, names = read_matrix_csv(fh)
-    _check_columns(src, names, forest)
+    _check_columns(opt.input, names, forest)
     proba = predict_proba_batch(forest, X)
-    preds = (proba >= threshold).astype(int)
-    with open(out, "w", encoding="utf-8") as fh:
+    preds = (proba >= opt.threshold).astype(int)
+    with open(opt.out, "w", encoding="utf-8") as fh:
         fh.write("row,proba,label\n")
         for i in range(X.shape[0]):
             fh.write(f"{i},{float(proba[i])!r},{int(preds[i])}\n")
     filtered = int((preds == 0).sum())
-    return f"predict: {X.shape[0]} rows, {filtered} filtered as fp -> {out}"
+    return f"predict: {X.shape[0]} rows, {filtered} filtered as fp -> {opt.out}"
 
 
-_HANDLERS: dict[str, Callable[[_Options], str]] = {
-    "synth": cmd_synth,
-    "ingest": cmd_ingest,
-    "label": cmd_label,
-    "sample": cmd_sample,
-    "encode": cmd_encode,
-    "select": cmd_select,
-    "train": cmd_train,
-    "evaluate": cmd_evaluate,
-    "explain": cmd_explain,
-    "predict": cmd_predict,
+_REQUIRED = object()  # the default of an option that a run must be given
+
+# One row per option: (name, flag, type, default, help). The name is the
+# option's attribute and config key; a default of None is not documented.
+_SEED = ("seed", "--seed", int, 42, "RNG seed")
+_COMMANDS: dict[str, tuple[Callable[[Namespace], str], str, list[tuple]]] = {
+    "synth": (cmd_synth, "generate a deterministic synthetic corpus", [
+        ("out", "--out", str, "alerts.ndjson", "alerts NDJSON path"),
+        ("comments", "--comments", str, "rule_comments.csv", "rule-comment sidecar CSV"),
+        ("truth", "--truth", str, "ground_truth.csv", "ground-truth CSV"),
+        ("n_tp", "--n-tp", int, 982, "base TP alerts"),
+        ("n_fp", "--n-fp", int, 1126, "base FP alerts"),
+        ("n_rules", "--n-rules", int, 200, "rule count"),
+        ("dup", "--dup", int, 50, "duplication factor"),
+        ("signal", "--signal", float, 0.9, "signal strength in [0,1]"),
+    ]),
+    "ingest": (cmd_ingest, "parse and validate an NDJSON alert log", [
+        ("input", "--in", str, _REQUIRED, "raw NDJSON alert log"),
+        ("out", "--out", str, "parsed.ndjson", "normalized NDJSON output"),
+        ("field_map", "--field-map", str, None, "field=json.path remap file"),
+        ("comments", "--comments", str, None, "rule-comment sidecar CSV to attach"),
+    ]),
+    "label": (cmd_label, "weak-label alerts from rule comments", [
+        ("input", "--in", str, _REQUIRED, "normalized NDJSON from ingest"),
+        ("out", "--out", str, "labeled.ndjson", "labeled NDJSON output"),
+        ("comments", "--comments", str, None, "rule-comment sidecar CSV"),
+        ("keywords", "--keywords", str, None, "keyword config file (tp:/fp: stanzas)"),
+        ("lists", "--lists", str, None, "also write the label lists CSV here"),
+    ]),
+    "sample": (cmd_sample, "dedup-sample and optionally split by date", [
+        ("input", "--in", str, _REQUIRED, "labeled NDJSON"),
+        ("out", "--out", str, "sampled.ndjson", "sampled NDJSON output"),
+        ("stride", "--stride", int, 100, "keep every stride-th per rule"),
+        ("per_rule_cap", "--per-rule-cap", int, 10, "max survivors per rule"),
+        ("split_date", "--split-date", str, None, "ISO timestamp; before=train, rest=test"),
+        ("train_out", "--train-out", str, "train.ndjson", "train split path"),
+        ("test_out", "--test-out", str, "test.ndjson", "test split path"),
+    ]),
+    "encode": (cmd_encode, "encode labeled alerts into the feature matrix CSV", [
+        ("input", "--in", str, _REQUIRED, "labeled NDJSON"),
+        ("out", "--out", str, "matrix.csv", "matrix CSV output"),
+        ("profile", "--profile", str, "core20", "core20 or full29"),
+        ("caps", "--caps", str, None, "scaling-caps file (name=value lines)"),
+    ]),
+    "select": (cmd_select, "rank features by chi-squared score", [
+        ("input", "--in", str, _REQUIRED, "labeled matrix CSV"),
+        ("out", "--out", str, "selection.json", "selection JSON output"),
+        ("k", "--k", int, 20, "features to keep"),
+        ("matrix_out", "--matrix-out", str, None, "also write the reduced matrix CSV"),
+    ]),
+    "train": (cmd_train, "train the bagged forest on a labeled matrix", [
+        ("input", "--in", str, _REQUIRED, "labeled matrix CSV"),
+        ("model", "--model", str, "model.json", "model JSON output"),
+        ("trees", "--trees", int, 100, "tree count"),
+        ("depth", "--depth", int, 6, "max depth"),
+        ("min_split", "--min-split", int, 2, "min samples to split"),
+    ]),
+    "evaluate": (cmd_evaluate, "holdout and/or k-fold evaluation", [
+        ("input", "--in", str, _REQUIRED, "labeled matrix CSV"),
+        ("model", "--model", str, None, "trained model JSON (holdout evaluation)"),
+        ("kfold", "--kfold", int, None, "also cross-validate with this many folds"),
+        ("threshold", "--threshold", float, 0.5, "TP decision threshold"),
+        ("minutes_per_alert", "--minutes-per-alert", float, 4.0,
+         "analyst minutes per reviewed alert"),
+        ("report", "--report", str, "report.json", "report JSON output"),
+        ("summary", "--summary", str, None, "also write a metric,value CSV here"),
+    ]),
+    "explain": (cmd_explain, "per-feature attribution and global importance", [
+        ("input", "--in", str, _REQUIRED, "matrix CSV"),
+        ("model", "--model", str, _REQUIRED, "trained model JSON"),
+        ("out", "--out", str, "importance.csv", "importance CSV output"),
+        ("row", "--row", int, None, "also attribute this row to JSON"),
+        ("attribution_out", "--attribution-out", str, "attribution.json",
+         "per-row attribution JSON path"),
+    ]),
+    "predict": (cmd_predict, "score a matrix with a trained model", [
+        ("input", "--in", str, _REQUIRED, "matrix CSV"),
+        ("model", "--model", str, _REQUIRED, "trained model JSON"),
+        ("out", "--out", str, "predictions.csv", "predictions CSV output"),
+        ("threshold", "--threshold", float, 0.5, "TP decision threshold"),
+    ]),
 }
+# one config file may serve several subcommands, so any row's name is a known key
+_CONFIG_KEYS = {row[0] for _, _, rows in _COMMANDS.values() for row in (_SEED, *rows)}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -590,131 +581,58 @@ def _build_parser() -> argparse.ArgumentParser:
         version=f"alert-sift {__version__} (model format {MODEL_FORMAT_VERSION})",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, help_text: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_text)
+    for command, (_, help_line, rows) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_line)
         p.add_argument("--config", help="JSON config file; flags override its values")
-        p.add_argument("--seed", type=int, help="RNG seed (default 42)")
-        return p
-
-    p = add("synth", "generate a deterministic synthetic corpus")
-    p.add_argument("--out", help="alerts NDJSON path (default alerts.ndjson)")
-    p.add_argument("--comments", help="rule-comment sidecar CSV (default rule_comments.csv)")
-    p.add_argument("--truth", help="ground-truth CSV (default ground_truth.csv)")
-    p.add_argument("--n-tp", type=int, dest="n_tp", help="base TP alerts (default 982)")
-    p.add_argument("--n-fp", type=int, dest="n_fp", help="base FP alerts (default 1126)")
-    p.add_argument("--n-rules", type=int, dest="n_rules", help="rule count (default 200)")
-    p.add_argument("--dup", type=int, help="duplication factor (default 50)")
-    p.add_argument("--signal", type=float, help="signal strength in [0,1] (default 0.9)")
-
-    p = add("ingest", "parse and validate an NDJSON alert log")
-    p.add_argument("--in", dest="input", help="raw NDJSON alert log")
-    p.add_argument("--out", help="normalized NDJSON output (default parsed.ndjson)")
-    p.add_argument("--field-map", dest="field_map", help="field=json.path remap file")
-    p.add_argument("--comments", help="rule-comment sidecar CSV to attach")
-
-    p = add("label", "weak-label alerts from rule comments")
-    p.add_argument("--in", dest="input", help="normalized NDJSON from ingest")
-    p.add_argument("--out", help="labeled NDJSON output (default labeled.ndjson)")
-    p.add_argument("--comments", help="rule-comment sidecar CSV")
-    p.add_argument("--keywords", help="keyword config file (tp:/fp: stanzas)")
-    p.add_argument("--lists", help="also write the label lists CSV here")
-
-    p = add("sample", "dedup-sample and optionally split by date")
-    p.add_argument("--in", dest="input", help="labeled NDJSON")
-    p.add_argument("--out", help="sampled NDJSON output (default sampled.ndjson)")
-    p.add_argument("--stride", type=int, help="keep every stride-th per rule (default 100)")
-    p.add_argument(
-        "--per-rule-cap", type=int, dest="per_rule_cap", help="max survivors per rule (default 10)"
-    )
-    p.add_argument("--split-date", dest="split_date", help="ISO timestamp; before=train, rest=test")
-    p.add_argument("--train-out", dest="train_out", help="train split path (default train.ndjson)")
-    p.add_argument("--test-out", dest="test_out", help="test split path (default test.ndjson)")
-
-    p = add("encode", "encode labeled alerts into the feature matrix CSV")
-    p.add_argument("--in", dest="input", help="labeled NDJSON")
-    p.add_argument("--out", help="matrix CSV output (default matrix.csv)")
-    p.add_argument("--profile", help="core20 or full29 (default core20)")
-    p.add_argument("--caps", help="scaling-caps file (name=value lines)")
-
-    p = add("select", "rank features by chi-squared score")
-    p.add_argument("--in", dest="input", help="labeled matrix CSV")
-    p.add_argument("--out", help="selection JSON output (default selection.json)")
-    p.add_argument("--k", type=int, help="features to keep (default 20)")
-    p.add_argument("--matrix-out", dest="matrix_out", help="also write the reduced matrix CSV")
-
-    p = add("train", "train the bagged forest on a labeled matrix")
-    p.add_argument("--in", dest="input", help="labeled matrix CSV")
-    p.add_argument("--model", help="model JSON output (default model.json)")
-    p.add_argument("--trees", type=int, help="tree count (default 100)")
-    p.add_argument("--depth", type=int, help="max depth (default 6)")
-    p.add_argument("--min-split", type=int, dest="min_split", help="min samples to split (default 2)")
-
-    p = add("evaluate", "holdout and/or k-fold evaluation")
-    p.add_argument("--in", dest="input", help="labeled matrix CSV")
-    p.add_argument("--model", help="trained model JSON (holdout evaluation)")
-    p.add_argument("--kfold", type=int, help="also cross-validate with this many folds")
-    p.add_argument("--threshold", type=float, help="TP decision threshold (default 0.5)")
-    p.add_argument(
-        "--minutes-per-alert",
-        type=float,
-        dest="minutes_per_alert",
-        help="analyst minutes per reviewed alert (default 4.0)",
-    )
-    p.add_argument("--report", help="report JSON output (default report.json)")
-    p.add_argument("--summary", help="also write a metric,value CSV here")
-
-    p = add("explain", "per-feature attribution and global importance")
-    p.add_argument("--in", dest="input", help="matrix CSV")
-    p.add_argument("--model", help="trained model JSON")
-    p.add_argument("--out", help="importance CSV output (default importance.csv)")
-    p.add_argument("--row", type=int, help="also attribute this row to JSON")
-    p.add_argument(
-        "--attribution-out",
-        dest="attribution_out",
-        help="per-row attribution JSON path (default attribution.json)",
-    )
-
-    p = add("predict", "score a matrix with a trained model")
-    p.add_argument("--in", dest="input", help="matrix CSV")
-    p.add_argument("--model", help="trained model JSON")
-    p.add_argument("--out", help="predictions CSV output (default predictions.csv)")
-    p.add_argument("--threshold", type=float, help="TP decision threshold (default 0.5)")
-
+        for name, flag, kind, default, text in (_SEED, *rows):
+            if default is not None and default is not _REQUIRED:
+                text = f"{text} (default {default})"
+            p.add_argument(flag, dest=name, type=kind, help=text)
     return parser
 
 
-def _config_types(
-    parser: argparse.ArgumentParser, command: str, config: dict
-) -> dict[str, Callable]:
-    """The argparse type of each flag of one subcommand, by option name.
+def _convert(name: str, kind: Callable, value):
+    """A config value, converted as the flag's type converts the flag's text."""
+    if isinstance(value, str) and "\0" in value:  # no path or option text can hold one
+        raise AlertSiftError(f"config key {name!r} holds a NUL character")
+    if not isinstance(value, bool) and isinstance(value, (str, int, float)):
+        try:
+            return kind(str(value))
+        except ValueError:
+            pass
+    raise AlertSiftError(f"config key {name!r} must be {kind.__name__}, got {value!r}")
 
-    Every config key must name a flag of some subcommand (one config file
-    may serve several), so a misspelt key fails instead of being ignored.
+
+def _resolve(command: str, args: Namespace, config: dict) -> Namespace:
+    """Each option of command from its flag, else its config key, else its default.
+
+    A config value converts as if it were given to the flag. A config key
+    that names no option of any subcommand is refused, and so is a run
+    that leaves a required option unset.
     """
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    known = {a.dest for p in sub.choices.values() for a in p._actions if a.dest != "help"}
-    unknown = sorted(set(config) - known)
+    unknown = sorted(set(config) - _CONFIG_KEYS)
     if unknown:
         raise AlertSiftError(f"unknown config key {unknown[0]!r}")
-    return {action.dest: action.type for action in sub.choices[command]._actions}
+    rows = _COMMANDS[command][2]
+    resolved = Namespace()
+    for name, _, kind, default, _ in (*rows, _SEED):  # a missing --in is reported first
+        value = getattr(args, name)
+        if value is None and name in config:
+            value = _convert(name, kind, config[name])
+        if value is None and default is _REQUIRED:
+            needed = " and ".join(row[1] for row in rows if row[3] is _REQUIRED)
+            raise AlertSiftError(f"{command} needs {needed}")
+        setattr(resolved, name, default if value is None else value)
+    return resolved
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        config = _load_config(args.config)
-        opt = _Options(args, config, _config_types(parser, args.command, config))
-        summary = _HANDLERS[args.command](opt)
-    except AlertSiftError as exc:
+        opt = _resolve(args.command, args, _load_config(args.config))
+        summary = _COMMANDS[args.command][0](opt)
+    except (AlertSiftError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except json.JSONDecodeError as exc:
-        print(f"error: invalid JSON input: {exc}", file=sys.stderr)
         return 1
     except UnicodeDecodeError as exc:
         print(f"error: input is not UTF-8 text: {exc}", file=sys.stderr)

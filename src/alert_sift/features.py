@@ -32,7 +32,7 @@ from typing import IO, Callable, Iterable, NoReturn, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .ingest import RawAlert, ip_value
+from .ingest import RawAlert, _validate_ip, ip_value
 
 PORT_MAX = 65535
 
@@ -303,12 +303,22 @@ _FIELD_CHECKS = (
 
 
 def _refuse(alert: RawAlert) -> NoReturn:
-    """Raise the error of the first field of `alert` that its step table cannot take."""
+    """Raise the error of the first field of `alert` that encoding cannot take.
+
+    The table-read fields come first, then the addresses and the keyword
+    texts, each refused with record_to_alert's text.
+    """
     for name, missable, check in _FIELD_CHECKS:
         value = getattr(alert, name)
         if type(value) is not int and not (missable and value is None):
             raise ValidationError(f"{name} must be an integer, got {value!r}")
         check(value)  # an integer out of range: the helper raises its own error
+    _validate_ip("src_ip", alert.src_ip, set())
+    _validate_ip("dst_ip", alert.dst_ip, set())
+    for name in ("rule_description", "class_type"):
+        value = getattr(alert, name)
+        if type(value) is not str:
+            raise ValidationError(f"{name} must be a string, got {value!r}")
     raise AssertionError(f"every field of {alert!r} is in range")
 
 
@@ -345,13 +355,16 @@ def encode_alert(
         and (bytes_tc is None or type(bytes_tc) is int and bytes_tc >= 0)
     ):
         _refuse(alert)
-    src_private, ks = _address(src_ip)
-    dst_private, kd = _address(dst_ip)
+    try:
+        src_private, ks = _address(src_ip)
+        dst_private, kd = _address(dst_ip)
+        flags = keyword_flags(description, class_type, profile)
+    except (AttributeError, TypeError, ValueError):
+        _refuse(alert)
     (pkts_at, pkts), (bytes_at, nbytes), (sid_at, sids), (payload_at, payloads) = (
         _DEFAULT_STEPS if caps is None else _cap_steps(caps)
     )
     grid = _ADDRESS_GRID
-    flags = keyword_flags(description, class_type, profile)
     return (
         src_private,
         dst_private,

@@ -29,7 +29,7 @@ from typing import IO, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ParseError, ValidationError
 from .features import FeatureProfile, as_matrix
 
 MODEL_FORMAT_VERSION = "1"
@@ -408,4 +408,9 @@ def save_forest(forest: Forest, stream: IO[str]) -> None:
 
 
 def load_forest(stream: IO[str]) -> Forest:
-    return forest_from_dict(json.load(stream))
+    text = stream.read()  # outside the try: a UnicodeDecodeError is a ValueError too
+    try:
+        obj = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # malformed, a long integer, deep nesting
+        raise ParseError(f"invalid JSON input: {exc}") from None
+    return forest_from_dict(obj)

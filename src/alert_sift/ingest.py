@@ -241,6 +241,8 @@ def decode_record(line: str) -> dict:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed JSON: {exc.msg}") from None
+    except (ValueError, RecursionError) as exc:  # an integer past int()'s limit, deep nesting
+        raise ParseError(f"unreadable JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise ParseError("record is not a JSON object")
     return obj

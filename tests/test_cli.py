@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -15,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from alert_sift import cli
@@ -438,6 +439,7 @@ def test_ill_typed_config_value_exits_with_error(chain, tmp_path, capsys, comman
         ("train", "min_samples_split"),
         ("synth", "n-tp"),
         ("predict", "treshold"),
+        ("train", "config"),
     ],
 )
 def test_unknown_config_key_exits_with_error(chain, tmp_path, capsys, command, key):
@@ -461,6 +463,41 @@ def test_config_key_of_another_subcommand_is_allowed(chain, tmp_path):
     model = tmp_path / "model.json"
     run_ok(["train", "--config", str(config), "--in", chain["matrix"], "--model", str(model)])
     assert len(json.loads(model.read_text(encoding="utf-8"))["trees"]) == 3
+
+
+_LONG_INT = "9" * 5000  # past int()'s 4,300-digit limit, so json.loads cannot convert it
+_DEEP_LIST = "[" * 100_000 + "]" * 100_000  # deeper than json.loads can recurse
+
+
+@pytest.mark.parametrize("value", [_LONG_INT, _DEEP_LIST], ids=["long-integer", "deep-list"])
+@pytest.mark.parametrize("where", ["config", "ingest", "label", "sample", "model"])
+def test_json_that_python_cannot_decode_exits_with_error(chain, tmp_path, capsys, where, value):
+    src, out = tmp_path / "in", tmp_path / "out"
+    line = _labeled_line().replace('"payload_len": 320', '"payload_len": ' + value)
+    if where == "config":
+        src.write_text('{"trees": ' + value + "}", encoding="utf-8")
+        argv = ["train", "--config", str(src), "--in", chain["matrix"], "--model", str(out)]
+        expected = "error: invalid JSON input: "
+    elif where == "ingest":
+        src.write_text(line + "\n", encoding="utf-8")
+        argv = ["ingest", "--in", str(src), "--out", str(out)]
+        expected = "error: all 1 records rejected; first: line 1: unreadable JSON: "
+    elif where == "model":
+        with open(chain["model"], encoding="utf-8") as fh:
+            model = json.load(fh)
+        model["params"]["n_estimators"] = 0
+        src.write_text(json.dumps(model).replace('"n_estimators": 0', '"n_estimators": ' + value),
+                       encoding="utf-8")
+        argv = ["predict", "--in", chain["matrix"], "--model", str(src), "--out", str(out)]
+        expected = "error: invalid JSON input: "
+    else:
+        src.write_text(_labeled_line() + "\n" + line + "\n", encoding="utf-8")
+        argv = [where, "--in", str(src), "--out", str(out)]
+        expected = f"error: {src} line 2: unreadable JSON: "
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(expected) and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_train_on_adjacent_doubles_exits_zero(tmp_path):
@@ -1036,3 +1073,254 @@ def test_streamed_stage_holds_far_less_than_its_input(large_inputs, tmp_path, co
         tracemalloc.stop()
     # every alert held as objects takes more than the file; a stream holds a few percent
     assert peak < src.stat().st_size / 4
+
+
+# Each flag's help as `alert-sift <cmd> --help` prints it, recorded before the
+# options moved into one table; the text, and every default it names, is pinned.
+_FLAG_HELP = {
+    "synth": {
+        "--out": "alerts NDJSON path (default alerts.ndjson)",
+        "--comments": "rule-comment sidecar CSV (default rule_comments.csv)",
+        "--truth": "ground-truth CSV (default ground_truth.csv)",
+        "--n-tp": "base TP alerts (default 982)",
+        "--n-fp": "base FP alerts (default 1126)",
+        "--n-rules": "rule count (default 200)",
+        "--dup": "duplication factor (default 50)",
+        "--signal": "signal strength in [0,1] (default 0.9)",
+    },
+    "ingest": {
+        "--in": "raw NDJSON alert log",
+        "--out": "normalized NDJSON output (default parsed.ndjson)",
+        "--field-map": "field=json.path remap file",
+        "--comments": "rule-comment sidecar CSV to attach",
+    },
+    "label": {
+        "--in": "normalized NDJSON from ingest",
+        "--out": "labeled NDJSON output (default labeled.ndjson)",
+        "--comments": "rule-comment sidecar CSV",
+        "--keywords": "keyword config file (tp:/fp: stanzas)",
+        "--lists": "also write the label lists CSV here",
+    },
+    "sample": {
+        "--in": "labeled NDJSON",
+        "--out": "sampled NDJSON output (default sampled.ndjson)",
+        "--stride": "keep every stride-th per rule (default 100)",
+        "--per-rule-cap": "max survivors per rule (default 10)",
+        "--split-date": "ISO timestamp; before=train, rest=test",
+        "--train-out": "train split path (default train.ndjson)",
+        "--test-out": "test split path (default test.ndjson)",
+    },
+    "encode": {
+        "--in": "labeled NDJSON",
+        "--out": "matrix CSV output (default matrix.csv)",
+        "--profile": "core20 or full29 (default core20)",
+        "--caps": "scaling-caps file (name=value lines)",
+    },
+    "select": {
+        "--in": "labeled matrix CSV",
+        "--out": "selection JSON output (default selection.json)",
+        "--k": "features to keep (default 20)",
+        "--matrix-out": "also write the reduced matrix CSV",
+    },
+    "train": {
+        "--in": "labeled matrix CSV",
+        "--model": "model JSON output (default model.json)",
+        "--trees": "tree count (default 100)",
+        "--depth": "max depth (default 6)",
+        "--min-split": "min samples to split (default 2)",
+    },
+    "evaluate": {
+        "--in": "labeled matrix CSV",
+        "--model": "trained model JSON (holdout evaluation)",
+        "--kfold": "also cross-validate with this many folds",
+        "--threshold": "TP decision threshold (default 0.5)",
+        "--minutes-per-alert": "analyst minutes per reviewed alert (default 4.0)",
+        "--report": "report JSON output (default report.json)",
+        "--summary": "also write a metric,value CSV here",
+    },
+    "explain": {
+        "--in": "matrix CSV",
+        "--model": "trained model JSON",
+        "--out": "importance CSV output (default importance.csv)",
+        "--row": "also attribute this row to JSON",
+        "--attribution-out": "per-row attribution JSON path (default attribution.json)",
+    },
+    "predict": {
+        "--in": "matrix CSV",
+        "--model": "trained model JSON",
+        "--out": "predictions CSV output (default predictions.csv)",
+        "--threshold": "TP decision threshold (default 0.5)",
+    },
+}
+_SHARED_FLAG_HELP = {
+    "-h": "show this help message and exit",
+    "--config": "JSON config file; flags override its values",
+    "--seed": "RNG seed (default 42)",
+}
+
+
+def _flag_help(command: str, monkeypatch) -> dict[str, str]:
+    """{first option string: help} of one subcommand's --help, printed unwrapped."""
+    monkeypatch.setenv("COLUMNS", "250")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as exc:
+        cli.main([command, "--help"])
+    assert exc.value.code == 0
+    entries: list[str] = []
+    for line in out.getvalue().split("options:\n", 1)[1].splitlines():
+        if line.startswith("  -"):
+            entries.append(line.strip())
+        elif line.strip():  # a help moved below a long invocation
+            entries[-1] += "  " + line.strip()
+    pairs = (entry.split("  ", 1) for entry in entries)
+    return {invocation.split()[0].rstrip(","): text.strip() for invocation, text in pairs}
+
+
+@pytest.mark.parametrize("command", sorted(_FLAG_HELP))
+def test_each_flag_help_line_is_pinned(command, monkeypatch):
+    assert _flag_help(command, monkeypatch) == {**_SHARED_FLAG_HELP, **_FLAG_HELP[command]}
+
+
+def test_no_flags_resolve_each_documented_default(chain, tmp_path, monkeypatch):
+    """Each run passes only its required inputs; each "(default X)" must be what it used."""
+    calls: dict[str, tuple] = {}
+
+    def spy(name, replace_args=None):
+        real = getattr(cli, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = (args, kwargs)
+            return real(*(replace_args(args) if replace_args else args), **kwargs)
+
+        monkeypatch.setattr(cli, name, wrapper)
+
+    # the default corpus is 105,400 alerts; record its spec, generate a small one
+    spy("generate_corpus", lambda args: (
+        dataclasses.replace(args[0], n_tp=4, n_fp=4, n_rules=2, duplication_factor=2),
+    ))
+    for name in ("dedup_sample", "train_forest", "evaluate_forest", "workload_savings",
+                 "cross_validate", "check_threshold"):
+        spy(name)
+    monkeypatch.chdir(tmp_path)
+    m, model = chain["matrix"], chain["model"]
+    for argv in (
+        ["synth"],
+        ["ingest", "--in", chain["alerts"]],
+        ["label", "--in", chain["alerts"]],
+        ["sample", "--in", chain["labeled"]],
+        ["sample", "--in", chain["labeled"], "--split-date", "2025-04-01T00:00:00Z"],
+        ["encode", "--in", chain["sampled"]],
+        ["select", "--in", m],
+        ["train", "--in", m],
+        ["evaluate", "--in", m, "--model", model],
+        ["evaluate", "--in", m, "--kfold", "3", "--report", "kfold.json"],
+        ["explain", "--in", m, "--model", model, "--row", "0"],
+        ["predict", "--in", m, "--model", model],
+    ):
+        with contextlib.redirect_stdout(io.StringIO()):
+            run_ok(argv)
+    spec = calls["generate_corpus"][0][0]
+    sample_params = calls["dedup_sample"][0][1]
+    forest_params = calls["train_forest"][0][2]
+    written = set(os.listdir(tmp_path))
+    with open(tmp_path / "matrix.csv", encoding="utf-8") as fh:
+        profile = "core20" if fh.readline().count(",") == 20 else "full29"
+    with open(tmp_path / "selection.json", encoding="utf-8") as fh:
+        k = json.load(fh)["k"]
+    used = {
+        ("synth", "--out"): "alerts.ndjson",
+        ("synth", "--comments"): "rule_comments.csv",
+        ("synth", "--truth"): "ground_truth.csv",
+        ("synth", "--n-tp"): spec.n_tp,
+        ("synth", "--n-fp"): spec.n_fp,
+        ("synth", "--n-rules"): spec.n_rules,
+        ("synth", "--dup"): spec.duplication_factor,
+        ("synth", "--signal"): spec.signal_strength,
+        ("synth", "--seed"): spec.seed,
+        ("ingest", "--out"): "parsed.ndjson",
+        ("label", "--out"): "labeled.ndjson",
+        ("sample", "--out"): "sampled.ndjson",
+        ("sample", "--stride"): sample_params.stride,
+        ("sample", "--per-rule-cap"): sample_params.per_rule_cap,
+        ("sample", "--train-out"): "train.ndjson",
+        ("sample", "--test-out"): "test.ndjson",
+        ("encode", "--out"): "matrix.csv",
+        ("encode", "--profile"): profile,
+        ("select", "--out"): "selection.json",
+        ("select", "--k"): k,
+        ("train", "--model"): "model.json",
+        ("train", "--trees"): forest_params.n_estimators,
+        ("train", "--depth"): forest_params.max_depth,
+        ("train", "--min-split"): forest_params.min_samples_split,
+        ("train", "--seed"): forest_params.seed,
+        ("evaluate", "--threshold"): calls["evaluate_forest"][0][3],
+        ("evaluate", "--minutes-per-alert"): calls["workload_savings"][0][1],
+        ("evaluate", "--report"): "report.json",
+        ("evaluate", "--seed"): calls["cross_validate"][1]["seed"],
+        ("explain", "--out"): "importance.csv",
+        ("explain", "--attribution-out"): "attribution.json",
+        ("predict", "--out"): "predictions.csv",
+        ("predict", "--threshold"): calls["check_threshold"][0][0],
+    }
+    documented = {}
+    for command, flags in _FLAG_HELP.items():
+        for flag, text in {**flags, "--seed": _SHARED_FLAG_HELP["--seed"]}.items():
+            if "(default " in text:
+                documented[command, flag] = text.rsplit("(default ", 1)[1][:-1]
+    # --seed is documented for every subcommand; only synth, train and evaluate draw from it
+    unseeded = {(c, "--seed") for c in _FLAG_HELP} - set(used)
+    assert set(documented) - unseeded == set(used)
+    for key, value in used.items():
+        assert str(value) == documented[key], key
+        if isinstance(value, str) and value.endswith((".ndjson", ".csv", ".json")):
+            assert value in written, key
+
+
+# every option name of every subcommand, and keys that name no option
+_FUZZ_KEYS = sorted(
+    {"input" if flag == "--in" else flag[2:].replace("-", "_")
+     for flags in (_SHARED_FLAG_HELP, *_FLAG_HELP.values()) for flag in flags if flag != "-h"}
+    | {"in", "n-tp", "bogus", ""}
+)
+# strings hold no "/", so every path a run writes stays in its working directory
+_CONFIG_VALUES = (
+    st.none() | st.booleans() | st.integers(-2, 12) | st.floats()
+    | st.text(alphabet="01.-ae\x00", max_size=3)
+    | st.lists(st.integers(0, 3), max_size=2)
+    | st.dictionaries(st.just("a"), st.integers(0, 3), max_size=1)
+)
+# the flags each run needs; synth's flags keep its corpus small
+_FUZZ_ARGV = {
+    "synth": lambda p: ["--n-tp", "3", "--n-fp", "3", "--n-rules", "2", "--dup", "1"],
+    "ingest": lambda p: ["--in", p["alerts"]],
+    "label": lambda p: ["--in", p["alerts"]],
+    "sample": lambda p: ["--in", p["labeled"]],
+    "encode": lambda p: ["--in", p["sampled"]],
+    "select": lambda p: ["--in", p["matrix"]],
+    "train": lambda p: ["--in", p["matrix"]],
+    "evaluate": lambda p: ["--in", p["matrix"], "--model", p["model"]],
+    "explain": lambda p: ["--in", p["matrix"], "--model", p["model"]],
+    "predict": lambda p: ["--in", p["matrix"], "--model", p["model"]],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_FUZZ_ARGV))
+@settings(max_examples=30, deadline=None)
+@given(
+    text=st.dictionaries(st.sampled_from(_FUZZ_KEYS), _CONFIG_VALUES, max_size=4).map(json.dumps)
+)
+@example(text='{"seed": ' + _LONG_INT + "}")
+def test_fuzzed_config_exits_with_error_never_a_traceback(chain, command, text):
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            Path("config.json").write_text(text, encoding="utf-8")
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main([command, "--config", "config.json", *_FUZZ_ARGV[command](chain)])
+        finally:
+            os.chdir(cwd)
+    if code != 0:
+        assert code == 1
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1

@@ -346,6 +346,27 @@ def test_encode_refuses_a_number_that_is_not_an_int(field, value):
     assert str(info.value) == f"{field} must be an integer, got {value!r}"
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("src_ip", "nope", "src_ip is not a valid IP address: 'nope'"),
+        ("src_ip", 5, "src_ip must be a string, got 5"),
+        ("src_ip", None, "src_ip must be a string, got None"),
+        ("dst_ip", "10.0.0.300", "dst_ip is not a valid IP address: '10.0.0.300'"),
+        ("dst_ip", "::g", "dst_ip is not a valid IP address: '::g'"),
+        ("rule_description", True, "rule_description must be a string, got True"),
+        ("rule_description", None, "rule_description must be a string, got None"),
+        ("class_type", 7, "class_type must be a string, got 7"),
+    ],
+)
+def test_encode_refuses_a_bad_address_or_text_as_record_to_alert_does(field, value, message):
+    # a hand-built RawAlert skips record_to_alert; encoding fails closed with its texts
+    alert = parse_alert_record(make_line())._replace(**{field: value})
+    with pytest.raises(ValidationError) as info:
+        encode_alert(alert, FeatureProfile.FULL29)
+    assert str(info.value) == message
+
+
 def test_encode_is_pure():
     alert = parse_alert_record(make_line())
     assert encode_alert(alert, FeatureProfile.FULL29) == encode_alert(
