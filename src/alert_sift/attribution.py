@@ -144,12 +144,6 @@ def _shap_batch(forest: Forest, X: np.ndarray) -> tuple[float, np.ndarray]:
     return base, phi / len(forest.roots)
 
 
-def expected_value(forest: Forest) -> float:
-    """Mean over trees of the count-weighted mean leaf value: the output on the empty subset."""
-    paths = _flatten(forest)
-    return float(paths.value @ paths.z.prod(axis=1)) / len(forest.roots)
-
-
 def tree_shap(forest: Forest, vector: Sequence[float]) -> Attribution:
     """Exact Shapley attributions averaged over the forest's trees."""
     base, phi = _shap_batch(forest, _check_vector(forest, vector)[None, :])

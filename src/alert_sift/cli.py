@@ -4,7 +4,9 @@ Subcommands chain through files: synth or ingest produces normalized
 NDJSON, label attaches 1/0 labels from rule comments, sample dedups and
 optionally splits by date, encode emits a feature-matrix CSV, and the
 model stages (select, train, evaluate, explain, predict) operate on that
-CSV plus a JSON model file.
+CSV plus a JSON model file. NDJSON streams in through ingest.Records and
+out through _write_ndjson; _read_matrix and _read_model read each matrix
+and model, and refuse a matrix that the stage or model cannot use.
 
 _COMMANDS is the one place where flags and their defaults live: each
 subcommand's handler, its help line and one (name, flag, type, default,
@@ -31,12 +33,13 @@ import stat
 import sys
 from argparse import Namespace
 from dataclasses import asdict
+from functools import partial
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 from . import __version__
-from .errors import AlertSiftError, ValidationError
+from .errors import AlertSiftError
 from .evaluation import (
     cross_validate,
     evaluate_forest,
@@ -65,20 +68,18 @@ from .forest import (
 )
 from .ingest import (
     FieldPaths,
+    LabeledAlert,
     RawAlert,
-    attach_comments,
-    decode_record,
+    Records,
     load_field_map,
     parse_alert_record,
+    parse_labeled_record,
     parse_timestamp,
-    read_corpus,
     read_rule_comments,
-    record_to_alert,
     write_records,
 )
 from .labeling import (
     KeywordConfig,
-    LabeledAlert,
     build_label_lists,
     label_alerts,
     load_keyword_config,
@@ -114,56 +115,6 @@ def _write_json(path: str, obj: dict) -> None:
         fh.write("\n")
 
 
-class _Records:
-    """The records of one NDJSON file, parsed a line at a time as it is iterated.
-
-    Each stripped line is passed to parse once. A blank line is skipped when
-    skip_blank, else refused as an empty line; an error names the file and
-    line. count is the number of records parsed so far.
-    """
-
-    def __init__(self, path: str, parse: Callable[[str], object], skip_blank: bool = False):
-        self.path = path
-        self.parse = parse
-        self.skip_blank = skip_blank
-        self.count = 0
-
-    def __iter__(self) -> Iterator:
-        parse = self.parse
-        with open(self.path, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                text = line.strip()
-                if not text and self.skip_blank:
-                    continue
-                try:
-                    if not text:
-                        raise ValidationError("empty line")
-                    record = parse(text)
-                except AlertSiftError as exc:
-                    raise AlertSiftError(f"{self.path} line {line_no}: {exc}") from None
-                self.count += 1
-                yield record
-
-
-def _read_labeled(path: str) -> _Records:
-    """Normalized NDJSON that carries a top-level label field, as LabeledAlert values.
-
-    Each line is decoded once: the same dict yields the label and the alert.
-    """
-    fields = FieldPaths()
-
-    def parse(text: str) -> LabeledAlert:
-        obj = decode_record(text)
-        if "label" not in obj:
-            raise ValidationError("missing label field")
-        label = obj["label"]
-        if type(label) is not int or label not in (0, 1):
-            raise ValidationError(f"label must be 0 or 1, got {json.dumps(label)}")
-        return LabeledAlert(record_to_alert(obj, fields), label)
-
-    return _Records(path, parse, skip_blank=True)
-
-
 def _write_ndjson(
     path: str,
     rows: Iterable[tuple[RawAlert, int | None]],
@@ -181,6 +132,8 @@ def _write_ndjson(
     try:
         mode: int | None = os.stat(path).st_mode
     except FileNotFoundError:
+        if not path:  # refused as open refuses it: realpath("") is the working directory
+            raise
         mode = None
     if mode is not None and not stat.S_ISREG(mode):
         with open(path, "w", encoding="utf-8") as fh:
@@ -210,14 +163,34 @@ def _profile(name: str) -> FeatureProfile:
         raise AlertSiftError(f"unknown profile {name!r} (expected core20 or full29)") from None
 
 
-def _check_columns(src: str, names: list[str], forest: Forest) -> None:
-    """Refuse a matrix whose columns are not the model's features, in order."""
-    expected = forest.feature_names
+def _read_model(path: str) -> Forest:
+    with open(path, encoding="utf-8") as fh:
+        return load_forest(fh)
+
+
+def _read_matrix(
+    path: str, labeled: bool = False, forest: Forest | None = None
+) -> tuple[np.ndarray, np.ndarray | None, list[str]]:
+    """The matrix CSV at path as (X, labels or None, names).
+
+    If labeled, a matrix with no label column is refused; given a forest, so
+    is one whose columns are not the model's features, in order.
+    """
+    with open(path, encoding="utf-8") as fh:
+        X, labels, names = read_matrix_csv(fh)
+    if labeled and labels is None:
+        raise AlertSiftError(f"{path} has no label column; run encode on labeled input")
+    expected = names if forest is None else forest.feature_names
     if len(names) != len(expected):
-        raise AlertSiftError(f"{src} has {len(names)} features but the model expects {len(expected)}")
+        raise AlertSiftError(
+            f"{path} has {len(names)} features but the model expects {len(expected)}"
+        )
     for j, (got, want) in enumerate(zip(names, expected)):
         if got != want:
-            raise AlertSiftError(f"{src} column {j + 1} is {got!r} but the model expects {want!r}")
+            raise AlertSiftError(
+                f"{path} column {j + 1} is {got!r} but the model expects {want!r}"
+            )
+    return X, labels, names
 
 
 def cmd_synth(opt: Namespace) -> str:
@@ -243,22 +216,29 @@ def cmd_synth(opt: Namespace) -> str:
 
 
 def cmd_ingest(opt: Namespace) -> str:
-    fmap = None
+    fields = FieldPaths()
     if opt.field_map:
         with open(opt.field_map, encoding="utf-8") as fh:
-            fmap = load_field_map(fh)
-    with open(opt.input, encoding="utf-8") as fh:
-        alerts, report = read_corpus(fh, fmap)
+            fields = FieldPaths(load_field_map(fh))
+    comments = None
     if opt.comments:
         with open(opt.comments, encoding="utf-8") as fh:
-            alerts = attach_comments(alerts, read_rule_comments(fh))
-    if report.accepted == 0 and report.rejected > 0:
-        first = report.rejection_reasons[0]
-        raise AlertSiftError(
-            f"all {report.rejected} records rejected; first: line {first[0]}: {first[1]}"
-        )
-    _write_ndjson(opt.out, ((alert, None) for alert in alerts))
-    return f"ingest: accepted {report.accepted}, rejected {report.rejected} -> {opt.out}"
+            comments = dict(read_rule_comments(fh))
+    rejected: list[tuple[int, str]] = []
+    with open(opt.input, encoding="utf-8") as fh:
+        alerts = Records(fh, lambda text: parse_alert_record(text, fields), opt.input, rejected)
+
+        def rows() -> Iterator[tuple[RawAlert, None]]:
+            for alert in alerts:
+                yield alert, None
+            if alerts.count == 0 and rejected:  # raised inside the write, so no file is left
+                line_no, reason = rejected[0]
+                raise AlertSiftError(
+                    f"all {len(rejected)} records rejected; first: line {line_no}: {reason}"
+                )
+
+        _write_ndjson(opt.out, rows(), comments)
+    return f"ingest: accepted {alerts.count}, rejected {len(rejected)} -> {opt.out}"
 
 
 def cmd_label(opt: Namespace) -> str:
@@ -266,32 +246,35 @@ def cmd_label(opt: Namespace) -> str:
     if opt.keywords:
         with open(opt.keywords, encoding="utf-8") as fh:
             cfg = load_keyword_config(fh)
-    fields = FieldPaths()
-    alerts = _Records(opt.input, lambda text: parse_alert_record(text, fields))
+    rules = None
     if opt.comments:
         # the rules are known before the first alert, so the alerts stream through
         with open(opt.comments, encoding="utf-8") as fh:
             rules = read_rule_comments(fh)
+    fields = FieldPaths()
+    with open(opt.input, encoding="utf-8") as fh:
+        # looked up per line, so the benchmark's tracer, which rebinds it, counts these parses
+        alerts = Records(fh, lambda text: parse_alert_record(text, fields), opt.input)
         stream: Iterable[RawAlert] = alerts
-    else:
-        # a rule's embedded comment may first appear on its last alert
-        stream = list(alerts)
-        seen: dict[str, str] = {}
-        for alert in stream:
-            if alert.rev_comment and alert.rule_uuid not in seen:
-                seen[alert.rule_uuid] = alert.rev_comment
-        rules = list(seen.items())
-    tp_list, fp_list = build_label_lists(rules, cfg)
-    written = [0, 0]  # rows written with label 0, with label 1
+        if rules is None:
+            # a rule's embedded comment may first appear on its last alert
+            stream = list(alerts)
+            seen: dict[str, str] = {}
+            for alert in stream:
+                if alert.rev_comment and alert.rule_uuid not in seen:
+                    seen[alert.rule_uuid] = alert.rev_comment
+            rules = list(seen.items())
+        tp_list, fp_list = build_label_lists(rules, cfg)
+        written = [0, 0]  # rows written with label 0, with label 1
 
-    def tally(rows: Iterator[tuple[RawAlert, int]]) -> Iterator[tuple[RawAlert, int]]:
-        for row in rows:
-            written[row[1]] += 1
-            yield row
+        def tally(rows: Iterator[tuple[RawAlert, int]]) -> Iterator[tuple[RawAlert, int]]:
+            for row in rows:
+                written[row[1]] += 1
+                yield row
 
-    rows = tally(label_alerts(stream, tp_list, fp_list))
-    # the sidecar comment of a rule is written onto its alerts, as ingest attaches it
-    _write_ndjson(opt.out, rows, dict(rules) if opt.comments else None)
+        rows = tally(label_alerts(stream, tp_list, fp_list))
+        # the sidecar comment of a rule is written onto its alerts, as ingest attaches it
+        _write_ndjson(opt.out, rows, dict(rules) if opt.comments else None)
     if opt.lists:
         with open(opt.lists, "w", encoding="utf-8") as fh:
             write_label_lists(tp_list, fp_list, fh)
@@ -308,9 +291,10 @@ def _write_labeled(path: str, labeled: list[LabeledAlert]) -> None:
 
 def cmd_sample(opt: Namespace) -> str:
     params = SampleParams(stride=opt.stride, per_rule_cap=opt.per_rule_cap)
-    # only the survivors are held; every line is still read and validated
-    labeled = _read_labeled(opt.input)
-    kept = dedup_sample(labeled, params)
+    with open(opt.input, encoding="utf-8") as fh:
+        labeled = Records(fh, partial(parse_labeled_record, fields=FieldPaths()), opt.input)
+        # only the survivors are held; every line is still read and validated
+        kept = dedup_sample(labeled, params)
     if opt.split_date:
         train, test = partition_by_period(kept, parse_timestamp(opt.split_date))
         _write_labeled(opt.train_out, train)
@@ -329,7 +313,8 @@ def cmd_encode(opt: Namespace) -> str:
     if opt.caps:
         with open(opt.caps, encoding="utf-8") as fh:
             caps = load_caps(fh)
-    labeled = list(_read_labeled(opt.input))
+    with open(opt.input, encoding="utf-8") as fh:
+        labeled = list(Records(fh, partial(parse_labeled_record, fields=FieldPaths()), opt.input))
     # no labeled alerts give a header-only matrix
     rows = [encode_alert(item.alert, profile, caps) for item in labeled]
     X = as_matrix(rows) if rows else np.empty((0, profile.width))
@@ -340,10 +325,7 @@ def cmd_encode(opt: Namespace) -> str:
 
 
 def cmd_select(opt: Namespace) -> str:
-    with open(opt.input, encoding="utf-8") as fh:
-        X, labels, names = read_matrix_csv(fh)
-    if labels is None:
-        raise AlertSiftError(f"{opt.input} has no label column; run encode on labeled input")
+    X, labels, names = _read_matrix(opt.input, labeled=True)
     # missing-counter sentinels (-1.0) carry no frequency mass
     result = chi2_select(np.where(X < 0, 0.0, X), labels, opt.k)
     _write_json(
@@ -366,10 +348,7 @@ def cmd_train(opt: Namespace) -> str:
     params = ForestParams(
         n_estimators=opt.trees, max_depth=opt.depth, min_samples_split=opt.min_split, seed=opt.seed
     )
-    with open(opt.input, encoding="utf-8") as fh:
-        X, labels, names = read_matrix_csv(fh)
-    if labels is None:
-        raise AlertSiftError(f"{opt.input} has no label column; run encode on labeled input")
+    X, labels, names = _read_matrix(opt.input, labeled=True)
     forest = train_forest(X, labels, params, feature_names=names)
     with open(opt.model, "w", encoding="utf-8") as fh:
         save_forest(forest, fh)
@@ -382,10 +361,8 @@ def cmd_train(opt: Namespace) -> str:
 def cmd_evaluate(opt: Namespace) -> str:
     if opt.model is None and opt.kfold is None:
         raise AlertSiftError("evaluate needs --model, --kfold, or both")
-    with open(opt.input, encoding="utf-8") as fh:
-        X, labels, names = read_matrix_csv(fh)
-    if labels is None:
-        raise AlertSiftError(f"{opt.input} has no label column")
+    forest = _read_model(opt.model) if opt.model else None
+    X, labels, _ = _read_matrix(opt.input, labeled=True, forest=forest)
 
     report: dict = {
         "confusion": None,
@@ -397,10 +374,7 @@ def cmd_evaluate(opt: Namespace) -> str:
     }
     summary_bits = []
     params = ForestParams(seed=opt.seed)
-    if opt.model:
-        with open(opt.model, encoding="utf-8") as fh:
-            forest = load_forest(fh)
-        _check_columns(opt.input, names, forest)
+    if forest is not None:
         params = forest.params
         cm, rep = evaluate_forest(forest, X, labels, opt.threshold)
         savings = workload_savings(cm.fp_as_fp, opt.minutes_per_alert)
@@ -438,27 +412,23 @@ def cmd_evaluate(opt: Namespace) -> str:
 def cmd_explain(opt: Namespace) -> str:
     from .attribution import global_importance, tree_shap
 
-    src, row = opt.input, opt.row
-    with open(opt.model, encoding="utf-8") as fh:
-        forest = load_forest(fh)
-    with open(src, encoding="utf-8") as fh:
-        X, _, names = read_matrix_csv(fh)
-    _check_columns(src, names, forest)
+    forest = _read_model(opt.model)
+    X, _, _ = _read_matrix(opt.input, forest=forest)
     if X.shape[0] == 0:
-        raise AlertSiftError(f"{src} has no rows to explain")
+        raise AlertSiftError(f"{opt.input} has no rows to explain")
     ranking = global_importance(forest, X)
     with open(opt.out, "w", encoding="utf-8") as fh:
         fh.write("feature,mean_abs_shap\n")
         for name, score in ranking:
             fh.write(f"{name},{score!r}\n")
-    if row is not None:
-        if not 0 <= row < X.shape[0]:
-            raise AlertSiftError(f"--row {row} out of range for {X.shape[0]} rows")
-        att = tree_shap(forest, X[row])
+    if opt.row is not None:
+        if not 0 <= opt.row < X.shape[0]:
+            raise AlertSiftError(f"--row {opt.row} out of range for {X.shape[0]} rows")
+        att = tree_shap(forest, X[opt.row])
         _write_json(
             opt.attribution_out,
             {
-                "row": row,
+                "row": opt.row,
                 "base_value": att.base_value,
                 "phi": {forest.feature_names[j]: att.phi[j] for j in range(forest.width)},
                 "prediction": att.total,
@@ -469,11 +439,8 @@ def cmd_explain(opt: Namespace) -> str:
 
 def cmd_predict(opt: Namespace) -> str:
     check_threshold(opt.threshold)
-    with open(opt.model, encoding="utf-8") as fh:
-        forest = load_forest(fh)
-    with open(opt.input, encoding="utf-8") as fh:
-        X, _, names = read_matrix_csv(fh)
-    _check_columns(opt.input, names, forest)
+    forest = _read_model(opt.model)
+    X, _, _ = _read_matrix(opt.input, forest=forest)
     proba = predict_proba_batch(forest, X)
     preds = (proba >= opt.threshold).astype(int)
     with open(opt.out, "w", encoding="utf-8") as fh:

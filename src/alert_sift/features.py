@@ -340,13 +340,14 @@ def encode_alert(
 ) -> tuple[float, ...]:
     """Assemble the full fixed-order vector for one alert.
 
-    Each address is parsed once, for both its entries. Every other scaled
-    entry is read from its step table; a number that is not an int is refused.
+    Each address is parsed once, for both its entries; every other scaled entry
+    is read from its step table. A non-int number or non-str text is refused.
     """
     (src_ip, dst_ip, sport, dport, sid, description, class_type, _, _, _,
      payload, status, pkts_ts, pkts_tc, bytes_ts, bytes_tc, _) = alert
     if not (
         type(sport) is type(dport) is type(sid) is type(payload) is int
+        and type(description) is type(class_type) is str
         and 0 <= sport <= PORT_MAX and 0 <= dport <= PORT_MAX and sid >= 0 and payload >= 0
         and (status is None or type(status) is int and 100 <= status <= 599)
         and (pkts_ts is None or type(pkts_ts) is int and pkts_ts >= 0)

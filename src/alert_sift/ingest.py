@@ -13,18 +13,21 @@ paths are supported.
 A RawAlert is an immutable NamedTuple; derive a changed copy with
 ``_replace``. Parsing is two steps, ``decode_record`` (line to dict) and
 ``record_to_alert`` (dict to validated RawAlert, in one pass over the
-fields); ``parse_alert_record`` is the two in a row. A reader that needs the
-decoded dict for more (a label field) calls them itself, so no line is
+fields); ``parse_alert_record`` is the two in a row, and
+``parse_labeled_record`` takes the label from the same dict, so no line is
 decoded twice. One ``FieldPaths`` per read holds the field map split into
 keys and memoises what that read has validated: addresses, and timestamp
 strings with their parsed datetimes. Addresses are read by ``ip_value``:
 a plain dotted quad by one compiled pattern, anything else by ``ipaddress``,
 so both accept the same strings and give the same number.
 
-There is one writer, ``write_records``: it writes (alert, label or None)
-rows as they arrive, as the NDJSON lines ``json.dumps(alert_to_record(alert),
-sort_keys=True)`` would give, from templates compiled from the default
-layout. ``alert_to_record`` stays as the plain reference for that layout.
+There is one reader, ``Records``: it parses an NDJSON stream a line at a
+time, a blank line being a bad line like any other (``read_corpus``
+collects it). There is one writer, ``write_records``: it writes (alert,
+label or None) rows as they arrive, as the NDJSON lines
+``json.dumps(alert_to_record(alert), sort_keys=True)`` would give, from
+templates compiled from the default layout. ``alert_to_record`` stays as
+the plain reference for that layout.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from operator import itemgetter
 from socket import inet_aton
 from typing import IO, Callable, Iterable, Iterator, NamedTuple
 
-from .errors import ParseError, ValidationError
+from .errors import AlertSiftError, ParseError, ValidationError
 
 # RawAlert field -> dotted JSON path in the input record.
 DEFAULT_FIELD_MAP: dict[str, str] = {
@@ -106,6 +109,16 @@ class RawAlert(NamedTuple):
     bytes_to_server: int | None = None
     bytes_to_client: int | None = None
     rev_comment: str | None = None
+
+
+@dataclass(frozen=True)
+class LabeledAlert:
+    alert: RawAlert
+    label: int  # 1 = true positive, 0 = false positive
+
+    def __post_init__(self):
+        if self.label not in (0, 1):
+            raise ValidationError(f"label must be 0 or 1, got {self.label!r}")
 
 
 @dataclass
@@ -333,6 +346,17 @@ def parse_alert_record(line: str, field_map: dict[str, str] | FieldPaths | None 
     return record_to_alert(decode_record(line), field_map)
 
 
+def parse_labeled_record(text: str, fields: FieldPaths | None = None) -> LabeledAlert:
+    """Parse one line of labeled NDJSON into a LabeledAlert, decoding it once."""
+    obj = decode_record(text)
+    if "label" not in obj:
+        raise ValidationError("missing label field")
+    label = obj["label"]
+    if type(label) is not int or label not in (0, 1):
+        raise ValidationError(f"label must be 0 or 1, got {json.dumps(label)}")
+    return LabeledAlert(record_to_alert(obj, fields), label)
+
+
 def alert_to_record(alert: RawAlert, field_map: dict[str, str] | None = None) -> dict:
     """Serialize a RawAlert back to the nested input-record layout."""
     obj: dict = {}
@@ -426,26 +450,49 @@ def write_records(
         write(form[0] % form[1](values))
 
 
+class Records:
+    """The records of an NDJSON stream, parsed a line at a time as it is iterated.
+
+    Each stripped line is passed to parse once; a blank line is a bad line,
+    "empty line". Given a rejected list, a bad line's (line number, reason)
+    is appended to it and the line is skipped; otherwise a bad line raises
+    AlertSiftError("<name> line N: <reason>"). count is the number of
+    records yielded so far.
+    """
+
+    def __init__(self, lines: Iterable[str], parse: Callable[[str], object], name: str,
+                 rejected: list[tuple[int, str]] | None = None):
+        self.lines = lines
+        self.parse = parse
+        self.name = name
+        self.rejected = rejected
+        self.count = 0
+
+    def __iter__(self) -> Iterator:
+        parse, rejected = self.parse, self.rejected
+        for line_no, line in enumerate(self.lines, start=1):
+            text = line.strip()
+            try:
+                if not text:
+                    raise ValidationError("empty line")
+                record = parse(text)
+            except AlertSiftError as exc:
+                if rejected is None:
+                    raise AlertSiftError(f"{self.name} line {line_no}: {exc}") from None
+                rejected.append((line_no, str(exc)))
+                continue
+            self.count += 1
+            yield record
+
+
 def read_corpus(
     source: Iterable[str], field_map: dict[str, str] | None = None
 ) -> tuple[list[RawAlert], IngestReport]:
     """Read newline-delimited records; bad lines are counted, never fatal."""
-    alerts: list[RawAlert] = []
-    report = IngestReport()
-    fields = FieldPaths(field_map)
-    for line_no, line in enumerate(source, start=1):
-        stripped = line.strip()
-        if not stripped:
-            report.rejected += 1
-            report.rejection_reasons.append((line_no, "empty line"))
-            continue
-        try:
-            alerts.append(parse_alert_record(stripped, fields))
-            report.accepted += 1
-        except (ParseError, ValidationError) as exc:
-            report.rejected += 1
-            report.rejection_reasons.append((line_no, str(exc)))
-    return alerts, report
+    fields, rejected = FieldPaths(field_map), []
+    records = Records(source, lambda text: parse_alert_record(text, fields), "corpus", rejected)
+    alerts = list(records)
+    return alerts, IngestReport(records.count, len(rejected), rejected)
 
 
 def load_field_map(source: Iterable[str]) -> dict[str, str]:

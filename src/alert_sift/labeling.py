@@ -15,7 +15,7 @@ from enum import Enum
 from typing import IO, Iterable, Iterator, Sequence
 
 from .errors import ValidationError
-from .ingest import RawAlert
+from .ingest import LabeledAlert, RawAlert
 
 # Default keyword lists; extendable via a keyword-config file.
 DEFAULT_TP_KEYWORDS = ("alerted", "sent")
@@ -50,16 +50,6 @@ class KeywordConfig:
 
     def _fold(self, text: str) -> str:
         return text.lower() if self.case_insensitive else text
-
-
-@dataclass(frozen=True)
-class LabeledAlert:
-    alert: RawAlert
-    label: int  # 1 = true positive, 0 = false positive
-
-    def __post_init__(self):
-        if self.label not in (0, 1):
-            raise ValidationError(f"label must be 0 or 1, got {self.label!r}")
 
 
 def classify_comment(comment: str | None, cfg: KeywordConfig | None = None) -> LabelDecision:

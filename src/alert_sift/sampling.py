@@ -13,7 +13,7 @@ from datetime import datetime
 from typing import Iterable
 
 from .errors import ValidationError
-from .labeling import LabeledAlert
+from .ingest import LabeledAlert
 
 
 @dataclass(frozen=True)

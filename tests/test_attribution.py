@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from alert_sift import attribution
-from alert_sift.attribution import Attribution, expected_value, global_importance, tree_shap
+from alert_sift.attribution import Attribution, global_importance, tree_shap
 from alert_sift.errors import ValidationError
 from alert_sift.forest import (
     MODEL_FORMAT_VERSION,
@@ -115,8 +115,10 @@ def test_unused_feature_gets_zero_attribution():
 
 def test_expected_value_is_count_weighted_leaf_mean():
     tree = _stump(left=(2, 0), right=(0, 6))
-    assert expected_value(_forest_of([tree], width=2)) == pytest.approx(2 / 8)
-    assert expected_value(_forest_of([_leaf(1, 4)], width=2)) == pytest.approx(0.2)
+    # the base value is the same for every row: the output on the empty subset
+    for row in ([0.1, 0.2], [0.9, 0.7]):
+        assert tree_shap(_forest_of([tree], width=2), row).base_value == pytest.approx(2 / 8)
+        assert tree_shap(_forest_of([_leaf(1, 4)], width=2), row).base_value == pytest.approx(0.2)
 
 
 def test_local_accuracy_on_trained_forests():

@@ -244,6 +244,26 @@ def test_ingest_with_only_bad_lines_exits_nonzero(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "rejected" in err
     assert not out.exists()
+    # the error is raised as the write ends, which leaves a previous output as it was
+    out.write_text("previous\n", encoding="utf-8")
+    assert cli.main(["ingest", "--in", str(src), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: all 2 records rejected; first: line 1: malformed JSON: Expecting value\n"
+    )
+    assert out.read_text(encoding="utf-8") == "previous\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.ndjson", "parsed.ndjson"]
+
+
+def test_ingest_reads_the_sidecar_before_the_corpus(tmp_path, capsys):
+    src, comments = tmp_path / "alerts.ndjson", tmp_path / "comments.csv"
+    src.write_bytes(b'{"src_ip": "\xff"}\n')
+    comments.write_text("rule_uuid,rev_comment\nrule-aaa,alerted\nrule-aaa,benign\n",
+                        encoding="utf-8")
+    argv = ["ingest", "--in", str(src), "--comments", str(comments),
+            "--out", str(tmp_path / "out.ndjson")]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == "error: duplicate rule_uuid 'rule-aaa'\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["alerts.ndjson", "comments.csv"]
 
 
 def test_unknown_profile_exits_nonzero(chain, capsys):
@@ -356,6 +376,37 @@ def test_malformed_model_exits_with_error(chain, tmp_path, capsys, mutation):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
     assert not any(tmp_path.glob("*.csv")) and not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("command", ["select", "train", "evaluate"])
+def test_matrix_without_a_label_column_exits_with_the_shared_error(
+    chain, tmp_path, capsys, command
+):
+    with open(chain["matrix"], encoding="utf-8") as fh:
+        rows = [line.rstrip("\n").split(",") for line in fh]
+    assert rows[0][-1] == "label"
+    unlabeled = tmp_path / "unlabeled.csv"
+    unlabeled.write_text("".join(",".join(r[:-1]) + "\n" for r in rows), encoding="utf-8")
+    out = str(tmp_path / "out")
+    argv = {
+        "select": ["--out", out],
+        "train": ["--model", out],
+        "evaluate": ["--model", chain["model"], "--report", out],
+    }[command]
+    assert cli.main([command, "--in", str(unlabeled), *argv]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {unlabeled} has no label column; run encode on labeled input\n"
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["unlabeled.csv"]
+
+
+@pytest.mark.parametrize("command", ["evaluate", "explain", "predict"])
+def test_model_stage_reads_the_model_before_the_matrix(tmp_path, capsys, command):
+    matrix, model = tmp_path / "missing.csv", tmp_path / "missing.json"
+    flag = "--report" if command == "evaluate" else "--out"
+    argv = [command, "--in", str(matrix), "--model", str(model), flag, str(tmp_path / "out")]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{model}'\n"
 
 
 def test_swapped_matrix_columns_exit_with_error(chain, tmp_path, capsys):
@@ -913,8 +964,9 @@ def test_label_reports_a_bad_sidecar_before_a_bad_corpus(tmp_path, capsys):
         ("label", "alerts", lambda p: ["--comments", p["comments"]]),
         ("label", "labeled", lambda p: []),  # the labeled file embeds each rule's comment
         ("sample", "labeled", lambda p: ["--stride", "5"]),
+        ("ingest", "alerts", lambda p: ["--comments", p["comments"]]),
     ],
-    ids=["label-sidecar", "label-embedded", "sample"],
+    ids=["label-sidecar", "label-embedded", "sample", "ingest"],
 )
 def test_stage_writing_over_its_own_input_gives_the_same_bytes(
     chain, tmp_path, command, source, options
@@ -939,10 +991,12 @@ _SIDECAR = "rule_uuid,rev_comment\nrule-aaa,alerted\n"
         ("label", b"\n", "{src} line 2001: empty line"),
         ("label", b'{"src_ip": "\xff"}\n', "input is not UTF-8 text"),
         ("sample", _labeled_line(src_ip="1.2.3").encode() + b"\n", "{src} line 2001: src_ip"),
+        ("sample", b"\n", "{src} line 2001: empty line"),
         ("sample", b'{"src_ip": "\xff"}\n', "input is not UTF-8 text"),
+        ("encode", b"\n", "{src} line 2001: empty line"),
     ],
     ids=["label-truncated", "label-bad-address", "label-blank", "label-not-utf8",
-         "sample-bad-address", "sample-not-utf8"],
+         "sample-bad-address", "sample-blank", "sample-not-utf8", "encode-blank"],
 )
 def test_failure_on_the_last_line_leaves_no_file(tmp_path, capsys, command, tail, error):
     # 2,000 good lines: the writer has flushed many of them before the last line fails
@@ -1040,6 +1094,20 @@ def test_unwritable_output_names_the_given_path(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{out}'\n"
 
 
+def test_empty_output_path_is_refused_before_anything_is_written(tmp_path, monkeypatch, capsys):
+    src, comments = tmp_path / "in.ndjson", tmp_path / "comments.csv"
+    src.write_text((make_line() + "\n") * 20, encoding="utf-8")
+    comments.write_text(_SIDECAR, encoding="utf-8")
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    argv = ["label", "--in", str(src), "--comments", str(comments), "--out", ""]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == "error: [Errno 2] No such file or directory: ''\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["comments.csv", "in.ndjson", "work"]
+    assert not any(work.iterdir())
+
+
 @pytest.fixture(scope="module")
 def large_inputs(tmp_path_factory):
     """20,000 raw and 20,000 labeled lines over 20 rules, about 10 MB each."""
@@ -1058,11 +1126,11 @@ def large_inputs(tmp_path_factory):
     return d
 
 
-@pytest.mark.parametrize("command", ["label", "sample"])
+@pytest.mark.parametrize("command", ["ingest", "label", "sample"])
 def test_streamed_stage_holds_far_less_than_its_input(large_inputs, tmp_path, command):
-    src = large_inputs / ("alerts.ndjson" if command == "label" else "labeled.ndjson")
+    src = large_inputs / ("labeled.ndjson" if command == "sample" else "alerts.ndjson")
     argv = [command, "--in", str(src), "--out", str(tmp_path / "out.ndjson")]
-    if command == "label":
+    if command != "sample":
         argv += ["--comments", str(large_inputs / "comments.csv")]
     tracemalloc.start()
     try:

@@ -357,6 +357,9 @@ def test_encode_refuses_a_number_that_is_not_an_int(field, value):
         ("rule_description", True, "rule_description must be a string, got True"),
         ("rule_description", None, "rule_description must be a string, got None"),
         ("class_type", 7, "class_type must be a string, got 7"),
+        # a sequence would test membership, not substrings
+        ("rule_description", ["CVE"], "rule_description must be a string, got ['CVE']"),
+        ("rule_description", ("CVE",), "rule_description must be a string, got ('CVE',)"),
     ],
 )
 def test_encode_refuses_a_bad_address_or_text_as_record_to_alert_does(field, value, message):
@@ -365,6 +368,13 @@ def test_encode_refuses_a_bad_address_or_text_as_record_to_alert_does(field, val
     with pytest.raises(ValidationError) as info:
         encode_alert(alert, FeatureProfile.FULL29)
     assert str(info.value) == message
+
+
+def test_encode_matches_keywords_as_substrings_of_a_str_description():
+    alert = parse_alert_record(make_line())
+    cve = feature_names(FeatureProfile.CORE20).index("CVE")
+    assert encode_alert(alert._replace(rule_description="probe CVE-2024-1"))[cve] == 1.0
+    assert encode_alert(alert._replace(rule_description="probe"))[cve] == 0.0
 
 
 def test_encode_is_pure():

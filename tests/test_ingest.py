@@ -11,10 +11,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from alert_sift.errors import ParseError, ValidationError
+from alert_sift.errors import AlertSiftError, ParseError, ValidationError
 from alert_sift.ingest import (
     DEFAULT_FIELD_MAP,
     FieldPaths,
+    Records,
     alert_to_record,
     attach_comments,
     ip_value,
@@ -159,6 +160,19 @@ def test_read_corpus_skips_bad_lines_with_line_numbers():
     assert len(alerts) == 2
     assert report.rejected == 1
     assert report.rejection_reasons[0][0] == 2
+
+
+def test_records_refuses_or_records_each_bad_line_blank_included():
+    lines = [make_line(src_port=1), "  ", "{broken", make_line(src_port=2)]
+    rejected: list[tuple[int, str]] = []
+    records = Records(lines, parse_alert_record, "in.ndjson", rejected)
+    assert [a.src_port for a in records] == [1, 2] and records.count == 2
+    assert rejected == [(2, "empty line"), (3, "malformed JSON: Expecting property name "
+                                              "enclosed in double quotes")]
+    records = Records(lines, parse_alert_record, "in.ndjson")
+    with pytest.raises(AlertSiftError, match="^in.ndjson line 2: empty line$"):
+        list(records)
+    assert records.count == 1
 
 
 def test_read_corpus_empty_stream():
