@@ -21,7 +21,8 @@ no option of any subcommand is an error, so one file may serve a whole
 pipeline. A row whose default is _REQUIRED must be given by flag or config
 key, or the run fails with "<cmd> needs" and the command's required flags.
 Every run prints a one-line summary on success and exits nonzero with a
-diagnostic on failure. All randomness flows from --seed.
+diagnostic on failure. All randomness flows from --seed (synth, train and
+evaluate). Labeled stages pass LabeledAlert rows, (alert, label) pairs.
 """
 
 from __future__ import annotations
@@ -68,7 +69,6 @@ from .forest import (
 )
 from .ingest import (
     FieldPaths,
-    LabeledAlert,
     RawAlert,
     Records,
     load_field_map,
@@ -285,25 +285,24 @@ def cmd_label(opt: Namespace) -> str:
     )
 
 
-def _write_labeled(path: str, labeled: list[LabeledAlert]) -> None:
-    _write_ndjson(path, ((item.alert, item.label) for item in labeled))
-
-
 def cmd_sample(opt: Namespace) -> str:
     params = SampleParams(stride=opt.stride, per_rule_cap=opt.per_rule_cap)
+    split = parse_timestamp(opt.split_date) if opt.split_date else None
+    if split is not None and os.path.realpath(opt.train_out) == os.path.realpath(opt.test_out):
+        raise AlertSiftError(f"--train-out and --test-out are the same file: {opt.train_out}")
     with open(opt.input, encoding="utf-8") as fh:
         labeled = Records(fh, partial(parse_labeled_record, fields=FieldPaths()), opt.input)
         # only the survivors are held; every line is still read and validated
         kept = dedup_sample(labeled, params)
-    if opt.split_date:
-        train, test = partition_by_period(kept, parse_timestamp(opt.split_date))
-        _write_labeled(opt.train_out, train)
-        _write_labeled(opt.test_out, test)
+    if split is not None:
+        train, test = partition_by_period(kept, split)
+        _write_ndjson(opt.train_out, train)
+        _write_ndjson(opt.test_out, test)
         return (
             f"sample: kept {len(kept)} of {labeled.count} "
             f"(train {len(train)} -> {opt.train_out}, test {len(test)} -> {opt.test_out})"
         )
-    _write_labeled(opt.out, kept)
+    _write_ndjson(opt.out, kept)
     return f"sample: kept {len(kept)} of {labeled.count} -> {opt.out}"
 
 
@@ -416,14 +415,14 @@ def cmd_explain(opt: Namespace) -> str:
     X, _, _ = _read_matrix(opt.input, forest=forest)
     if X.shape[0] == 0:
         raise AlertSiftError(f"{opt.input} has no rows to explain")
+    if opt.row is not None and not 0 <= opt.row < X.shape[0]:
+        raise AlertSiftError(f"--row {opt.row} out of range for {X.shape[0]} rows")
     ranking = global_importance(forest, X)
     with open(opt.out, "w", encoding="utf-8") as fh:
         fh.write("feature,mean_abs_shap\n")
         for name, score in ranking:
             fh.write(f"{name},{score!r}\n")
     if opt.row is not None:
-        if not 0 <= opt.row < X.shape[0]:
-            raise AlertSiftError(f"--row {opt.row} out of range for {X.shape[0]} rows")
         att = tree_shap(forest, X[opt.row])
         _write_json(
             opt.attribution_out,
@@ -466,6 +465,7 @@ _COMMANDS: dict[str, tuple[Callable[[Namespace], str], str, list[tuple]]] = {
         ("n_rules", "--n-rules", int, 200, "rule count"),
         ("dup", "--dup", int, 50, "duplication factor"),
         ("signal", "--signal", float, 0.9, "signal strength in [0,1]"),
+        _SEED,
     ]),
     "ingest": (cmd_ingest, "parse and validate an NDJSON alert log", [
         ("input", "--in", str, _REQUIRED, "raw NDJSON alert log"),
@@ -507,6 +507,7 @@ _COMMANDS: dict[str, tuple[Callable[[Namespace], str], str, list[tuple]]] = {
         ("trees", "--trees", int, 100, "tree count"),
         ("depth", "--depth", int, 6, "max depth"),
         ("min_split", "--min-split", int, 2, "min samples to split"),
+        _SEED,
     ]),
     "evaluate": (cmd_evaluate, "holdout and/or k-fold evaluation", [
         ("input", "--in", str, _REQUIRED, "labeled matrix CSV"),
@@ -517,6 +518,7 @@ _COMMANDS: dict[str, tuple[Callable[[Namespace], str], str, list[tuple]]] = {
          "analyst minutes per reviewed alert"),
         ("report", "--report", str, "report.json", "report JSON output"),
         ("summary", "--summary", str, None, "also write a metric,value CSV here"),
+        _SEED,
     ]),
     "explain": (cmd_explain, "per-feature attribution and global importance", [
         ("input", "--in", str, _REQUIRED, "matrix CSV"),
@@ -534,7 +536,7 @@ _COMMANDS: dict[str, tuple[Callable[[Namespace], str], str, list[tuple]]] = {
     ]),
 }
 # one config file may serve several subcommands, so any row's name is a known key
-_CONFIG_KEYS = {row[0] for _, _, rows in _COMMANDS.values() for row in (_SEED, *rows)}
+_CONFIG_KEYS = {row[0] for _, _, rows in _COMMANDS.values() for row in rows}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -551,7 +553,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for command, (_, help_line, rows) in _COMMANDS.items():
         p = sub.add_parser(command, help=help_line)
         p.add_argument("--config", help="JSON config file; flags override its values")
-        for name, flag, kind, default, text in (_SEED, *rows):
+        for name, flag, kind, default, text in rows:
             if default is not None and default is not _REQUIRED:
                 text = f"{text} (default {default})"
             p.add_argument(flag, dest=name, type=kind, help=text)
@@ -582,7 +584,7 @@ def _resolve(command: str, args: Namespace, config: dict) -> Namespace:
         raise AlertSiftError(f"unknown config key {unknown[0]!r}")
     rows = _COMMANDS[command][2]
     resolved = Namespace()
-    for name, _, kind, default, _ in (*rows, _SEED):  # a missing --in is reported first
+    for name, _, kind, default, _ in rows:
         value = getattr(args, name)
         if value is None and name in config:
             value = _convert(name, kind, config[name])

@@ -30,7 +30,7 @@ from typing import IO, NamedTuple, Sequence
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .features import FeatureProfile, as_matrix
+from .features import FeatureProfile, as_matrix, feature_names as profile_names
 
 MODEL_FORMAT_VERSION = "1"
 
@@ -95,7 +95,7 @@ class Forest:
     roots: np.ndarray  # index of each tree's root in nodes
     params: ForestParams
     feature_names: list[str]
-    profile: FeatureProfile | None = None
+    profile: FeatureProfile | None = None  # set when feature_names are a profile's, in order
 
     @property
     def width(self) -> int:
@@ -257,7 +257,7 @@ def train_forest(
         feature_names = [f"f{j}" for j in range(width)]
     elif len(feature_names) != width:
         raise ValidationError(f"{len(feature_names)} names vs width {width}")
-    profile = next((p for p in FeatureProfile if p.width == width), None)
+    profile = next((p for p in FeatureProfile if profile_names(p) == list(feature_names)), None)
 
     ranked = _ranked(X)
     trees = []
@@ -390,12 +390,10 @@ def forest_from_dict(obj: dict) -> Forest:
         raise ValidationError("model feature_names must be a list of strings")
     profile = obj.get("profile")
     if profile is not None:
-        width = len(names)
-        profile = next((p for p in FeatureProfile if (p.value, p.width) == (profile, width)), None)
-        if profile is None:
+        profile = next((p for p in FeatureProfile if p.value == profile), None)
+        if profile is None or profile_names(profile) != names:
             raise ValidationError(
-                f"model profile {obj['profile']!r} does not fit its {width} features "
-                "(core20 has 20, full29 has 29)"
+                f"model profile {obj['profile']!r} does not name its {len(names)} features"
             )
     if not isinstance(trees, list) or not trees:
         raise ValidationError("model must hold a non-empty list of trees")

@@ -11,9 +11,10 @@ each record or via a sidecar CSV with header ``rule_uuid,rev_comment``; both
 paths are supported.
 
 A RawAlert is an immutable NamedTuple; derive a changed copy with
-``_replace``. Parsing is two steps, ``decode_record`` (line to dict) and
-``record_to_alert`` (dict to validated RawAlert, in one pass over the
-fields); ``parse_alert_record`` is the two in a row, and
+``_replace``. A labeled row is a LabeledAlert NamedTuple ``(alert, label)``,
+unchecked as any pair is. Parsing is two steps, ``decode_record`` (line to
+dict) and ``record_to_alert`` (dict to validated RawAlert, in one pass over
+the fields); ``parse_alert_record`` is the two in a row, and
 ``parse_labeled_record`` takes the label from the same dict, so no line is
 decoded twice. One ``FieldPaths`` per read holds the field map split into
 keys and memoises what that read has validated: addresses, and timestamp
@@ -23,11 +24,11 @@ so both accept the same strings and give the same number.
 
 There is one reader, ``Records``: it parses an NDJSON stream a line at a
 time, a blank line being a bad line like any other (``read_corpus``
-collects it). There is one writer, ``write_records``: it writes (alert,
-label or None) rows as they arrive, as the NDJSON lines
-``json.dumps(alert_to_record(alert), sort_keys=True)`` would give, from
-templates compiled from the default layout. ``alert_to_record`` stays as
-the plain reference for that layout.
+collects it). There is one writer, ``write_records``, and it is the one
+check of a label on output: it writes (alert, label or None) rows as they
+arrive, as the NDJSON lines ``json.dumps(alert_to_record(alert),
+sort_keys=True)`` would give, from templates compiled from the default
+layout. ``alert_to_record`` stays as the plain reference for that layout.
 """
 
 from __future__ import annotations
@@ -111,14 +112,11 @@ class RawAlert(NamedTuple):
     rev_comment: str | None = None
 
 
-@dataclass(frozen=True)
-class LabeledAlert:
+class LabeledAlert(NamedTuple):
+    """One labeled row, an (alert, label) pair; write_records checks the label."""
+
     alert: RawAlert
     label: int  # 1 = true positive, 0 = false positive
-
-    def __post_init__(self):
-        if self.label not in (0, 1):
-            raise ValidationError(f"label must be 0 or 1, got {self.label!r}")
 
 
 @dataclass
@@ -347,7 +345,7 @@ def parse_alert_record(line: str, field_map: dict[str, str] | FieldPaths | None 
 
 
 def parse_labeled_record(text: str, fields: FieldPaths | None = None) -> LabeledAlert:
-    """Parse one line of labeled NDJSON into a LabeledAlert, decoding it once."""
+    """Parse one line of labeled NDJSON into a LabeledAlert row, decoding it once."""
     obj = decode_record(text)
     if "label" not in obj:
         raise ValidationError("missing label field")
@@ -417,7 +415,8 @@ def write_records(
     Each line is byte for byte ``json.dumps(record, sort_keys=True)`` of
     ``alert_to_record(alert)``, with ``rev_comment`` replaced by
     ``comments[rule_uuid]`` where the alert's rule has one and, unless the
-    label is None, ``label`` added. Rows are written as they are read, so
+    label is None, ``label`` added; a label other than None or the int 0 or
+    1 (True, 1.0) is a ValidationError. Rows are written as they are read, so
     they may come from a one-shot stream. One template per pattern of absent
     fields is filled with ``encode_basestring_ascii`` strings and ints; each
     timestamp object is formatted once per write.
@@ -433,6 +432,8 @@ def write_records(
         (src_ip, dst_ip, src_port, dst_port, rule_sid, description, class_type, rule_uuid,
          action, timestamp, payload_len, http_status, pkts_ts, pkts_tc, bytes_ts, bytes_tc,
          comment) = alert
+        if label is not None and (type(label) is not int or label not in (0, 1)):
+            raise ValidationError(f"label must be 0 or 1, got {label!r}")
         comment = comments.get(rule_uuid, comment)
         absent = (http_status is None, pkts_ts is None, pkts_tc is None, bytes_ts is None,
                   bytes_tc is None, comment is None, label is None)

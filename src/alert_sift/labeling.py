@@ -4,7 +4,8 @@ A rule's free-text comment decides the label of every alert it matched:
 comments hitting only the true-positive keyword list label 1, only the
 false-positive list label 0. Comments hitting both lists are ambiguous and
 comments hitting neither are unmatched; alerts under such rules are dropped,
-as are alerts whose analyst action marks them client-specific.
+as are alerts whose analyst action marks them client-specific. Matching
+ignores case. label_alerts yields each kept alert as a LabeledAlert row.
 """
 
 from __future__ import annotations
@@ -37,19 +38,13 @@ class LabelDecision(Enum):
 class KeywordConfig:
     tp_keywords: tuple[str, ...] = DEFAULT_TP_KEYWORDS
     fp_keywords: tuple[str, ...] = DEFAULT_FP_KEYWORDS
-    case_insensitive: bool = True
 
     def __post_init__(self):
         if not self.tp_keywords or not self.fp_keywords:
             raise ValidationError("both keyword lists must be non-empty")
-        tp = {self._fold(k) for k in self.tp_keywords}
-        fp = {self._fold(k) for k in self.fp_keywords}
-        overlap = tp & fp
+        overlap = {k.lower() for k in self.tp_keywords} & {k.lower() for k in self.fp_keywords}
         if overlap:
             raise ValidationError(f"keywords in both lists: {sorted(overlap)}")
-
-    def _fold(self, text: str) -> str:
-        return text.lower() if self.case_insensitive else text
 
 
 def classify_comment(comment: str | None, cfg: KeywordConfig | None = None) -> LabelDecision:
@@ -57,9 +52,9 @@ def classify_comment(comment: str | None, cfg: KeywordConfig | None = None) -> L
     cfg = cfg or KeywordConfig()
     if not comment:
         return LabelDecision.UNMATCHED
-    haystack = cfg._fold(comment)
-    tp_hit = any(cfg._fold(k) in haystack for k in cfg.tp_keywords)
-    fp_hit = any(cfg._fold(k) in haystack for k in cfg.fp_keywords)
+    haystack = comment.lower()
+    tp_hit = any(k.lower() in haystack for k in cfg.tp_keywords)
+    fp_hit = any(k.lower() in haystack for k in cfg.fp_keywords)
     if tp_hit and fp_hit:
         return LabelDecision.AMBIGUOUS
     if tp_hit:
@@ -97,8 +92,8 @@ def label_alerts(
     alerts: Iterable[RawAlert],
     tp_list: Sequence[tuple[str, str]],
     fp_list: Sequence[tuple[str, str]],
-) -> Iterator[tuple[RawAlert, int]]:
-    """Yield (alert, label) for each alert whose rule_uuid sits in exactly one list.
+) -> Iterator[LabeledAlert]:
+    """Yield a LabeledAlert row for each alert whose rule_uuid sits in exactly one list.
 
     Alerts with the client-specific action are dropped regardless of list
     membership. Alerts are read one at a time, in order, and never mutated,
@@ -112,7 +107,7 @@ def label_alerts(
     for alert in alerts:
         label = labels.get(alert.rule_uuid)
         if label is not None and alert.action != CLIENT_SPECIFIC_ACTION:
-            yield alert, label
+            yield LabeledAlert(alert, label)
 
 
 def label_corpus(
@@ -120,8 +115,8 @@ def label_corpus(
     tp_list: Sequence[tuple[str, str]],
     fp_list: Sequence[tuple[str, str]],
 ) -> list[LabeledAlert]:
-    """label_alerts, collected as LabeledAlert values."""
-    return [LabeledAlert(alert, label) for alert, label in label_alerts(alerts, tp_list, fp_list)]
+    """label_alerts, collected in a list."""
+    return list(label_alerts(alerts, tp_list, fp_list))
 
 
 def load_keyword_config(source: Iterable[str]) -> KeywordConfig:

@@ -20,8 +20,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from alert_sift import cli
+from alert_sift.errors import ValidationError
 from alert_sift.features import FeatureProfile, feature_names
 from alert_sift.forest import load_forest, predict_proba_batch
+from alert_sift.ingest import LabeledAlert, parse_alert_record
 
 from conftest import make_line, make_record
 
@@ -131,6 +133,59 @@ def test_sample_split_date_writes_both_partitions(chain, tmp_path):
             for line in fh:
                 stamp = json.loads(line)["timestamp"]
                 assert (stamp < "2025-04-01") == before
+
+
+@pytest.mark.parametrize("test_out", ["same.ndjson", "sub/../same.ndjson", "link.ndjson"])
+def test_sample_refuses_one_path_for_both_splits(chain, tmp_path, monkeypatch, capsys, test_out):
+    monkeypatch.chdir(tmp_path)
+    os.mkdir("sub")
+    os.symlink("same.ndjson", "link.ndjson")  # dangling: it names the train split's path
+    for source in (chain["labeled"], "missing.ndjson"):  # refused before the input is read
+        argv = ["sample", "--in", source, "--split-date", "2025-04-01T00:00:00Z",
+                "--train-out", "same.ndjson", "--test-out", test_out]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == "error: --train-out and --test-out are the same file: same.ndjson\n"
+    assert sorted(os.listdir(tmp_path)) == ["link.ndjson", "sub"]
+
+
+def test_explain_row_out_of_range_writes_nothing(chain, tmp_path, capsys):
+    out, attribution = tmp_path / "importance.csv", tmp_path / "attribution.json"
+    argv = ["explain", "--in", chain["matrix"], "--model", chain["model"], "--out", str(out),
+            "--attribution-out", str(attribution)]
+    run_ok(argv)
+    before = out.read_bytes()
+    n = _count_lines(chain["matrix"]) - 1
+    for row in (str(n), "-1", "99999"):
+        assert cli.main(argv + ["--row", row]) == 1
+        assert capsys.readouterr().err == f"error: --row {row} out of range for {n} rows\n"
+    assert out.read_bytes() == before and not attribution.exists()
+
+
+def test_train_takes_the_profile_from_the_feature_names(chain, tmp_path, capsys):
+    full, reduced = tmp_path / "full29.csv", tmp_path / "reduced.csv"
+    model, bad = tmp_path / "model.json", tmp_path / "bad_model.json"
+    run_ok(["encode", "--in", chain["sampled"], "--out", str(full), "--profile", "full29"])
+    run_ok(["select", "--in", str(full), "--out", str(tmp_path / "selection.json"),
+            "--k", "20", "--matrix-out", str(reduced)])
+    run_ok(["train", "--in", str(reduced), "--model", str(model), "--trees", "5"])
+    saved = json.loads(model.read_text(encoding="utf-8"))
+    # 20 selected columns of full29 are not core20's, so the model names no profile
+    assert len(saved["feature_names"]) == 20
+    assert saved["feature_names"] != feature_names(FeatureProfile.CORE20)
+    assert saved["profile"] is None
+    with open(chain["model"], encoding="utf-8") as fh:
+        assert json.load(fh)["profile"] == "core20"
+    # a model that claims core20 over other columns is refused on load
+    saved["profile"] = "core20"
+    bad.write_text(json.dumps(saved), encoding="utf-8")
+    argv = ["predict", "--in", str(reduced), "--model", str(bad),
+            "--out", str(tmp_path / "predictions.csv")]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == (
+        "error: model profile 'core20' does not name its 20 features\n"
+    )
+    assert not (tmp_path / "predictions.csv").exists()
 
 
 def test_explain_row_attribution_is_locally_accurate(chain, tmp_path):
@@ -1032,6 +1087,35 @@ def test_interrupted_label_leaves_the_previous_output(tmp_path, monkeypatch):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["comments.csv", "in.ndjson", "out"]
 
 
+@pytest.mark.parametrize("label", [True, 2, 1.0])
+def test_refused_label_leaves_the_previous_output(tmp_path, label):
+    out = tmp_path / "out.ndjson"
+    out.write_text("previous\n", encoding="utf-8")
+    alert = parse_alert_record(make_line())
+    # 2,000 good rows: the writer has flushed many of them before the bad one
+    rows = [LabeledAlert(alert, 1)] * 2000 + [LabeledAlert(alert, label)]
+    with pytest.raises(ValidationError, match=f"^label must be 0 or 1, got {label!r}$"):
+        cli._write_ndjson(str(out), rows)
+    assert out.read_text(encoding="utf-8") == "previous\n"
+    assert os.listdir(tmp_path) == ["out.ndjson"]
+
+
+@pytest.mark.parametrize("command",
+                         ["ingest", "label", "sample", "encode", "select", "explain", "predict"])
+def test_stage_that_draws_no_random_number_has_no_seed_flag(command):
+    with pytest.raises(SystemExit) as exc, contextlib.redirect_stderr(io.StringIO()):
+        cli.main([command, "--seed", "1"])
+    assert exc.value.code == 2
+
+
+def test_seed_stays_a_config_key_of_every_stage(chain, tmp_path):
+    # one config file still serves a whole pipeline, seeded stages and the rest
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seed": 7}), encoding="utf-8")
+    run_ok(["predict", "--config", str(config), "--in", chain["matrix"],
+            "--model", chain["model"], "--out", str(tmp_path / "predictions.csv")])
+
+
 def test_label_output_gets_the_mode_a_plain_open_gives(chain, tmp_path):
     out = tmp_path / "labeled.ndjson"
     argv = ["label", "--in", chain["alerts"], "--comments", chain["comments"], "--out", str(out)]
@@ -1155,6 +1239,7 @@ _FLAG_HELP = {
         "--n-rules": "rule count (default 200)",
         "--dup": "duplication factor (default 50)",
         "--signal": "signal strength in [0,1] (default 0.9)",
+        "--seed": "RNG seed (default 42)",
     },
     "ingest": {
         "--in": "raw NDJSON alert log",
@@ -1196,6 +1281,7 @@ _FLAG_HELP = {
         "--trees": "tree count (default 100)",
         "--depth": "max depth (default 6)",
         "--min-split": "min samples to split (default 2)",
+        "--seed": "RNG seed (default 42)",
     },
     "evaluate": {
         "--in": "labeled matrix CSV",
@@ -1205,6 +1291,7 @@ _FLAG_HELP = {
         "--minutes-per-alert": "analyst minutes per reviewed alert (default 4.0)",
         "--report": "report JSON output (default report.json)",
         "--summary": "also write a metric,value CSV here",
+        "--seed": "RNG seed (default 42)",
     },
     "explain": {
         "--in": "matrix CSV",
@@ -1223,7 +1310,6 @@ _FLAG_HELP = {
 _SHARED_FLAG_HELP = {
     "-h": "show this help message and exit",
     "--config": "JSON config file; flags override its values",
-    "--seed": "RNG seed (default 42)",
 }
 
 
@@ -1332,12 +1418,10 @@ def test_no_flags_resolve_each_documented_default(chain, tmp_path, monkeypatch):
     }
     documented = {}
     for command, flags in _FLAG_HELP.items():
-        for flag, text in {**flags, "--seed": _SHARED_FLAG_HELP["--seed"]}.items():
+        for flag, text in flags.items():
             if "(default " in text:
                 documented[command, flag] = text.rsplit("(default ", 1)[1][:-1]
-    # --seed is documented for every subcommand; only synth, train and evaluate draw from it
-    unseeded = {(c, "--seed") for c in _FLAG_HELP} - set(used)
-    assert set(documented) - unseeded == set(used)
+    assert set(documented) == set(used)
     for key, value in used.items():
         assert str(value) == documented[key], key
         if isinstance(value, str) and value.endswith((".ndjson", ".csv", ".json")):

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from alert_sift import forest as forest_mod
 from alert_sift.errors import ValidationError
+from alert_sift.features import FeatureProfile, feature_names
 from alert_sift.forest import (
     MODEL_FORMAT_VERSION,
     ForestParams,
@@ -501,6 +502,26 @@ def test_model_round_trip_is_lossless():
     buf2 = io.StringIO()
     save_forest(loaded, buf2)
     assert buf2.getvalue() == buf.getvalue()
+
+
+@pytest.mark.parametrize("profile", list(FeatureProfile))
+def test_profile_comes_from_the_feature_names(profile):
+    rng = np.random.default_rng(14)
+    X = rng.random((30, profile.width))
+    y = np.array([0, 1] * 15)
+    names = feature_names(profile)
+    params = ForestParams(n_estimators=2)
+    assert train_forest(X, y, params, feature_names=names).profile is profile
+    # the width alone, or the right names in another order, name no profile
+    assert train_forest(X, y, params).profile is None
+    obj = forest_to_dict(train_forest(X, y, params, feature_names=names[::-1]))
+    assert obj["profile"] is None
+    assert forest_from_dict(obj).profile is None
+    obj["profile"] = profile.value  # a claim its names do not bear out
+    with pytest.raises(ValidationError, match=f"^model profile {profile.value!r} does not name"):
+        forest_from_dict(obj)
+    obj["feature_names"] = names
+    assert forest_from_dict(obj).profile is profile
 
 
 def test_model_version_field_mandatory():

@@ -15,6 +15,7 @@ from alert_sift.errors import AlertSiftError, ParseError, ValidationError
 from alert_sift.ingest import (
     DEFAULT_FIELD_MAP,
     FieldPaths,
+    LabeledAlert,
     Records,
     alert_to_record,
     attach_comments,
@@ -534,3 +535,26 @@ def test_field_map_key_that_names_no_field_is_rejected():
         record_to_alert(make_record(), {"dest_ip": "dest_ip"})
     with pytest.raises(ValidationError, match="unknown field 'nope'"):
         FieldPaths({"src_ip": "src_ip", "nope": "x"})
+
+
+def test_labeled_alert_is_an_alert_label_row():
+    alert = parse_alert_record(make_line())
+    row = LabeledAlert(alert, 1)
+    assert row == (alert, 1) and (row.alert, row.label) == (alert, 1)
+    got_alert, got_label = row
+    assert got_alert is alert and got_label == 1
+    out = io.StringIO()
+    write_records(out, [row])
+    expected = io.StringIO()
+    write_records(expected, [(alert, 1)])
+    assert out.getvalue() == expected.getvalue()
+
+
+@pytest.mark.parametrize("label", [2, True, False, 1.0, -1, "1"])
+def test_write_records_refuses_a_label_other_than_0_or_1(label):
+    alert = parse_alert_record(make_line())
+    for row in ((alert, label), LabeledAlert(alert, label)):
+        out = io.StringIO()
+        with pytest.raises(ValidationError, match=f"^label must be 0 or 1, got {label!r}$"):
+            write_records(out, [(alert, 0), row])
+        assert out.getvalue().count("\n") == 1  # the row before it was written

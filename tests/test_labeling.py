@@ -50,8 +50,6 @@ def test_whitespace_padding_irrelevant():
 
 def test_match_is_case_insensitive_by_default():
     assert classify_comment("WHITELISTED per client") is LabelDecision.FALSE_POSITIVE
-    cfg = KeywordConfig(case_insensitive=False)
-    assert classify_comment("WHITELISTED per client", cfg) is LabelDecision.UNMATCHED
 
 
 def test_keyword_config_rejects_empty_or_overlapping_lists():
@@ -100,6 +98,14 @@ def test_client_specific_action_dropped_even_when_listed():
     assert label_corpus(alerts, [("r-tp", "alerted")], []) == []
 
 
+def test_label_corpus_returns_labeled_alert_rows():
+    alerts = _alerts(("r1", "a"), ("r2", "a"))
+    labeled = label_corpus(alerts, [("r1", "alerted")], [("r2", "benign")])
+    assert all(type(row) is LabeledAlert for row in labeled)
+    assert [(row.alert, row.label) for row in labeled] == [(alerts[0], 1), (alerts[1], 0)]
+    assert labeled == [(alerts[0], 1), (alerts[1], 0)]
+
+
 def test_label_corpus_preserves_order_and_input():
     alerts = _alerts(("r1", "a"), ("r2", "a"), ("r1", "a"))
     labeled = label_corpus(alerts, [("r1", "alerted")], [("r2", "benign")])
@@ -130,12 +136,6 @@ def test_small_match_fraction_labels_small_fraction():
     labeled = label_corpus(alerts, [("r3", "alerted")], [])
     assert len(labeled) == 1_000
     assert all(x.label == 1 for x in labeled)
-
-
-def test_labeled_alert_validates_label():
-    alert = parse_alert_record(make_line())
-    with pytest.raises(ValidationError):
-        LabeledAlert(alert=alert, label=2)
 
 
 def test_load_keyword_config_stanzas():
