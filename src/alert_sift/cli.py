@@ -4,9 +4,9 @@ Subcommands chain through files: synth or ingest produces normalized
 NDJSON, label attaches 1/0 labels from rule comments, sample dedups and
 optionally splits by date, encode emits a feature-matrix CSV, and the
 model stages (select, train, evaluate, explain, predict) operate on that
-CSV plus a JSON model file. NDJSON streams in through ingest.Records and
-out through _write_ndjson; _read_matrix and _read_model read each matrix
-and model, and refuse a matrix that the stage or model cannot use.
+CSV plus a JSON model file. NDJSON streams in through ingest.Records, every
+file goes out through _outputs, which writes all of a stage's outputs or none,
+and _read_matrix and _read_model refuse a matrix the stage or model cannot use.
 
 _COMMANDS is the one place where flags and their defaults live: each
 subcommand's handler, its help line and one (name, flag, type, default,
@@ -28,6 +28,7 @@ evaluate). Labeled stages pass LabeledAlert rows, (alert, label) pairs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import stat
@@ -35,7 +36,7 @@ import sys
 from argparse import Namespace
 from dataclasses import asdict
 from functools import partial
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -109,50 +110,58 @@ def _load_config(path: str | None) -> dict:
     return obj
 
 
-def _write_json(path: str, obj: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+@contextlib.contextmanager
+def _outputs(paths: dict[str, str | None]) -> Iterator[list[TextIO | None]]:
+    """A text handle per {flag: path}, None for a None path; all are written or none.
 
-
-def _write_ndjson(
-    path: str,
-    rows: Iterable[tuple[RawAlert, int | None]],
-    comments: dict[str, str] | None = None,
-) -> None:
-    """write_records to path; a regular file is replaced only once all rows are written.
-
-    A new or regular file (a symlink's target included) is written as a
-    temporary file beside it, which replaces it on success, so rows may be
-    read from path itself; any exception, an interrupt included, removes the
-    temporary file and leaves path as it was. The file gets the permissions a
-    plain open(path, "w") would give it. Anything else, such as a FIFO or a
-    device like /dev/stdout, is written straight through, as open does.
+    Two flags that name one file are refused before anything is opened. A
+    missing or regular file (a symlink's target included) is written as a
+    temporary file beside it, and the temporary files replace their targets
+    only when the block ends cleanly: a stage may read its own output path,
+    and any exception, an interrupt included, leaves every output as it was.
+    A new file gets the mode a plain open(path, "w") gives it; a FIFO or a
+    device, such as /dev/stdout, is written straight through.
     """
+    seen: dict[str, str] = {}  # realpath -> the first flag that names it
+    for flag, path in paths.items():
+        if path is not None:
+            first = seen.setdefault(os.path.realpath(path), flag)
+            if first != flag:
+                raise AlertSiftError(f"{first} and {flag} are the same file: {paths[first]}")
+    handles: list[TextIO | None] = []
+    moves: list[tuple[str, str]] = []  # (temporary file, target) of each replaced output
     try:
-        mode: int | None = os.stat(path).st_mode
-    except FileNotFoundError:
-        if not path:  # refused as open refuses it: realpath("") is the working directory
-            raise
-        mode = None
-    if mode is not None and not stat.S_ISREG(mode):
-        with open(path, "w", encoding="utf-8") as fh:
-            write_records(fh, rows, comments)
-        return
-    target = os.path.realpath(path)
-    tmp = os.path.join(os.path.dirname(target), f".alert-sift-{os.urandom(6).hex()}")
-    try:
-        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-    except OSError as exc:
-        raise OSError(exc.errno, exc.strerror, path) from None
-    try:
-        if mode is not None:
-            os.fchmod(fd, stat.S_IMODE(mode))
-        with open(fd, "w", encoding="utf-8") as fh:
-            write_records(fh, rows, comments)
-        os.replace(tmp, target)
+        with contextlib.ExitStack() as stack:  # closes every handle, on success or failure
+            for path in paths.values():
+                if path is None:
+                    handles.append(None)
+                    continue
+                try:
+                    mode: int | None = os.stat(path).st_mode
+                except FileNotFoundError:
+                    if not path:  # refused as open refuses it: realpath("") is the cwd
+                        raise
+                    mode = None
+                if mode is not None and not stat.S_ISREG(mode):
+                    handles.append(stack.enter_context(open(path, "w", encoding="utf-8")))
+                    continue
+                target = os.path.realpath(path)
+                tmp = os.path.join(os.path.dirname(target), f".alert-sift-{os.urandom(6).hex()}")
+                try:
+                    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+                except OSError as exc:
+                    raise OSError(exc.errno, exc.strerror, path) from None
+                moves.append((tmp, target))
+                handles.append(stack.enter_context(open(fd, "w", encoding="utf-8")))
+                if mode is not None:
+                    os.fchmod(fd, stat.S_IMODE(mode))
+            yield handles
+        for tmp, target in moves:
+            os.replace(tmp, target)
     except BaseException:
-        os.unlink(tmp)
+        for tmp, _ in moves:
+            with contextlib.suppress(FileNotFoundError):  # replaced before the failure
+                os.unlink(tmp)
         raise
 
 
@@ -202,13 +211,12 @@ def cmd_synth(opt: Namespace) -> str:
         signal_strength=opt.signal,
         seed=opt.seed,
     )
-    corpus = generate_corpus(spec)
-    with open(opt.out, "w", encoding="utf-8") as fh:
-        write_alerts(corpus, fh)
-    with open(opt.comments, "w", encoding="utf-8") as fh:
-        write_comments(corpus, fh)
-    with open(opt.truth, "w", encoding="utf-8") as fh:
-        write_truth(corpus, fh)
+    paths = {"--out": opt.out, "--comments": opt.comments, "--truth": opt.truth}
+    with _outputs(paths) as (alerts_fh, comments_fh, truth_fh):
+        corpus = generate_corpus(spec)
+        write_alerts(corpus, alerts_fh)
+        write_comments(corpus, comments_fh)
+        write_truth(corpus, truth_fh)
     return (
         f"synth: wrote {len(corpus.alerts)} alerts over {len(corpus.comments)} rules "
         f"to {opt.out} (comments {opt.comments}, truth {opt.truth})"
@@ -217,67 +225,63 @@ def cmd_synth(opt: Namespace) -> str:
 
 def cmd_ingest(opt: Namespace) -> str:
     fields = FieldPaths()
-    if opt.field_map:
-        with open(opt.field_map, encoding="utf-8") as fh:
-            fields = FieldPaths(load_field_map(fh))
-    comments = None
-    if opt.comments:
-        with open(opt.comments, encoding="utf-8") as fh:
-            comments = dict(read_rule_comments(fh))
-    rejected: list[tuple[int, str]] = []
-    with open(opt.input, encoding="utf-8") as fh:
-        alerts = Records(fh, lambda text: parse_alert_record(text, fields), opt.input, rejected)
-
-        def rows() -> Iterator[tuple[RawAlert, None]]:
-            for alert in alerts:
-                yield alert, None
-            if alerts.count == 0 and rejected:  # raised inside the write, so no file is left
-                line_no, reason = rejected[0]
-                raise AlertSiftError(
-                    f"all {len(rejected)} records rejected; first: line {line_no}: {reason}"
-                )
-
-        _write_ndjson(opt.out, rows(), comments)
+    with _outputs({"--out": opt.out}) as (out,):
+        if opt.field_map:
+            with open(opt.field_map, encoding="utf-8") as fh:
+                fields = FieldPaths(load_field_map(fh))
+        comments = None
+        if opt.comments:
+            with open(opt.comments, encoding="utf-8") as fh:
+                comments = dict(read_rule_comments(fh))
+        rejected: list[tuple[int, str]] = []
+        with open(opt.input, encoding="utf-8") as fh:
+            alerts = Records(fh, lambda text: parse_alert_record(text, fields), opt.input, rejected)
+            write_records(out, ((alert, None) for alert in alerts), comments)
+        if alerts.count == 0 and rejected:  # raised inside the with, so no file is left
+            line_no, reason = rejected[0]
+            raise AlertSiftError(
+                f"all {len(rejected)} records rejected; first: line {line_no}: {reason}"
+            )
     return f"ingest: accepted {alerts.count}, rejected {len(rejected)} -> {opt.out}"
 
 
 def cmd_label(opt: Namespace) -> str:
-    cfg = KeywordConfig()
-    if opt.keywords:
-        with open(opt.keywords, encoding="utf-8") as fh:
-            cfg = load_keyword_config(fh)
-    rules = None
-    if opt.comments:
-        # the rules are known before the first alert, so the alerts stream through
-        with open(opt.comments, encoding="utf-8") as fh:
-            rules = read_rule_comments(fh)
-    fields = FieldPaths()
-    with open(opt.input, encoding="utf-8") as fh:
-        # looked up per line, so the benchmark's tracer, which rebinds it, counts these parses
-        alerts = Records(fh, lambda text: parse_alert_record(text, fields), opt.input)
-        stream: Iterable[RawAlert] = alerts
-        if rules is None:
-            # a rule's embedded comment may first appear on its last alert
-            stream = list(alerts)
-            seen: dict[str, str] = {}
-            for alert in stream:
-                if alert.rev_comment and alert.rule_uuid not in seen:
-                    seen[alert.rule_uuid] = alert.rev_comment
-            rules = list(seen.items())
-        tp_list, fp_list = build_label_lists(rules, cfg)
-        written = [0, 0]  # rows written with label 0, with label 1
+    with _outputs({"--out": opt.out, "--lists": opt.lists}) as (out, lists):
+        cfg = KeywordConfig()
+        if opt.keywords:
+            with open(opt.keywords, encoding="utf-8") as fh:
+                cfg = load_keyword_config(fh)
+        rules = None
+        if opt.comments:
+            # the rules are known before the first alert, so the alerts stream through
+            with open(opt.comments, encoding="utf-8") as fh:
+                rules = read_rule_comments(fh)
+        fields = FieldPaths()
+        with open(opt.input, encoding="utf-8") as fh:
+            # looked up per line, so the benchmark's tracer, which rebinds it, counts these parses
+            alerts = Records(fh, lambda text: parse_alert_record(text, fields), opt.input)
+            stream: Iterable[RawAlert] = alerts
+            if rules is None:
+                # a rule's embedded comment may first appear on its last alert
+                stream = list(alerts)
+                seen: dict[str, str] = {}
+                for alert in stream:
+                    if alert.rev_comment and alert.rule_uuid not in seen:
+                        seen[alert.rule_uuid] = alert.rev_comment
+                rules = list(seen.items())
+            tp_list, fp_list = build_label_lists(rules, cfg)
+            written = [0, 0]  # rows written with label 0, with label 1
 
-        def tally(rows: Iterator[tuple[RawAlert, int]]) -> Iterator[tuple[RawAlert, int]]:
-            for row in rows:
-                written[row[1]] += 1
-                yield row
+            def tally(rows: Iterator[tuple[RawAlert, int]]) -> Iterator[tuple[RawAlert, int]]:
+                for row in rows:
+                    written[row[1]] += 1
+                    yield row
 
-        rows = tally(label_alerts(stream, tp_list, fp_list))
-        # the sidecar comment of a rule is written onto its alerts, as ingest attaches it
-        _write_ndjson(opt.out, rows, dict(rules) if opt.comments else None)
-    if opt.lists:
-        with open(opt.lists, "w", encoding="utf-8") as fh:
-            write_label_lists(tp_list, fp_list, fh)
+            rows = tally(label_alerts(stream, tp_list, fp_list))
+            # the sidecar comment of a rule is written onto its alerts, as ingest attaches it
+            write_records(out, rows, dict(rules) if opt.comments else None)
+        if lists:
+            write_label_lists(tp_list, fp_list, lists)
     n_fp, n_tp = written
     return (
         f"label: {n_tp + n_fp} labeled ({n_tp} tp, {n_fp} fp), "
@@ -288,69 +292,69 @@ def cmd_label(opt: Namespace) -> str:
 def cmd_sample(opt: Namespace) -> str:
     params = SampleParams(stride=opt.stride, per_rule_cap=opt.per_rule_cap)
     split = parse_timestamp(opt.split_date) if opt.split_date else None
-    if split is not None and os.path.realpath(opt.train_out) == os.path.realpath(opt.test_out):
-        raise AlertSiftError(f"--train-out and --test-out are the same file: {opt.train_out}")
-    with open(opt.input, encoding="utf-8") as fh:
+    paths = (
+        {"--out": opt.out} if split is None
+        else {"--train-out": opt.train_out, "--test-out": opt.test_out}
+    )
+    with _outputs(paths) as outs, open(opt.input, encoding="utf-8") as fh:
         labeled = Records(fh, partial(parse_labeled_record, fields=FieldPaths()), opt.input)
         # only the survivors are held; every line is still read and validated
         kept = dedup_sample(labeled, params)
-    if split is not None:
-        train, test = partition_by_period(kept, split)
-        _write_ndjson(opt.train_out, train)
-        _write_ndjson(opt.test_out, test)
-        return (
-            f"sample: kept {len(kept)} of {labeled.count} "
-            f"(train {len(train)} -> {opt.train_out}, test {len(test)} -> {opt.test_out})"
-        )
-    _write_ndjson(opt.out, kept)
-    return f"sample: kept {len(kept)} of {labeled.count} -> {opt.out}"
+        parts = [kept] if split is None else partition_by_period(kept, split)
+        for out, rows in zip(outs, parts):
+            write_records(out, rows)
+    if split is None:
+        return f"sample: kept {len(kept)} of {labeled.count} -> {opt.out}"
+    train, test = parts
+    return (
+        f"sample: kept {len(kept)} of {labeled.count} "
+        f"(train {len(train)} -> {opt.train_out}, test {len(test)} -> {opt.test_out})"
+    )
 
 
 def cmd_encode(opt: Namespace) -> str:
     profile = _profile(opt.profile)
     caps = ScalingCaps()
-    if opt.caps:
-        with open(opt.caps, encoding="utf-8") as fh:
-            caps = load_caps(fh)
-    with open(opt.input, encoding="utf-8") as fh:
-        labeled = list(Records(fh, partial(parse_labeled_record, fields=FieldPaths()), opt.input))
-    # no labeled alerts give a header-only matrix
-    rows = [encode_alert(item.alert, profile, caps) for item in labeled]
-    X = as_matrix(rows) if rows else np.empty((0, profile.width))
-    labels = [item.label for item in labeled]
-    with open(opt.out, "w", encoding="utf-8") as fh:
-        write_matrix_csv(fh, X, labels, feature_names(profile))
+    with _outputs({"--out": opt.out}) as (out,):
+        if opt.caps:
+            with open(opt.caps, encoding="utf-8") as fh:
+                caps = load_caps(fh)
+        with open(opt.input, encoding="utf-8") as fh:
+            labeled = list(
+                Records(fh, partial(parse_labeled_record, fields=FieldPaths()), opt.input)
+            )
+        # no labeled alerts give a header-only matrix
+        rows = [encode_alert(item.alert, profile, caps) for item in labeled]
+        X = as_matrix(rows) if rows else np.empty((0, profile.width))
+        write_matrix_csv(out, X, [item.label for item in labeled], feature_names(profile))
     return f"encode: {len(rows)} rows x {profile.width} features -> {opt.out}"
 
 
 def cmd_select(opt: Namespace) -> str:
-    X, labels, names = _read_matrix(opt.input, labeled=True)
-    # missing-counter sentinels (-1.0) carry no frequency mass
-    result = chi2_select(np.where(X < 0, 0.0, X), labels, opt.k)
-    _write_json(
-        opt.out,
-        {
+    with _outputs({"--out": opt.out, "--matrix-out": opt.matrix_out}) as (out, matrix_out):
+        X, labels, names = _read_matrix(opt.input, labeled=True)
+        # missing-counter sentinels (-1.0) carry no frequency mass
+        result = chi2_select(np.where(X < 0, 0.0, X), labels, opt.k)
+        keep = result.selected_indices
+        selection = {
             "k": opt.k,
             "scores": {names[j]: result.chi2_scores[j] for j in range(len(names))},
-            "selected_indices": result.selected_indices,
-            "selected_features": [names[j] for j in result.selected_indices],
-        },
-    )
-    if opt.matrix_out:
-        keep = result.selected_indices
-        with open(opt.matrix_out, "w", encoding="utf-8") as fh:
-            write_matrix_csv(fh, X[:, keep], labels, [names[j] for j in keep])
-    return f"select: top {len(result.selected_indices)} of {len(names)} by chi2 -> {opt.out}"
+            "selected_indices": keep,
+            "selected_features": [names[j] for j in keep],
+        }
+        out.write(json.dumps(selection, sort_keys=True, indent=2) + "\n")
+        if matrix_out:
+            write_matrix_csv(matrix_out, X[:, keep], labels, [names[j] for j in keep])
+    return f"select: top {len(keep)} of {len(names)} by chi2 -> {opt.out}"
 
 
 def cmd_train(opt: Namespace) -> str:
     params = ForestParams(
         n_estimators=opt.trees, max_depth=opt.depth, min_samples_split=opt.min_split, seed=opt.seed
     )
-    X, labels, names = _read_matrix(opt.input, labeled=True)
-    forest = train_forest(X, labels, params, feature_names=names)
-    with open(opt.model, "w", encoding="utf-8") as fh:
-        save_forest(forest, fh)
+    with _outputs({"--model": opt.model}) as (out,):
+        X, labels, names = _read_matrix(opt.input, labeled=True)
+        save_forest(train_forest(X, labels, params, feature_names=names), out)
     return (
         f"train: trained {params.n_estimators} trees, depth<={params.max_depth} "
         f"on {X.shape[0]} samples -> {opt.model}"
@@ -360,92 +364,85 @@ def cmd_train(opt: Namespace) -> str:
 def cmd_evaluate(opt: Namespace) -> str:
     if opt.model is None and opt.kfold is None:
         raise AlertSiftError("evaluate needs --model, --kfold, or both")
-    forest = _read_model(opt.model) if opt.model else None
-    X, labels, _ = _read_matrix(opt.input, labeled=True, forest=forest)
+    with _outputs({"--report": opt.report, "--summary": opt.summary}) as (out, summary):
+        forest = _read_model(opt.model) if opt.model else None
+        X, labels, _ = _read_matrix(opt.input, labeled=True, forest=forest)
 
-    report: dict = {
-        "confusion": None,
-        "metrics": None,
-        "savings_hours": None,
-        "per_fold": None,
-        "mean": None,
-        "variance": None,
-    }
-    summary_bits = []
-    params = ForestParams(seed=opt.seed)
-    if forest is not None:
-        params = forest.params
-        cm, rep = evaluate_forest(forest, X, labels, opt.threshold)
-        savings = workload_savings(cm.fp_as_fp, opt.minutes_per_alert)
-        report["confusion"] = asdict(cm)
-        report["metrics"] = asdict(rep)
-        report["savings_hours"] = savings
-        acc = "n/a" if rep.accuracy is None else f"{rep.accuracy:.3f}"
-        rec = "n/a" if rep.tp_recall is None else f"{rep.tp_recall:.3f}"
-        summary_bits.append(f"accuracy {acc}, tp_recall {rec}, savings {savings:.1f}h")
-    if opt.kfold is not None:
-        cv = cross_validate(
-            X, labels, params, k=opt.kfold, seed=params.seed, threshold=opt.threshold
-        )
-        report["per_fold"] = [asdict(r) for r in cv.reports]
-        report["mean"] = cv.mean_accuracy
-        report["variance"] = cv.accuracy_variance
-        summary_bits.append(
-            f"{opt.kfold}-fold mean {cv.mean_accuracy:.3f} var {cv.accuracy_variance:.5f}"
-        )
-    _write_json(opt.report, report)
-    if opt.summary:
-        with open(opt.summary, "w", encoding="utf-8") as fh:
-            fh.write("metric,value\n")
+        keys = ("confusion", "metrics", "savings_hours", "per_fold", "mean", "variance")
+        report: dict = dict.fromkeys(keys)
+        summary_bits = []
+        params = ForestParams(seed=opt.seed)
+        if forest is not None:
+            params = forest.params
+            cm, rep = evaluate_forest(forest, X, labels, opt.threshold)
+            savings = workload_savings(cm.fp_as_fp, opt.minutes_per_alert)
+            report["confusion"] = asdict(cm)
+            report["metrics"] = asdict(rep)
+            report["savings_hours"] = savings
+            acc = "n/a" if rep.accuracy is None else f"{rep.accuracy:.3f}"
+            rec = "n/a" if rep.tp_recall is None else f"{rep.tp_recall:.3f}"
+            summary_bits.append(f"accuracy {acc}, tp_recall {rec}, savings {savings:.1f}h")
+        if opt.kfold is not None:
+            cv = cross_validate(
+                X, labels, params, k=opt.kfold, seed=params.seed, threshold=opt.threshold
+            )
+            report["per_fold"] = [asdict(r) for r in cv.reports]
+            report["mean"] = cv.mean_accuracy
+            report["variance"] = cv.accuracy_variance
+            summary_bits.append(
+                f"{opt.kfold}-fold mean {cv.mean_accuracy:.3f} var {cv.accuracy_variance:.5f}"
+            )
+        out.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
+        if summary:
+            summary.write("metric,value\n")
             if report["metrics"]:
                 for key, value in report["metrics"].items():
-                    fh.write(f"{key},{'' if value is None else repr(float(value))}\n")
+                    summary.write(f"{key},{'' if value is None else repr(float(value))}\n")
             if report["savings_hours"] is not None:
-                fh.write(f"savings_hours,{report['savings_hours']!r}\n")
+                summary.write(f"savings_hours,{report['savings_hours']!r}\n")
             if report["mean"] is not None:
-                fh.write(f"kfold_mean_accuracy,{report['mean']!r}\n")
-                fh.write(f"kfold_accuracy_variance,{report['variance']!r}\n")
+                summary.write(f"kfold_mean_accuracy,{report['mean']!r}\n")
+                summary.write(f"kfold_accuracy_variance,{report['variance']!r}\n")
     return f"evaluate: {'; '.join(summary_bits)} -> {opt.report}"
 
 
 def cmd_explain(opt: Namespace) -> str:
     from .attribution import global_importance, tree_shap
 
-    forest = _read_model(opt.model)
-    X, _, _ = _read_matrix(opt.input, forest=forest)
-    if X.shape[0] == 0:
-        raise AlertSiftError(f"{opt.input} has no rows to explain")
-    if opt.row is not None and not 0 <= opt.row < X.shape[0]:
-        raise AlertSiftError(f"--row {opt.row} out of range for {X.shape[0]} rows")
-    ranking = global_importance(forest, X)
-    with open(opt.out, "w", encoding="utf-8") as fh:
-        fh.write("feature,mean_abs_shap\n")
+    attribution_path = opt.attribution_out if opt.row is not None else None
+    with _outputs({"--out": opt.out, "--attribution-out": attribution_path}) as (out, row_out):
+        forest = _read_model(opt.model)
+        X, _, _ = _read_matrix(opt.input, forest=forest)
+        if X.shape[0] == 0:
+            raise AlertSiftError(f"{opt.input} has no rows to explain")
+        if opt.row is not None and not 0 <= opt.row < X.shape[0]:
+            raise AlertSiftError(f"--row {opt.row} out of range for {X.shape[0]} rows")
+        ranking = global_importance(forest, X)
+        out.write("feature,mean_abs_shap\n")
         for name, score in ranking:
-            fh.write(f"{name},{score!r}\n")
-    if opt.row is not None:
-        att = tree_shap(forest, X[opt.row])
-        _write_json(
-            opt.attribution_out,
-            {
+            out.write(f"{name},{score!r}\n")
+        if row_out:
+            att = tree_shap(forest, X[opt.row])
+            attribution = {
                 "row": opt.row,
                 "base_value": att.base_value,
                 "phi": {forest.feature_names[j]: att.phi[j] for j in range(forest.width)},
                 "prediction": att.total,
-            },
-        )
+            }
+            row_out.write(json.dumps(attribution, sort_keys=True, indent=2) + "\n")
     return f"explain: ranked {len(ranking)} features over {X.shape[0]} rows -> {opt.out}"
 
 
 def cmd_predict(opt: Namespace) -> str:
     check_threshold(opt.threshold)
-    forest = _read_model(opt.model)
-    X, _, _ = _read_matrix(opt.input, forest=forest)
-    proba = predict_proba_batch(forest, X)
-    preds = (proba >= opt.threshold).astype(int)
-    with open(opt.out, "w", encoding="utf-8") as fh:
-        fh.write("row,proba,label\n")
+    with _outputs({"--out": opt.out}) as (out,):
+        forest = _read_model(opt.model)
+        X, _, _ = _read_matrix(opt.input, forest=forest)
+        proba = predict_proba_batch(forest, X)
+        preds = (proba >= opt.threshold).astype(int)
+        out.write("row,proba,label\n")
         for i in range(X.shape[0]):
-            fh.write(f"{i},{float(proba[i])!r},{int(preds[i])}\n")
+            out.write(f"{i},{float(proba[i])!r},{int(preds[i])}\n")
     filtered = int((preds == 0).sum())
     return f"predict: {X.shape[0]} rows, {filtered} filtered as fp -> {opt.out}"
 

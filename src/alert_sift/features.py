@@ -515,12 +515,15 @@ def read_matrix_csv(
             raise ValidationError(
                 f"matrix CSV line {line_no}: expected {len(header)} columns, got {len(parts)}"
             )
+        if has_label:
+            label = parts.pop()
+            if label not in ("0", "1"):
+                raise ValidationError(
+                    f"matrix CSV line {line_no}: label must be 0 or 1, got {label!r}"
+                )
+            labels.append(int(label))
         try:
-            if has_label:
-                rows.append([float(p) for p in parts[:-1]])
-                labels.append(int(parts[-1]))
-            else:
-                rows.append([float(p) for p in parts])
+            rows.append([float(p) for p in parts])
         except ValueError as exc:
             raise ValidationError(f"matrix CSV line {line_no}: {exc}") from None
         if not all(map(math.isfinite, rows[-1])):

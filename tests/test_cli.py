@@ -23,7 +23,7 @@ from alert_sift import cli
 from alert_sift.errors import ValidationError
 from alert_sift.features import FeatureProfile, feature_names
 from alert_sift.forest import load_forest, predict_proba_batch
-from alert_sift.ingest import LabeledAlert, parse_alert_record
+from alert_sift.ingest import LabeledAlert, parse_alert_record, write_records
 
 from conftest import make_line, make_record
 
@@ -893,8 +893,12 @@ _JSON_VALUES = st.recursive(
 
 @st.composite
 def _mutated_line(draw, line: str) -> tuple[str, bool]:
-    """A mutation of one NDJSON line, and whether it can no longer be valid."""
+    """A mutation of one NDJSON or CSV line, and whether it can no longer be valid."""
     kind = draw(st.sampled_from(["truncate", "replace", "insert", "delete", "value"]))
+    if kind == "value" and not line.startswith("{"):  # a CSV line: replace one cell
+        cells = line.split(",")
+        cells[draw(st.integers(0, len(cells) - 1))] = str(draw(_JSON_VALUES))
+        return ",".join(cells), False
     if kind == "value":  # replace a value at any depth
         record = json.loads(line)
         node, key = record, draw(st.sampled_from(sorted(record)))
@@ -981,6 +985,54 @@ def test_mutated_model_exits_with_error_never_a_traceback(chain, data):
                 assert code == 1
                 assert err.getvalue().startswith("error: ")
                 assert err.getvalue().count("\n") == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_mutated_matrix_exits_with_error_never_a_traceback(chain, data):
+    with open(chain["matrix"], encoding="utf-8") as fh:
+        lines = fh.readlines()
+    i = data.draw(st.integers(1, len(lines) - 1))  # one data line
+    lines[i] = data.draw(_mutated_line(lines[i].rstrip("\n")))[0] + "\n"
+    model = chain["model"]
+    with tempfile.TemporaryDirectory() as tmp:
+        matrix = Path(tmp) / "matrix.csv"
+        matrix.write_text("".join(lines), encoding="utf-8")
+        for stage, outputs in (
+            ("select", lambda d: ["--out", f"{d}/selection.json"]),
+            ("train", lambda d: ["--model", f"{d}/model.json", "--trees", "5"]),
+            ("evaluate", lambda d: ["--model", model, "--report", f"{d}/report.json"]),
+            ("explain", lambda d: ["--model", model, "--out", f"{d}/importance.csv", "--row", "0",
+                                   "--attribution-out", f"{d}/attribution.json"]),
+            ("predict", lambda d: ["--model", model, "--out", f"{d}/predictions.csv"]),
+        ):
+            out = Path(tmp) / stage
+            out.mkdir()
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main([stage, "--in", str(matrix), *outputs(out)])
+            if code != 0:
+                assert code == 1
+                assert err.getvalue().startswith("error: ")
+                assert err.getvalue().count("\n") == 1
+                assert not any(out.iterdir())
+
+
+def test_matrix_label_other_than_0_or_1_is_refused(chain, tmp_path, capsys):
+    with open(chain["matrix"], encoding="utf-8") as fh:
+        lines = fh.readlines()
+    lines[1] = lines[1].rstrip("\n").rpartition(",")[0] + ",2\n"
+    matrix = tmp_path / "matrix.csv"
+    matrix.write_text("".join(lines), encoding="utf-8")
+    for argv in (
+        ["select", "--out", str(tmp_path / "selection.json")],
+        ["train", "--model", str(tmp_path / "model.json")],
+        ["evaluate", "--model", chain["model"], "--report", str(tmp_path / "report.json")],
+    ):
+        assert cli.main(argv + ["--in", str(matrix)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: matrix CSV line 2: label must be 0 or 1, got '2'\n"
+    assert os.listdir(tmp_path) == ["matrix.csv"]
 
 
 def test_ingest_refuses_a_sidecar_that_lists_a_rule_twice(tmp_path, capsys):
@@ -1095,7 +1147,8 @@ def test_refused_label_leaves_the_previous_output(tmp_path, label):
     # 2,000 good rows: the writer has flushed many of them before the bad one
     rows = [LabeledAlert(alert, 1)] * 2000 + [LabeledAlert(alert, label)]
     with pytest.raises(ValidationError, match=f"^label must be 0 or 1, got {label!r}$"):
-        cli._write_ndjson(str(out), rows)
+        with cli._outputs({"--out": str(out)}) as (fh,):
+            write_records(fh, rows)
     assert out.read_text(encoding="utf-8") == "previous\n"
     assert os.listdir(tmp_path) == ["out.ndjson"]
 
@@ -1116,9 +1169,13 @@ def test_seed_stays_a_config_key_of_every_stage(chain, tmp_path):
             "--model", chain["model"], "--out", str(tmp_path / "predictions.csv")])
 
 
-def test_label_output_gets_the_mode_a_plain_open_gives(chain, tmp_path):
-    out = tmp_path / "labeled.ndjson"
-    argv = ["label", "--in", chain["alerts"], "--comments", chain["comments"], "--out", str(out)]
+@pytest.mark.parametrize("stage", ["label", "predict"])
+def test_label_output_gets_the_mode_a_plain_open_gives(chain, tmp_path, stage):
+    out = tmp_path / "out"
+    argv = {
+        "label": ["label", "--in", chain["alerts"], "--comments", chain["comments"]],
+        "predict": ["predict", "--in", chain["matrix"], "--model", chain["model"]],
+    }[stage] + ["--out", str(out)]
     umask = os.umask(0o027)
     try:
         run_ok(argv)
@@ -1130,28 +1187,35 @@ def test_label_output_gets_the_mode_a_plain_open_gives(chain, tmp_path):
     assert stat.S_IMODE(out.stat().st_mode) == 0o604  # an existing file keeps its mode
 
 
-def _label_small(tmp_path: Path, out: Path) -> tuple[int, bytes]:
-    """Run label with a sidecar over 20 alerts into out; the exit code and the bytes expected."""
-    src, comments, expected = tmp_path / "in.ndjson", tmp_path / "comments.csv", tmp_path / "exp"
-    src.write_text((make_line() + "\n") * 20, encoding="utf-8")
-    comments.write_text(_SIDECAR, encoding="utf-8")
-    argv = ["label", "--in", str(src), "--comments", str(comments), "--out"]
+def _write_small(tmp_path: Path, out: Path, chain: dict | None = None) -> tuple[int, bytes]:
+    """Run label with a sidecar over 20 alerts into out, or predict on the chain's matrix if
+    a chain is given; the exit code and the bytes expected."""
+    expected = tmp_path / "exp"
+    if chain is None:
+        src, comments = tmp_path / "in.ndjson", tmp_path / "comments.csv"
+        src.write_text((make_line() + "\n") * 20, encoding="utf-8")
+        comments.write_text(_SIDECAR, encoding="utf-8")
+        argv = ["label", "--in", str(src), "--comments", str(comments), "--out"]
+    else:
+        argv = ["predict", "--in", chain["matrix"], "--model", chain["model"], "--out"]
     run_ok(argv + [str(expected)])
     return cli.main(argv + [str(out)]), expected.read_bytes()
 
 
-@pytest.mark.parametrize("via_symlink", [False, True], ids=["fifo", "symlink-to-fifo"])
-def test_label_writes_through_a_fifo_and_keeps_it(tmp_path, via_symlink):
+@pytest.mark.parametrize("stage, via_symlink",
+                         [("label", False), ("label", True), ("predict", False)],
+                         ids=["fifo", "symlink-to-fifo", "predict-fifo"])
+def test_label_writes_through_a_fifo_and_keeps_it(chain, tmp_path, stage, via_symlink):
     fifo = tmp_path / "fifo"
     os.mkfifo(fifo)
     out = fifo
     if via_symlink:
         out = tmp_path / "link"
         out.symlink_to(fifo)
-    # a reader is open, so the writer's open does not block; 20 lines fit the pipe's buffer
+    # a reader is open, so the writer's open does not block; the output fits the pipe's buffer
     reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
     try:
-        code, expected = _label_small(tmp_path, out)
+        code, expected = _write_small(tmp_path, out, chain if stage == "predict" else None)
         received = b""
         while chunk := os.read(reader, 1 << 16):
             received += chunk
@@ -1167,15 +1231,86 @@ def test_label_through_a_symlink_replaces_its_target(tmp_path):
     target, link = tmp_path / "target.ndjson", tmp_path / "link.ndjson"
     target.write_text("previous\n", encoding="utf-8")
     link.symlink_to(target)
-    code, expected = _label_small(tmp_path, link)
+    code, expected = _write_small(tmp_path, link)
     assert code == 0 and link.is_symlink() and target.read_bytes() == expected
 
 
-def test_unwritable_output_names_the_given_path(tmp_path, capsys):
-    out = tmp_path / "missing-dir" / "labeled.ndjson"
-    code, _ = _label_small(tmp_path, out)
+@pytest.mark.parametrize("stage", ["label", "predict"])
+def test_unwritable_output_names_the_given_path(chain, tmp_path, capsys, stage):
+    out = tmp_path / "missing-dir" / "out"
+    code, _ = _write_small(tmp_path, out, chain if stage == "predict" else None)
     assert code == 1
     assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{out}'\n"
+
+
+# each stage with two or more outputs: its other options, and two of its output flags in the
+# order it writes them
+_TWO_OUTPUTS = {
+    "synth": (lambda p: ["--n-tp", "5", "--n-fp", "5", "--n-rules", "2", "--dup", "1"],
+              "--out", "--truth"),
+    "label": (lambda p: ["--in", p["alerts"], "--comments", p["comments"]], "--out", "--lists"),
+    "sample": (lambda p: ["--in", p["labeled"], "--split-date", "2025-04-01T00:00:00Z"],
+               "--train-out", "--test-out"),
+    "select": (lambda p: ["--in", p["matrix"], "--k", "5"], "--out", "--matrix-out"),
+    "evaluate": (lambda p: ["--in", p["matrix"], "--model", p["model"]], "--report", "--summary"),
+    "explain": (lambda p: ["--in", p["matrix"], "--model", p["model"], "--row", "0"],
+                "--out", "--attribution-out"),
+}
+
+
+@pytest.mark.parametrize("stage", list(_TWO_OUTPUTS))
+def test_two_outputs_on_one_path_are_refused_before_anything_is_written(
+    chain, tmp_path, monkeypatch, capsys, stage
+):
+    monkeypatch.chdir(tmp_path)  # synth's --comments defaults to a file here
+    options, first, later = _TWO_OUTPUTS[stage]
+    argv = [stage, *options(chain), first, "same", later, "./same"]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == f"error: {first} and {later} are the same file: same\n"
+    assert os.listdir() == []
+    Path("same").write_text("previous\n", encoding="utf-8")
+    assert cli.main(argv) == 1
+    assert os.listdir() == ["same"] and Path("same").read_text(encoding="utf-8") == "previous\n"
+
+
+@pytest.mark.parametrize("stage", list(_TWO_OUTPUTS))
+def test_unwritable_later_output_leaves_the_earlier_one(
+    chain, tmp_path, monkeypatch, capsys, stage
+):
+    monkeypatch.chdir(tmp_path)
+    options, first, later = _TWO_OUTPUTS[stage]
+    Path("first").write_text("previous\n", encoding="utf-8")
+    assert cli.main([stage, *options(chain), first, "first", later, "nodir/later"]) == 1
+    assert capsys.readouterr().err == "error: [Errno 2] No such file or directory: 'nodir/later'\n"
+    assert os.listdir() == ["first"] and Path("first").read_text(encoding="utf-8") == "previous\n"
+
+
+@pytest.mark.parametrize(
+    "stage, writer, calls",
+    [("synth", "write_truth", 1), ("label", "write_label_lists", 1),
+     ("sample", "write_records", 2), ("select", "write_matrix_csv", 1)],
+)
+def test_interrupt_in_the_last_write_leaves_every_previous_output(
+    chain, tmp_path, monkeypatch, stage, writer, calls
+):
+    monkeypatch.chdir(tmp_path)
+    options, first, later = _TWO_OUTPUTS[stage]
+    for name in ("first", "later"):
+        Path(name).write_text("previous\n", encoding="utf-8")
+    real, seen = getattr(cli, writer), []
+
+    def interrupted(*args):
+        real(*args)  # the last write's bytes are out when the interrupt comes
+        seen.append(writer)
+        if len(seen) == calls:
+            raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, writer, interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        cli.main([stage, *options(chain), first, "first", later, "later"])
+    assert sorted(os.listdir()) == ["first", "later"]
+    for name in ("first", "later"):
+        assert Path(name).read_text(encoding="utf-8") == "previous\n"
 
 
 def test_empty_output_path_is_refused_before_anything_is_written(tmp_path, monkeypatch, capsys):
