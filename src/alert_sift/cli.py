@@ -5,7 +5,7 @@ NDJSON, label attaches 1/0 labels from rule comments, sample dedups and
 optionally splits by date, encode emits a feature-matrix CSV, and the
 model stages (select, train, evaluate, explain, predict) operate on that
 CSV plus a JSON model file. NDJSON streams in through ingest.Records, every
-file goes out through _outputs, which writes all of a stage's outputs or none,
+file goes out through _outputs, which renames outputs only once all are written,
 and _read_matrix and _read_model refuse a matrix the stage or model cannot use.
 
 _COMMANDS is the one place where flags and their defaults live: each
@@ -116,9 +116,9 @@ def _outputs(paths: dict[str, str | None]) -> Iterator[list[TextIO | None]]:
 
     Two flags that name one file are refused before anything is opened. A
     missing or regular file (a symlink's target included) is written as a
-    temporary file beside it, and the temporary files replace their targets
-    only when the block ends cleanly: a stage may read its own output path,
-    and any exception, an interrupt included, leaves every output as it was.
+    temporary file beside it, and once the block ends cleanly the temporary
+    files replace their targets one after another: a stage may read its own
+    output path, and any exception in the block leaves every output as it was.
     A new file gets the mode a plain open(path, "w") gives it; a FIFO or a
     device, such as /dev/stdout, is written straight through.
     """
@@ -196,9 +196,7 @@ def _read_matrix(
         )
     for j, (got, want) in enumerate(zip(names, expected)):
         if got != want:
-            raise AlertSiftError(
-                f"{path} column {j + 1} is {got!r} but the model expects {want!r}"
-            )
+            raise AlertSiftError(f"{path} column {j + 1} is {got!r} but the model expects {want!r}")
     return X, labels, names
 
 
@@ -246,7 +244,7 @@ def cmd_ingest(opt: Namespace) -> str:
 
 
 def cmd_label(opt: Namespace) -> str:
-    with _outputs({"--out": opt.out, "--lists": opt.lists}) as (out, lists):
+    with _outputs({"--out": opt.out, "--lists": opt.lists or None}) as (out, lists):
         cfg = KeywordConfig()
         if opt.keywords:
             with open(opt.keywords, encoding="utf-8") as fh:
@@ -331,7 +329,7 @@ def cmd_encode(opt: Namespace) -> str:
 
 
 def cmd_select(opt: Namespace) -> str:
-    with _outputs({"--out": opt.out, "--matrix-out": opt.matrix_out}) as (out, matrix_out):
+    with _outputs({"--out": opt.out, "--matrix-out": opt.matrix_out or None}) as (out, matrix_out):
         X, labels, names = _read_matrix(opt.input, labeled=True)
         # missing-counter sentinels (-1.0) carry no frequency mass
         result = chi2_select(np.where(X < 0, 0.0, X), labels, opt.k)
@@ -364,7 +362,7 @@ def cmd_train(opt: Namespace) -> str:
 def cmd_evaluate(opt: Namespace) -> str:
     if opt.model is None and opt.kfold is None:
         raise AlertSiftError("evaluate needs --model, --kfold, or both")
-    with _outputs({"--report": opt.report, "--summary": opt.summary}) as (out, summary):
+    with _outputs({"--report": opt.report, "--summary": opt.summary or None}) as (out, summary):
         forest = _read_model(opt.model) if opt.model else None
         X, labels, _ = _read_matrix(opt.input, labeled=True, forest=forest)
 

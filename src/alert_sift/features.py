@@ -457,15 +457,17 @@ def chi2_select(matrix: np.ndarray, labels: Sequence[int], k: int) -> SelectionR
         raise ValidationError(f"{X.shape[0]} rows vs {y.shape[0]} labels")
     if np.any(X < 0):
         raise ValidationError("chi2 requires non-negative feature values")
-    n = X.shape[0]
     classes = np.unique(y)
-    observed = np.array([X[y == c].sum(axis=0) for c in classes])  # (n_classes, width)
-    priors = np.array([(y == c).sum() / n for c in classes])
-    totals = observed.sum(axis=0)
-    expected = np.outer(priors, totals)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(expected > 0, (observed - expected) ** 2 / expected, 0.0)
-    scores = np.where(totals > 0, terms.sum(axis=0), 0.0)
+    try:  # a sum or a square past the largest double leaves no score to rank
+        with np.errstate(over="raise", divide="ignore", invalid="ignore"):
+            observed = np.array([X[y == c].sum(axis=0) for c in classes])  # (n_classes, width)
+            priors = np.array([(y == c).mean() for c in classes])
+            totals = observed.sum(axis=0)
+            expected = np.outer(priors, totals)
+            terms = np.where(expected > 0, (observed - expected) ** 2 / expected, 0.0)
+            scores = np.where(totals > 0, terms.sum(axis=0), 0.0)
+    except FloatingPointError:
+        raise ValidationError("chi2 scores overflow: feature values are too large") from None
     width = X.shape[1]
     order = sorted(range(width), key=lambda j: (-scores[j], j))
     return SelectionResult(

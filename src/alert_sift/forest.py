@@ -139,10 +139,10 @@ def best_split(
     """Best (feature, threshold, Gini decrease) over the candidates, or None.
 
     Thresholds are midpoints between consecutive distinct values present
-    (the lower value where the midpoint rounds onto the upper). The split
-    maximizing weighted Gini decrease wins; ties go to the lower feature
-    index, then the lower threshold. None when no split strictly decreases
-    impurity. Scores are compared as s = (tp_l^2+fp_l^2)/n_l +
+    (the lower value where the midpoint rounds onto the upper or overflows).
+    The split maximizing weighted Gini decrease wins; ties go to the lower
+    feature index, then the lower threshold. None when no split strictly
+    decreases impurity. Scores are compared as s = (tp_l^2+fp_l^2)/n_l +
     (tp_r^2+fp_r^2)/n_r, a monotone transform of the Gini decrease with the
     parent fixed; exact integers settle candidates within float tolerance.
     """
@@ -177,9 +177,9 @@ def best_split(
             if pick is None or num * pick[1] > pick[0] * den:
                 pick = (num, den, int(i))
         num, den, i = pick
-        lo, hi = X.values[feat][present[i:i + 2]]
+        lo, hi = X.values[feat][present[i:i + 2]].tolist()  # floats: an overflow gives inf
         mid = (lo + hi) / 2.0
-        threshold = float(mid if lo <= mid < hi else lo)
+        threshold = mid if lo <= mid < hi else lo
         score = float(scores[i])
 
         # a clear float win, or an exact strict one within eps; exact ties keep the lower feature

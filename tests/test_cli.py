@@ -1035,6 +1035,22 @@ def test_matrix_label_other_than_0_or_1_is_refused(chain, tmp_path, capsys):
     assert os.listdir(tmp_path) == ["matrix.csv"]
 
 
+@pytest.mark.parametrize("cells", [["1e200"], ["1.7e308", "1.7e308"]])
+def test_select_refuses_a_chi2_score_past_the_largest_double(chain, tmp_path, capsys, cells):
+    # a square, or a column sum, past the largest double: no score, so no selection.json
+    with open(chain["matrix"], encoding="utf-8") as fh:
+        lines = fh.readlines()
+    for i, cell in enumerate(cells, start=1):
+        lines[i] = cell + "," + lines[i].partition(",")[2]
+    matrix = tmp_path / "matrix.csv"
+    matrix.write_text("".join(lines), encoding="utf-8")
+    argv = ["select", "--in", str(matrix), "--out", str(tmp_path / "selection.json")]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == "error: chi2 scores overflow: feature values are too large\n"
+    assert os.listdir(tmp_path) == ["matrix.csv"]
+
+
 def test_ingest_refuses_a_sidecar_that_lists_a_rule_twice(tmp_path, capsys):
     src, comments, out = tmp_path / "alerts.ndjson", tmp_path / "comments.csv", tmp_path / "out"
     src.write_text(make_line() + "\n", encoding="utf-8")
@@ -1325,6 +1341,24 @@ def test_empty_output_path_is_refused_before_anything_is_written(tmp_path, monke
     assert capsys.readouterr().err == "error: [Errno 2] No such file or directory: ''\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["comments.csv", "in.ndjson", "work"]
     assert not any(work.iterdir())
+
+
+def test_empty_optional_output_is_not_written(chain, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for argv, flag in (
+        (["label", "--in", chain["alerts"], "--comments", chain["comments"]], "--lists"),
+        (["select", "--in", chain["matrix"]], "--matrix-out"),
+        (["evaluate", "--in", chain["matrix"], "--model", chain["model"], "--report", "out"],
+         "--summary"),
+    ):
+        out = ["--out", "out"] if argv[0] != "evaluate" else []
+        run_ok(argv + out)
+        expected = (capsys.readouterr().out, Path("out").read_bytes())
+        os.remove("out")
+        run_ok(argv + out + [flag, ""])  # as if the flag were not given
+        assert (capsys.readouterr().out, Path("out").read_bytes()) == expected
+        assert os.listdir() == ["out"]
+        os.remove("out")
 
 
 @pytest.fixture(scope="module")

@@ -701,6 +701,14 @@ def test_chi2_rejects_negative_values():
         chi2_select(np.array([[-1.0]]), [0], k=1)
 
 
+@pytest.mark.parametrize("column", [[1e200, 0.0], [1.7e308, 1.7e308]])
+def test_chi2_refuses_scores_past_the_largest_double(column):
+    # a square, then a column sum, overflows
+    with pytest.raises(ValidationError, match="chi2 scores overflow"):
+        chi2_select(np.array([[0.5, v] for v in column]), [1, 0], k=1)
+    assert chi2_select(np.array([[0.5, 1e150], [0.5, 0.0]]), [1, 0], k=1).selected_indices == [1]
+
+
 def test_chi2_ties_break_by_lower_index():
     X = np.array([[1.0, 1.0], [1.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
     result = chi2_select(X, [1, 1, 0, 0], k=1)

@@ -202,6 +202,13 @@ def test_best_split_threshold_between_adjacent_doubles_partitions():
     assert (tree.n_tp[1:].tolist(), tree.n_fp[1:].tolist()) == ([0, 2], [2, 0])
 
 
+def test_best_split_threshold_past_the_largest_double_is_the_lower_value():
+    lo, hi = 1.6e308, 1.7e308  # their sum overflows
+    X = np.array([[lo], [lo], [hi], [hi]])
+    feat, threshold, _ = best_split(X, np.array([0, 0, 1, 1]), [0])
+    assert (feat, threshold) == (0, lo)
+
+
 def _rng(seed=0):
     return np.random.Generator(np.random.PCG64(seed))
 
