@@ -10,8 +10,14 @@ sentinel; all other entries are non-negative.
 Each address is parsed once per alert, by ``ingest.ip_value``, and both its
 entries (private flag and scaled value) come from that one integer. The
 private ranges are integer intervals computed once from the networks below,
-so the flag is exactly ``ip in net`` over them (not ``ipaddress``'s own
-``is_private``, which also counts loopback, link-local and others).
+and the flag is one ``bisect`` over their sorted edges, so it is exactly
+``ip in net`` over them (not ``ipaddress``'s own ``is_private``, which also
+counts loopback, link-local and others).
+
+The keyword flags come from a per-profile table of ``(keyword, reads the
+description)`` pairs, built at import, and are memoised per (description,
+class type, profile) text in a bounded cache: a corpus has a few hundred
+rules, each with one description and class type.
 
 The scaling helpers (``scale_port``, ``encode_counter`` and the rest) define
 every scaled entry, but ``encode_alert`` reads each one from a step table: the
@@ -32,7 +38,7 @@ from typing import IO, Callable, Iterable, NoReturn, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .ingest import RawAlert, _validate_ip, ip_value
+from .ingest import _MEMO_SIZE, RawAlert, _validate_ip, ip_value
 
 PORT_MAX = 65535
 
@@ -90,10 +96,12 @@ _PRIVATE_V4 = [
 ]
 _PRIVATE_V6 = ipaddress.ip_network("fc00::/7")
 
-# IP version -> (first, last) integer value of each private network
-_PRIVATE_SPANS = {
-    4: tuple((int(net.network_address), int(net.broadcast_address)) for net in _PRIVATE_V4),
-    6: ((int(_PRIVATE_V6.network_address), int(_PRIVATE_V6.broadcast_address)),),
+# IP version -> the first value of each private network and the one past its
+# last, ascending: a value is private iff an odd number of edges are <= it
+_PRIVATE_EDGES = {
+    version: [edge for net in nets
+              for edge in (int(net.network_address), int(net.broadcast_address) + 1)]
+    for version, nets in ((4, _PRIVATE_V4), (6, [_PRIVATE_V6]))
 }
 
 
@@ -106,9 +114,13 @@ class FeatureProfile(Enum):
         return 20 if self is FeatureProfile.CORE20 else 29
 
 
-_KEYWORD_SPEC = {
-    FeatureProfile.CORE20: _KEYWORD_FEATURES_CORE,
-    FeatureProfile.FULL29: _KEYWORD_FEATURES_CORE + _KEYWORD_FEATURES_EXTRA,
+# profile -> (keyword, whether it is matched in the description) per flag, in layout order
+_KEYWORDS = {
+    profile: tuple((keyword, source == "description") for _, source, keyword in spec)
+    for profile, spec in (
+        (FeatureProfile.CORE20, _KEYWORD_FEATURES_CORE),
+        (FeatureProfile.FULL29, _KEYWORD_FEATURES_CORE + _KEYWORD_FEATURES_EXTRA),
+    )
 }
 
 
@@ -121,7 +133,10 @@ def feature_names(profile: FeatureProfile) -> list[str]:
 
 @dataclass(frozen=True)
 class ScalingCaps:
-    """Saturation caps for min-max scaled fields (config-exposed defaults)."""
+    """Saturation caps for min-max scaled fields (config-exposed defaults).
+
+    Each cap is an integer in [1, 2**63 - 1].
+    """
 
     pkts_cap: int = 10_000
     bytes_cap: int = 1_000_000
@@ -130,8 +145,11 @@ class ScalingCaps:
 
     def __post_init__(self):
         for name in ("pkts_cap", "bytes_cap", "payload_cap", "sid_max"):
-            if getattr(self, name) < 1:
+            cap = getattr(self, name)
+            if cap < 1:
                 raise ValidationError(f"{name} must be >= 1")
+            if cap > 2**63 - 1:  # the ranges _steps searches must fit a C ssize_t
+                raise ValidationError(f"{name} must be <= 2**63 - 1")
 
 
 _DEFAULT_CAPS = ScalingCaps()
@@ -166,11 +184,7 @@ def scale_port(port: int) -> float:
 def _address(addr: str) -> tuple[float, int]:
     """(private flag, index of the scaled value in _ADDRESS_GRID) of an address, from one parse."""
     version, value = ip_value(addr)
-    private = 0.0
-    for first, last in _PRIVATE_SPANS[version]:
-        if first <= value <= last:
-            private = 1.0
-            break
+    private = float(bisect_right(_PRIVATE_EDGES[version], value) & 1)
     if version == 4:
         return private, bisect_right(_IPV4_THRESHOLDS, value) - 1
     return private, bisect_right(_ipv6_thresholds(), value >> 64) - 1
@@ -322,15 +336,20 @@ def _refuse(alert: RawAlert) -> NoReturn:
     raise AssertionError(f"every field of {alert!r} is in range")
 
 
+@lru_cache(maxsize=_MEMO_SIZE)
+def _keyword_flags(description: str, class_type: str, profile: FeatureProfile) -> tuple:
+    class_folded = class_type.lower()
+    return tuple(
+        float(keyword in (description if in_description else class_folded))
+        for keyword, in_description in _KEYWORDS[profile]
+    )
+
+
 def keyword_flags(
     rule_description: str, class_type: str, profile: FeatureProfile
 ) -> list[float]:
     """{0,1} flag per keyword feature, in fixed layout order."""
-    class_folded = class_type.lower()
-    return [
-        1.0 if keyword in (rule_description if source == "description" else class_folded) else 0.0
-        for _, source, keyword in _KEYWORD_SPEC[profile]
-    ]
+    return list(_keyword_flags(rule_description, class_type, profile))
 
 
 def encode_alert(
@@ -359,7 +378,7 @@ def encode_alert(
     try:
         src_private, ks = _address(src_ip)
         dst_private, kd = _address(dst_ip)
-        flags = keyword_flags(description, class_type, profile)
+        flags = _keyword_flags(description, class_type, profile)
     except (AttributeError, TypeError, ValueError):
         _refuse(alert)
     (pkts_at, pkts), (bytes_at, nbytes), (sid_at, sids), (payload_at, payloads) = (

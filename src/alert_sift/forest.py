@@ -13,18 +13,22 @@ draws its candidates, then its left subtree grows, then its right) into one
 set of node arrays (Nodes) for the whole forest, plus each tree's root.
 
 Prediction soft-votes: the mean over trees of the leaf true-positive
-fraction. For a chunk of at most _CHUNK_CELLS (tree, row) pairs, every pair
-steps one level down at once until all rest at leaves, which are their own
-children; leaf values add up in tree order, so a row scores the same alone
-(predict_proba, a batch of one) as in any batch. Models persist as format
-"1": per tree, nested {feature, threshold, left, right} and {tp, fp} nodes.
+fraction. Each Forest builds its descent table once: the children of every
+node interleaved, every leaf's TP fraction, and the depth of its deepest
+tree, counted from the nodes (a loaded model may be deeper than its
+params.max_depth). For a chunk of at most _CHUNK_CELLS (tree, row) pairs,
+every pair steps one level down at once, exactly that many times; a leaf is
+its own child, so a pair that reaches one stays there. Leaf values add up in
+tree order, so a row scores the same alone (predict_proba, a batch of one)
+as in any batch. Models persist as format "1": per tree, nested {feature,
+threshold, left, right} and {tp, fp} nodes.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from typing import IO, NamedTuple, Sequence
 
 import numpy as np
@@ -89,6 +93,28 @@ def _preorder(root, visit) -> Nodes:
     return Nodes(*(np.array(col) for col in zip(*rows)))
 
 
+class Descent(NamedTuple):
+    """What scoring reads of a forest, built once per Forest."""
+
+    children: np.ndarray  # node i's right child at 2i, its left at 2i + 1
+    value: np.ndarray  # a leaf's TP fraction n_tp / (n_tp + n_fp), 0 at a split
+    depth: int  # edges from a root to the deepest leaf of any tree
+
+
+def _descent(nodes: Nodes, roots: np.ndarray) -> Descent:
+    leaf = nodes.feature < 0
+    value = np.zeros(len(leaf))
+    value[leaf] = nodes.n_tp[leaf] / (nodes.n_tp[leaf] + nodes.n_fp[leaf])
+    level, depth = roots, 0
+    while True:
+        split = level[~leaf[level]]
+        if not split.size:
+            break
+        level, depth = np.concatenate([nodes.left[split], nodes.right[split]]), depth + 1
+    children = np.stack([nodes.right, nodes.left], axis=1).ravel()
+    return Descent(children, value, depth)
+
+
 @dataclass(eq=False)
 class Forest:
     nodes: Nodes  # every tree's nodes, trees concatenated in order
@@ -96,6 +122,10 @@ class Forest:
     params: ForestParams
     feature_names: list[str]
     profile: FeatureProfile | None = None  # set when feature_names are a profile's, in order
+    descent: Descent = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.descent = _descent(self.nodes, self.roots)
 
     @property
     def width(self) -> int:
@@ -299,22 +329,20 @@ def predict_proba_batch(forest: Forest, X: np.ndarray) -> np.ndarray:
         raise ValidationError(f"matrix shape {X.shape} does not match forest width {forest.width}")
     if not np.isfinite(X).all():
         raise ValidationError("cannot score non-finite feature values")
-    nodes, n_trees = forest.nodes, len(forest.roots)
-    children = np.stack([nodes.right, nodes.left], axis=1).ravel()  # node i: 2i right, 2i+1 left
+    feature, threshold = forest.nodes.feature, forest.nodes.threshold
+    children, value, depth = forest.descent
+    n_trees = len(forest.roots)
     total = np.empty(X.shape[0])
     step = max(1, _CHUNK_CELLS // n_trees)
     for lo in range(0, X.shape[0], step):
         chunk = X[lo:lo + step]
         cells, offset = chunk.ravel(), np.arange(chunk.shape[0]) * forest.width
         node = np.repeat(forest.roots[:, None], chunk.shape[0], axis=1)  # (trees, rows)
-        feature = nodes.feature[node]
-        while (feature >= 0).any():
-            left = cells[offset + feature] <= nodes.threshold[node]
-            node = children[2 * node + left]
-            feature = nodes.feature[node]
-        value = nodes.n_tp[node] / (nodes.n_tp[node] + nodes.n_fp[node])
+        for _ in range(depth):  # a leaf's feature -1 reads some cell; its children are itself
+            left = cells.take(offset + feature.take(node)) <= threshold.take(node)
+            node = children.take(2 * node + left)
         # cumsum adds the trees one by one in order, as a loop would; sum may pair them
-        total[lo:lo + step] = np.cumsum(value, axis=0)[-1]
+        total[lo:lo + step] = np.cumsum(value.take(node), axis=0)[-1]
     return total / n_trees
 
 

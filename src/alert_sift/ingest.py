@@ -18,9 +18,12 @@ the fields); ``parse_alert_record`` is the two in a row, and
 ``parse_labeled_record`` takes the label from the same dict, so no line is
 decoded twice. One ``FieldPaths`` per read holds the field map split into
 keys and memoises what that read has validated: addresses, and timestamp
-strings with their parsed datetimes. Addresses are read by ``ip_value``:
-a plain dotted quad by one compiled pattern, anything else by ``ipaddress``,
-so both accept the same strings and give the same number.
+strings with their parsed datetimes. Each memo is emptied when it reaches
+``_MEMO_SIZE`` entries, so a read of distinct values holds a bounded set.
+Addresses are read by ``ip_value``: a plain dotted quad by one compiled
+pattern, anything else by ``ipaddress``, so both accept the same strings and
+give the same number. A check that keeps no number (``_validate_ip``) takes
+a dotted quad on the pattern alone.
 
 There is one reader, ``Records``: it parses an NDJSON stream a line at a
 time, a blank line being a bad line like any other (``read_corpus``
@@ -76,6 +79,10 @@ _REQUIRED_FIELDS = (
     "rule_uuid",
     "timestamp",
 )
+
+# Entries a memo of distinct values holds before it is emptied; a corpus
+# repeats a few thousand addresses and timestamps, so repeats still hit.
+_MEMO_SIZE = 2**12
 
 # Fields whose absence changes a written record's layout: the optional
 # RawAlert fields and the label, which only labeled output carries.
@@ -163,8 +170,9 @@ class FieldPaths:
     addresses and timestamps across all its alerts, so the repeats skip
     ``ipaddress`` and ``parse_timestamp``. Only values that passed enter
     ``valid_ips`` and ``timestamps``, so a bad value is rejected on every
-    line it is on. Build one per read and drop it with the read, so the
-    memos live no longer than the alerts they serve.
+    line it is on. Each is emptied when it reaches ``_MEMO_SIZE`` entries.
+    Build one per read and drop it with the read, so the memos live no
+    longer than the alerts they serve.
     """
 
     __slots__ = ("paths", "valid_ips", "timestamps")
@@ -229,10 +237,13 @@ def _validate_ip(name: str, value, valid: set[str]) -> str:
     if not isinstance(value, str):
         raise ValidationError(f"{name} must be a string, got {value!r}")
     if value not in valid:
-        try:
-            ip_value(value)
-        except ValueError:
-            raise ValidationError(f"{name} is not a valid IP address: {value!r}") from None
+        if _DOTTED_QUAD.fullmatch(value) is None:
+            try:
+                ipaddress.ip_address(value)
+            except ValueError:
+                raise ValidationError(f"{name} is not a valid IP address: {value!r}") from None
+        if len(valid) >= _MEMO_SIZE:
+            valid.clear()
         valid.add(value)
     return value
 
@@ -313,6 +324,8 @@ def record_to_alert(obj: dict, field_map: dict[str, str] | FieldPaths | None = N
     if timestamp is None:
         timestamp = parse_timestamp(stamp)
         if type(stamp) is str:
+            if len(fields.timestamps) >= _MEMO_SIZE:
+                fields.timestamps.clear()
             fields.timestamps[stamp] = timestamp
     if payload_len is None:
         payload_len = 0
@@ -419,7 +432,8 @@ def write_records(
     1 (True, 1.0) is a ValidationError. Rows are written as they are read, so
     they may come from a one-shot stream. One template per pattern of absent
     fields is filled with ``encode_basestring_ascii`` strings and ints; each
-    timestamp object is formatted once per write.
+    timestamp object is formatted once per write while the memo, emptied
+    at ``_MEMO_SIZE`` entries, holds it.
     """
     templates: dict[tuple[bool, ...], tuple[str, Callable]] = {}
     # id(timestamp) -> (timestamp, its encoded isoformat); holding the
@@ -442,6 +456,8 @@ def write_records(
             form = templates[absent] = _template(absent)
         iso = isoformats.get(id(timestamp))
         if iso is None:
+            if len(isoformats) >= _MEMO_SIZE:
+                isoformats.clear()
             iso = isoformats[id(timestamp)] = (timestamp, enc(timestamp.isoformat()))
         # RawAlert field order, then the label: the indices _template picks by
         values = (enc(src_ip), enc(dst_ip), src_port, dst_port, rule_sid, enc(description),

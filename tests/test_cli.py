@@ -162,6 +162,16 @@ def test_explain_row_out_of_range_writes_nothing(chain, tmp_path, capsys):
     assert out.read_bytes() == before and not attribution.exists()
 
 
+@pytest.mark.parametrize("cap", [2**63, 2**116, 10**300])
+def test_encode_refuses_a_cap_past_the_ceiling(chain, tmp_path, capsys, cap):
+    caps, out = tmp_path / "caps.txt", tmp_path / "out.csv"
+    caps.write_text(f"pkts_cap={cap}\n", encoding="utf-8")
+    argv = ["encode", "--in", chain["sampled"], "--out", str(out), "--caps", str(caps)]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == "error: pkts_cap must be <= 2**63 - 1\n"
+    assert not out.exists()
+
+
 def test_train_takes_the_profile_from_the_feature_names(chain, tmp_path, capsys):
     full, reduced = tmp_path / "full29.csv", tmp_path / "reduced.csv"
     model, bad = tmp_path / "model.json", tmp_path / "bad_model.json"
@@ -1301,10 +1311,25 @@ def test_unwritable_later_output_leaves_the_earlier_one(
     assert os.listdir() == ["first"] and Path("first").read_text(encoding="utf-8") == "previous\n"
 
 
+class _Handle:
+    """A stage's output handle that notes each write."""
+
+    def __init__(self, handle, name, seen):
+        self.handle, self.name, self.seen = handle, name, seen
+
+    def write(self, text):
+        self.handle.write(text)
+        self.seen.append(self.name)
+
+    def __getattr__(self, attr):
+        return getattr(self.handle, attr)
+
+
 @pytest.mark.parametrize(
     "stage, writer, calls",
     [("synth", "write_truth", 1), ("label", "write_label_lists", 1),
-     ("sample", "write_records", 2), ("select", "write_matrix_csv", 1)],
+     ("sample", "write_records", 2), ("select", "write_matrix_csv", 1),
+     ("evaluate", "_outputs", 0), ("explain", "_outputs", 0)],
 )
 def test_interrupt_in_the_last_write_leaves_every_previous_output(
     chain, tmp_path, monkeypatch, stage, writer, calls
@@ -1321,7 +1346,16 @@ def test_interrupt_in_the_last_write_leaves_every_previous_output(
         if len(seen) == calls:
             raise KeyboardInterrupt
 
-    monkeypatch.setattr(cli, writer, interrupted)
+    @contextlib.contextmanager
+    def interrupted_outputs(paths):
+        # a stage that writes its handles itself: interrupt once its block has
+        # written both outputs, before the temporary files replace them
+        with real(paths) as handles:
+            yield [h and _Handle(h, flag, seen) for flag, h in zip(paths, handles)]
+            assert {first, later} <= set(seen)
+            raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, writer, interrupted_outputs if writer == "_outputs" else interrupted)
     with pytest.raises(KeyboardInterrupt):
         cli.main([stage, *options(chain), first, "first", later, "later"])
     assert sorted(os.listdir()) == ["first", "later"]
@@ -1361,13 +1395,13 @@ def test_empty_optional_output_is_not_written(chain, tmp_path, monkeypatch, caps
         os.remove("out")
 
 
-@pytest.fixture(scope="module")
-def large_inputs(tmp_path_factory):
-    """20,000 raw and 20,000 labeled lines over 20 rules, about 10 MB each."""
-    d = tmp_path_factory.mktemp("large")
+def _large_inputs(d, distinct: bool):
     raw, labeled = [], []
     for i in range(20_000):
         record = make_record(rule_uuid=f"rule-{i % 20}", src_port=i % 65536)
+        if distinct:  # no timestamp or source address repeats
+            record.update(timestamp=f"2025-03-04T10:20:30.{i:06d}Z",
+                          src_ip=f"198.{18 + i // 65536}.{i // 256 % 256}.{i % 256}")
         raw.append(json.dumps(record, sort_keys=True) + "\n")
         labeled.append(json.dumps({**record, "label": i % 2}, sort_keys=True) + "\n")
     (d / "alerts.ndjson").write_text("".join(raw), encoding="utf-8")
@@ -1379,12 +1413,31 @@ def large_inputs(tmp_path_factory):
     return d
 
 
-@pytest.mark.parametrize("command", ["ingest", "label", "sample"])
-def test_streamed_stage_holds_far_less_than_its_input(large_inputs, tmp_path, command):
-    src = large_inputs / ("labeled.ndjson" if command == "sample" else "alerts.ndjson")
+@pytest.fixture(scope="module")
+def large_inputs(tmp_path_factory):
+    """20,000 raw and 20,000 labeled lines over 20 rules, about 10 MB each."""
+    return _large_inputs(tmp_path_factory.mktemp("large"), distinct=False)
+
+
+@pytest.fixture(scope="module")
+def distinct_inputs(tmp_path_factory):
+    """large_inputs with a distinct timestamp and source address on every line."""
+    return _large_inputs(tmp_path_factory.mktemp("distinct"), distinct=True)
+
+
+@pytest.mark.parametrize(
+    "command, inputs",
+    [pytest.param(command, inputs, id=command + suffix)
+     for inputs, suffix in (("large_inputs", ""), ("distinct_inputs", "-distinct"))
+     for command in ("ingest", "label", "sample")],
+)
+def test_streamed_stage_holds_far_less_than_its_input(request, tmp_path, command, inputs):
+    # distinct values must not grow the per-read memos of addresses and timestamps
+    inputs = request.getfixturevalue(inputs)
+    src = inputs / ("labeled.ndjson" if command == "sample" else "alerts.ndjson")
     argv = [command, "--in", str(src), "--out", str(tmp_path / "out.ndjson")]
     if command != "sample":
-        argv += ["--comments", str(large_inputs / "comments.csv")]
+        argv += ["--comments", str(inputs / "comments.csv")]
     tracemalloc.start()
     try:
         with contextlib.redirect_stdout(io.StringIO()):

@@ -248,6 +248,35 @@ def test_keyword_flags_class_match_is_case_folded():
     assert named["attempt"] == 1.0
 
 
+def test_keyword_flags_are_a_fresh_list_each_call():
+    args = ("ET EXPLOIT Possible CVE-2021-44228", "attempted-admin", FeatureProfile.FULL29)
+    first = keyword_flags(*args)
+    expected = list(first)
+    first[0] = 7.0
+    first.append(3.0)
+    assert keyword_flags(*args) == expected
+    assert keyword_flags(*args) is not keyword_flags(*args)
+
+
+class _Text(str):
+    """A str subclass: equal to, and hashed as, its str twin."""
+
+
+def test_non_str_text_is_refused_when_its_str_twin_is_memoised():
+    alert = parse_alert_record(make_line())
+    encode_alert(alert, FeatureProfile.FULL29)  # the memo now holds the str texts
+    description, class_type = alert.rule_description, alert.class_type
+    for field, value in (("rule_description", _Text(description)),
+                         ("class_type", _Text(class_type)), ("rule_description", None)):
+        with pytest.raises(ValidationError) as info:
+            encode_alert(alert._replace(**{field: value}), FeatureProfile.FULL29)
+        assert str(info.value) == f"{field} must be a string, got {value!r}"
+    with pytest.raises(TypeError, match="argument of type 'NoneType' is not iterable"):
+        keyword_flags(None, class_type, FeatureProfile.CORE20)
+    with pytest.raises(AttributeError, match="'int' object has no attribute 'lower'"):
+        keyword_flags(description, 7, FeatureProfile.CORE20)
+
+
 def test_encode_minimal_alert_is_all_floor_values():
     line = make_line(
         src_ip="0.0.0.0",
@@ -388,7 +417,7 @@ def test_encode_is_pure():
 # (correctly rounded division, then correctly rounded round), so a table is
 # exact iff at each threshold t the helper steps from the previous value to
 # this one, and the last value holds to the domain's end.
-_ODD_CAPS = [1, 3, 7919, 999_983]
+_ODD_CAPS = [1, 3, 7919, 999_983, 2**63 - 1]
 
 
 def _lookup(table, v):
@@ -628,6 +657,16 @@ def test_caps_file_overrides_and_validates():
         load_caps(["pkts_cap=abc"])
     with pytest.raises(ValidationError):
         ScalingCaps(pkts_cap=0)
+
+
+@pytest.mark.parametrize("name", ["pkts_cap", "bytes_cap", "payload_cap", "sid_max"])
+def test_caps_above_the_ceiling_are_refused(name):
+    # a step table's search ranges must stay below sys.maxsize
+    assert getattr(ScalingCaps(**{name: 2**63 - 1}), name) == 2**63 - 1
+    for cap in (2**63, 2**116, 10**300):
+        with pytest.raises(ValidationError) as info:
+            load_caps([f"{name}={cap}"])
+        assert str(info.value) == f"{name} must be <= 2**63 - 1"
 
 
 def test_feature_vector_width_validated():

@@ -466,6 +466,73 @@ def test_predict_proba_batch_equals_single_rows_across_chunks(monkeypatch):
         assert np.array_equal(predict_proba_batch(forest, rows[:n]), singles[:n])
 
 
+def _random_tree(rng, depth, width):
+    """A nested model-format tree whose deepest leaf is exactly `depth` edges down."""
+    if depth == 0:
+        return {"tp": int(rng.integers(0, 5)), "fp": int(rng.integers(1, 5))}
+    deep = _random_tree(rng, depth - 1, width)
+    other = _random_tree(rng, int(rng.integers(0, depth)), width)
+    left, right = (deep, other) if rng.random() < 0.5 else (other, deep)
+    threshold = float(np.round(rng.random() * 8) / 8)
+    return {"feature": int(rng.integers(0, width)), "threshold": threshold,
+            "left": left, "right": right}
+
+
+def _hand_built(trees, width, max_depth):
+    return forest_from_dict({
+        "version": MODEL_FORMAT_VERSION,
+        "params": {"n_estimators": len(trees), "max_depth": max_depth,
+                   "min_samples_split": 2, "seed": 1},
+        "profile": None,
+        "feature_names": [f"f{j}" for j in range(width)],
+        "trees": trees,
+    })
+
+
+def _assert_batch_is_the_walk(forest, trees, rows):
+    walked = [_walk_proba(trees, row) for row in rows]
+    assert predict_proba_batch(forest, rows).tolist() == walked
+    assert [predict_proba(forest, row) for row in rows] == walked
+
+
+def test_stumps_next_to_a_single_leaf_score_as_the_walk():
+    rng = np.random.default_rng(3)
+    trees = [
+        {"feature": 0, "threshold": 0.5, "left": {"tp": 3, "fp": 1}, "right": {"tp": 0, "fp": 2}},
+        {"tp": 2, "fp": 5},
+        {"feature": 1, "threshold": 0.25, "left": {"tp": 7, "fp": 0}, "right": {"tp": 1, "fp": 6}},
+    ]
+    forest = _hand_built(trees, 2, max_depth=1)
+    assert forest.descent.depth == 1
+    _assert_batch_is_the_walk(forest, trees, np.round(rng.random((40, 2)) * 8) / 8)
+    leaf_only = _hand_built([{"tp": 2, "fp": 5}], 2, max_depth=1)
+    assert leaf_only.descent.depth == 0
+    assert predict_proba_batch(leaf_only, rng.random((3, 2))).tolist() == [2 / 7] * 3
+
+
+def test_tree_deeper_than_its_params_is_walked_to_its_leaves():
+    # the descent depth comes from the nodes: a loaded model may exceed params.max_depth
+    rng = np.random.default_rng(5)
+    trees = [_random_tree(rng, 9, 3), _random_tree(rng, 2, 3)]
+    forest = _hand_built(trees, 3, max_depth=2)
+    assert forest.descent.depth == 9
+    _assert_batch_is_the_walk(forest, trees, np.round(rng.random((60, 3)) * 8) / 8)
+
+
+def test_mixed_depths_score_as_the_walk_across_chunk_edges(monkeypatch):
+    rng = np.random.default_rng(8)
+    trees = [_random_tree(rng, depth, 4) for depth in (0, 1, 7, 3, 0, 12, 2)]
+    forest = _hand_built(trees, 4, max_depth=6)
+    assert forest.descent.depth == 12
+    rows = np.round(rng.random((23, 4)) * 8) / 8
+    for rows_per_chunk in (1, 2, 5, 23, 40):
+        monkeypatch.setattr(forest_mod, "_CHUNK_CELLS", rows_per_chunk * len(trees))
+        _assert_batch_is_the_walk(forest, trees, rows)
+        for n in (1, 4, 11):
+            walked = [_walk_proba(trees, row) for row in rows[:n]]
+            assert predict_proba_batch(forest, rows[:n]).tolist() == walked
+
+
 def test_saved_model_bytes_match_golden_digest():
     # pins the RNG draw order, the split search and the format "1" bytes:
     # the same seed must keep writing the same model

@@ -17,6 +17,7 @@ from alert_sift.ingest import (
     FieldPaths,
     LabeledAlert,
     Records,
+    _validate_ip,
     alert_to_record,
     attach_comments,
     ip_value,
@@ -133,13 +134,17 @@ _ADDRESS_TEXT = st.one_of(
 @example(text="fe80::1%eth0")
 @example(text="::ffff:10.0.0.1")
 def test_ip_value_matches_ipaddress(text):
+    # _validate_ip takes a dotted quad on the pattern alone, and must accept the same strings
     try:
         ip = ipaddress.ip_address(text)
     except ValueError:
         with pytest.raises(ValueError):
             ip_value(text)
+        with pytest.raises(ValidationError, match="src_ip is not a valid IP address"):
+            _validate_ip("src_ip", text, set())
     else:
         assert ip_value(text) == (ip.version, int(ip))
+        assert _validate_ip("src_ip", text, set()) == text
 
 
 def test_unknown_keys_ignored():
