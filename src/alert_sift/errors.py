@@ -8,12 +8,6 @@ class AlertSiftError(Exception):
 class ParseError(AlertSiftError):
     """A record could not be decoded from its wire format."""
 
-    def __init__(self, message: str, line_no: int | None = None):
-        self.line_no = line_no
-        if line_no is not None:
-            message = f"line {line_no}: {message}"
-        super().__init__(message)
-
 
 class ValidationError(AlertSiftError):
     """A decoded value violates a contract (range, schema, precondition)."""

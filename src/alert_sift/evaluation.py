@@ -1,8 +1,8 @@
 """k-fold validation, confusion-matrix metrics, and workload-savings arithmetic.
 
-Metrics with a zero denominator are reported as None and listed in
-MetricsReport.undefined; they never raise. Labels are 1 for true-positive
-alerts (escalation-worthy) and 0 for false positives (noise to filter).
+Metrics with a zero denominator are reported as None; they never raise.
+Labels are 1 for true-positive alerts (escalation-worthy) and 0 for false
+positives (noise to filter).
 """
 
 from __future__ import annotations
@@ -43,15 +43,6 @@ class MetricsReport:
     fp_precision: float | None
     fp_recall: float | None
     accuracy: float | None
-
-    @property
-    def undefined(self) -> tuple[str, ...]:
-        """Names of metrics whose denominator was zero."""
-        return tuple(
-            name
-            for name in ("tp_precision", "tp_recall", "fp_precision", "fp_recall", "accuracy")
-            if getattr(self, name) is None
-        )
 
 
 def confusion(predictions: Sequence[int], truths: Sequence[int]) -> ConfusionMatrix:
@@ -102,22 +93,17 @@ def kfold_split(n: int, k: int, seed: int) -> list[list[int]]:
     if k > n:
         raise ValidationError(f"k={k} exceeds sample count n={n}")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed & 0xFFFFFFFFFFFFFFFF)))
-    order = rng.permutation(n)
-    base = n // k
-    extra = n % k
-    folds = []
-    start = 0
-    for i in range(k):
-        size = base + (1 if i < extra else 0)
-        folds.append([int(j) for j in order[start : start + size]])
-        start += size
-    return folds
+    return [fold.tolist() for fold in np.array_split(rng.permutation(n), k)]
 
 
 @dataclass(frozen=True)
 class CrossValidation:
     reports: tuple[MetricsReport, ...]
-    accuracies: tuple[float, ...]
+
+    @property
+    def accuracies(self) -> tuple[float, ...]:
+        """Each fold's accuracy, 0.0 where it is undefined."""
+        return tuple(r.accuracy if r.accuracy is not None else 0.0 for r in self.reports)
 
     @property
     def mean_accuracy(self) -> float:
@@ -145,7 +131,6 @@ def cross_validate(
     params = params or ForestParams()
     folds = kfold_split(X.shape[0], k, seed)
     reports = []
-    accuracies = []
     for i, fold in enumerate(folds):
         held = np.asarray(fold, dtype=np.int64)
         mask = np.ones(X.shape[0], dtype=bool)
@@ -156,8 +141,7 @@ def cross_validate(
         forest = train_forest(X[mask], train_y, params)
         _, report = evaluate_forest(forest, X[held], y[held], threshold)
         reports.append(report)
-        accuracies.append(report.accuracy if report.accuracy is not None else 0.0)
-    return CrossValidation(reports=tuple(reports), accuracies=tuple(accuracies))
+    return CrossValidation(reports=tuple(reports))
 
 
 def evaluate_forest(

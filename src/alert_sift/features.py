@@ -1,4 +1,4 @@
-"""Fixed-order numeric encoding of alerts, feature screening, and selection.
+"""Fixed-order numeric encoding of alerts, and chi-squared feature selection.
 
 Every alert becomes a vector of floats in [-1.0, 1.0] with a fixed layout:
 the 20-entry core profile, or the 29-entry full profile that appends nine
@@ -30,7 +30,7 @@ from __future__ import annotations
 import ipaddress
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from functools import lru_cache, partial
 from typing import IO, Callable, Iterable, NoReturn, Sequence
@@ -77,12 +77,7 @@ _CORE_NAMES = [
     "byt_to_svr",
     "byt_to_clt",
     "rulesid",
-    "CVE",
-    "attack",
-    "EXPLOIT",
-    "POSSIBLE",
-    "activity",
-    "attempt",
+    *(name for name, _, _ in _KEYWORD_FEATURES_CORE),
     "sport",
     "dport",
     "PAYLOAD_Bytes",
@@ -144,7 +139,7 @@ class ScalingCaps:
     sid_max: int = 10_000_000
 
     def __post_init__(self):
-        for name in ("pkts_cap", "bytes_cap", "payload_cap", "sid_max"):
+        for name in _CAP_NAMES:
             cap = getattr(self, name)
             if cap < 1:
                 raise ValidationError(f"{name} must be >= 1")
@@ -152,12 +147,12 @@ class ScalingCaps:
                 raise ValidationError(f"{name} must be <= 2**63 - 1")
 
 
+_CAP_NAMES = [f.name for f in fields(ScalingCaps)]
 _DEFAULT_CAPS = ScalingCaps()
 
 
 def load_caps(source: Iterable[str]) -> ScalingCaps:
     """Read a ``name=value`` caps file; unlisted caps keep defaults."""
-    known = {"pkts_cap", "bytes_cap", "payload_cap", "sid_max"}
     overrides: dict[str, int] = {}
     for line_no, line in enumerate(source, start=1):
         text = line.split("#", 1)[0].strip()
@@ -165,8 +160,10 @@ def load_caps(source: Iterable[str]) -> ScalingCaps:
             continue
         name, sep, value = text.partition("=")
         name = name.strip()
-        if not sep or name not in known:
-            raise ValidationError(f"caps line {line_no}: expected one of {sorted(known)}=value")
+        if not sep or name not in _CAP_NAMES:
+            raise ValidationError(
+                f"caps line {line_no}: expected one of {sorted(_CAP_NAMES)}=value"
+            )
         try:
             overrides[name] = int(value.strip())
         except ValueError:
@@ -414,44 +411,6 @@ def as_matrix(rows: Sequence[Sequence[float]] | np.ndarray) -> np.ndarray:
     if X.ndim != 2:
         raise ValidationError(f"matrix must be 2-dimensional, got shape {X.shape}")
     return X
-
-
-@dataclass
-class ScreenReport:
-    """Per-column population variance and Pearson r against the label.
-
-    Columns where r is undefined (zero variance on either side) carry None
-    and are listed in flagged.
-    """
-
-    variance: list[float]
-    pearson: list[float | None]
-
-    @property
-    def flagged(self) -> list[int]:
-        return [i for i, r in enumerate(self.pearson) if r is None]
-
-
-def screen_features(matrix: np.ndarray, labels: Sequence[int]) -> ScreenReport:
-    """Variance and label correlation per feature column."""
-    X = as_matrix(matrix)
-    y = np.asarray(labels, dtype=float)
-    if X.shape[0] != y.shape[0]:
-        raise ValidationError(f"{X.shape[0]} rows vs {y.shape[0]} labels")
-    if X.shape[0] < 2:
-        raise ValidationError("screening needs at least 2 samples")
-    variance = np.var(X, axis=0)
-    y_centered = y - y.mean()
-    y_norm = float(np.sqrt(np.sum(y_centered**2)))
-    pearson: list[float | None] = []
-    for j in range(X.shape[1]):
-        col = X[:, j] - X[:, j].mean()
-        col_norm = float(np.sqrt(np.sum(col**2)))
-        if col_norm == 0.0 or y_norm == 0.0:
-            pearson.append(None)
-        else:
-            pearson.append(float(np.dot(col, y_centered) / (col_norm * y_norm)))
-    return ScreenReport(variance=[float(v) for v in variance], pearson=pearson)
 
 
 @dataclass

@@ -121,7 +121,6 @@ class Forest:
     roots: np.ndarray  # index of each tree's root in nodes
     params: ForestParams
     feature_names: list[str]
-    profile: FeatureProfile | None = None  # set when feature_names are a profile's, in order
     descent: Descent = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -130,6 +129,15 @@ class Forest:
     @property
     def width(self) -> int:
         return len(self.feature_names)
+
+    @property
+    def profile(self) -> FeatureProfile | None:
+        return _named_profile(self.feature_names)
+
+
+def _named_profile(names: list[str]) -> FeatureProfile | None:
+    """The profile whose feature names are `names`, in order, or None."""
+    return next((p for p in FeatureProfile if profile_names(p) == names), None)
 
 
 def _join(trees: Sequence[Nodes]) -> tuple[Nodes, np.ndarray]:
@@ -287,7 +295,6 @@ def train_forest(
         feature_names = [f"f{j}" for j in range(width)]
     elif len(feature_names) != width:
         raise ValidationError(f"{len(feature_names)} names vs width {width}")
-    profile = next((p for p in FeatureProfile if profile_names(p) == list(feature_names)), None)
 
     ranked = _ranked(X)
     trees = []
@@ -295,7 +302,7 @@ def train_forest(
         rng = _tree_rng(params.seed, i)
         bootstrap = rng.integers(0, len(y), size=len(y))
         trees.append(grow_tree(ranked._replace(rows=bootstrap), y[bootstrap], params, rng))
-    return Forest(*_join(trees), params, list(feature_names), profile)
+    return Forest(*_join(trees), params, list(feature_names))
 
 
 def _check_vector(forest: Forest, vector: Sequence[float]) -> np.ndarray:
@@ -416,17 +423,13 @@ def forest_from_dict(obj: dict) -> Forest:
     names, trees = obj.get("feature_names"), obj.get("trees")
     if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
         raise ValidationError("model feature_names must be a list of strings")
-    profile = obj.get("profile")
-    if profile is not None:
-        profile = next((p for p in FeatureProfile if p.value == profile), None)
-        if profile is None or profile_names(profile) != names:
-            raise ValidationError(
-                f"model profile {obj['profile']!r} does not name its {len(names)} features"
-            )
+    claim, profile = obj.get("profile"), _named_profile(names)
+    if claim is not None and (profile is None or profile.value != claim):
+        raise ValidationError(f"model profile {claim!r} does not name its {len(names)} features")
     if not isinstance(trees, list) or not trees:
         raise ValidationError("model must hold a non-empty list of trees")
     trees = [_preorder(t, lambda obj: _node_from_dict(obj, len(names))) for t in trees]
-    return Forest(*_join(trees), params, names, profile)
+    return Forest(*_join(trees), params, names)
 
 
 def save_forest(forest: Forest, stream: IO[str]) -> None:

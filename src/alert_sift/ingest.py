@@ -562,8 +562,12 @@ def read_rule_comments(source: IO[str] | Iterator[str]) -> list[tuple[str, str]]
 def attach_comments(
     alerts: Iterable[RawAlert], comments: Iterable[tuple[str, str]]
 ) -> list[RawAlert]:
-    """Join sidecar comments onto alerts by rule_uuid (sidecar wins)."""
-    by_rule = dict(comments)
+    """Join sidecar comments onto alerts by rule_uuid (sidecar wins); refuse a rule named twice."""
+    by_rule: dict[str, str] = {}
+    for rule_uuid, comment in comments:
+        if rule_uuid in by_rule:
+            raise ValidationError(f"duplicate rule_uuid {rule_uuid!r}")
+        by_rule[rule_uuid] = comment
     out = []
     for alert in alerts:
         comment = by_rule.get(alert.rule_uuid)

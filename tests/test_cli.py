@@ -1698,3 +1698,35 @@ def test_fuzzed_config_exits_with_error_never_a_traceback(chain, command, text):
     if code != 0:
         assert code == 1
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
+# the stage that reads each side file, the flag it comes by, and a valid text of it
+_SIDE_FILES = {
+    "caps": ("encode", "--caps", "# odd caps\npkts_cap=7\nbytes_cap=7919 # prime\nsid_max=99991\n"),
+    "keywords": ("label", "--keywords", "tp:\nalerted the customer\nfp:\nbenign # a comment\n"),
+    "field_map": ("ingest", "--field-map", "# the defaults\nsrc_ip=src_ip\ndst_ip = dest_ip\n"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_SIDE_FILES))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_mutated_side_file_exits_with_error_never_a_traceback(chain, kind, data):
+    command, flag, text = _SIDE_FILES[kind]
+    lines = text.splitlines()
+    i = data.draw(st.integers(0, len(lines) - 1))
+    lines[i] = data.draw(_mutated_line(lines[i]))[0]
+    extra = ["--comments", chain["comments"]] if command == "label" else []
+    with tempfile.TemporaryDirectory() as tmp:
+        side, out = Path(tmp) / kind, Path(tmp) / "out"
+        side.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main([command, *_FUZZ_ARGV[command](chain), *extra, flag, str(side),
+                             "--out", str(out)])
+        if code == 0:
+            assert out.exists()
+        else:
+            assert code == 1
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+            assert not out.exists()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -132,7 +134,7 @@ def test_metrics_worked_example():
     assert report.accuracy == pytest.approx(0.75)
     assert report.tp_precision == pytest.approx(1.0)
     assert report.fp_precision == pytest.approx(2 / 3)
-    assert report.undefined == ()
+    assert all(value is not None for value in astuple(report))
 
 
 def test_metrics_perfect_classifier():
@@ -149,19 +151,13 @@ def test_metrics_perfect_classifier():
 def test_metrics_single_class_truths_flag_missing_recall():
     report = metrics(ConfusionMatrix(tp_as_tp=4, tp_as_fp=1, fp_as_fp=0, fp_as_tp=0))
     assert report.fp_recall is None
-    assert "fp_recall" in report.undefined
+    assert None not in (report.tp_precision, report.tp_recall, report.fp_precision, report.accuracy)
     assert report.tp_recall == pytest.approx(0.8)
 
 
 def test_metrics_empty_matrix_all_undefined():
     report = metrics(ConfusionMatrix())
-    assert report.undefined == (
-        "tp_precision",
-        "tp_recall",
-        "fp_precision",
-        "fp_recall",
-        "accuracy",
-    )
+    assert all(value is None for value in astuple(report))
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,10 +1,9 @@
-"""Feature encoding precision/ranges, screening, selection, and matrix I/O."""
+"""Feature encoding precision/ranges, chi-squared selection, and matrix I/O."""
 
 from __future__ import annotations
 
 import io
 import ipaddress
-import math
 from bisect import bisect_right
 
 import numpy as np
@@ -32,7 +31,6 @@ from alert_sift.features import (
     scale_payload,
     scale_port,
     scale_rule_sid,
-    screen_features,
     write_matrix_csv,
 )
 from alert_sift.ingest import parse_alert_record
@@ -674,41 +672,6 @@ def test_feature_vector_width_validated():
         as_matrix([(0.0,) * 20, (0.0,) * 19])
     with pytest.raises(ValidationError):
         as_matrix([(0.0, "x")])
-
-
-def test_screen_constant_column_flagged():
-    X = np.array([[1.0, 0.0], [1.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
-    report = screen_features(X, [0, 1, 0, 1])
-    assert report.variance[0] == 0.0
-    assert report.flagged == [0]
-    assert report.pearson[1] == pytest.approx(1.0)
-
-
-def test_screen_anticorrelated_column():
-    X = np.array([[0.0], [1.0], [0.0], [1.0]])
-    report = screen_features(X, [1, 0, 1, 0])
-    assert report.pearson[0] == pytest.approx(-1.0)
-
-
-def _naive_pearson(xs, ys):
-    n = len(xs)
-    mx = sum(xs) / n
-    my = sum(ys) / n
-    cov = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
-    sx = math.sqrt(sum((x - mx) ** 2 for x in xs))
-    sy = math.sqrt(sum((y - my) ** 2 for y in ys))
-    return cov / (sx * sy)
-
-
-def test_screen_matches_naive_two_pass_pearson():
-    rng = np.random.default_rng(11)
-    X = rng.random((40, 6))
-    y = rng.integers(0, 2, size=40)
-    report = screen_features(X, y)
-    for j in range(6):
-        expected = _naive_pearson(X[:, j].tolist(), y.tolist())
-        assert report.pearson[j] == pytest.approx(expected, abs=1e-12)
-        assert report.variance[j] == pytest.approx(float(np.var(X[:, j])), abs=1e-12)
 
 
 def test_chi2_worked_example():

@@ -596,6 +596,9 @@ def test_profile_comes_from_the_feature_names(profile):
         forest_from_dict(obj)
     obj["feature_names"] = names
     assert forest_from_dict(obj).profile is profile
+    # a null claim over a profile's names, which only a hand edit writes, loads as that profile
+    obj["profile"] = None
+    assert forest_to_dict(forest_from_dict(obj))["profile"] == profile.value
 
 
 def test_model_version_field_mandatory():

@@ -271,6 +271,12 @@ def test_sidecar_wins_over_embedded_comment():
     assert unjoined[0].rev_comment == "embedded text"
 
 
+def test_attach_comments_refuses_a_rule_listed_twice():
+    alerts = [parse_alert_record(make_line())]
+    with pytest.raises(ValidationError, match=r"^duplicate rule_uuid 'rule-aaa'$"):
+        attach_comments(alerts, [("rule-aaa", "x"), ("rule-aaa", "y")])
+
+
 def test_sidecar_requires_header():
     with pytest.raises(ValidationError, match="header"):
         read_rule_comments(io.StringIO("uuid,comment\nrule-aaa,x\n"))
