@@ -22,7 +22,8 @@ pipeline. A row whose default is _REQUIRED must be given by flag or config
 key, or the run fails with "<cmd> needs" and the command's required flags.
 Every run prints a one-line summary on success and exits nonzero with a
 diagnostic on failure. All randomness flows from --seed (synth, train and
-evaluate). Labeled stages pass LabeledAlert rows, (alert, label) pairs.
+evaluate); evaluate --kfold with --model takes the model's seed, whatever
+--seed says. Labeled stages pass LabeledAlert rows, (alert, label) pairs.
 """
 
 from __future__ import annotations
@@ -512,7 +513,7 @@ _COMMANDS: dict[str, tuple[Callable[[Namespace], str], str, list[tuple]]] = {
          "analyst minutes per reviewed alert"),
         ("report", "--report", str, "report.json", "report JSON output"),
         ("summary", "--summary", str, None, "also write a metric,value CSV here"),
-        _SEED,
+        ("seed", "--seed", int, 42, "RNG seed of --kfold; with --model, the model's seed is used"),
     ]),
     "explain": (cmd_explain, "per-feature attribution and global importance", [
         ("input", "--in", str, _REQUIRED, "matrix CSV"),

@@ -23,6 +23,10 @@ The scaling helpers (``scale_port``, ``encode_counter`` and the rest) define
 every scaled entry, but ``encode_alert`` reads each one from a step table: the
 integers at which the helper's output changes, and its output at each. The
 tables are built from the helpers, once per cap value, and are exact.
+
+The alert contract is ``ingest``'s: an alert that fails ``encode_alert``'s
+inline check, or whose address it cannot read, goes to ``ingest.refuse_alert``
+and is refused with the error ``record_to_alert`` gives for it.
 """
 
 from __future__ import annotations
@@ -33,12 +37,12 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, fields
 from enum import Enum
 from functools import lru_cache, partial
-from typing import IO, Callable, Iterable, NoReturn, Sequence
+from typing import IO, Callable, Iterable, Sequence
 
 import numpy as np
 
 from .errors import ValidationError
-from .ingest import _MEMO_SIZE, RawAlert, _validate_ip, ip_value
+from .ingest import _MEMO_SIZE, RawAlert, ip_value, refuse_alert
 
 PORT_MAX = 65535
 
@@ -106,7 +110,7 @@ class FeatureProfile(Enum):
 
     @property
     def width(self) -> int:
-        return 20 if self is FeatureProfile.CORE20 else 29
+        return len(feature_names(self))
 
 
 # profile -> (keyword, whether it is matched in the description) per flag, in layout order
@@ -300,39 +304,6 @@ def _cap_steps(caps: ScalingCaps) -> tuple:
 
 
 _DEFAULT_STEPS = _cap_steps(_DEFAULT_CAPS)
-# Each table-read field in encoding order: whether it may be missing, and the
-# helper that checks its range.
-_FIELD_CHECKS = (
-    ("http_status", True, encode_http_status),
-    *((name, True, partial(encode_counter, cap=1)) for name in
-      ("pkts_to_server", "pkts_to_client", "bytes_to_server", "bytes_to_client")),
-    ("rule_sid", False, partial(scale_rule_sid, sid_max=1)),
-    ("src_port", False, scale_port),
-    ("dst_port", False, scale_port),
-    ("payload_len", False, partial(scale_payload, cap=1)),
-)
-
-
-def _refuse(alert: RawAlert) -> NoReturn:
-    """Raise the error of the first field of `alert` that encoding cannot take.
-
-    The table-read fields come first, then the addresses and the keyword
-    texts, each refused with record_to_alert's text.
-    """
-    for name, missable, check in _FIELD_CHECKS:
-        value = getattr(alert, name)
-        if type(value) is not int and not (missable and value is None):
-            raise ValidationError(f"{name} must be an integer, got {value!r}")
-        check(value)  # an integer out of range: the helper raises its own error
-    _validate_ip("src_ip", alert.src_ip, set())
-    _validate_ip("dst_ip", alert.dst_ip, set())
-    for name in ("rule_description", "class_type"):
-        value = getattr(alert, name)
-        if type(value) is not str:
-            raise ValidationError(f"{name} must be a string, got {value!r}")
-    raise AssertionError(f"every field of {alert!r} is in range")
-
-
 @lru_cache(maxsize=_MEMO_SIZE)
 def _keyword_flags(description: str, class_type: str, profile: FeatureProfile) -> tuple:
     class_folded = class_type.lower()
@@ -357,7 +328,9 @@ def encode_alert(
     """Assemble the full fixed-order vector for one alert.
 
     Each address is parsed once, for both its entries; every other scaled entry
-    is read from its step table. A non-int number or non-str text is refused.
+    is read from its step table. An alert that fails the inline check is
+    passed to ingest.refuse_alert, so it is refused with record_to_alert's
+    error, or encoded when that passes it (an int subclass).
     """
     (src_ip, dst_ip, sport, dport, sid, description, class_type, _, _, _,
      payload, status, pkts_ts, pkts_tc, bytes_ts, bytes_tc, _) = alert
@@ -371,13 +344,14 @@ def encode_alert(
         and (bytes_ts is None or type(bytes_ts) is int and bytes_ts >= 0)
         and (bytes_tc is None or type(bytes_tc) is int and bytes_tc >= 0)
     ):
-        _refuse(alert)
+        refuse_alert(alert)
     try:
         src_private, ks = _address(src_ip)
         dst_private, kd = _address(dst_ip)
         flags = _keyword_flags(description, class_type, profile)
     except (AttributeError, TypeError, ValueError):
-        _refuse(alert)
+        refuse_alert(alert)
+        raise
     (pkts_at, pkts), (bytes_at, nbytes), (sid_at, sids), (payload_at, payloads) = (
         _DEFAULT_STEPS if caps is None else _cap_steps(caps)
     )

@@ -22,8 +22,13 @@ strings with their parsed datetimes. Each memo is emptied when it reaches
 ``_MEMO_SIZE`` entries, so a read of distinct values holds a bounded set.
 Addresses are read by ``ip_value``: a plain dotted quad by one compiled
 pattern, anything else by ``ipaddress``, so both accept the same strings and
-give the same number. A check that keeps no number (``_validate_ip``) takes
-a dotted quad on the pattern alone.
+give the same number.
+
+``refuse_alert`` states the alert contract once: walking the fields in
+RawAlert order with one table of integer ranges (``_INT_RANGES``), it raises
+the error of the first field at fault. ``record_to_alert`` and
+``features.encode_alert`` each check the contract inline first and call it
+only when that check fails; a new dotted quad needs its pattern alone.
 
 There is one reader, ``Records``: it parses an NDJSON stream a line at a
 time, a blank line being a bad line like any other (``read_corpus``
@@ -81,20 +86,8 @@ _REQUIRED_FIELDS = (
 )
 
 # Entries a memo of distinct values holds before it is emptied; a corpus
-# repeats a few thousand addresses and timestamps, so repeats still hit.
+# repeats a few thousand addresses, timestamps and rule texts, so repeats still hit.
 _MEMO_SIZE = 2**12
-
-# Fields whose absence changes a written record's layout: the optional
-# RawAlert fields and the label, which only labeled output carries.
-_ABSENT_KEYS = (
-    "http_status",
-    "pkts_to_server",
-    "pkts_to_client",
-    "bytes_to_server",
-    "bytes_to_client",
-    "rev_comment",
-    "label",
-)
 
 
 class RawAlert(NamedTuple):
@@ -117,6 +110,25 @@ class RawAlert(NamedTuple):
     bytes_to_server: int | None = None
     bytes_to_client: int | None = None
     rev_comment: str | None = None
+
+
+# The RawAlert fields that may be None, in field order: those whose default is None.
+_OPTIONAL = tuple(name for name, default in RawAlert._field_defaults.items() if default is None)
+# Fields whose absence changes a written record's layout: the optional
+# RawAlert fields and the label, which only labeled output carries.
+_ABSENT_KEYS = (*_OPTIONAL, "label")
+# Each integer field: its least value, and its greatest or None for no bound.
+_INT_RANGES = {
+    "src_port": (0, 65535),
+    "dst_port": (0, 65535),
+    "rule_sid": (0, None),
+    "payload_len": (0, None),
+    "http_status": (100, 599),
+    "pkts_to_server": (0, None),
+    "pkts_to_client": (0, None),
+    "bytes_to_server": (0, None),
+    "bytes_to_client": (0, None),
+}
 
 
 class LabeledAlert(NamedTuple):
@@ -165,14 +177,14 @@ _DEFAULT_PATHS = _compile(DEFAULT_FIELD_MAP)
 class FieldPaths:
     """A field map compiled for one read of a corpus.
 
-    Each dotted JSON path is split into its keys once. The read also
-    remembers what it has validated: a corpus repeats a few thousand
-    addresses and timestamps across all its alerts, so the repeats skip
-    ``ipaddress`` and ``parse_timestamp``. Only values that passed enter
-    ``valid_ips`` and ``timestamps``, so a bad value is rejected on every
-    line it is on. Each is emptied when it reaches ``_MEMO_SIZE`` entries.
-    Build one per read and drop it with the read, so the memos live no
-    longer than the alerts they serve.
+    Each dotted JSON path is split into its keys once, in RawAlert field
+    order. The read also remembers what it has validated: a corpus repeats a
+    few thousand addresses and timestamps across all its alerts, so the
+    repeats skip the address pattern and ``parse_timestamp``. Only values
+    that passed enter ``valid_ips`` and ``timestamps``, so a bad value is
+    rejected on every line it is on. Each is emptied when it reaches
+    ``_MEMO_SIZE`` entries. Build one per read and drop it with the read, so
+    the memos live no longer than the alerts they serve.
     """
 
     __slots__ = ("paths", "valid_ips", "timestamps")
@@ -183,16 +195,31 @@ class FieldPaths:
         self.timestamps: dict[str, datetime] = {}
 
 
+# Python 3.10's documented fromisoformat grammar, with ASCII digits and a T
+# or space separator, so every version reads the same strings: later
+# versions also read week dates, basic forms, commas and other fractions.
+_ISO_TIMESTAMP = re.compile(
+    r"\d{4}-\d\d-\d\d(?:[T ]\d\d(?::\d\d(?::\d\d(?:\.\d{3}(?:\d{3})?)?)?)?"
+    r"(?:[+-]\d\d:\d\d(?::\d\d(?:\.\d{6})?)?)?)?",
+    re.ASCII,
+)
+
+
 def parse_timestamp(value) -> datetime:
-    """Parse an ISO-8601 timestamp; naive values are taken as UTC."""
+    """Parse an ISO-8601 timestamp of ``_ISO_TIMESTAMP``'s grammar; naive values are taken as UTC.
+
+    A trailing ``Z`` is read as ``+00:00``, and an offset without a colon
+    (``+0000``, as EVE writes it) as one with it.
+    """
     if not isinstance(value, str):
         raise ValidationError(f"timestamp must be a string, got {value!r}")
     text = value.strip()
     if text.endswith("Z"):
         text = text[:-1] + "+00:00"
-    # EVE emits numeric offsets without a colon (e.g. +0000).
-    if len(text) >= 5 and text[-5] in "+-" and text[-4:].isdigit():
+    elif len(text) >= 5 and text[-5] in "+-" and text[-4:].isdigit():
         text = text[:-2] + ":" + text[-2:]
+    if _ISO_TIMESTAMP.fullmatch(text) is None:  # fromisoformat's own text, as 3.10 gives it
+        raise ValidationError(f"bad timestamp {value!r}: Invalid isoformat string: {text!r}")
     try:
         ts = datetime.fromisoformat(text)
     except ValueError as exc:
@@ -200,15 +227,6 @@ def parse_timestamp(value) -> datetime:
     if ts.tzinfo is None:
         ts = ts.replace(tzinfo=timezone.utc)
     return ts
-
-
-def _require_int(name: str, value, lo: int, hi: int | None = None) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
-    if value < lo or (hi is not None and value > hi):
-        bound = f">= {lo}" if hi is None else f"in {lo}..{hi}"
-        raise ValidationError(f"{name} out of range: {value} (expected {bound})")
-    return value
 
 
 # A plain dotted quad: four decimal octets of ASCII digits, no leading zeros.
@@ -232,29 +250,39 @@ def ip_value(text: str) -> tuple[int, int]:
     return ip.version, int(ip)
 
 
-def _validate_ip(name: str, value, valid: set[str]) -> str:
-    """Check an address string, once per distinct string in `valid`."""
-    if not isinstance(value, str):
-        raise ValidationError(f"{name} must be a string, got {value!r}")
-    if value not in valid:
-        if _DOTTED_QUAD.fullmatch(value) is None:
-            try:
-                ipaddress.ip_address(value)
-            except ValueError:
-                raise ValidationError(f"{name} is not a valid IP address: {value!r}") from None
-        if len(valid) >= _MEMO_SIZE:
-            valid.clear()
-        valid.add(value)
-    return value
+def _validate_ip(name: str, value: str) -> None:
+    """Refuse an address string that ``ip_value`` cannot read."""
+    try:
+        ip_value(value)
+    except ValueError:
+        raise ValidationError(f"{name} is not a valid IP address: {value!r}") from None
 
 
-def _text(name: str, value, absent: str | None) -> str | None:
-    """A text field: `absent` when missing, else the value, which must be a string."""
-    if value is None:
-        return absent
-    if type(value) is not str:
-        raise ValidationError(f"{name} must be a string, got {value!r}")
-    return value
+def refuse_alert(values: Iterable) -> None:
+    """Raise the ValidationError of the first field, in RawAlert order, that an alert may not hold.
+
+    `values` is a RawAlert, or a record's fields with absent texts and payload
+    length defaulted and the timestamp as text. Only ``_OPTIONAL`` fields may
+    be None; an address is a string ``ip_value`` reads, an integer field a
+    non-bool int within ``_INT_RANGES`` (a subclass passes), other text a str.
+    """
+    for name, value in zip(RawAlert._fields, values):
+        if value is None and name in _OPTIONAL:
+            continue
+        if name in _INT_RANGES:
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
+            lo, hi = _INT_RANGES[name]
+            if value < lo or (hi is not None and value > hi):
+                bound = f">= {lo}" if hi is None else f"in {lo}..{hi}"
+                raise ValidationError(f"{name} out of range: {value} (expected {bound})")
+        elif name == "timestamp":
+            if not isinstance(value, datetime):
+                parse_timestamp(value)
+        elif name in ("src_ip", "dst_ip") and isinstance(value, str):
+            _validate_ip(name, value)
+        elif type(value) is not str:
+            raise ValidationError(f"{name} must be a string, got {value!r}")
 
 
 def decode_record(line: str) -> dict:
@@ -273,12 +301,12 @@ def decode_record(line: str) -> dict:
 def record_to_alert(obj: dict, field_map: dict[str, str] | FieldPaths | None = None) -> RawAlert:
     """Validate one decoded record into a RawAlert.
 
-    Absent optional fields stay missing (None); unknown JSON keys are ignored.
-    Raises ValidationError for out-of-range, ill-typed or missing required
-    fields; a text field that is present must be a string. A record with
-    several faults reports the first in field order, after any missing
-    required field. Pass the FieldPaths of a read to reuse its
-    compiled paths, addresses and timestamps.
+    Absent optional fields stay missing (None), an absent description, class
+    type or action is "" and an absent payload length 0; unknown JSON keys
+    are ignored. Raises ValidationError for a missing required field, and
+    otherwise refuse_alert's error for the first field at fault in RawAlert
+    field order. Pass the FieldPaths of a read to reuse its compiled paths,
+    addresses and timestamps.
     """
     fields = field_map if isinstance(field_map, FieldPaths) else FieldPaths(field_map)
     raw = []
@@ -289,58 +317,54 @@ def record_to_alert(obj: dict, field_map: dict[str, str] | FieldPaths | None = N
         raw.append(value.get(leaf) if isinstance(value, dict) else None)
     (src_ip, dst_ip, src_port, dst_port, rule_sid, description, class_type, rule_uuid, action,
      stamp, payload_len, http_status, pkts_ts, pkts_tc, bytes_ts, bytes_tc, comment) = raw
-    if (src_ip is None or dst_ip is None or src_port is None or dst_port is None
-            or rule_sid is None or rule_uuid is None or stamp is None):
+    if description is None:
+        description = ""
+    if class_type is None:
+        class_type = ""
+    if action is None:
+        action = ""
+    if payload_len is None:
+        payload_len = 0
+    # The fast guard: exact types and _INT_RANGES inline. Behind it a missing
+    # required field is reported first, then refuse_alert's first fault in
+    # field order; it passes an int or str subclass.
+    if not (
+        stamp is not None and type(src_ip) is type(dst_ip) is str
+        and type(src_port) is type(dst_port) is type(rule_sid) is type(payload_len) is int
+        and 0 <= src_port <= 65535 and 0 <= dst_port <= 65535 and rule_sid >= 0
+        and payload_len >= 0
+        and type(description) is type(class_type) is type(rule_uuid) is type(action) is str
+        and (http_status is None or type(http_status) is int and 100 <= http_status <= 599)
+        and (pkts_ts is None or type(pkts_ts) is int and pkts_ts >= 0)
+        and (pkts_tc is None or type(pkts_tc) is int and pkts_tc >= 0)
+        and (bytes_ts is None or type(bytes_ts) is int and bytes_ts >= 0)
+        and (bytes_tc is None or type(bytes_tc) is int and bytes_tc >= 0)
+        and (comment is None or type(comment) is str)
+    ):
         for (field, parents, leaf), value in zip(fields.paths, raw):
             if value is None and field in _REQUIRED_FIELDS:
                 path = ".".join((*parents, leaf))
                 raise ValidationError(f"missing required field {field!r} (key {path!r})")
-
-    # Fast checks inline; the helpers run only to raise, for an absent text
-    # field, or for an address or number of a subclass of str or int, which
-    # they accept. Text fields must be exactly str.
+        refuse_alert((src_ip, dst_ip, src_port, dst_port, rule_sid, description, class_type,
+                      rule_uuid, action, stamp, payload_len, http_status, pkts_ts, pkts_tc,
+                      bytes_ts, bytes_tc, comment))
+    # The addresses lead the field order, so either is the first fault; a
+    # dotted quad is read by its pattern alone.
     valid_ips = fields.valid_ips
-    if type(src_ip) is not str or src_ip not in valid_ips:
-        _validate_ip("src_ip", src_ip, valid_ips)
-    if type(dst_ip) is not str or dst_ip not in valid_ips:
-        _validate_ip("dst_ip", dst_ip, valid_ips)
-    if type(src_port) is not int or not 0 <= src_port <= 65535:
-        _require_int("src_port", src_port, 0, 65535)
-    if type(dst_port) is not int or not 0 <= dst_port <= 65535:
-        _require_int("dst_port", dst_port, 0, 65535)
-    if type(rule_sid) is not int or rule_sid < 0:
-        _require_int("rule_sid", rule_sid, 0)
-    if type(description) is not str:
-        description = _text("rule_description", description, "")
-    if type(class_type) is not str:
-        class_type = _text("class_type", class_type, "")
-    if type(rule_uuid) is not str:
-        rule_uuid = _text("rule_uuid", rule_uuid, None)
-    if type(action) is not str:
-        action = _text("action", action, "")
-    if type(comment) is not str:
-        comment = _text("rev_comment", comment, None)
+    if src_ip not in valid_ips or dst_ip not in valid_ips:
+        if _DOTTED_QUAD.fullmatch(src_ip) is None:
+            _validate_ip("src_ip", src_ip)
+        if _DOTTED_QUAD.fullmatch(dst_ip) is None:
+            _validate_ip("dst_ip", dst_ip)
+        if len(valid_ips) >= _MEMO_SIZE:
+            valid_ips.clear()
+        valid_ips.update((src_ip, dst_ip))
     timestamp = fields.timestamps.get(stamp) if type(stamp) is str else None
     if timestamp is None:
-        timestamp = parse_timestamp(stamp)
-        if type(stamp) is str:
-            if len(fields.timestamps) >= _MEMO_SIZE:
-                fields.timestamps.clear()
-            fields.timestamps[stamp] = timestamp
-    if payload_len is None:
-        payload_len = 0
-    elif type(payload_len) is not int or payload_len < 0:
-        _require_int("payload_len", payload_len, 0)
-    if http_status is not None and (type(http_status) is not int or not 100 <= http_status <= 599):
-        _require_int("http_status", http_status, 100, 599)
-    if pkts_ts is not None and (type(pkts_ts) is not int or pkts_ts < 0):
-        _require_int("pkts_to_server", pkts_ts, 0)
-    if pkts_tc is not None and (type(pkts_tc) is not int or pkts_tc < 0):
-        _require_int("pkts_to_client", pkts_tc, 0)
-    if bytes_ts is not None and (type(bytes_ts) is not int or bytes_ts < 0):
-        _require_int("bytes_to_server", bytes_ts, 0)
-    if bytes_tc is not None and (type(bytes_tc) is not int or bytes_tc < 0):
-        _require_int("bytes_to_client", bytes_tc, 0)
+        timestamp = parse_timestamp(stamp)  # only a str parses
+        if len(fields.timestamps) >= _MEMO_SIZE:
+            fields.timestamps.clear()
+        fields.timestamps[stamp] = timestamp
     return RawAlert(
         src_ip, dst_ip, src_port, dst_port, rule_sid, description, class_type, rule_uuid,
         action, timestamp, payload_len, http_status, pkts_ts, pkts_tc, bytes_ts, bytes_tc,

@@ -378,6 +378,19 @@ def test_evaluate_kfold_with_negative_seed(chain, tmp_path):
     assert len(folds) == len(json.loads(report.read_text(encoding="utf-8"))["per_fold"]) == 3
 
 
+@pytest.mark.parametrize("model", [True, False])
+def test_evaluate_kfold_takes_the_models_seed_over_seed(chain, tmp_path, model):
+    # with --model the folds are grown with the model's own seed, so --seed changes no byte
+    reports = []
+    for seed in ("1", "2"):
+        report = tmp_path / f"report_{seed}.json"
+        argv = ["evaluate", "--in", chain["matrix"], "--kfold", "3", "--seed", seed,
+                "--report", str(report)]
+        run_ok(argv + (["--model", chain["model"]] if model else []))
+        reports.append(report.read_bytes())
+    assert (reports[0] == reports[1]) is model
+
+
 def test_evaluate_kfold_summary(chain, tmp_path):
     report = tmp_path / "cv_report.json"
     summary = tmp_path / "summary.csv"
@@ -1513,7 +1526,7 @@ _FLAG_HELP = {
         "--minutes-per-alert": "analyst minutes per reviewed alert (default 4.0)",
         "--report": "report JSON output (default report.json)",
         "--summary": "also write a metric,value CSV here",
-        "--seed": "RNG seed (default 42)",
+        "--seed": "RNG seed of --kfold; with --model, the model's seed is used (default 42)",
     },
     "explain": {
         "--in": "matrix CSV",

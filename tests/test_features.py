@@ -8,7 +8,7 @@ from bisect import bisect_right
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from alert_sift import features
@@ -33,7 +33,7 @@ from alert_sift.features import (
     scale_rule_sid,
     write_matrix_csv,
 )
-from alert_sift.ingest import parse_alert_record
+from alert_sift.ingest import RawAlert, parse_alert_record, refuse_alert
 
 from conftest import make_line
 
@@ -330,16 +330,17 @@ def test_fixture_alert_golden_vector():
 @pytest.mark.parametrize(
     "field, value, message",
     [
-        ("http_status", 600, "http_status out of range: 600"),
-        ("pkts_to_server", -1, "counter must be >= 0, got -1"),
-        ("bytes_to_client", -2, "counter must be >= 0, got -2"),
-        ("rule_sid", -1, "rule_sid must be >= 0, got -1"),
-        ("src_port", 65536, "port out of range: 65536"),
-        ("dst_port", -1, "port out of range: -1"),
-        ("payload_len", -1, "payload_len must be >= 0, got -1"),
+        ("http_status", 600, "http_status out of range: 600 (expected in 100..599)"),
+        ("pkts_to_server", -1, "pkts_to_server out of range: -1 (expected >= 0)"),
+        ("bytes_to_client", -2, "bytes_to_client out of range: -2 (expected >= 0)"),
+        ("rule_sid", -1, "rule_sid out of range: -1 (expected >= 0)"),
+        ("src_port", 65536, "src_port out of range: 65536 (expected in 0..65535)"),
+        ("dst_port", -1, "dst_port out of range: -1 (expected in 0..65535)"),
+        ("payload_len", -1, "payload_len out of range: -1 (expected >= 0)"),
     ],
 )
 def test_encode_refuses_an_out_of_range_field_with_the_helpers_error(field, value, message):
+    # the helper is ingest.refuse_alert, so the error names the field as record_to_alert's does
     alert = parse_alert_record(make_line())._replace(**{field: value})
     with pytest.raises(ValidationError) as info:
         encode_alert(alert)
@@ -395,6 +396,53 @@ def test_encode_refuses_a_bad_address_or_text_as_record_to_alert_does(field, val
     with pytest.raises(ValidationError) as info:
         encode_alert(alert, FeatureProfile.FULL29)
     assert str(info.value) == message
+
+
+class _Int(int):
+    """An int subclass: refuse_alert passes it, and it encodes as its value."""
+
+
+# A value for any field of an alert: in and out of every range, the wrong
+# types, subclasses of str and int, IPv6 addresses and junk.
+_FIELD_VALUE = st.one_of(
+    st.integers(-2, 70_000),
+    st.integers(-(2**70), 2**70),
+    st.integers(0, 70_000).map(_Int),
+    st.booleans(),
+    st.floats(allow_nan=True),
+    st.none(),
+    st.sampled_from(["203.0.113.7", "2001:db8::1", "fe80::1%eth0", "::ffff:10.0.0.1",
+                     "1.2.3", "::g", "CVE-2024-1", ""]),
+    st.sampled_from(["198.51.100.4", "ET EXPLOIT"]).map(_Text),
+    st.text(max_size=8),
+    st.lists(st.integers(), max_size=2),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(field=st.sampled_from(RawAlert._fields), value=_FIELD_VALUE,
+       profile=st.sampled_from(FeatureProfile))
+@example(field="src_ip", value="::g", profile=FeatureProfile.CORE20)
+@example(field="dst_ip", value="fe80::1%eth0", profile=FeatureProfile.CORE20)
+@example(field="dst_port", value=_Int(443), profile=FeatureProfile.FULL29)
+@example(field="http_status", value=_Int(600), profile=FeatureProfile.CORE20)
+def test_encode_either_encodes_or_raises_the_ingest_refusal(field, value, profile):
+    # the alert contract has one owner: any error encode_alert raises is refuse_alert's
+    alert = parse_alert_record(make_line())._replace(**{field: value})
+    try:
+        refuse_alert(alert)
+    except ValidationError as exc:
+        refusal = str(exc)
+    else:
+        refusal = None
+    try:
+        row = encode_alert(alert, profile)
+    except ValidationError as exc:
+        assert str(exc) == refusal
+    else:
+        assert len(row) == profile.width
+        if isinstance(value, _Int):
+            assert row == encode_alert(alert._replace(**{field: int(value)}), profile)
 
 
 def test_encode_matches_keywords_as_substrings_of_a_str_description():

@@ -5,7 +5,7 @@ from __future__ import annotations
 import io
 import ipaddress
 import json
-from datetime import timezone
+from datetime import datetime, timedelta, timezone
 
 import pytest
 from hypothesis import example, given, settings
@@ -17,7 +17,6 @@ from alert_sift.ingest import (
     FieldPaths,
     LabeledAlert,
     Records,
-    _validate_ip,
     alert_to_record,
     attach_comments,
     ip_value,
@@ -81,6 +80,12 @@ def test_negative_counter_rejected():
 def test_missing_required_field_names_it():
     with pytest.raises(ValidationError, match="src_ip"):
         parse_alert_record(make_line(src_ip=None))
+    # a required field that is the record's only fault, the timestamp included
+    for key, field in (("timestamp", "timestamp"), ("rule_uuid", "rule_uuid"),
+                       ("dest_port", "dst_port")):
+        with pytest.raises(ValidationError) as info:
+            parse_alert_record(make_line(**{key: None}))
+        assert str(info.value) == f"missing required field {field!r} (key {key!r})"
 
 
 def test_malformed_json_is_parse_error():
@@ -134,17 +139,18 @@ _ADDRESS_TEXT = st.one_of(
 @example(text="fe80::1%eth0")
 @example(text="::ffff:10.0.0.1")
 def test_ip_value_matches_ipaddress(text):
-    # _validate_ip takes a dotted quad on the pattern alone, and must accept the same strings
+    # record_to_alert takes a dotted quad on the pattern alone, and must accept the same strings
     try:
         ip = ipaddress.ip_address(text)
     except ValueError:
         with pytest.raises(ValueError):
             ip_value(text)
-        with pytest.raises(ValidationError, match="src_ip is not a valid IP address"):
-            _validate_ip("src_ip", text, set())
+        with pytest.raises(ValidationError) as info:
+            record_to_alert(make_record(src_ip=text))
+        assert str(info.value) == f"src_ip is not a valid IP address: {text!r}"
     else:
         assert ip_value(text) == (ip.version, int(ip))
-        assert _validate_ip("src_ip", text, set()) == text
+        assert record_to_alert(make_record(src_ip=text)).src_ip == text
 
 
 def test_unknown_keys_ignored():
@@ -238,6 +244,38 @@ def test_timestamp_offset_preserved():
 def test_bad_timestamp_rejected():
     with pytest.raises(ValidationError):
         parse_alert_record(make_line(timestamp="yesterday"))
+
+
+@pytest.mark.parametrize("text", [
+    "2025-03-04T10:20:30.1Z",
+    "20250304T102030Z",
+    "2025-W10-2T10:20:30Z",
+    "2025-03-04T10:20:30,123Z",
+    "2025-03-04T10:20:30.123456789Z",
+])
+def test_timestamp_outside_python_3_10s_grammar_is_refused_on_every_version(text):
+    # Python 3.11's fromisoformat reads each of these; 3.10's refuses them
+    normalised = text[:-1] + "+00:00"
+    with pytest.raises(ValidationError) as info:
+        parse_timestamp(text)
+    assert str(info.value) == f"bad timestamp {text!r}: Invalid isoformat string: {normalised!r}"
+
+
+_OFFSETS = st.none() | st.integers(-86_399_999_999, 86_399_999_999).map(
+    lambda us: timezone(timedelta(microseconds=us)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(when=st.datetimes(timezones=_OFFSETS), sep=st.sampled_from("T "),
+       timespec=st.sampled_from(["hours", "minutes", "seconds", "milliseconds", "microseconds"]))
+def test_every_isoformat_of_the_grammar_parses_as_fromisoformat_reads_it(when, sep, timespec):
+    # write_records writes isoformat(); each form the grammar names reads back unchanged
+    for text in (when.isoformat(sep, timespec), when.date().isoformat()):
+        expected = datetime.fromisoformat(text)
+        if expected.tzinfo is None:
+            expected = expected.replace(tzinfo=timezone.utc)
+        assert parse_timestamp(text) == expected
+        assert parse_timestamp(text).utcoffset() == expected.utcoffset()
 
 
 def test_field_map_remaps_keys():
@@ -349,9 +387,9 @@ _ALERT_BLOCK = {"signature": "ET SCAN", "category": "attempted-recon"}
 
 
 # Records with two or more faults, and the first fault each reports: the
-# fields are checked in a fixed order (required presence, addresses, ports,
-# rule id, text fields, timestamp, payload length, then the optional
-# counters).
+# fields are checked in a fixed order: required presence, then RawAlert
+# field order (addresses, ports, rule id, texts, timestamp, payload length,
+# the optional counters, then the comment).
 @pytest.mark.parametrize(
     "overrides, message",
     [
@@ -385,7 +423,8 @@ _ALERT_BLOCK = {"signature": "ET SCAN", "category": "attempted-recon"}
         ({"alert": {"signature_id": 1, "category": 0}, "rev_comment": 3},
          "class_type must be a string, got 0"),
         ({"action": ["x"], "timestamp": "yesterday"}, "action must be a string, got ['x']"),
-        ({"rev_comment": ["c"], "timestamp": "nope"}, "rev_comment must be a string, got ['c']"),
+        ({"rev_comment": ["c"], "timestamp": "nope"},
+         "bad timestamp 'nope': Invalid isoformat string: 'nope'"),
     ],
 )
 def test_record_with_several_faults_reports_the_first(overrides, message):
