@@ -70,7 +70,6 @@ from .forest import (
     train_forest,
 )
 from .ingest import (
-    FieldPaths,
     RawAlert,
     Records,
     load_field_map,
@@ -223,18 +222,18 @@ def cmd_synth(opt: Namespace) -> str:
 
 
 def cmd_ingest(opt: Namespace) -> str:
-    fields = FieldPaths()
+    parse = parse_alert_record
     with _outputs({"--out": opt.out}) as (out,):
         if opt.field_map:
             with open(opt.field_map, encoding="utf-8") as fh:
-                fields = FieldPaths(load_field_map(fh))
+                parse = partial(parse_alert_record, paths=load_field_map(fh))
         comments = None
         if opt.comments:
             with open(opt.comments, encoding="utf-8") as fh:
                 comments = dict(read_rule_comments(fh))
         rejected: list[tuple[int, str]] = []
         with open(opt.input, encoding="utf-8") as fh:
-            alerts = Records(fh, partial(parse_alert_record, field_map=fields), opt.input, rejected)
+            alerts = Records(fh, parse, opt.input, rejected)
             write_records(out, ((alert, None) for alert in alerts), comments)
         if alerts.count == 0 and rejected:  # raised inside the with, so no file is left
             line_no, reason = rejected[0]
@@ -255,9 +254,8 @@ def cmd_label(opt: Namespace) -> str:
             # the rules are known before the first alert, so the alerts stream through
             with open(opt.comments, encoding="utf-8") as fh:
                 rules = read_rule_comments(fh)
-        fields = FieldPaths()
         with open(opt.input, encoding="utf-8") as fh:
-            alerts = Records(fh, partial(parse_alert_record, field_map=fields), opt.input)
+            alerts = Records(fh, parse_alert_record, opt.input)
             stream: Iterable[RawAlert] = alerts
             if rules is None:
                 # a rule's embedded comment may first appear on its last alert
@@ -295,7 +293,7 @@ def cmd_sample(opt: Namespace) -> str:
         else {"--train-out": opt.train_out, "--test-out": opt.test_out}
     )
     with _outputs(paths) as outs, open(opt.input, encoding="utf-8") as fh:
-        labeled = Records(fh, partial(parse_labeled_record, fields=FieldPaths()), opt.input)
+        labeled = Records(fh, parse_labeled_record, opt.input)
         # only the survivors are held; every line is still read and validated
         kept = dedup_sample(labeled, params)
         parts = [kept] if split is None else partition_by_period(kept, split)
@@ -318,9 +316,7 @@ def cmd_encode(opt: Namespace) -> str:
             with open(opt.caps, encoding="utf-8") as fh:
                 caps = load_caps(fh)
         with open(opt.input, encoding="utf-8") as fh:
-            labeled = list(
-                Records(fh, partial(parse_labeled_record, fields=FieldPaths()), opt.input)
-            )
+            labeled = list(Records(fh, parse_labeled_record, opt.input))
         # no labeled alerts give a header-only matrix
         rows = [encode_alert(item.alert, profile, caps) for item in labeled]
         X = as_matrix(rows) if rows else np.empty((0, profile.width))
@@ -381,9 +377,7 @@ def cmd_evaluate(opt: Namespace) -> str:
             rec = "n/a" if rep.tp_recall is None else f"{rep.tp_recall:.3f}"
             summary_bits.append(f"accuracy {acc}, tp_recall {rec}, savings {savings:.1f}h")
         if opt.kfold is not None:
-            cv = cross_validate(
-                X, labels, params, k=opt.kfold, seed=params.seed, threshold=opt.threshold
-            )
+            cv = cross_validate(X, labels, params, k=opt.kfold, threshold=opt.threshold)
             report["per_fold"] = [asdict(r) for r in cv.reports]
             report["mean"] = cv.mean_accuracy
             report["variance"] = cv.accuracy_variance

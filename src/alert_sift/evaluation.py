@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .features import as_matrix
+from .features import as_labeled_matrix
 from .forest import Forest, ForestParams, check_threshold, predict_proba_batch, train_forest
 
 
@@ -119,17 +119,16 @@ def cross_validate(
     labels: Sequence[int],
     params: ForestParams | None = None,
     k: int = 10,
-    seed: int = 42,
     threshold: float = 0.5,
 ) -> CrossValidation:
-    """Train on each fold's complement, evaluate on the fold, in fold order."""
+    """Train on each fold's complement, evaluate on the fold, in fold order.
+
+    The folds are cut with params.seed, the seed each fold's forest grows with.
+    """
     check_threshold(threshold)
-    X = as_matrix(matrix)
-    y = np.asarray(labels, dtype=np.int64)
-    if X.shape[0] != y.shape[0]:
-        raise ValidationError(f"{X.shape[0]} rows vs {y.shape[0]} labels")
+    X, y = as_labeled_matrix(matrix, labels)
     params = params or ForestParams()
-    folds = kfold_split(X.shape[0], k, seed)
+    folds = kfold_split(X.shape[0], k, params.seed)
     reports = []
     for i, fold in enumerate(folds):
         held = np.asarray(fold, dtype=np.int64)
@@ -152,10 +151,7 @@ def evaluate_forest(
 ) -> tuple[ConfusionMatrix, MetricsReport]:
     """Holdout evaluation of a trained forest on a labeled matrix."""
     check_threshold(threshold)
-    X = as_matrix(matrix)
-    y = np.asarray(labels, dtype=np.int64)
-    if X.shape[0] != y.shape[0]:
-        raise ValidationError(f"{X.shape[0]} rows vs {y.shape[0]} labels")
+    X, y = as_labeled_matrix(matrix, labels)
     proba = predict_proba_batch(forest, X)
     preds = (proba >= threshold).astype(int)
     cm = confusion(preds, y)

@@ -304,6 +304,8 @@ def _cap_steps(caps: ScalingCaps) -> tuple:
 
 
 _DEFAULT_STEPS = _cap_steps(_DEFAULT_CAPS)
+
+
 @lru_cache(maxsize=_MEMO_SIZE)
 def _keyword_flags(description: str, class_type: str, profile: FeatureProfile) -> tuple:
     class_folded = class_type.lower()
@@ -368,11 +370,11 @@ def encode_alert(
         -1.0 if bytes_ts is None else nbytes[bisect_right(bytes_at, bytes_ts) - 1],
         -1.0 if bytes_tc is None else nbytes[bisect_right(bytes_at, bytes_tc) - 1],
         sids[bisect_right(sid_at, sid) - 1],
-        *flags[:6],
+        *flags[:len(_KEYWORD_FEATURES_CORE)],
         _PORTS[bisect_right(_PORT_AT, sport) - 1],
         _PORTS[bisect_right(_PORT_AT, dport) - 1],
         payloads[bisect_right(payload_at, payload) - 1],
-        *flags[6:],
+        *flags[len(_KEYWORD_FEATURES_CORE):],
     )
 
 
@@ -385,6 +387,16 @@ def as_matrix(rows: Sequence[Sequence[float]] | np.ndarray) -> np.ndarray:
     if X.ndim != 2:
         raise ValidationError(f"matrix must be 2-dimensional, got shape {X.shape}")
     return X
+
+
+def as_labeled_matrix(
+    rows: Sequence[Sequence[float]] | np.ndarray, labels: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """as_matrix of rows, and the labels as an int64 array with one label per row."""
+    X, y = as_matrix(rows), np.asarray(labels, dtype=np.int64)
+    if X.shape[0] != y.shape[0]:
+        raise ValidationError(f"{X.shape[0]} rows vs {y.shape[0]} labels")
+    return X, y
 
 
 @dataclass
@@ -456,6 +468,9 @@ def read_matrix_csv(
         header = next(lines).rstrip("\n").split(",")
     except StopIteration:
         raise ValidationError("matrix CSV is empty") from None
+    if len(set(header)) != len(header):
+        twice = next(h for i, h in enumerate(header) if h in header[:i])
+        raise ValidationError(f"matrix CSV header names column {twice!r} twice")
     has_label = header and header[-1] == "label"
     names = header[:-1] if has_label else header
     rows: list[list[float]] = []

@@ -34,7 +34,7 @@ from typing import IO, NamedTuple, Sequence
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .features import FeatureProfile, as_matrix, feature_names as profile_names
+from .features import FeatureProfile, as_labeled_matrix, feature_names as profile_names
 
 MODEL_FORMAT_VERSION = "1"
 
@@ -278,10 +278,7 @@ def train_forest(
 ) -> Forest:
     """Train the bagged ensemble; deterministic given (data, params)."""
     params = params or ForestParams()
-    X = as_matrix(matrix)
-    y = np.asarray(labels, dtype=np.int64)
-    if X.shape[0] != y.shape[0]:
-        raise ValidationError(f"{X.shape[0]} rows vs {y.shape[0]} labels")
+    X, y = as_labeled_matrix(matrix, labels)
     if X.shape[0] < 2:
         raise ValidationError("training needs at least 2 samples")
     present = set(np.unique(y).tolist())
@@ -423,6 +420,9 @@ def forest_from_dict(obj: dict) -> Forest:
     names, trees = obj.get("feature_names"), obj.get("trees")
     if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
         raise ValidationError("model feature_names must be a list of strings")
+    if len(set(names)) != len(names):
+        twice = next(n for i, n in enumerate(names) if n in names[:i])
+        raise ValidationError(f"model feature_names name {twice!r} twice")
     claim, profile = obj.get("profile"), _named_profile(names)
     if claim is not None and (profile is None or profile.value != claim):
         raise ValidationError(f"model profile {claim!r} does not name its {len(names)} features")

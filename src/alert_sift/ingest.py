@@ -16,13 +16,15 @@ unchecked as any pair is. Parsing is two steps, ``decode_record`` (line to
 dict) and ``record_to_alert`` (dict to validated RawAlert, in one pass over
 the fields); ``parse_alert_record`` is the two in a row, and
 ``parse_labeled_record`` takes the label from the same dict, so no line is
-decoded twice. One ``FieldPaths`` per read holds the field map split into
-keys and memoises what that read has validated: addresses, and timestamp
-strings with their parsed datetimes. Each memo is emptied when it reaches
-``_MEMO_SIZE`` entries, so a read of distinct values holds a bounded set.
-Addresses are read by ``ip_value``: a plain dotted quad by one compiled
-pattern, anything else by ``ipaddress``, so both accept the same strings and
-give the same number.
+decoded twice. ``load_field_map`` compiles a field map once, into the paths
+the readers take; given none, they read the default layout. The parser
+remembers, process-wide, the addresses and timestamp strings (with their
+parsed datetimes) that passed its checks. Only checked values enter, so a
+memo saves work but never changes a result or an error text, and each is
+emptied when it reaches ``_MEMO_SIZE`` entries, so distinct values hold a
+bounded set. Addresses are read by ``ip_value``: a plain dotted quad by one
+compiled pattern, anything else by ``ipaddress``, so both accept the same
+strings and give the same number.
 
 ``refuse_alert`` states the alert contract once: walking the fields in
 RawAlert order with one table of integer ranges (``_INT_RANGES``), it raises
@@ -152,47 +154,38 @@ class IngestReport:
 _Path = tuple[str, tuple[str, ...], str]
 
 
-def _compile(field_map: dict[str, str] | None) -> tuple[_Path, ...]:
-    """Split each path of a field map, in RawAlert field order.
+def load_field_map(source: Iterable[str]) -> tuple[_Path, ...]:
+    """Compile a field-map file: one ``field=json.path`` per line, # comments.
 
-    Unlisted fields keep their default path, and a key that names no
-    RawAlert field is a ValidationError. No map means the default, compiled
-    once.
+    Returns every RawAlert field's path split into its keys, in field order;
+    an unlisted field keeps its default path. Errors name the line.
     """
-    if not field_map:
-        return _DEFAULT_PATHS
-    for field in field_map:
+    fmap: dict[str, str] = {}
+    for line_no, line in enumerate(source, start=1):
+        text = line.strip()
+        if not text or text.startswith("#"):
+            continue
+        if "=" not in text:
+            raise ValidationError(f"field-map line {line_no}: expected field=json.path")
+        field, _, path = text.partition("=")
+        field, path = field.strip(), path.strip()
         if field not in DEFAULT_FIELD_MAP:
-            raise ValidationError(f"field map: unknown field {field!r}")
+            raise ValidationError(f"field-map line {line_no}: unknown field {field!r}")
+        if not path:
+            raise ValidationError(f"field-map line {line_no}: empty path for {field!r}")
+        fmap[field] = path
     out = []
     for field in RawAlert._fields:
-        *parents, leaf = field_map.get(field, DEFAULT_FIELD_MAP[field]).split(".")
+        *parents, leaf = fmap.get(field, DEFAULT_FIELD_MAP[field]).split(".")
         out.append((field, tuple(parents), leaf))
     return tuple(out)
 
 
-_DEFAULT_PATHS = _compile(DEFAULT_FIELD_MAP)
-
-
-class FieldPaths:
-    """A field map compiled for one read of a corpus.
-
-    Each dotted JSON path is split into its keys once, in RawAlert field
-    order. The read also remembers what it has validated: a corpus repeats a
-    few thousand addresses and timestamps across all its alerts, so the
-    repeats skip the address pattern and ``parse_timestamp``. Only values
-    that passed enter ``valid_ips`` and ``timestamps``, so a bad value is
-    rejected on every line it is on. Each is emptied when it reaches
-    ``_MEMO_SIZE`` entries. Build one per read and drop it with the read, so
-    the memos live no longer than the alerts they serve.
-    """
-
-    __slots__ = ("paths", "valid_ips", "timestamps")
-
-    def __init__(self, field_map: dict[str, str] | None = None):
-        self.paths = _compile(field_map)
-        self.valid_ips: set[str] = set()
-        self.timestamps: dict[str, datetime] = {}
+_DEFAULT_PATHS = load_field_map(())
+# The parser's memos: the addresses, and the timestamp strings with their
+# datetimes, that passed its checks. Each is emptied at _MEMO_SIZE entries.
+_VALID_IPS: set[str] = set()
+_TIMESTAMPS: dict[str, datetime] = {}
 
 
 # Python 3.10's documented fromisoformat grammar, with ASCII digits and a T
@@ -298,19 +291,20 @@ def decode_record(line: str) -> dict:
     return obj
 
 
-def record_to_alert(obj: dict, field_map: dict[str, str] | FieldPaths | None = None) -> RawAlert:
+def record_to_alert(obj: dict, paths: tuple[_Path, ...] = _DEFAULT_PATHS) -> RawAlert:
     """Validate one decoded record into a RawAlert.
 
     Absent optional fields stay missing (None), an absent description, class
     type or action is "" and an absent payload length 0; unknown JSON keys
     are ignored. Raises ValidationError for a missing required field, and
     otherwise refuse_alert's error for the first field at fault in RawAlert
-    field order. Pass the FieldPaths of a read to reuse its compiled paths,
-    addresses and timestamps.
+    field order. The fields are read at paths, as load_field_map compiles
+    them. Addresses and timestamp strings that passed are remembered in
+    process-wide memos of at most ``_MEMO_SIZE`` entries each, so a repeat
+    skips the address pattern and ``parse_timestamp``.
     """
-    fields = field_map if isinstance(field_map, FieldPaths) else FieldPaths(field_map)
     raw = []
-    for _, parents, leaf in fields.paths:
+    for _, parents, leaf in paths:
         value = obj
         for key in parents:
             value = value.get(key) if isinstance(value, dict) else None
@@ -341,7 +335,7 @@ def record_to_alert(obj: dict, field_map: dict[str, str] | FieldPaths | None = N
         and (bytes_tc is None or type(bytes_tc) is int and bytes_tc >= 0)
         and (comment is None or type(comment) is str)
     ):
-        for (field, parents, leaf), value in zip(fields.paths, raw):
+        for (field, parents, leaf), value in zip(paths, raw):
             if value is None and field in _REQUIRED_FIELDS:
                 path = ".".join((*parents, leaf))
                 raise ValidationError(f"missing required field {field!r} (key {path!r})")
@@ -350,21 +344,20 @@ def record_to_alert(obj: dict, field_map: dict[str, str] | FieldPaths | None = N
                       bytes_ts, bytes_tc, comment))
     # The addresses lead the field order, so either is the first fault; a
     # dotted quad is read by its pattern alone.
-    valid_ips = fields.valid_ips
-    if src_ip not in valid_ips or dst_ip not in valid_ips:
+    if src_ip not in _VALID_IPS or dst_ip not in _VALID_IPS:
         if _DOTTED_QUAD.fullmatch(src_ip) is None:
             _validate_ip("src_ip", src_ip)
         if _DOTTED_QUAD.fullmatch(dst_ip) is None:
             _validate_ip("dst_ip", dst_ip)
-        if len(valid_ips) >= _MEMO_SIZE:
-            valid_ips.clear()
-        valid_ips.update((src_ip, dst_ip))
-    timestamp = fields.timestamps.get(stamp) if type(stamp) is str else None
+        if len(_VALID_IPS) > _MEMO_SIZE - 2:  # room for both addresses
+            _VALID_IPS.clear()
+        _VALID_IPS.update((src_ip, dst_ip))
+    timestamp = _TIMESTAMPS.get(stamp) if type(stamp) is str else None
     if timestamp is None:
         timestamp = parse_timestamp(stamp)  # only a str parses
-        if len(fields.timestamps) >= _MEMO_SIZE:
-            fields.timestamps.clear()
-        fields.timestamps[stamp] = timestamp
+        if len(_TIMESTAMPS) >= _MEMO_SIZE:
+            _TIMESTAMPS.clear()
+        _TIMESTAMPS[stamp] = timestamp
     return RawAlert(
         src_ip, dst_ip, src_port, dst_port, rule_sid, description, class_type, rule_uuid,
         action, timestamp, payload_len, http_status, pkts_ts, pkts_tc, bytes_ts, bytes_tc,
@@ -372,16 +365,16 @@ def record_to_alert(obj: dict, field_map: dict[str, str] | FieldPaths | None = N
     )
 
 
-def parse_alert_record(line: str, field_map: dict[str, str] | FieldPaths | None = None) -> RawAlert:
+def parse_alert_record(line: str, paths: tuple[_Path, ...] = _DEFAULT_PATHS) -> RawAlert:
     """Parse one NDJSON line into a RawAlert: decode_record, then record_to_alert.
 
     Raises ParseError for malformed JSON and ValidationError for out-of-range
     or missing required fields.
     """
-    return record_to_alert(decode_record(line), field_map)
+    return record_to_alert(decode_record(line), paths)
 
 
-def parse_labeled_record(text: str, fields: FieldPaths | None = None) -> LabeledAlert:
+def parse_labeled_record(text: str) -> LabeledAlert:
     """Parse one line of labeled NDJSON into a LabeledAlert row, decoding it once."""
     obj = decode_record(text)
     if "label" not in obj:
@@ -389,13 +382,13 @@ def parse_labeled_record(text: str, fields: FieldPaths | None = None) -> Labeled
     label = obj["label"]
     if type(label) is not int or label not in (0, 1):
         raise ValidationError(f"label must be 0 or 1, got {json.dumps(label)}")
-    return LabeledAlert(record_to_alert(obj, fields), label)
+    return LabeledAlert(record_to_alert(obj), label)
 
 
-def alert_to_record(alert: RawAlert, field_map: dict[str, str] | None = None) -> dict:
-    """Serialize a RawAlert back to the nested input-record layout."""
+def alert_to_record(alert: RawAlert, paths: tuple[_Path, ...] = _DEFAULT_PATHS) -> dict:
+    """Serialize a RawAlert back to the nested input-record layout at paths."""
     obj: dict = {}
-    for field, parents, leaf in _compile(field_map):
+    for field, parents, leaf in paths:
         value = getattr(alert, field)
         if value is None:
             continue
@@ -527,36 +520,17 @@ class Records:
 
 
 def read_corpus(
-    source: Iterable[str], field_map: dict[str, str] | None = None
+    source: Iterable[str], paths: tuple[_Path, ...] = _DEFAULT_PATHS
 ) -> tuple[list[RawAlert], IngestReport]:
-    """Read newline-delimited records; bad lines are counted, never fatal."""
-    fields, rejected = FieldPaths(field_map), []
-    records = Records(source, lambda text: parse_alert_record(text, fields), "corpus", rejected)
+    """Read newline-delimited records at paths; bad lines are counted, never fatal.
+
+    Each line is parsed by parse_alert_record, through the parser's
+    process-wide memos, which are bounded and hold only checked values.
+    """
+    rejected: list[tuple[int, str]] = []
+    records = Records(source, lambda text: parse_alert_record(text, paths), "corpus", rejected)
     alerts = list(records)
     return alerts, IngestReport(records.count, len(rejected), rejected)
-
-
-def load_field_map(source: Iterable[str]) -> dict[str, str]:
-    """Load a field-map file: one ``field=json.path`` per line, # comments.
-
-    Returns only the listed fields; the reader fills the others with their
-    default paths. Errors name the line.
-    """
-    fmap: dict[str, str] = {}
-    for line_no, line in enumerate(source, start=1):
-        text = line.strip()
-        if not text or text.startswith("#"):
-            continue
-        if "=" not in text:
-            raise ValidationError(f"field-map line {line_no}: expected field=json.path")
-        field, _, path = text.partition("=")
-        field, path = field.strip(), path.strip()
-        if field not in DEFAULT_FIELD_MAP:
-            raise ValidationError(f"field-map line {line_no}: unknown field {field!r}")
-        if not path:
-            raise ValidationError(f"field-map line {line_no}: empty path for {field!r}")
-        fmap[field] = path
-    return fmap
 
 
 def read_rule_comments(source: IO[str] | Iterator[str]) -> list[tuple[str, str]]:

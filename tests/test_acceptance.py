@@ -308,7 +308,7 @@ def test_criterion_9_kfold_harness(capsys):
     X = rng.random((200, 3))
     X[:, 1] = np.where(X[:, 1] > 0.5, X[:, 1] + 0.5, X[:, 1] - 0.5)
     y = (X[:, 1] > 0.5).astype(int)
-    cv = cross_validate(X, y, ForestParams(n_estimators=25), k=10, seed=42)
+    cv = cross_validate(X, y, ForestParams(n_estimators=25, seed=42), k=10)
     perfect = cv.accuracies == (1.0,) * 10 and cv.accuracy_variance == 0.0
 
     violations = 0

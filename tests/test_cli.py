@@ -1058,6 +1058,21 @@ def test_matrix_label_other_than_0_or_1_is_refused(chain, tmp_path, capsys):
     assert os.listdir(tmp_path) == ["matrix.csv"]
 
 
+def test_matrix_that_names_a_column_twice_is_refused(chain, tmp_path, capsys):
+    # one column's chi2 score, or one phi entry, would otherwise stand for both
+    matrix = tmp_path / "matrix.csv"
+    matrix.write_text("a,a,label\n0,1,1\n1,0,0\n0,0,1\n1,1,0\n", encoding="utf-8")
+    for argv in (
+        ["select", "--out", str(tmp_path / "selection.json")],
+        ["train", "--model", str(tmp_path / "model.json")],
+        ["explain", "--model", chain["model"], "--out", str(tmp_path / "importance.csv"),
+         "--row", "0", "--attribution-out", str(tmp_path / "attribution.json")],
+    ):
+        assert cli.main(argv + ["--in", str(matrix)]) == 1
+        assert capsys.readouterr().err == "error: matrix CSV header names column 'a' twice\n"
+    assert os.listdir(tmp_path) == ["matrix.csv"]
+
+
 @pytest.mark.parametrize("cells", [["1e200"], ["1.7e308", "1.7e308"]])
 def test_select_refuses_a_chi2_score_past_the_largest_double(chain, tmp_path, capsys, cells):
     # a square, or a column sum, past the largest double: no score, so no selection.json
@@ -1645,7 +1660,7 @@ def test_no_flags_resolve_each_documented_default(chain, tmp_path, monkeypatch):
         ("evaluate", "--threshold"): calls["evaluate_forest"][0][3],
         ("evaluate", "--minutes-per-alert"): calls["workload_savings"][0][1],
         ("evaluate", "--report"): "report.json",
-        ("evaluate", "--seed"): calls["cross_validate"][1]["seed"],
+        ("evaluate", "--seed"): calls["cross_validate"][0][2].seed,
         ("explain", "--out"): "importance.csv",
         ("explain", "--attribution-out"): "attribution.json",
         ("predict", "--out"): "predictions.csv",

@@ -218,7 +218,7 @@ def _separable(n=60, seed=31):
 
 def test_cross_validate_separable_perfect_and_stable():
     X, y = _separable(n=60)
-    cv = cross_validate(X, y, ForestParams(n_estimators=15), k=10, seed=42)
+    cv = cross_validate(X, y, ForestParams(n_estimators=15, seed=42), k=10)
     assert len(cv.reports) == 10
     assert cv.accuracies == (1.0,) * 10
     assert cv.mean_accuracy == 1.0
@@ -229,7 +229,7 @@ def test_cross_validate_shuffled_labels_near_chance():
     rng = np.random.default_rng(32)
     X = rng.random((200, 4))
     y = np.array([0, 1] * 100)
-    cv = cross_validate(X, y, ForestParams(n_estimators=10), k=5, seed=1)
+    cv = cross_validate(X, y, ForestParams(n_estimators=10, seed=1), k=5)
     assert cv.mean_accuracy == pytest.approx(0.5, abs=0.1)
 
 
@@ -238,7 +238,7 @@ def test_cross_validate_degenerate_fold_names_fold():
     X = np.array([[0.0], [1.0], [2.0]])
     y = np.array([0, 0, 1])
     with pytest.raises(ValidationError, match="fold"):
-        cross_validate(X, y, ForestParams(n_estimators=2), k=3, seed=0)
+        cross_validate(X, y, ForestParams(n_estimators=2, seed=0), k=3)
 
 
 def test_evaluate_forest_holdout():

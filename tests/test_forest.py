@@ -601,6 +601,14 @@ def test_profile_comes_from_the_feature_names(profile):
     assert forest_to_dict(forest_from_dict(obj))["profile"] == profile.value
 
 
+def test_model_that_names_a_feature_twice_is_refused():
+    X = np.array([[0.0, 1.0], [1.0, 0.0], [0.5, 0.5], [1.0, 1.0]])
+    obj = forest_to_dict(train_forest(X, [0, 1, 0, 1], ForestParams(n_estimators=2)))
+    obj["feature_names"] = ["a", "a"]
+    with pytest.raises(ValidationError, match="^model feature_names name 'a' twice$"):
+        forest_from_dict(obj)
+
+
 def test_model_version_field_mandatory():
     rng = np.random.default_rng(12)
     X = rng.random((10, 2))

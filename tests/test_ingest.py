@@ -11,10 +11,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from alert_sift import ingest
 from alert_sift.errors import AlertSiftError, ParseError, ValidationError
 from alert_sift.ingest import (
+    _MEMO_SIZE,
     DEFAULT_FIELD_MAP,
-    FieldPaths,
     LabeledAlert,
     Records,
     alert_to_record,
@@ -279,12 +280,13 @@ def test_every_isoformat_of_the_grammar_parses_as_fromisoformat_reads_it(when, s
 
 
 def test_field_map_remaps_keys():
-    fmap = load_field_map(["rule_uuid = meta.filter_id", "# comment", ""])
-    assert fmap == {"rule_uuid": "meta.filter_id"}
+    paths = load_field_map(["rule_uuid = meta.filter_id", "# comment", ""])
+    assert ("rule_uuid", ("meta",), "filter_id") in paths
+    assert paths == load_field_map(["rule_uuid=meta.filter_id"])
     record = make_record()
     del record["rule_uuid"]
     record["meta"] = {"filter_id": "rule-zzz"}
-    alert = parse_alert_record(json.dumps(record), fmap)
+    alert = parse_alert_record(json.dumps(record), paths)
     assert alert.rule_uuid == "rule-zzz"
 
 
@@ -359,28 +361,48 @@ def test_non_string_address_rejected_after_the_same_text_was_accepted(value):
         (2, f"src_ip must be a string, got {value!r}"),
         (3, f"dst_ip must be a string, got {value!r}"),
     ]
-    fields = FieldPaths()
-    record_to_alert(make_record(src_ip="198.51.100.4"), fields)
-    assert fields.valid_ips == {"198.51.100.4", "10.20.30.40"}
+    assert record_to_alert(make_record(src_ip="198.51.100.4")).src_ip == "198.51.100.4"
     with pytest.raises(ValidationError, match="src_ip must be a string"):
-        record_to_alert(make_record(src_ip=value), fields)
+        record_to_alert(make_record(src_ip=value))
+    with pytest.raises(ValidationError, match="dst_ip must be a string"):
+        record_to_alert(make_record(dest_ip=value))
+
+
+def test_equal_timestamp_strings_share_one_datetime_across_reads():
+    stamp = "2025-03-04T10:20:30.123456+0100"
+    first = parse_alert_record(make_line(timestamp=stamp, src_ip="192.0.2.1"))
+    second = parse_alert_record(make_line(timestamp=stamp, dest_ip="192.0.2.2"))
+    assert second.timestamp is first.timestamp
+
+
+def test_parser_memos_hold_at_most_memo_size_entries():
+    ingest._VALID_IPS.clear()
+    ingest._TIMESTAMPS.clear()
+    for i in range(_MEMO_SIZE + 100):
+        # a new timestamp and source address on every record, a new destination on every
+        # other one, so the address memo passes through every size on its way to the bound
+        stamp = f"2025-03-04T10:20:30.{i:06d}Z"
+        alert = record_to_alert(make_record(
+            src_ip=f"10.0.{i // 256}.{i % 256}", dest_ip=f"172.16.{i // 512}.{i // 2 % 256}",
+            timestamp=stamp,
+        ))
+        assert len(ingest._VALID_IPS) <= _MEMO_SIZE and len(ingest._TIMESTAMPS) <= _MEMO_SIZE
+        assert ingest._TIMESTAMPS[stamp] is alert.timestamp
 
 
 def test_field_paths_compile_nested_map_once():
-    fmap = load_field_map(["src_ip = net.src.addr", "rule_uuid = meta.rule.id"])
+    paths = load_field_map(["src_ip = net.src.addr", "rule_uuid = meta.rule.id"])
     record = make_record(src_ip=None, rule_uuid=None)
     record["net"] = {"src": {"addr": "192.0.2.9"}}
     record["meta"] = {"rule": {"id": "rule-zzz"}}
-    fields = FieldPaths(fmap)
-    assert ("src_ip", ("net", "src"), "addr") in fields.paths
+    assert ("src_ip", ("net", "src"), "addr") in paths
     for _ in range(2):
-        alert = record_to_alert(record, fields)
+        alert = record_to_alert(record, paths)
         assert (alert.src_ip, alert.rule_uuid) == ("192.0.2.9", "rule-zzz")
-    assert record_to_alert(record, fmap) == alert
-    assert parse_alert_record(json.dumps(record), fmap) == alert
+    assert parse_alert_record(json.dumps(record), paths) == alert
     record["net"]["src"] = "192.0.2.9"  # a leaf where a parent object belongs
     with pytest.raises(ValidationError, match="'src_ip' \\(key 'net.src.addr'\\)"):
-        record_to_alert(record, fields)
+        record_to_alert(record, paths)
 
 
 _ALERT_BLOCK = {"signature": "ET SCAN", "category": "attempted-recon"}
@@ -509,9 +531,8 @@ def _record(draw) -> dict:
     data=st.data(),
 )
 def test_write_records_matches_json_dumps_byte_for_byte(records, nested, labeled, data):
-    field_map = load_field_map(f"{k}={v}" for k, v in _NESTED_MAP.items()) if nested else None
-    fields = FieldPaths(field_map)  # one read: equal timestamps share one datetime
-    alerts = [record_to_alert(_move(r, _NESTED_MAP) if nested else r, fields) for r in records]
+    paths = load_field_map([f"{k}={v}" for k, v in _NESTED_MAP.items()] if nested else [])
+    alerts = [record_to_alert(_move(r, _NESTED_MAP) if nested else r, paths) for r in records]
     labels = [data.draw(st.sampled_from([0, 1])) for _ in alerts] if labeled else None
     rules = sorted({a.rule_uuid for a in alerts})
     comments = data.draw(st.dictionaries(st.sampled_from(rules), _TEXT, max_size=len(rules)))
@@ -569,22 +590,23 @@ def test_absent_text_field_keeps_its_default(field, absent):
 
 def test_partial_field_map_keeps_the_default_path_of_unlisted_fields():
     expected = record_to_alert(make_record())
-    assert record_to_alert(make_record(), {"src_ip": "src_ip"}) == expected
+    assert record_to_alert(make_record(), load_field_map(["src_ip=src_ip"])) == expected
     record = make_record()
     record["net"] = {"src": record.pop("src_ip")}
-    assert record_to_alert(record, {"src_ip": "net.src"}) == expected
-    assert parse_alert_record(json.dumps(record), {"src_ip": "net.src"}) == expected
-    written = alert_to_record(expected, {"src_ip": "net.src"})
+    paths = load_field_map(["src_ip=net.src"])
+    assert record_to_alert(record, paths) == expected
+    assert parse_alert_record(json.dumps(record), paths) == expected
+    written = alert_to_record(expected, paths)
     assert written["net"] == {"src": "203.0.113.7"} and "src_ip" not in written
-    assert record_to_alert(written, {"src_ip": "net.src"}) == expected
+    assert record_to_alert(written, paths) == expected
 
 
 def test_field_map_key_that_names_no_field_is_rejected():
     # dest_ip is the JSON key of dst_ip, not a RawAlert field
-    with pytest.raises(ValidationError, match="unknown field 'dest_ip'"):
-        record_to_alert(make_record(), {"dest_ip": "dest_ip"})
-    with pytest.raises(ValidationError, match="unknown field 'nope'"):
-        FieldPaths({"src_ip": "src_ip", "nope": "x"})
+    with pytest.raises(ValidationError, match="^field-map line 1: unknown field 'dest_ip'$"):
+        load_field_map(["dest_ip=dest_ip"])
+    with pytest.raises(ValidationError, match="^field-map line 2: unknown field 'nope'$"):
+        load_field_map(["src_ip=src_ip", "nope=x"])
 
 
 def test_labeled_alert_is_an_alert_label_row():
