@@ -33,7 +33,6 @@ from .forest import (
     Forest,
     ForestParams,
     load_forest,
-    predict,
     predict_proba,
     save_forest,
     train_forest,
@@ -67,7 +66,6 @@ __all__ = [
     "Forest",
     "ForestParams",
     "load_forest",
-    "predict",
     "predict_proba",
     "save_forest",
     "train_forest",

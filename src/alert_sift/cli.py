@@ -258,12 +258,17 @@ def cmd_label(opt: Namespace) -> str:
             alerts = Records(fh, parse_alert_record, opt.input)
             stream: Iterable[RawAlert] = alerts
             if rules is None:
-                # a rule's embedded comment may first appear on its last alert
+                # a rule's embedded comment may first appear on its last alert; two that
+                # differ leave its label undecided, as a sidecar listing it twice does
                 stream = list(alerts)
                 seen: dict[str, str] = {}
                 for alert in stream:
-                    if alert.rev_comment and alert.rule_uuid not in seen:
-                        seen[alert.rule_uuid] = alert.rev_comment
+                    comment = alert.rev_comment
+                    if comment and seen.setdefault(alert.rule_uuid, comment) != comment:
+                        raise AlertSiftError(
+                            f"rule_uuid {alert.rule_uuid!r} has differing comments "
+                            f"{seen[alert.rule_uuid]!r} and {comment!r}"
+                        )
                 rules = list(seen.items())
             tp_list, fp_list = build_label_lists(rules, cfg)
             written = [0, 0]  # rows written with label 0, with label 1

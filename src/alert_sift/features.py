@@ -4,8 +4,9 @@ Every alert becomes a vector of floats in [-1.0, 1.0] with a fixed layout:
 the 20-entry core profile, or the 29-entry full profile that appends nine
 extra keyword flags. Scaled fields are bucketed by rounding: ports to 2
 decimal places (101 classes), IPs / rule sid / payload length to 3 decimal
-places (1,001 classes). Flow counters use -1.00 as the missing-value
-sentinel; all other entries are non-negative.
+places (1,001 classes), HTTP status to status / 1000. Flow counters use
+-1.00 as the missing-value sentinel and a missing HTTP status is 0.0; all
+other entries are non-negative.
 
 Each address is parsed once per alert, by ``ingest.ip_value``, and both its
 entries (private flag and scaled value) come from that one integer. The
@@ -19,10 +20,11 @@ description)`` pairs, built at import, and are memoised per (description,
 class type, profile) text in a bounded cache: a corpus has a few hundred
 rules, each with one description and class type.
 
-The scaling helpers (``scale_port``, ``encode_counter`` and the rest) define
-every scaled entry, but ``encode_alert`` reads each one from a step table: the
-integers at which the helper's output changes, and its output at each. The
-tables are built from the helpers, once per cap value, and are exact.
+Every scaled entry is f(v) = round(min(v, cap) / cap, places) of one integer
+(the top 64 bits of an IPv6 address), and ``encode_alert`` reads it from a
+step table: the integers at which f changes, and its output at each.
+``_steps`` builds every table (ports, HTTP status, addresses and the capped
+fields) from that one formula, once per cap value, and the tables are exact.
 
 The alert contract is ``ingest``'s: an alert that fails ``encode_alert``'s
 inline check, or whose address it cannot read, goes to ``ingest.refuse_alert``
@@ -36,8 +38,8 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, fields
 from enum import Enum
-from functools import lru_cache, partial
-from typing import IO, Callable, Iterable, Sequence
+from functools import lru_cache
+from typing import IO, Iterable, Sequence
 
 import numpy as np
 
@@ -175,13 +177,6 @@ def load_caps(source: Iterable[str]) -> ScalingCaps:
     return ScalingCaps(**overrides)
 
 
-def scale_port(port: int) -> float:
-    """Bucket a port into 101 classes: round(port / 65535, 2)."""
-    if not 0 <= port <= PORT_MAX:
-        raise ValidationError(f"port out of range: {port}")
-    return round(port / PORT_MAX, 2)
-
-
 def _address(addr: str) -> tuple[float, int]:
     """(private flag, index of the scaled value in _ADDRESS_GRID) of an address, from one parse."""
     version, value = ip_value(addr)
@@ -191,66 +186,7 @@ def _address(addr: str) -> tuple[float, int]:
     return private, bisect_right(_ipv6_thresholds(), value >> 64) - 1
 
 
-def scale_ip(addr: str) -> float:
-    """Bucket an address into 1,001 classes over its numeric space.
-
-    IPv4 scales the 32-bit value; IPv6 scales the top 64 bits.
-    """
-    return _ADDRESS_GRID[_address(addr)[1]]
-
-
-def is_private(addr: str) -> float:
-    """1.0 iff the address is in a reserved private range, else 0.0."""
-    return _address(addr)[0]
-
-
-def ip_diff(src_scaled: float, dst_scaled: float) -> float:
-    """Absolute difference of two scaled addresses, 3 decimal places."""
-    for value in (src_scaled, dst_scaled):
-        if not 0.0 <= value <= 1.0:
-            raise ValidationError(f"scaled IP out of range: {value}")
-    return round(abs(src_scaled - dst_scaled), 3)
-
-
-def encode_http_status(status: int | None) -> float:
-    """Missing -> 0.000; present -> status / 1000."""
-    if status is None:
-        return 0.0
-    if not 100 <= status <= 599:
-        raise ValidationError(f"http_status out of range: {status}")
-    return round(status / 1000, 3)
-
-
-def encode_counter(value: int | None, cap: int) -> float:
-    """Missing -> -1.00; else saturate at cap and scale to [0, 1], 2 decimals."""
-    if cap < 1:
-        raise ValidationError(f"cap must be >= 1, got {cap}")
-    if value is None:
-        return -1.0
-    if value < 0:
-        raise ValidationError(f"counter must be >= 0, got {value}")
-    return round(min(value, cap) / cap, 2)
-
-
-def scale_rule_sid(sid: int, sid_max: int) -> float:
-    """Saturate the signature id at sid_max and scale, 3 decimal places."""
-    if sid_max < 1:
-        raise ValidationError(f"sid_max must be >= 1, got {sid_max}")
-    if sid < 0:
-        raise ValidationError(f"rule_sid must be >= 0, got {sid}")
-    return round(min(sid, sid_max) / sid_max, 3)
-
-
-def scale_payload(length: int, cap: int) -> float:
-    """Saturate the payload length at cap and scale, 3 decimal places."""
-    if cap < 1:
-        raise ValidationError(f"cap must be >= 1, got {cap}")
-    if length < 0:
-        raise ValidationError(f"payload_len must be >= 0, got {length}")
-    return round(min(length, cap) / cap, 3)
-
-
-def _steps(f: Callable[[int], float], cap: int, places: int, lo: int = 0, hi: int | None = None):
+def _steps(cap: int, places: int, lo: int = 0, hi: int | None = None):
     """(thresholds, values) of f(v) = round(min(v, cap) / cap, places) for lo <= v <= hi.
 
     f(v) is values[bisect_right(thresholds, v) - 1], exactly: each threshold
@@ -261,8 +197,11 @@ def _steps(f: Callable[[int], float], cap: int, places: int, lo: int = 0, hi: in
     cap of 2**42, only one that lies on it). hi defaults to cap.
     """
     hi = cap if hi is None else hi
-    f = lru_cache(maxsize=None)(f)
     scale = 10**places
+
+    def f(v: int) -> float:
+        return round(min(v, cap) / cap, places)
+
     slack = 2 * scale * cap >> 53  # in units of 1 / (2 * scale * cap)
     thresholds, values = [lo], [f(lo)]
     for k in range(1, scale + 1):
@@ -281,25 +220,25 @@ def _steps(f: Callable[[int], float], cap: int, places: int, lo: int = 0, hi: in
 # IPv4 scales all 32 bits of an address and IPv6 its top 64, onto the same
 # 1,001-level grid, so the distance of two addresses is the grid value at the
 # distance of their step indices.
-_IPV4_THRESHOLDS, _ADDRESS_GRID = _steps(lambda v: round(v / (2**32 - 1), 3), 2**32 - 1, 3)
-_PORT_AT, _PORTS = _steps(scale_port, PORT_MAX, 2)
-_STATUS_AT, _STATUSES = _steps(encode_http_status, 1000, 3, lo=100, hi=599)
+_IPV4_THRESHOLDS, _ADDRESS_GRID = _steps(2**32 - 1, 3)
+_PORT_AT, _PORTS = _steps(PORT_MAX, 2)
+_STATUS_AT, _STATUSES = _steps(1000, 3, lo=100, hi=599)
 
 
 @lru_cache(maxsize=None)
 def _ipv6_thresholds() -> list[int]:
     """Built at the first IPv6 address: its search spans up to 2**12 integers a level."""
-    return _steps(lambda v: round(v / (2**64 - 1), 3), 2**64 - 1, 3)[0]
+    return _steps(2**64 - 1, 3)[0]
 
 
 @lru_cache(maxsize=32)
 def _cap_steps(caps: ScalingCaps) -> tuple:
     """(thresholds, values) of the packet, byte, rule-sid and payload entries under `caps`."""
     return (
-        _steps(partial(encode_counter, cap=caps.pkts_cap), caps.pkts_cap, 2),
-        _steps(partial(encode_counter, cap=caps.bytes_cap), caps.bytes_cap, 2),
-        _steps(partial(scale_rule_sid, sid_max=caps.sid_max), caps.sid_max, 3),
-        _steps(partial(scale_payload, cap=caps.payload_cap), caps.payload_cap, 3),
+        _steps(caps.pkts_cap, 2),
+        _steps(caps.bytes_cap, 2),
+        _steps(caps.sid_max, 3),
+        _steps(caps.payload_cap, 3),
     )
 
 
@@ -313,13 +252,6 @@ def _keyword_flags(description: str, class_type: str, profile: FeatureProfile) -
         float(keyword in (description if in_description else class_folded))
         for keyword, in_description in _KEYWORDS[profile]
     )
-
-
-def keyword_flags(
-    rule_description: str, class_type: str, profile: FeatureProfile
-) -> list[float]:
-    """{0,1} flag per keyword feature, in fixed layout order."""
-    return list(_keyword_flags(rule_description, class_type, profile))
 
 
 def encode_alert(

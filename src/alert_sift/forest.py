@@ -124,6 +124,10 @@ class Forest:
     descent: Descent = field(init=False, repr=False)
 
     def __post_init__(self):
+        names = self.feature_names
+        if len(set(names)) != len(names):
+            twice = next(n for i, n in enumerate(names) if n in names[:i])
+            raise ValidationError(f"model feature_names name {twice!r} twice")
         self.descent = _descent(self.nodes, self.roots)
 
     @property
@@ -320,12 +324,6 @@ def predict_proba(forest: Forest, vector: Sequence[float]) -> float:
     return float(predict_proba_batch(forest, _check_vector(forest, vector)[None, :])[0])
 
 
-def predict(forest: Forest, vector: Sequence[float], threshold: float = 0.5) -> int:
-    """1 (TP) iff predict_proba >= threshold; ties resolve to TP."""
-    check_threshold(threshold)
-    return 1 if predict_proba(forest, vector) >= threshold else 0
-
-
 def predict_proba_batch(forest: Forest, X: np.ndarray) -> np.ndarray:
     """predict_proba of every matrix row, all trees descended at once per chunk."""
     X = np.asarray(X, dtype=float)
@@ -420,9 +418,6 @@ def forest_from_dict(obj: dict) -> Forest:
     names, trees = obj.get("feature_names"), obj.get("trees")
     if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
         raise ValidationError("model feature_names must be a list of strings")
-    if len(set(names)) != len(names):
-        twice = next(n for i, n in enumerate(names) if n in names[:i])
-        raise ValidationError(f"model feature_names name {twice!r} twice")
     claim, profile = obj.get("profile"), _named_profile(names)
     if claim is not None and (profile is None or profile.value != claim):
         raise ValidationError(f"model profile {claim!r} does not name its {len(names)} features")

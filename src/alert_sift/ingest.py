@@ -36,9 +36,9 @@ There is one reader, ``Records``: it parses an NDJSON stream a line at a
 time, a blank line being a bad line like any other (``read_corpus``
 collects it). There is one writer, ``write_records``, and it is the one
 check of a label on output: it writes (alert, label or None) rows as they
-arrive, as the NDJSON lines ``json.dumps(alert_to_record(alert),
-sort_keys=True)`` would give, from templates compiled from the default
-layout. ``alert_to_record`` stays as the plain reference for that layout.
+arrive, as the NDJSON lines ``json.dumps(record, sort_keys=True)`` of each
+alert's record in the default layout would give, from templates compiled
+from that layout.
 """
 
 from __future__ import annotations
@@ -385,22 +385,6 @@ def parse_labeled_record(text: str) -> LabeledAlert:
     return LabeledAlert(record_to_alert(obj), label)
 
 
-def alert_to_record(alert: RawAlert, paths: tuple[_Path, ...] = _DEFAULT_PATHS) -> dict:
-    """Serialize a RawAlert back to the nested input-record layout at paths."""
-    obj: dict = {}
-    for field, parents, leaf in paths:
-        value = getattr(alert, field)
-        if value is None:
-            continue
-        if field == "timestamp":
-            value = value.isoformat()
-        cur = obj
-        for key in parents:
-            cur = cur.setdefault(key, {})
-        cur[leaf] = value
-    return obj
-
-
 def _template(absent: tuple[bool, ...]) -> tuple[str, Callable]:
     """The %-template of one pattern of absent fields, and a getter.
 
@@ -442,8 +426,9 @@ def write_records(
 ) -> None:
     """Write (alert, label or None) rows as NDJSON in the default layout, one line each.
 
-    Each line is byte for byte ``json.dumps(record, sort_keys=True)`` of
-    ``alert_to_record(alert)``, with ``rev_comment`` replaced by
+    Each line is byte for byte ``json.dumps(record, sort_keys=True)`` of the
+    alert's nested record in the default layout, its None fields left out and
+    its timestamp in ``isoformat``, with ``rev_comment`` replaced by
     ``comments[rule_uuid]`` where the alert's rule has one and, unless the
     label is None, ``label`` added; a label other than None or the int 0 or
     1 (True, 1.0) is a ValidationError. Rows are written as they are read, so

@@ -987,6 +987,31 @@ def test_label_writes_the_sidecar_comment_over_the_embedded_one(tmp_path):
     assert (record["label"], record["rev_comment"]) == (1, "alerted the customer")
 
 
+def test_label_refuses_a_rule_whose_embedded_comments_differ(tmp_path, capsys):
+    # the rule's first alert says TP and its other nine say FP: neither may win silently
+    src, out, lists = (tmp_path / name for name in ("alerts.ndjson", "labeled.ndjson", "lists.csv"))
+    lines = [make_line(rev_comment="alerted the client")]
+    lines += [make_line(rev_comment="expected benign scanner")] * 9
+    src.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out.write_text("previous\n", encoding="utf-8")
+    argv = ["label", "--in", str(src), "--out", str(out), "--lists", str(lists)]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == (
+        "error: rule_uuid 'rule-aaa' has differing comments "
+        "'alerted the client' and 'expected benign scanner'\n"
+    )
+    assert out.read_text(encoding="utf-8") == "previous\n" and not lists.exists()
+    # one comment repeated, beside alerts with none or an empty one, is no conflict
+    lines[0] = make_line(rev_comment="")
+    src.write_text("\n".join(lines + [make_line()]) + "\n", encoding="utf-8")
+    run_ok(argv)
+    labels = [json.loads(line)["label"] for line in out.read_text(encoding="utf-8").splitlines()]
+    assert labels == [0] * 11
+    assert lists.read_text(encoding="utf-8").splitlines()[1:] == [
+        "rule-aaa,expected benign scanner,0"
+    ]
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_mutated_model_exits_with_error_never_a_traceback(chain, data):

@@ -19,91 +19,110 @@ from alert_sift.features import (
     as_matrix,
     chi2_select,
     encode_alert,
-    encode_counter,
-    encode_http_status,
     feature_names,
-    ip_diff,
-    is_private,
-    keyword_flags,
     load_caps,
     read_matrix_csv,
-    scale_ip,
-    scale_payload,
-    scale_port,
-    scale_rule_sid,
     write_matrix_csv,
 )
 from alert_sift.ingest import RawAlert, parse_alert_record, refuse_alert
 
 from conftest import make_line
 
+_FULL29 = feature_names(FeatureProfile.FULL29)
+
+
+def _entry(name: str, **overrides) -> float:
+    """The named full29 entry of the fixture alert with the record's `overrides`."""
+    vec = encode_alert(parse_alert_record(make_line(**overrides)), FeatureProfile.FULL29)
+    return vec[_FULL29.index(name)]
+
 
 def test_scale_port_examples():
-    assert scale_port(0) == 0.0
-    assert scale_port(65535) == 1.0
-    assert scale_port(443) == 0.01
+    assert _entry("sport", src_port=0) == 0.0
+    assert _entry("dport", dest_port=65535) == 1.0
+    assert _entry("dport", dest_port=443) == 0.01
 
 
 def test_scale_port_range_enforced():
-    with pytest.raises(ValidationError):
-        scale_port(65536)
-    with pytest.raises(ValidationError):
-        scale_port(-1)
+    alert = parse_alert_record(make_line())
+    # the other ends than test_encode_refuses_an_out_of_range_field_with_the_helpers_error's
+    for field, port in (("src_port", -1), ("dst_port", 65536)):
+        with pytest.raises(ValidationError) as info:
+            encode_alert(alert._replace(**{field: port}))
+        assert str(info.value) == f"{field} out of range: {port} (expected in 0..65535)"
 
 
 def test_scale_port_at_most_101_classes():
-    assert len({scale_port(p) for p in range(65536)}) <= 101
+    alert = parse_alert_record(make_line())
+    sport = _FULL29.index("sport")
+    assert len({encode_alert(alert._replace(src_port=p))[sport] for p in range(65536)}) == 101
 
 
 def test_scale_ip_examples():
-    assert scale_ip("0.0.0.0") == 0.0
-    assert scale_ip("255.255.255.255") == 1.0
-    assert scale_ip("10.0.0.1") == 0.039
+    assert _entry("sip", src_ip="0.0.0.0") == 0.0
+    assert _entry("sip", src_ip="255.255.255.255") == 1.0
+    assert _entry("dip", dest_ip="10.0.0.1") == 0.039
 
 
 def test_scale_ip_v6_uses_top_64_bits():
-    assert scale_ip("::") == 0.0
-    assert scale_ip("ffff:ffff:ffff:ffff::") == 1.0
+    assert _entry("sip", src_ip="::") == 0.0
+    assert _entry("sip", src_ip="ffff:ffff:ffff:ffff::") == 1.0
     # low 64 bits are irrelevant
-    assert scale_ip("2001:db8::1") == scale_ip("2001:db8::ffff")
+    assert _entry("sip", src_ip="2001:db8::1") == _entry("sip", src_ip="2001:db8::ffff")
 
 
 def test_scale_ip_three_decimal_grid():
     rng = np.random.default_rng(7)
+    alert = parse_alert_record(make_line())
     for raw in rng.integers(0, 2**32, size=2000):
         addr = ".".join(str((int(raw) >> s) & 0xFF) for s in (24, 16, 8, 0))
-        value = scale_ip(addr)
+        value = encode_alert(alert._replace(src_ip=addr))[2]
         assert abs(value * 1000 - round(value * 1000)) < 1e-9
 
 
 def test_is_private_ranges():
-    assert is_private("192.168.1.5") == 1.0
-    assert is_private("8.8.8.8") == 0.0
-    assert is_private("172.31.255.1") == 1.0
-    assert is_private("172.32.0.1") == 0.0
-    assert is_private("10.0.0.0") == 1.0
-    assert is_private("11.0.0.0") == 0.0
-    assert is_private("fc00::1") == 1.0
-    assert is_private("fd12::1") == 1.0
-    assert is_private("fe80::1") == 0.0
+    for addr, private in [("192.168.1.5", 1.0), ("8.8.8.8", 0.0), ("172.31.255.1", 1.0),
+                          ("172.32.0.1", 0.0), ("10.0.0.0", 1.0), ("11.0.0.0", 0.0),
+                          ("fc00::1", 1.0), ("fd12::1", 1.0), ("fe80::1", 0.0)]:
+        assert _entry("priv_src_ip", src_ip=addr) == private, addr
+        assert _entry("priv_dst_ip", dest_ip=addr) == private, addr
 
 
-# Reference encoding: addresses through ipaddress objects and `ip in net`,
-# every other entry through its public helper. encode_alert (one parse per
-# address, integer intervals) must match it exactly.
+# Reference encoding, written independently of the encoder: addresses through
+# ipaddress objects and `ip in net`, keyword flags as substring tests over the
+# keyword table below, every other entry through its scaling formula.
+# encode_alert (one parse per address, integer intervals, step tables, a
+# memoised flag table) must match it exactly.
 _ORACLE_PRIVATE_V4 = [
     ipaddress.ip_network("10.0.0.0/8"),
     ipaddress.ip_network("172.16.0.0/12"),
     ipaddress.ip_network("192.168.0.0/16"),
 ]
 _ORACLE_PRIVATE_V6 = ipaddress.ip_network("fc00::/7")
+# (keyword, whether it is matched in the description) per flag, in layout
+# order: core20's six, then full29's nine. A description keyword matches
+# case-sensitively, a class keyword the lowercased class type.
+_ORACLE_KEYWORDS = [
+    ("CVE", True), ("attack", False), ("EXPLOIT", True), ("POSSIBLE", True),
+    ("activity", False), ("attempt", False),
+    ("SCAN", True), ("POLICY", True), ("WEB_SERVER", True), ("TROJAN", True),
+    ("ATTEMPT", True), ("INBOUND", True), ("UNUSUAL", True), (".", True), ("policy", False),
+]
+
+
+def _scaled(v: int, cap: int, places: int) -> float:
+    return round(min(v, cap) / cap, places)
+
+
+def _counter(v: int | None, cap: int) -> float:
+    return -1.0 if v is None else _scaled(v, cap, 2)
 
 
 def oracle_scale_ip(addr: str) -> float:
     ip = ipaddress.ip_address(addr)
     if ip.version == 4:
-        return round(int(ip) / (2**32 - 1), 3)
-    return round((int(ip) >> 64) / (2**64 - 1), 3)
+        return _scaled(int(ip), 2**32 - 1, 3)
+    return _scaled(int(ip) >> 64, 2**64 - 1, 3)
 
 
 def oracle_is_private(addr: str) -> float:
@@ -113,26 +132,32 @@ def oracle_is_private(addr: str) -> float:
     return 1.0 if ip in _ORACLE_PRIVATE_V6 else 0.0
 
 
+def oracle_flags(description: str, class_type: str, profile: FeatureProfile) -> list[float]:
+    table = _ORACLE_KEYWORDS[:6] if profile is FeatureProfile.CORE20 else _ORACLE_KEYWORDS
+    return [float(kw in (description if in_description else class_type.lower()))
+            for kw, in_description in table]
+
+
 def oracle_encode(alert, profile: FeatureProfile, caps: ScalingCaps) -> tuple[float, ...]:
     sip = oracle_scale_ip(alert.src_ip)
     dip = oracle_scale_ip(alert.dst_ip)
-    flags = keyword_flags(alert.rule_description, alert.class_type, profile)
+    flags = oracle_flags(alert.rule_description, alert.class_type, profile)
     return (
         oracle_is_private(alert.src_ip),
         oracle_is_private(alert.dst_ip),
         sip,
         dip,
-        ip_diff(sip, dip),
-        encode_http_status(alert.http_status),
-        encode_counter(alert.pkts_to_server, caps.pkts_cap),
-        encode_counter(alert.pkts_to_client, caps.pkts_cap),
-        encode_counter(alert.bytes_to_server, caps.bytes_cap),
-        encode_counter(alert.bytes_to_client, caps.bytes_cap),
-        scale_rule_sid(alert.rule_sid, caps.sid_max),
+        round(abs(sip - dip), 3),
+        0.0 if alert.http_status is None else round(alert.http_status / 1000, 3),
+        _counter(alert.pkts_to_server, caps.pkts_cap),
+        _counter(alert.pkts_to_client, caps.pkts_cap),
+        _counter(alert.bytes_to_server, caps.bytes_cap),
+        _counter(alert.bytes_to_client, caps.bytes_cap),
+        _scaled(alert.rule_sid, caps.sid_max, 3),
         *flags[:6],
-        scale_port(alert.src_port),
-        scale_port(alert.dst_port),
-        scale_payload(alert.payload_len, caps.payload_cap),
+        round(alert.src_port / 65535, 2),
+        round(alert.dst_port / 65535, 2),
+        _scaled(alert.payload_len, caps.payload_cap, 3),
         *flags[6:],
     )
 
@@ -152,73 +177,83 @@ _SPECIAL_NOT_PRIVATE = ["127.0.0.1", "169.254.1.1", "100.64.0.1", "::1", "fe80::
 
 @pytest.mark.parametrize("addr, private", _PRIVATE_BOUNDARIES)
 def test_private_range_boundaries(addr, private):
-    assert is_private(addr) == oracle_is_private(addr) == private
+    assert _entry("priv_src_ip", src_ip=addr) == oracle_is_private(addr) == private
 
 
 @pytest.mark.parametrize("addr", _SPECIAL_NOT_PRIVATE)
 def test_special_ranges_encode_as_not_private(addr):
-    assert is_private(addr) == oracle_is_private(addr) == 0.0
+    assert oracle_is_private(addr) == 0.0
     vec = encode_alert(parse_alert_record(make_line(src_ip=addr, dest_ip=addr)))
     assert vec[:2] == (0.0, 0.0)
 
 
 def test_ip_diff_examples():
-    assert ip_diff(0.5, 0.5) == 0.0
-    assert ip_diff(1.0, 0.0) == 1.0
-    assert ip_diff(0.039, 0.5) == 0.461
-
-
-def test_ip_diff_validates_inputs():
-    with pytest.raises(ValidationError):
-        ip_diff(-0.1, 0.5)
-    with pytest.raises(ValidationError):
-        ip_diff(0.2, 1.5)
+    assert _entry("diff", src_ip="128.0.0.0", dest_ip="128.0.0.0") == 0.0
+    assert _entry("diff", src_ip="255.255.255.255", dest_ip="0.0.0.0") == 1.0
+    # 10.0.0.1 scales to 0.039 and 128.0.0.0 to 0.5
+    assert _entry("diff", src_ip="10.0.0.1", dest_ip="128.0.0.0") == 0.461
 
 
 def test_http_status_examples():
-    assert encode_http_status(None) == 0.0
-    assert encode_http_status(404) == 0.404
-    assert encode_http_status(200) == 0.2
+    assert _entry("http_status", http=None) == 0.0
+    assert _entry("http_status", http={"status": 404}) == 0.404
+    assert _entry("http_status", http={"status": 200}) == 0.2
 
 
 def test_http_status_range_enforced():
+    alert = parse_alert_record(make_line())
     for bad in (99, 600):
-        with pytest.raises(ValidationError):
-            encode_http_status(bad)
+        with pytest.raises(ValidationError) as info:
+            encode_alert(alert._replace(http_status=bad))
+        assert str(info.value) == f"http_status out of range: {bad} (expected in 100..599)"
 
 
 def test_counter_examples():
-    assert encode_counter(None, 10_000) == -1.0
-    assert encode_counter(0, 10_000) == 0.0
-    assert encode_counter(10_000, 10_000) == 1.0
-    assert encode_counter(25_000, 10_000) == 1.0
-    assert encode_counter(5_432, 10_000) == 0.54
+    def pkts(value):
+        return _entry("pkt_to_svr", flow=None if value is None else {"pkts_toserver": value})
+
+    assert pkts(None) == -1.0
+    assert pkts(0) == 0.0
+    assert pkts(10_000) == 1.0
+    assert pkts(25_000) == 1.0
+    assert pkts(5_432) == 0.54
 
 
 def test_rule_sid_examples():
-    assert scale_rule_sid(0, 10_000_000) == 0.0
-    assert scale_rule_sid(10_000_000, 10_000_000) == 1.0
-    assert scale_rule_sid(2027863, 10_000_000) == 0.203
+    def sid(value):
+        return _entry("rulesid", alert={"signature_id": value})
+
+    assert sid(0) == 0.0
+    assert sid(10_000_000) == 1.0
+    assert sid(2027863) == 0.203
 
 
 def test_payload_scaling_saturates():
-    assert scale_payload(0, 65535) == 0.0
-    assert scale_payload(65535, 65535) == 1.0
-    assert scale_payload(100_000, 65535) == 1.0
+    assert _entry("PAYLOAD_Bytes", payload_len=0) == 0.0
+    assert _entry("PAYLOAD_Bytes", payload_len=65535) == 1.0
+    assert _entry("PAYLOAD_Bytes", payload_len=100_000) == 1.0
 
 
 @pytest.mark.parametrize("cap", [0, -3])
 def test_payload_scaling_refuses_a_cap_below_one(cap):
-    with pytest.raises(ValidationError, match=f"cap must be >= 1, got {cap}"):
-        scale_payload(5, cap)
+    with pytest.raises(ValidationError, match="^payload_cap must be >= 1$"):
+        ScalingCaps(payload_cap=cap)
+    with pytest.raises(ValidationError, match="^payload_cap must be >= 1$"):
+        load_caps([f"payload_cap={cap}"])
+
+
+def _flags(description: str, category: str, profile: FeatureProfile) -> dict[str, float]:
+    """The keyword-flag entries of the fixture alert with this rule text, by name."""
+    alert = parse_alert_record(make_line())._replace(rule_description=description,
+                                                     class_type=category)
+    names = feature_names(profile)
+    flag_columns = names[11:17] + names[20:]
+    return {name: v for name, v in zip(names, encode_alert(alert, profile)) if name in flag_columns}
 
 
 def test_keyword_flags_core_examples():
-    flags = keyword_flags(
-        "ET EXPLOIT CVE-2021-44228 attempt", "attempted-admin", FeatureProfile.CORE20
-    )
-    named = dict(zip(["CVE", "attack", "EXPLOIT", "POSSIBLE", "activity", "attempt"], flags))
-    assert named == {
+    flags = _flags("ET EXPLOIT CVE-2021-44228 attempt", "attempted-admin", FeatureProfile.CORE20)
+    assert flags == {
         "CVE": 1.0,
         "attack": 0.0,
         "EXPLOIT": 1.0,
@@ -229,31 +264,18 @@ def test_keyword_flags_core_examples():
 
 
 def test_keyword_flags_empty_inputs():
-    assert set(keyword_flags("", "", FeatureProfile.FULL29)) == {0.0}
+    flags = _flags("", "", FeatureProfile.FULL29)
+    assert len(flags) == 15 and set(flags.values()) == {0.0}
 
 
 def test_keyword_flags_description_match_is_case_sensitive():
-    flags = keyword_flags("ET SCAN Possible Nmap", "", FeatureProfile.FULL29)
-    names = feature_names(FeatureProfile.FULL29)
-    by_name = dict(zip(names[11:17] + names[20:], flags))
-    assert by_name["SCAN"] == 1.0
-    assert by_name["POSSIBLE"] == 0.0
+    flags = _flags("ET SCAN Possible Nmap", "", FeatureProfile.FULL29)
+    assert flags["SCAN"] == 1.0
+    assert flags["POSSIBLE"] == 0.0
 
 
 def test_keyword_flags_class_match_is_case_folded():
-    flags = keyword_flags("", "Attempted-Admin", FeatureProfile.CORE20)
-    named = dict(zip(["CVE", "attack", "EXPLOIT", "POSSIBLE", "activity", "attempt"], flags))
-    assert named["attempt"] == 1.0
-
-
-def test_keyword_flags_are_a_fresh_list_each_call():
-    args = ("ET EXPLOIT Possible CVE-2021-44228", "attempted-admin", FeatureProfile.FULL29)
-    first = keyword_flags(*args)
-    expected = list(first)
-    first[0] = 7.0
-    first.append(3.0)
-    assert keyword_flags(*args) == expected
-    assert keyword_flags(*args) is not keyword_flags(*args)
+    assert _flags("", "Attempted-Admin", FeatureProfile.CORE20)["attempt"] == 1.0
 
 
 class _Text(str):
@@ -269,10 +291,11 @@ def test_non_str_text_is_refused_when_its_str_twin_is_memoised():
         with pytest.raises(ValidationError) as info:
             encode_alert(alert._replace(**{field: value}), FeatureProfile.FULL29)
         assert str(info.value) == f"{field} must be a string, got {value!r}"
+    # the memoised flags raise these, and encode_alert turns them into the refusals above
     with pytest.raises(TypeError, match="argument of type 'NoneType' is not iterable"):
-        keyword_flags(None, class_type, FeatureProfile.CORE20)
+        features._keyword_flags(None, class_type, FeatureProfile.CORE20)
     with pytest.raises(AttributeError, match="'int' object has no attribute 'lower'"):
-        keyword_flags(description, 7, FeatureProfile.CORE20)
+        features._keyword_flags(description, 7, FeatureProfile.CORE20)
 
 
 def test_encode_minimal_alert_is_all_floor_values():
@@ -367,7 +390,7 @@ def test_encode_refuses_an_out_of_range_field_with_the_helpers_error(field, valu
 )
 def test_encode_refuses_a_number_that_is_not_an_int(field, value):
     # a non-integer can sit on the other side of a table step from the
-    # helper's formula, so it is refused as record_to_alert refuses it
+    # scaling formula, so it is refused as record_to_alert refuses it
     alert = parse_alert_record(make_line())._replace(**{field: value})
     with pytest.raises(ValidationError) as info:
         encode_alert(alert)
@@ -459,9 +482,9 @@ def test_encode_is_pure():
     )
 
 
-# Step tables. Each helper is a non-decreasing function of an integer
+# Step tables. Each entry is a non-decreasing function of an integer
 # (correctly rounded division, then correctly rounded round), so a table is
-# exact iff at each threshold t the helper steps from the previous value to
+# exact iff at each threshold t the function steps from the previous value to
 # this one, and the last value holds to the domain's end.
 _ODD_CAPS = [1, 3, 7919, 999_983, 2**63 - 1]
 
@@ -471,28 +494,29 @@ def _lookup(table, v):
     return values[bisect_right(thresholds, v) - 1]
 
 
-def _address_formula(bits):
-    return lambda v: round(v / (2**bits - 1), 3)
+def _formula(cap, places):
+    return lambda v: _scaled(v, cap, places)
 
 
 def _cap_tables():
-    # (name, helper of one integer, table, largest integer to check)
+    # (name, the entry as a function of one integer, table, largest integer to check)
     for caps in [ScalingCaps()] + [ScalingCaps(c, c, c, c) for c in _ODD_CAPS]:
-        for name, helper, cap, table in zip(
+        for name, places, cap, table in zip(
             ["pkts", "bytes", "sid", "payload"],
-            [encode_counter, encode_counter, scale_rule_sid, scale_payload],
+            [2, 2, 3, 3],
             [caps.pkts_cap, caps.bytes_cap, caps.sid_max, caps.payload_cap],
             features._cap_steps(caps),
         ):
-            yield f"{name}@{cap}", lambda v, h=helper, c=cap: h(v, c), table, 3 * cap + 1
+            yield f"{name}@{cap}", _formula(cap, places), table, 3 * cap + 1
 
 
 def _all_tables():
-    yield "port", scale_port, (features._PORT_AT, features._PORTS), 65535
-    yield "http_status", encode_http_status, (features._STATUS_AT, features._STATUSES), 599
-    yield ("ipv4", _address_formula(32),
+    yield "port", _formula(65535, 2), (features._PORT_AT, features._PORTS), 65535
+    yield ("http_status", lambda s: round(s / 1000, 3),
+           (features._STATUS_AT, features._STATUSES), 599)
+    yield ("ipv4", _formula(2**32 - 1, 3),
            (features._IPV4_THRESHOLDS, features._ADDRESS_GRID), 2**32 - 1)
-    yield ("ipv6", _address_formula(64),
+    yield ("ipv6", _formula(2**64 - 1, 3),
            (features._ipv6_thresholds(), features._ADDRESS_GRID), 2**64 - 1)
     yield from _cap_tables()
 
@@ -522,19 +546,21 @@ def test_step_tables_have_the_documented_levels():
 
 def test_step_tables_match_the_helpers_over_cheap_domains():
     port_table = (features._PORT_AT, features._PORTS)
-    assert [_lookup(port_table, p) for p in range(65536)] == [scale_port(p) for p in range(65536)]
+    assert [_lookup(port_table, p) for p in range(65536)] == [
+        round(p / 65535, 2) for p in range(65536)
+    ]
     status_table = (features._STATUS_AT, features._STATUSES)
     assert [_lookup(status_table, s) for s in range(100, 600)] == [
-        encode_http_status(s) for s in range(100, 600)
+        round(s / 1000, 3) for s in range(100, 600)
     ]
     pkts = features._cap_steps(ScalingCaps())[0]
     assert [_lookup(pkts, v) for v in range(10_002)] == [
-        encode_counter(v, 10_000) for v in range(10_002)
+        _scaled(v, 10_000, 2) for v in range(10_002)
     ]
 
 
 def test_ip_diff_is_the_grid_value_at_the_index_distance():
-    # encode_alert's diff entry is grid[|ks - kd|]; ip_diff rounds the
+    # encode_alert's diff entry is grid[|ks - kd|]; the reference rounds the
     # difference of the two scaled values. They agree on all 1001 x 1001 pairs.
     grid = features._ADDRESS_GRID
     column = np.array(grid)
@@ -601,6 +627,16 @@ _oracle_ip_strategy = st.one_of(
     ).map("".join),
     st.integers(0, 2**32 - 1).map(lambda v: f"::ffff:{ipaddress.IPv4Address(v)}"),
 )
+# rule text: random, or words drawn from every keyword in each case form, so
+# each flag is hit in and out of its source text and case
+_rule_text = st.one_of(
+    st.text(max_size=60),
+    st.lists(
+        st.sampled_from([form for kw, _ in _ORACLE_KEYWORDS
+                         for form in (kw, kw.lower(), kw.upper(), kw.title())] + ["x"]),
+        max_size=6,
+    ).map(" ".join),
+)
 _caps_strategy = st.builds(
     ScalingCaps,
     pkts_cap=st.integers(1, 10**5),
@@ -634,8 +670,8 @@ def _address_near_step(data, version):
     status=st.one_of(st.none(), st.integers(100, 599)),
     counters=st.lists(st.one_of(st.none(), st.integers(0, 10**8)), min_size=4, max_size=4),
     payload=st.integers(0, 10**6),
-    description=st.text(max_size=60),
-    category=st.text(max_size=30),
+    description=_rule_text,
+    category=_rule_text,
     profile=st.sampled_from(list(FeatureProfile)),
     caps=st.one_of(st.none(), _caps_strategy),
     data=st.data(),
@@ -670,8 +706,6 @@ def test_encode_alert_matches_ipaddress_oracle(
     alert = parse_alert_record(make_line(**overrides))
     vec = encode_alert(alert, profile, caps)
     assert vec == oracle_encode(alert, profile, caps or ScalingCaps())
-    assert (is_private(src_ip), scale_ip(src_ip)) == (oracle_is_private(src_ip),
-                                                      oracle_scale_ip(src_ip))
 
 
 def assert_vector_invariants(values: tuple[float, ...], profile: FeatureProfile) -> None:

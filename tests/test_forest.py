@@ -12,18 +12,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from alert_sift import cli
 from alert_sift import forest as forest_mod
 from alert_sift.errors import ValidationError
-from alert_sift.features import FeatureProfile, feature_names
+from alert_sift.features import FeatureProfile, feature_names, write_matrix_csv
 from alert_sift.forest import (
     MODEL_FORMAT_VERSION,
     ForestParams,
     best_split,
+    check_threshold,
     forest_from_dict,
     forest_to_dict,
     grow_tree,
     load_forest,
-    predict,
     predict_proba,
     predict_proba_batch,
     save_forest,
@@ -390,28 +391,45 @@ def test_predict_proba_width_mismatch():
         predict_proba(_leaf_forest([0.5]), [0.0, 0.0, 0.0])
 
 
-def test_predict_threshold_and_tie_break():
+def _predict_stage(tmp_path, forest, rows, threshold: float = 0.5) -> list[int]:
+    """The labels the predict stage writes for rows: it thresholds predict_proba_batch inline."""
+    model, matrix, out = (tmp_path / name for name in ("model.json", "m.csv", "p.csv"))
+    with open(model, "w", encoding="utf-8") as fh:
+        save_forest(forest, fh)
+    with open(matrix, "w", encoding="utf-8") as fh:
+        write_matrix_csv(fh, np.asarray(rows, dtype=float), None, forest.feature_names)
+    argv = ["predict", "--in", str(matrix), "--model", str(model), "--out", str(out),
+            "--threshold", repr(threshold)]
+    assert cli.main(argv) == 0
+    return [int(line.rsplit(",", 1)[1]) for line in out.read_text(encoding="utf-8").split()[1:]]
+
+
+def test_predict_threshold_and_tie_break(tmp_path):
     forest = _leaf_forest([0.25, 0.75])  # proba 0.5
-    assert predict(forest, [0.0, 0.0]) == 1  # tie resolves to TP
-    assert predict(_leaf_forest([1.0]), [0.0, 0.0], threshold=0.9) == 1
-    assert predict(_leaf_forest([0.25, 0.25]), [0.0, 0.0], threshold=0.5) == 0
+    assert _predict_stage(tmp_path, forest, [[0.0, 0.0]]) == [1]  # tie resolves to TP
+    assert _predict_stage(tmp_path, _leaf_forest([1.0]), [[0.0, 0.0]], threshold=0.9) == [1]
+    assert _predict_stage(tmp_path, _leaf_forest([0.25, 0.25]), [[0.0, 0.0]]) == [0]
 
 
-def test_predict_threshold_validated():
-    forest = _leaf_forest([0.5])
+def test_predict_threshold_validated(tmp_path, capsys):
     for bad in (0.0, 1.0, -0.2, 1.5):
         with pytest.raises(ValidationError):
-            predict(forest, [0.0, 0.0], threshold=bad)
+            check_threshold(bad)
+        argv = ["predict", "--in", "m.csv", "--model", "model.json",
+                "--out", str(tmp_path / "p.csv"), "--threshold", repr(bad)]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == f"error: threshold must be in (0, 1), got {bad}\n"
 
 
-def test_raising_threshold_never_flips_fp_to_tp():
+def test_raising_threshold_never_flips_fp_to_tp(tmp_path):
     rng = np.random.default_rng(8)
     X = rng.random((50, 4))
     y = rng.integers(0, 2, size=50)
     forest = train_forest(X, y, ForestParams(n_estimators=10))
-    for row in rng.random((20, 4)):
-        labels = [predict(forest, row, t) for t in (0.1, 0.3, 0.5, 0.7, 0.9)]
-        assert labels == sorted(labels, reverse=True)
+    rows = rng.random((20, 4))
+    by_threshold = [_predict_stage(tmp_path, forest, rows, t) for t in (0.1, 0.3, 0.5, 0.7, 0.9)]
+    for labels in zip(*by_threshold):
+        assert list(labels) == sorted(labels, reverse=True)
 
 
 def test_predict_proba_batch_matches_single_rows():
@@ -438,8 +456,6 @@ def test_scoring_refuses_non_finite_features(bad):
         predict_proba_batch(forest, np.full((1, 3), bad))
     with pytest.raises(ValidationError, match="non-finite"):
         predict_proba(forest, [0.5, bad, 0.5])
-    with pytest.raises(ValidationError, match="non-finite"):
-        predict(forest, [bad, bad, bad])
 
 
 def _walk_proba(trees, row):
@@ -607,6 +623,9 @@ def test_model_that_names_a_feature_twice_is_refused():
     obj["feature_names"] = ["a", "a"]
     with pytest.raises(ValidationError, match="^model feature_names name 'a' twice$"):
         forest_from_dict(obj)
+    # the check is the model's own, so training cannot write a model that loading refuses
+    with pytest.raises(ValidationError, match="^model feature_names name 'a' twice$"):
+        train_forest(X, [0, 1, 0, 1], ForestParams(n_estimators=2), feature_names=["a", "a"])
 
 
 def test_model_version_field_mandatory():

@@ -17,8 +17,8 @@ from alert_sift.ingest import (
     _MEMO_SIZE,
     DEFAULT_FIELD_MAP,
     LabeledAlert,
+    RawAlert,
     Records,
-    alert_to_record,
     attach_comments,
     ip_value,
     load_field_map,
@@ -31,6 +31,26 @@ from alert_sift.ingest import (
 )
 
 from conftest import make_line, make_record
+
+
+def alert_to_record(alert: RawAlert, paths=ingest._DEFAULT_PATHS) -> dict:
+    """The reference layout: a RawAlert as the nested input record at paths.
+
+    None fields are left out and the timestamp is its isoformat; write_records
+    must write the bytes json.dumps(..., sort_keys=True) gives of this record.
+    """
+    obj: dict = {}
+    for field, parents, leaf in paths:
+        value = getattr(alert, field)
+        if value is None:
+            continue
+        if field == "timestamp":
+            value = value.isoformat()
+        cur = obj
+        for key in parents:
+            cur = cur.setdefault(key, {})
+        cur[leaf] = value
+    return obj
 
 
 def test_parses_fixture_values_verbatim():
