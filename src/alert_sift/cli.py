@@ -226,7 +226,7 @@ def cmd_ingest(opt: Namespace) -> str:
     with _outputs({"--out": opt.out}) as (out,):
         if opt.field_map:
             with open(opt.field_map, encoding="utf-8") as fh:
-                parse = partial(parse_alert_record, paths=load_field_map(fh))
+                parse = partial(parse_alert_record, reader=load_field_map(fh))
         comments = None
         if opt.comments:
             with open(opt.comments, encoding="utf-8") as fh:
@@ -254,21 +254,25 @@ def cmd_label(opt: Namespace) -> str:
             # the rules are known before the first alert, so the alerts stream through
             with open(opt.comments, encoding="utf-8") as fh:
                 rules = read_rule_comments(fh)
+        # a rule's embedded comment may first appear on its last alert; two that differ leave
+        # its label undecided, as a sidecar listing it twice does: refused at the second
+        seen: dict[str, str] = {}
+
+        def embedded(text: str) -> RawAlert:
+            alert = parse_alert_record(text)
+            comment = alert.rev_comment
+            if comment and seen.setdefault(alert.rule_uuid, comment) != comment:
+                raise AlertSiftError(
+                    f"rule_uuid {alert.rule_uuid!r} has differing comments "
+                    f"{seen[alert.rule_uuid]!r} and {comment!r}"
+                )
+            return alert
+
         with open(opt.input, encoding="utf-8") as fh:
-            alerts = Records(fh, parse_alert_record, opt.input)
+            alerts = Records(fh, embedded if rules is None else parse_alert_record, opt.input)
             stream: Iterable[RawAlert] = alerts
             if rules is None:
-                # a rule's embedded comment may first appear on its last alert; two that
-                # differ leave its label undecided, as a sidecar listing it twice does
                 stream = list(alerts)
-                seen: dict[str, str] = {}
-                for alert in stream:
-                    comment = alert.rev_comment
-                    if comment and seen.setdefault(alert.rule_uuid, comment) != comment:
-                        raise AlertSiftError(
-                            f"rule_uuid {alert.rule_uuid!r} has differing comments "
-                            f"{seen[alert.rule_uuid]!r} and {comment!r}"
-                        )
                 rules = list(seen.items())
             tp_list, fp_list = build_label_lists(rules, cfg)
             written = [0, 0]  # rows written with label 0, with label 1

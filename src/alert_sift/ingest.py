@@ -16,8 +16,9 @@ unchecked as any pair is. Parsing is two steps, ``decode_record`` (line to
 dict) and ``record_to_alert`` (dict to validated RawAlert, in one pass over
 the fields); ``parse_alert_record`` is the two in a row, and
 ``parse_labeled_record`` takes the label from the same dict, so no line is
-decoded twice. ``load_field_map`` compiles a field map once, into the paths
-the readers take; given none, they read the default layout. The parser
+decoded twice. ``load_field_map`` compiles a field map once, into one
+function that reads a record's values with one ``.get`` each, with no loop
+over fields; given none, the parsers read the default layout. The parser
 remembers, process-wide, the addresses and timestamp strings (with their
 parsed datetimes) that passed its checks. Only checked values enter, so a
 memo saves work but never changes a result or an error text, and each is
@@ -32,7 +33,7 @@ the error of the first field at fault. ``record_to_alert`` and
 ``features.encode_alert`` each check the contract inline first and call it
 only when that check fails; a new dotted quad needs its pattern alone.
 
-There is one reader, ``Records``: it parses an NDJSON stream a line at a
+There is one NDJSON reader, ``Records``: it parses a stream a line at a
 time, a blank line being a bad line like any other (``read_corpus``
 collects it). There is one writer, ``write_records``, and it is the one
 check of a label on output: it writes (alert, label or None) rows as they
@@ -90,6 +91,7 @@ _REQUIRED_FIELDS = (
 # Entries a memo of distinct values holds before it is emptied; a corpus
 # repeats a few thousand addresses, timestamps and rule texts, so repeats still hit.
 _MEMO_SIZE = 2**12
+_new = tuple.__new__  # a RawAlert or LabeledAlert without its Python-level __new__
 
 
 class RawAlert(NamedTuple):
@@ -150,15 +152,19 @@ class IngestReport:
     rejection_reasons: list[tuple[int, str]] = field(default_factory=list)
 
 
-# One compiled field: (RawAlert field, parent JSON keys, leaf JSON key).
-_Path = tuple[str, tuple[str, ...], str]
+# A compiled field map: a record's 17 raw values in RawAlert field order.
+Reader = Callable[[dict], tuple]
 
 
-def load_field_map(source: Iterable[str]) -> tuple[_Path, ...]:
-    """Compile a field-map file: one ``field=json.path`` per line, # comments.
+def load_field_map(source: Iterable[str]) -> Reader:
+    """Compile a field-map file (one ``field=json.path`` per line, # comments) into a reader.
 
-    Returns every RawAlert field's path split into its keys, in field order;
-    an unlisted field keeps its default path. Errors name the line.
+    An unlisted field keeps its default path; a field listed twice or a path
+    with an empty key is refused, and errors name the line. The reader has no
+    loop over fields: it looks up each distinct parent once, reads a record or
+    parent that is not a dict as empty, and each leaf with one ``.get``. Keys
+    are bound names, never source text. ``reader.paths`` holds each field's
+    (field, parent keys, leaf key), in field order.
     """
     fmap: dict[str, str] = {}
     for line_no, line in enumerate(source, start=1):
@@ -171,17 +177,34 @@ def load_field_map(source: Iterable[str]) -> tuple[_Path, ...]:
         field, path = field.strip(), path.strip()
         if field not in DEFAULT_FIELD_MAP:
             raise ValidationError(f"field-map line {line_no}: unknown field {field!r}")
+        if field in fmap:
+            raise ValidationError(f"field-map line {line_no}: field {field!r} listed twice")
         if not path:
             raise ValidationError(f"field-map line {line_no}: empty path for {field!r}")
+        if "" in path.split("."):
+            raise ValidationError(f"field-map line {line_no}: empty key in path {path!r}")
         fmap[field] = path
-    out = []
-    for field in RawAlert._fields:
-        *parents, leaf = fmap.get(field, DEFAULT_FIELD_MAP[field]).split(".")
-        out.append((field, tuple(parents), leaf))
-    return tuple(out)
+    names: dict = {"_EMPTY": {}}
+    parent_vars, paths, leaves = {(): "obj"}, [], []
+    lines = ["def read(obj):", "    if not isinstance(obj, dict): obj = _EMPTY"]
+    for i, field in enumerate(RawAlert._fields):
+        *keys, leaf = fmap.get(field, DEFAULT_FIELD_MAP[field]).split(".")
+        parents = tuple(keys)
+        for depth in range(1, len(parents) + 1):
+            if parents[:depth] not in parent_vars:
+                var = parent_vars[parents[:depth]] = f"p{len(parent_vars)}"
+                names[f"{var}_key"] = parents[depth - 1]
+                lines += [f"    {var} = {parent_vars[parents[:depth - 1]]}.get({var}_key)",
+                          f"    if not isinstance({var}, dict): {var} = _EMPTY"]
+        names[f"leaf{i}"] = leaf
+        leaves.append(f"{parent_vars[parents]}.get(leaf{i})")
+        paths.append((field, parents, leaf))
+    exec("\n".join([*lines, f"    return ({', '.join(leaves)})"]), names)
+    names["read"].paths = tuple(paths)
+    return names["read"]
 
 
-_DEFAULT_PATHS = load_field_map(())
+_DEFAULT_READER = load_field_map(())
 # The parser's memos: the addresses, and the timestamp strings with their
 # datetimes, that passed its checks. Each is emptied at _MEMO_SIZE entries.
 _VALID_IPS: set[str] = set()
@@ -291,24 +314,19 @@ def decode_record(line: str) -> dict:
     return obj
 
 
-def record_to_alert(obj: dict, paths: tuple[_Path, ...] = _DEFAULT_PATHS) -> RawAlert:
+def record_to_alert(obj: dict, reader: Reader = _DEFAULT_READER) -> RawAlert:
     """Validate one decoded record into a RawAlert.
 
     Absent optional fields stay missing (None), an absent description, class
     type or action is "" and an absent payload length 0; unknown JSON keys
     are ignored. Raises ValidationError for a missing required field, and
     otherwise refuse_alert's error for the first field at fault in RawAlert
-    field order. The fields are read at paths, as load_field_map compiles
-    them. Addresses and timestamp strings that passed are remembered in
+    field order. The fields are read by reader, as load_field_map compiles
+    it. Addresses and timestamp strings that passed are remembered in
     process-wide memos of at most ``_MEMO_SIZE`` entries each, so a repeat
     skips the address pattern and ``parse_timestamp``.
     """
-    raw = []
-    for _, parents, leaf in paths:
-        value = obj
-        for key in parents:
-            value = value.get(key) if isinstance(value, dict) else None
-        raw.append(value.get(leaf) if isinstance(value, dict) else None)
+    raw = reader(obj)
     (src_ip, dst_ip, src_port, dst_port, rule_sid, description, class_type, rule_uuid, action,
      stamp, payload_len, http_status, pkts_ts, pkts_tc, bytes_ts, bytes_tc, comment) = raw
     if description is None:
@@ -335,7 +353,7 @@ def record_to_alert(obj: dict, paths: tuple[_Path, ...] = _DEFAULT_PATHS) -> Raw
         and (bytes_tc is None or type(bytes_tc) is int and bytes_tc >= 0)
         and (comment is None or type(comment) is str)
     ):
-        for (field, parents, leaf), value in zip(paths, raw):
+        for (field, parents, leaf), value in zip(reader.paths, raw):
             if value is None and field in _REQUIRED_FIELDS:
                 path = ".".join((*parents, leaf))
                 raise ValidationError(f"missing required field {field!r} (key {path!r})")
@@ -358,20 +376,20 @@ def record_to_alert(obj: dict, paths: tuple[_Path, ...] = _DEFAULT_PATHS) -> Raw
         if len(_TIMESTAMPS) >= _MEMO_SIZE:
             _TIMESTAMPS.clear()
         _TIMESTAMPS[stamp] = timestamp
-    return RawAlert(
+    return _new(RawAlert, (
         src_ip, dst_ip, src_port, dst_port, rule_sid, description, class_type, rule_uuid,
         action, timestamp, payload_len, http_status, pkts_ts, pkts_tc, bytes_ts, bytes_tc,
         comment,
-    )
+    ))
 
 
-def parse_alert_record(line: str, paths: tuple[_Path, ...] = _DEFAULT_PATHS) -> RawAlert:
+def parse_alert_record(line: str, reader: Reader = _DEFAULT_READER) -> RawAlert:
     """Parse one NDJSON line into a RawAlert: decode_record, then record_to_alert.
 
     Raises ParseError for malformed JSON and ValidationError for out-of-range
     or missing required fields.
     """
-    return record_to_alert(decode_record(line), paths)
+    return record_to_alert(decode_record(line), reader)
 
 
 def parse_labeled_record(text: str) -> LabeledAlert:
@@ -382,7 +400,7 @@ def parse_labeled_record(text: str) -> LabeledAlert:
     label = obj["label"]
     if type(label) is not int or label not in (0, 1):
         raise ValidationError(f"label must be 0 or 1, got {json.dumps(label)}")
-    return LabeledAlert(record_to_alert(obj), label)
+    return _new(LabeledAlert, (record_to_alert(obj), label))
 
 
 def _template(absent: tuple[bool, ...]) -> tuple[str, Callable]:
@@ -395,7 +413,8 @@ def _template(absent: tuple[bool, ...]) -> tuple[str, Callable]:
     """
     skip = {name for name, gone in zip(_ABSENT_KEYS, absent) if gone}
     tree: dict = {}
-    for index, (field, parents, leaf) in enumerate((*_DEFAULT_PATHS, ("label", (), "label"))):
+    fields = (*_DEFAULT_READER.paths, ("label", (), "label"))
+    for index, (field, parents, leaf) in enumerate(fields):
         if field not in skip:
             node = tree
             for key in parents:
@@ -505,15 +524,15 @@ class Records:
 
 
 def read_corpus(
-    source: Iterable[str], paths: tuple[_Path, ...] = _DEFAULT_PATHS
+    source: Iterable[str], reader: Reader = _DEFAULT_READER
 ) -> tuple[list[RawAlert], IngestReport]:
-    """Read newline-delimited records at paths; bad lines are counted, never fatal.
+    """Read newline-delimited records by reader; bad lines are counted, never fatal.
 
     Each line is parsed by parse_alert_record, through the parser's
     process-wide memos, which are bounded and hold only checked values.
     """
     rejected: list[tuple[int, str]] = []
-    records = Records(source, lambda text: parse_alert_record(text, paths), "corpus", rejected)
+    records = Records(source, lambda text: parse_alert_record(text, reader), "corpus", rejected)
     alerts = list(records)
     return alerts, IngestReport(records.count, len(rejected), rejected)
 

@@ -107,7 +107,7 @@ def label_alerts(
     for alert in alerts:
         label = labels.get(alert.rule_uuid)
         if label is not None and alert.action != CLIENT_SPECIFIC_ACTION:
-            yield LabeledAlert(alert, label)
+            yield tuple.__new__(LabeledAlert, (alert, label))  # no Python-level __new__
 
 
 def label_corpus(

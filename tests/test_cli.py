@@ -997,7 +997,7 @@ def test_label_refuses_a_rule_whose_embedded_comments_differ(tmp_path, capsys):
     argv = ["label", "--in", str(src), "--out", str(out), "--lists", str(lists)]
     assert cli.main(argv) == 1
     assert capsys.readouterr().err == (
-        "error: rule_uuid 'rule-aaa' has differing comments "
+        f"error: {src} line 2: rule_uuid 'rule-aaa' has differing comments "
         "'alerted the client' and 'expected benign scanner'\n"
     )
     assert out.read_text(encoding="utf-8") == "previous\n" and not lists.exists()

@@ -29,18 +29,19 @@ from alert_sift.ingest import (
     record_to_alert,
     write_records,
 )
+from alert_sift.labeling import label_alerts
 
 from conftest import make_line, make_record
 
 
-def alert_to_record(alert: RawAlert, paths=ingest._DEFAULT_PATHS) -> dict:
-    """The reference layout: a RawAlert as the nested input record at paths.
+def alert_to_record(alert: RawAlert, reader=ingest._DEFAULT_READER) -> dict:
+    """The reference layout: a RawAlert as the nested input record at reader's paths.
 
     None fields are left out and the timestamp is its isoformat; write_records
     must write the bytes json.dumps(..., sort_keys=True) gives of this record.
     """
     obj: dict = {}
-    for field, parents, leaf in paths:
+    for field, parents, leaf in reader.paths:
         value = getattr(alert, field)
         if value is None:
             continue
@@ -300,13 +301,13 @@ def test_every_isoformat_of_the_grammar_parses_as_fromisoformat_reads_it(when, s
 
 
 def test_field_map_remaps_keys():
-    paths = load_field_map(["rule_uuid = meta.filter_id", "# comment", ""])
-    assert ("rule_uuid", ("meta",), "filter_id") in paths
-    assert paths == load_field_map(["rule_uuid=meta.filter_id"])
+    reader = load_field_map(["rule_uuid = meta.filter_id", "# comment", ""])
+    assert ("rule_uuid", ("meta",), "filter_id") in reader.paths
+    assert reader.paths == load_field_map(["rule_uuid=meta.filter_id"]).paths
     record = make_record()
     del record["rule_uuid"]
     record["meta"] = {"filter_id": "rule-zzz"}
-    alert = parse_alert_record(json.dumps(record), paths)
+    alert = parse_alert_record(json.dumps(record), reader)
     assert alert.rule_uuid == "rule-zzz"
 
 
@@ -411,18 +412,168 @@ def test_parser_memos_hold_at_most_memo_size_entries():
 
 
 def test_field_paths_compile_nested_map_once():
-    paths = load_field_map(["src_ip = net.src.addr", "rule_uuid = meta.rule.id"])
+    reader = load_field_map(["src_ip = net.src.addr", "rule_uuid = meta.rule.id"])
     record = make_record(src_ip=None, rule_uuid=None)
     record["net"] = {"src": {"addr": "192.0.2.9"}}
     record["meta"] = {"rule": {"id": "rule-zzz"}}
-    assert ("src_ip", ("net", "src"), "addr") in paths
+    assert ("src_ip", ("net", "src"), "addr") in reader.paths
     for _ in range(2):
-        alert = record_to_alert(record, paths)
+        alert = record_to_alert(record, reader)
         assert (alert.src_ip, alert.rule_uuid) == ("192.0.2.9", "rule-zzz")
-    assert parse_alert_record(json.dumps(record), paths) == alert
+    assert parse_alert_record(json.dumps(record), reader) == alert
     record["net"]["src"] = "192.0.2.9"  # a leaf where a parent object belongs
     with pytest.raises(ValidationError, match="'src_ip' \\(key 'net.src.addr'\\)"):
-        record_to_alert(record, paths)
+        record_to_alert(record, reader)
+
+
+def walk_paths(obj: dict, paths) -> list:
+    """The per-field walk: each field's value at its path, None where any step is no dict."""
+    raw = []
+    for _, parents, leaf in paths:
+        value = obj
+        for key in parents:
+            value = value.get(key) if isinstance(value, dict) else None
+        raw.append(value.get(leaf) if isinstance(value, dict) else None)
+    return raw
+
+
+def oracle_record_to_alert(obj: dict, paths) -> RawAlert:
+    """record_to_alert from the walk: a missing required field first, then refuse_alert."""
+    raw = walk_paths(obj, paths)
+    for (field, parents, leaf), value in zip(paths, raw):
+        if value is None and field in ingest._REQUIRED_FIELDS:
+            path = ".".join((*parents, leaf))
+            raise ValidationError(f"missing required field {field!r} (key {path!r})")
+    values = dict(zip(RawAlert._fields, raw))
+    for field, absent in (("rule_description", ""), ("class_type", ""), ("action", ""),
+                          ("payload_len", 0)):
+        if values[field] is None:
+            values[field] = absent
+    ingest.refuse_alert(values.values())
+    return RawAlert(**{**values, "timestamp": parse_timestamp(values["timestamp"])})
+
+
+class _Dict(dict):
+    """A dict subclass, which the walk reads as a dict."""
+
+
+# JSON keys that Python source, a %-template or a format string would misread,
+# beside a few short ones that paths share as parents.
+_KEYS = st.sampled_from([
+    "a", "b", "net", 'q"uote', "q'uote", "back\\slash", "new\nline", "%s", "{}", "{0}",
+    "class", "import", "None", "obj", "p0", "p0_key", "leaf0", "_EMPTY", "isinstance",
+    '"); import os #',
+]) | st.text(min_size=1, max_size=4).filter(lambda k: "." not in k and k == k.strip())
+_JUNK = st.sampled_from([None, "", "x", -1, 0, 70000, 2**70, 1.5, True, [], ["x"], {"k": 1}])
+
+
+def _valid(field: str):
+    if field in ("src_ip", "dst_ip"):
+        return st.sampled_from(["203.0.113.7", "2001:db8::1", "10.0.0.1"])
+    if field == "timestamp":
+        return st.sampled_from(_STAMPS)
+    if field in ingest._INT_RANGES:
+        lo, hi = ingest._INT_RANGES[field]
+        return st.integers(lo, hi if hi is not None else 2**40)
+    return _TEXT
+
+
+@st.composite
+def _field_map_and_record(draw) -> tuple[list[str], tuple, dict]:
+    """Field-map lines, the paths they give, and a record laid out at them, then damaged."""
+    lines, paths = [], []
+    for field in RawAlert._fields:
+        if draw(st.booleans()):
+            keys = draw(st.lists(_KEYS, min_size=1, max_size=4))  # depth 0-3
+            lines.append(f"{field}={'.'.join(keys)}")
+        else:
+            keys = DEFAULT_FIELD_MAP[field].split(".")
+        paths.append((field, tuple(keys[:-1]), keys[-1]))
+    lines = draw(st.permutations(lines))
+    absent = draw(st.sets(st.sampled_from(RawAlert._fields), max_size=2))
+    junk = draw(st.sets(st.sampled_from(RawAlert._fields), max_size=2))
+    record: dict = {}
+    parents: list[tuple[dict, str]] = []  # (node, key) of every object made for a parent
+    for field, keys, leaf in paths:
+        if field in absent:
+            continue
+        node = record
+        for key in keys:
+            if not isinstance(node.get(key), dict):
+                node[key] = draw(st.sampled_from([dict, _Dict]))()
+                parents.append((node, key))
+            node = node[key]
+        node[leaf] = draw(_JUNK if field in junk else _valid(field))
+    for i in draw(st.sets(st.integers(0, len(parents) - 1), max_size=2)) if parents else ():
+        node, key = parents[i]
+        node[key] = draw(_JUNK)  # a parent that is not an object
+    if draw(st.integers(0, 19)) == 0:
+        return lines, tuple(paths), draw(_JUNK)  # a record that is not an object
+    return lines, tuple(paths), draw(st.sampled_from([dict, _Dict]))(record)
+
+
+def _outcome(parse, *args):
+    try:
+        return parse(*args)
+    except ValidationError as exc:
+        return f"ValidationError: {exc}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn=_field_map_and_record())
+def test_compiled_reader_matches_the_per_field_walk(drawn):
+    lines, paths, record = drawn
+    reader = load_field_map(lines)
+    assert reader.paths == paths
+    assert reader(record) == tuple(walk_paths(record, paths))
+    got = _outcome(record_to_alert, record, reader)
+    assert got == _outcome(oracle_record_to_alert, record, paths)
+    assert type(got) in (str, RawAlert)
+
+
+def test_field_map_key_is_bound_not_written_into_source():
+    key = '"); import os #'
+    reader = load_field_map([f"src_ip={key}.{key}", f"rule_uuid=meta.{key}"])
+    record = make_record(src_ip=None, rule_uuid=None, meta={key: "rule-zzz"})
+    record[key] = {key: "192.0.2.9"}
+    alert = record_to_alert(record, reader)
+    assert (alert.src_ip, alert.rule_uuid) == ("192.0.2.9", "rule-zzz")
+    record[key + "x"] = record.pop(key)
+    with pytest.raises(ValidationError) as info:
+        record_to_alert(record, reader)
+    assert str(info.value) == f"missing required field 'src_ip' (key {key + '.' + key!r})"
+
+
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        (["src_ip=a.b", "src_ip=c"], "field-map line 2: field 'src_ip' listed twice"),
+        (["# c", "rule_uuid=x", "", "rule_uuid = x"],
+         "field-map line 4: field 'rule_uuid' listed twice"),
+        (["src_ip=net."], "field-map line 1: empty key in path 'net.'"),
+        (["dst_ip=a", "src_ip=.x"], "field-map line 2: empty key in path '.x'"),
+        (["src_ip=a..b"], "field-map line 1: empty key in path 'a..b'"),
+        (["src_ip=."], "field-map line 1: empty key in path '.'"),
+    ],
+)
+def test_field_map_refuses_a_repeat_or_an_empty_key(lines, message):
+    with pytest.raises(ValidationError) as info:
+        load_field_map(lines)
+    assert str(info.value) == message
+
+
+def test_parsed_rows_are_exact_raw_and_labeled_alerts():
+    alert = parse_alert_record(make_line())
+    assert type(alert) is RawAlert and alert == RawAlert(*alert)
+    assert alert._replace(src_port=1) == RawAlert(*alert[:2], 1, *alert[3:])
+    assert type(alert._replace(src_port=1)) is RawAlert
+    row = ingest.parse_labeled_record(make_line(label=1))
+    assert type(row) is LabeledAlert and type(row.alert) is RawAlert
+    assert row == LabeledAlert(alert, 1) and row._replace(label=0) == LabeledAlert(alert, 0)
+    assert type(row._replace(label=0)) is LabeledAlert
+    (labeled,) = label_alerts([alert], [(alert.rule_uuid, "alerted the client")], [])
+    assert type(labeled) is LabeledAlert and labeled == LabeledAlert(alert, 1)
+    assert labeled._replace(label=0).label == 0
 
 
 _ALERT_BLOCK = {"signature": "ET SCAN", "category": "attempted-recon"}
