@@ -30,8 +30,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .features import as_matrix
-from .forest import Forest, _check_vector
+from .forest import Forest, _scored
 
 # Bound on the (rows x path cells) working set of one chunk.
 _CHUNK_CELLS = 2**18
@@ -91,7 +90,7 @@ def _flatten(forest: Forest) -> _Paths:
     feature[slot_leaf, rank] = feat[starts]
     z[slot_leaf, rank] = np.multiply.reduceat(cover[child] / cover[up], starts)
     used[slot_leaf, rank] = True
-    value = nodes.n_tp[leaves] / cover[leaves]
+    value = forest.descent.value[leaves]
     edge_left = nodes.left[up] == child
     return _Paths(value, feature, z, used, feat, nodes.threshold[up], edge_left, starts)
 
@@ -111,16 +110,15 @@ def _leaf_terms(paths: _Paths, leaf: np.ndarray, o: np.ndarray) -> np.ndarray:
     return np.where(used, paths.value[leaf][:, None] * slope * integral, 0.0)
 
 
-def _shap_batch(forest: Forest, X: np.ndarray) -> tuple[float, np.ndarray]:
-    """Base value and phi (rows, width) for every row of X."""
-    if not np.isfinite(X).all():
-        raise ValidationError("cannot attribute non-finite feature values")
+def _shap_batch(forest: Forest, rows) -> tuple[float, np.ndarray]:
+    """Base value and phi (n, width) for every row of a matrix as wide as the forest."""
+    X = _scored(forest, rows)
     paths = _flatten(forest)
     # a leaf's weight in the expected value is the product of its path fractions
     base = float(paths.value @ paths.z.prod(axis=1)) / len(forest.roots)
     phi = np.zeros((X.shape[0], forest.width))
     n_leaves, depth = paths.z.shape
-    step = min(X.shape[0], max(1, _CHUNK_CELLS // max(paths.edge_feature.size, paths.z.size)))
+    step = max(1, min(X.shape[0], _CHUNK_CELLS // max(paths.edge_feature.size, paths.z.size)))
     pair_leaf = np.tile(np.arange(n_leaves), step)  # (row, leaf) pairs of a full chunk
     cell = np.repeat(np.arange(step) * forest.width, n_leaves)[:, None] + paths.feature[pair_leaf]
     o = np.zeros((step, n_leaves, depth), dtype=bool)
@@ -146,17 +144,15 @@ def _shap_batch(forest: Forest, X: np.ndarray) -> tuple[float, np.ndarray]:
 
 def tree_shap(forest: Forest, vector: Sequence[float]) -> Attribution:
     """Exact Shapley attributions averaged over the forest's trees."""
-    base, phi = _shap_batch(forest, _check_vector(forest, vector)[None, :])
+    base, phi = _shap_batch(forest, [vector])
     return Attribution(base_value=base, phi=tuple(float(v) for v in phi[0]))
 
 
 def global_importance(forest: Forest, matrix: np.ndarray) -> list[tuple[str, float]]:
     """Mean |phi| per feature over all rows, sorted descending (ties by index)."""
-    X = as_matrix(matrix)
-    if X.shape[0] < 1:
+    phi = _shap_batch(forest, matrix)[1]
+    if not len(phi):
         raise ValidationError("importance needs at least one row")
-    if X.shape[1] != forest.width:
-        raise ValidationError(f"matrix width {X.shape[1]} does not match forest width {forest.width}")
-    acc = np.abs(_shap_batch(forest, X)[1]).mean(axis=0)
+    acc = np.abs(phi).mean(axis=0)
     order = sorted(range(forest.width), key=lambda j: (-acc[j], j))
     return [(forest.feature_names[j], float(acc[j])) for j in order]

@@ -51,7 +51,6 @@ from .evaluation import (
 from .features import (
     FeatureProfile,
     ScalingCaps,
-    as_matrix,
     chi2_select,
     encode_alert,
     feature_names,
@@ -328,7 +327,7 @@ def cmd_encode(opt: Namespace) -> str:
             labeled = list(Records(fh, parse_labeled_record, opt.input))
         # no labeled alerts give a header-only matrix
         rows = [encode_alert(item.alert, profile, caps) for item in labeled]
-        X = as_matrix(rows) if rows else np.empty((0, profile.width))
+        X = rows or np.empty((0, profile.width))
         write_matrix_csv(out, X, [item.label for item in labeled], feature_names(profile))
     return f"encode: {len(rows)} rows x {profile.width} features -> {opt.out}"
 

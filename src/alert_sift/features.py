@@ -311,23 +311,36 @@ def encode_alert(
 
 
 def as_matrix(rows: Sequence[Sequence[float]] | np.ndarray) -> np.ndarray:
-    """Stack rows into an (n, width) float array; a float array is not copied."""
+    """Stack rows into an (n, width) float array; a float array is not copied.
+
+    The one check of a matrix: 2-D, at least one column, every cell finite."""
     try:
         X = np.asarray(rows, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"rows do not form a float matrix: {exc}") from None
-    if X.ndim != 2:
-        raise ValidationError(f"matrix must be 2-dimensional, got shape {X.shape}")
+    if X.ndim != 2 or X.shape[1] < 1:
+        raise ValidationError(f"matrix must be 2-D with at least one column, got shape {X.shape}")
+    if not np.isfinite(X).all():
+        i, j = np.argwhere(~np.isfinite(X))[0]
+        raise ValidationError(f"non-finite value {X[i, j]} at matrix row {i}, column {j}")
     return X
 
 
 def as_labeled_matrix(
     rows: Sequence[Sequence[float]] | np.ndarray, labels: Sequence[int]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """as_matrix of rows, and the labels as an int64 array with one label per row."""
-    X, y = as_matrix(rows), np.asarray(labels, dtype=np.int64)
-    if X.shape[0] != y.shape[0]:
-        raise ValidationError(f"{X.shape[0]} rows vs {y.shape[0]} labels")
+    """as_matrix of rows, and one int64 label per row: the one check of labels.
+
+    Each must equal 0 or 1 exactly (1.0 and True pass); the first that does not
+    (1.7, NaN, 2, "1", None, a row of labels) is refused by name, uncast.
+    """
+    X = as_matrix(rows)
+    for i, label in enumerate(labels.tolist() if isinstance(labels, np.ndarray) else labels):
+        if label not in (0, 1):
+            raise ValidationError(f"labels must be 0/1, got {label!r} at row {i}")
+    y = np.asarray(labels, dtype=np.int64)
+    if X.shape[0] != len(y):
+        raise ValidationError(f"{X.shape[0]} rows vs {len(y)} labels")
     return X, y
 
 
@@ -347,10 +360,7 @@ def chi2_select(matrix: np.ndarray, labels: Sequence[int], k: int) -> SelectionR
     """
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
-    X = as_matrix(matrix)
-    y = np.asarray(labels)
-    if X.shape[0] != y.shape[0]:
-        raise ValidationError(f"{X.shape[0]} rows vs {y.shape[0]} labels")
+    X, y = as_labeled_matrix(matrix, labels)
     if np.any(X < 0):
         raise ValidationError("chi2 requires non-negative feature values")
     classes = np.unique(y)
@@ -379,7 +389,7 @@ def write_matrix_csv(
     names: Sequence[str],
 ) -> None:
     """Export a feature matrix as CSV: named columns plus trailing label."""
-    X = as_matrix(matrix)
+    X, labels = (as_matrix(matrix), None) if labels is None else as_labeled_matrix(matrix, labels)
     if X.shape[1] != len(names):
         raise ValidationError(f"{X.shape[1]} columns vs {len(names)} names")
     header = list(names) + (["label"] if labels is not None else [])
@@ -387,7 +397,7 @@ def write_matrix_csv(
     for i in range(X.shape[0]):
         row = [repr(float(v)) for v in X[i]]
         if labels is not None:
-            row.append(str(int(labels[i])))
+            row.append(str(labels[i]))
         stream.write(",".join(row) + "\n")
 
 

@@ -34,7 +34,7 @@ from typing import IO, NamedTuple, Sequence
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .features import FeatureProfile, as_labeled_matrix, feature_names as profile_names
+from .features import FeatureProfile, as_labeled_matrix, as_matrix, feature_names as profile_names
 
 MODEL_FORMAT_VERSION = "1"
 
@@ -53,8 +53,10 @@ class ForestParams:
     seed: int = 42
 
     def __post_init__(self):
-        for name in ("n_estimators", "max_depth", "min_samples_split"):
-            if getattr(self, name) < 1:
+        for name, value in vars(self).items():
+            if not _is_int(value):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
+            if name != "seed" and value < 1:
                 raise ValidationError(f"{name} must be >= 1")
 
     def max_features_for(self, width: int) -> int:
@@ -162,12 +164,10 @@ class Ranked(NamedTuple):
 
 
 def _ranked(X: np.ndarray | Ranked) -> Ranked:
-    """Rank-code each column of a finite float matrix once; a Ranked passes through."""
+    """Rank-code each column of a matrix once; a Ranked passes through."""
     if isinstance(X, Ranked):
         return X
-    X = np.asarray(X, dtype=float)
-    if not np.isfinite(X).all():
-        raise ValidationError("cannot split on non-finite values")
+    X = as_matrix(X)
     columns = [np.unique(column, return_inverse=True) for column in X.T]
     values = [distinct for distinct, _ in columns]
     dtype = np.min_scalar_type(max(map(len, values), default=0))
@@ -285,10 +285,7 @@ def train_forest(
     X, y = as_labeled_matrix(matrix, labels)
     if X.shape[0] < 2:
         raise ValidationError("training needs at least 2 samples")
-    present = set(np.unique(y).tolist())
-    if not present <= {0, 1}:
-        raise ValidationError(f"labels must be 0/1, got {sorted(present)}")
-    if len(present) < 2:
+    if len(np.unique(y)) < 2:
         raise ValidationError("training needs both classes present")
 
     width = X.shape[1]
@@ -306,11 +303,12 @@ def train_forest(
     return Forest(*_join(trees), params, list(feature_names))
 
 
-def _check_vector(forest: Forest, vector: Sequence[float]) -> np.ndarray:
-    arr = np.asarray(vector, dtype=float)
-    if arr.shape != (forest.width,):
-        raise ValidationError(f"vector width {arr.shape} does not match forest width {forest.width}")
-    return arr
+def _scored(forest: Forest, rows: Sequence[Sequence[float]] | np.ndarray) -> np.ndarray:
+    """as_matrix of rows, refused unless it is as wide as the forest."""
+    X = as_matrix(rows)
+    if X.shape[1] != forest.width:
+        raise ValidationError(f"matrix width {X.shape[1]} does not match forest width {forest.width}")
+    return X
 
 
 def check_threshold(threshold: float) -> None:
@@ -321,16 +319,12 @@ def check_threshold(threshold: float) -> None:
 
 def predict_proba(forest: Forest, vector: Sequence[float]) -> float:
     """Mean over trees of the leaf TP fraction at the vector's leaf."""
-    return float(predict_proba_batch(forest, _check_vector(forest, vector)[None, :])[0])
+    return float(predict_proba_batch(forest, [vector])[0])
 
 
 def predict_proba_batch(forest: Forest, X: np.ndarray) -> np.ndarray:
     """predict_proba of every matrix row, all trees descended at once per chunk."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != forest.width:
-        raise ValidationError(f"matrix shape {X.shape} does not match forest width {forest.width}")
-    if not np.isfinite(X).all():
-        raise ValidationError("cannot score non-finite feature values")
+    X = _scored(forest, X)
     feature, threshold = forest.nodes.feature, forest.nodes.threshold
     children, value, depth = forest.descent
     n_trees = len(forest.roots)
@@ -359,8 +353,8 @@ def _node_to_dict(nodes: Nodes, i: int) -> dict:
     }
 
 
-def _is_count(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _node_from_dict(obj, width: int) -> tuple:
@@ -372,7 +366,7 @@ def _node_from_dict(obj, width: int) -> tuple:
         if missing:
             raise ValidationError(f"model split node lacks {', '.join(missing)}")
         feature, threshold = obj["feature"], obj["threshold"]
-        if not _is_count(feature) or feature >= width:
+        if not (_is_int(feature) and 0 <= feature < width):
             raise ValidationError(f"model split feature {feature!r} outside [0, {width})")
         if (
             isinstance(threshold, bool)
@@ -382,7 +376,7 @@ def _node_from_dict(obj, width: int) -> tuple:
             raise ValidationError(f"model split threshold {threshold!r} is not a finite number")
         return feature, float(threshold), obj["left"], obj["right"]
     n_tp, n_fp = obj.get("tp"), obj.get("fp")
-    if not (_is_count(n_tp) and _is_count(n_fp)):
+    if not (_is_int(n_tp) and _is_int(n_fp) and min(n_tp, n_fp) >= 0):
         raise ValidationError(
             f"model leaf counts must be non-negative integers, got tp={n_tp!r}, fp={n_fp!r}"
         )
