@@ -8,9 +8,14 @@ then lower threshold) never depends on float rounding order.
 
 Each tree trains on an n-row bootstrap draw; its RNG stream derives from
 (seed, tree index) via numpy's SeedSequence/PCG64, so training is
-deterministic and per-tree parallelizable. Trees grow in preorder (a node
-draws its candidates, then its left subtree grows, then its right) into one
-set of node arrays (Nodes) for the whole forest, plus each tree's root.
+deterministic and per-tree parallelizable. A node holds the ids of its drawn
+rows split by class, TP ids and FP ids (a row drawn twice is listed twice),
+all indexing the forest's one code array: its class counts are the two
+lengths, a split candidate is two bincounts over the codes of those ids, and
+a split sends each class's ids left or right with compress, so no node reads
+a label and no tree copies codes. Trees grow in preorder (a node draws its
+candidates, then its left subtree grows, then its right) into one set of
+node arrays (Nodes) for the whole forest, plus each tree's root.
 
 Prediction soft-votes: the mean over trees of the leaf true-positive
 fraction. Each Forest builds its descent table once: the children of every
@@ -77,21 +82,23 @@ class Nodes(NamedTuple):
 
 def _preorder(root, visit) -> Nodes:
     """One tree's nodes; visit(item) gives a leaf (n_tp, n_fp) or a split
-    (feature, threshold, left item, right item), called in preorder."""
-    rows: list[list] = []  # [feature, threshold, left, right, n_tp, n_fp]
+    (feature, threshold, left item, right item), called in preorder.
 
-    def add(item) -> int:
+    An explicit stack, not recursion, so a tree of any depth loads."""
+    rows: list[list] = []  # [feature, threshold, left, right, n_tp, n_fp]
+    stack = [(root, None, 0)]  # (item, parent node, its column for this child)
+    while stack:
+        item, parent, side = stack.pop()
         node = len(rows)
+        if parent is not None:
+            rows[parent][side] = node
         out = visit(item)
         if len(out) == 2:
             rows.append([-1, 0.0, node, node, *out])
         else:
             feature, threshold, left, right = out
             rows.append([feature, threshold, None, None, 0, 0])
-            rows[node][2:4] = add(left), add(right)
-        return node
-
-    add(root)
+            stack += [(right, node, 3), (left, node, 2)]  # left pops first: preorder
     return Nodes(*(np.array(col) for col in zip(*rows)))
 
 
@@ -156,27 +163,34 @@ def _join(trees: Sequence[Nodes]) -> tuple[Nodes, np.ndarray]:
 
 
 class Ranked(NamedTuple):
-    """Rows of a rank-coded matrix: row i holds values[j][codes[j, rows[i]]] in column j."""
+    """Rows of a rank-coded matrix by class: row i holds values[j][codes[j, i]] in column j."""
 
     values: list[np.ndarray]  # each column's distinct values, ascending: codes sort as values
     codes: np.ndarray  # (width, n), column-major
-    rows: np.ndarray
+    tp_rows: np.ndarray  # ids of the TP rows, a repeated id once per copy
+    fp_rows: np.ndarray  # ids of the FP rows, likewise
 
 
-def _ranked(X: np.ndarray | Ranked) -> Ranked:
-    """Rank-code each column of a matrix once; a Ranked passes through."""
+def _ranked(X: np.ndarray | Ranked, y: Sequence[int] | None) -> Ranked:
+    """Rank-code each column of a labeled matrix once, rows split by class;
+    a Ranked passes through, and y is not read."""
     if isinstance(X, Ranked):
         return X
-    X = as_matrix(X)
+    X, y = as_labeled_matrix(X, y)
     columns = [np.unique(column, return_inverse=True) for column in X.T]
     values = [distinct for distinct, _ in columns]
     dtype = np.min_scalar_type(max(map(len, values), default=0))
     codes = np.array([inverse for _, inverse in columns], dtype=dtype).reshape(X.shape[::-1])
-    return Ranked(values, codes, np.arange(X.shape[0]))
+    return Ranked(values, codes, *_split(np.arange(len(y)), y == 1))
+
+
+def _split(rows: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(the rows where mask holds, the rest), each in order."""
+    return rows.compress(mask), rows.compress(~mask)
 
 
 def best_split(
-    X: np.ndarray | Ranked, y: np.ndarray, candidate_features: Sequence[int]
+    X: np.ndarray | Ranked, y: Sequence[int] | None, candidate_features: Sequence[int]
 ) -> tuple[int, float, float] | None:
     """Best (feature, threshold, Gini decrease) over the candidates, or None.
 
@@ -188,19 +202,17 @@ def best_split(
     (tp_r^2+fp_r^2)/n_r, a monotone transform of the Gini decrease with the
     parent fixed; exact integers settle candidates within float tolerance.
     """
-    X = _ranked(X)
-    n = len(y)
-    total_tp = int(y.sum())
-    total_fp = n - total_tp
+    X = _ranked(X, y)
+    total_tp, total_fp = len(X.tp_rows), len(X.fp_rows)
+    n = total_tp + total_fp
     parent_mass = total_tp * total_tp + total_fp * total_fp
     eps = _TIE_EPS * max(1.0, float(n))
-    tp_rows, fp_rows = X.rows[y == 1], X.rows[y != 1]
 
     best: tuple[float, int, int, float, int] | None = None  # (score, N, D, threshold, feature)
     for feat in sorted(set(int(f) for f in candidate_features)):
         column, size = X.codes[feat], len(X.values[feat])
-        tp_at = np.bincount(column.take(tp_rows), minlength=size)
-        n_at = np.bincount(column.take(fp_rows), minlength=size) + tp_at
+        tp_at = np.bincount(column.take(X.tp_rows), minlength=size)
+        n_at = np.bincount(column.take(X.fp_rows), minlength=size) + tp_at
         present = n_at.nonzero()[0]  # codes of the values present, ascending
         if present.size < 2:
             continue
@@ -239,34 +251,36 @@ def best_split(
 
 
 def grow_tree(
-    X: np.ndarray | Ranked, y: np.ndarray, params: ForestParams, rng: np.random.Generator
+    X: np.ndarray | Ranked, y: Sequence[int] | None, params: ForestParams, rng: np.random.Generator
 ) -> Nodes:
-    """Grow one depth-limited tree in preorder; candidate features draw from rng per node."""
-    if len(y) == 0:
+    """Grow one depth-limited tree in preorder; candidate features draw from rng per node.
+
+    Each node holds its TP row ids and its FP row ids; a split sends each
+    class's ids left or right by the code of the split value."""
+    X = _ranked(X, y)
+    if not len(X.tp_rows) + len(X.fp_rows):
         raise ValidationError("cannot grow a tree on an empty sample")
-    X = _ranked(X)
-    codes = X.codes.take(X.rows, axis=1)  # this tree's rows, in order
     width = len(X.values)
     n_candidates = min(params.max_features_for(width), width)
 
-    def visit(item: tuple[np.ndarray, int]) -> tuple:
-        idx, depth = item
-        ys = y[idx]
-        n_tp = int(ys.sum())
-        n_fp = len(idx) - n_tp
+    def visit(item: tuple[np.ndarray, np.ndarray, int]) -> tuple:
+        tp_rows, fp_rows, depth = item
+        n_tp, n_fp = len(tp_rows), len(fp_rows)
         split = None
-        if depth < params.max_depth and n_tp and n_fp and len(idx) >= params.min_samples_split:
+        if depth < params.max_depth and n_tp and n_fp and n_tp + n_fp >= params.min_samples_split:
             candidates = rng.choice(width, size=n_candidates, replace=False)
-            split = best_split(Ranked(X.values, codes, idx), ys, candidates)
+            split = best_split(X._replace(tp_rows=tp_rows, fp_rows=fp_rows), None, candidates)
         if split is None:
             return n_tp, n_fp
         feat, threshold, _ = split
-        mask = (X.values[feat] <= threshold)[codes[feat].take(idx)]
-        left, right = idx[mask], idx[~mask]
-        assert len(left) and len(right), "split must partition the node"
-        return feat, threshold, (left, depth + 1), (right, depth + 1)
+        go_left, column = X.values[feat] <= threshold, X.codes[feat]
+        tp_left, tp_right = _split(tp_rows, go_left.take(column.take(tp_rows)))
+        fp_left, fp_right = _split(fp_rows, go_left.take(column.take(fp_rows)))
+        assert len(tp_left) + len(fp_left) and len(tp_right) + len(fp_right), \
+            "split must partition the node"
+        return feat, threshold, (tp_left, fp_left, depth + 1), (tp_right, fp_right, depth + 1)
 
-    return _preorder((np.arange(len(y)), 0), visit)
+    return _preorder((X.tp_rows, X.fp_rows, 0), visit)
 
 
 def _tree_rng(seed: int, tree_index: int) -> np.random.Generator:
@@ -282,24 +296,28 @@ def train_forest(
 ) -> Forest:
     """Train the bagged ensemble; deterministic given (data, params)."""
     params = params or ForestParams()
-    X, y = as_labeled_matrix(matrix, labels)
-    if X.shape[0] < 2:
+    ranked = _ranked(matrix, labels)
+    n_tp, n_fp = len(ranked.tp_rows), len(ranked.fp_rows)
+    if n_tp + n_fp < 2:
         raise ValidationError("training needs at least 2 samples")
-    if len(np.unique(y)) < 2:
+    if not (n_tp and n_fp):
         raise ValidationError("training needs both classes present")
 
-    width = X.shape[1]
+    width = len(ranked.values)
     if feature_names is None:
         feature_names = [f"f{j}" for j in range(width)]
     elif len(feature_names) != width:
         raise ValidationError(f"{len(feature_names)} names vs width {width}")
 
-    ranked = _ranked(X)
+    n = n_tp + n_fp
+    is_tp = np.zeros(n, dtype=bool)
+    is_tp[ranked.tp_rows] = True
     trees = []
     for i in range(params.n_estimators):
         rng = _tree_rng(params.seed, i)
-        bootstrap = rng.integers(0, len(y), size=len(y))
-        trees.append(grow_tree(ranked._replace(rows=bootstrap), y[bootstrap], params, rng))
+        bootstrap = rng.integers(0, n, size=n)
+        sample = Ranked(ranked.values, ranked.codes, *_split(bootstrap, is_tp.take(bootstrap)))
+        trees.append(grow_tree(sample, None, params, rng))
     return Forest(*_join(trees), params, list(feature_names))
 
 
@@ -412,6 +430,8 @@ def forest_from_dict(obj: dict) -> Forest:
     names, trees = obj.get("feature_names"), obj.get("trees")
     if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
         raise ValidationError("model feature_names must be a list of strings")
+    if not names:
+        raise ValidationError("model feature_names is empty: a model needs at least one feature")
     claim, profile = obj.get("profile"), _named_profile(names)
     if claim is not None and (profile is None or profile.value != claim):
         raise ValidationError(f"model profile {claim!r} does not name its {len(names)} features")

@@ -5,7 +5,11 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -549,12 +553,18 @@ def test_mixed_depths_score_as_the_walk_across_chunk_edges(monkeypatch):
             assert predict_proba_batch(forest, rows[:n]).tolist() == walked
 
 
-def test_saved_model_bytes_match_golden_digest():
-    # pins the RNG draw order, the split search and the format "1" bytes:
-    # the same seed must keep writing the same model
+def _golden_matrix():
+    """The 60 x 5 quarter-step matrix and labels of the golden-digest model."""
     rng = np.random.default_rng(31)
     X = np.round(rng.random((60, 5)) * 4) / 4
     y = (X[:, 0] + X[:, 2] + 0.5 * rng.random(60) > 1.2).astype(int)
+    return X, y
+
+
+def test_saved_model_bytes_match_golden_digest():
+    # pins the RNG draw order, the split search and the format "1" bytes:
+    # the same seed must keep writing the same model
+    X, y = _golden_matrix()
     buf = io.StringIO()
     save_forest(train_forest(X, y, ForestParams(n_estimators=6, seed=13)), buf)
     digest = hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest()
@@ -574,6 +584,132 @@ def test_saved_model_bytes_match_golden_digest_on_encoder_like_matrix():
     save_forest(train_forest(X, y, ForestParams(n_estimators=10, seed=5)), buf)
     digest = hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest()
     assert digest == "611713d2bf0ab3c6b4edc6335017de3c3e6d301de427f366e4814fd6663f07e7"
+
+
+def test_every_node_that_may_split_calls_best_split_through_the_module(monkeypatch):
+    # the benchmark's tracer counts forest.best_split_calls by rebinding the module global
+    calls = []
+    split = forest_mod.best_split
+    monkeypatch.setattr(forest_mod, "best_split", lambda *args: calls.append(1) or split(*args))
+    X, y = _golden_matrix()
+    forest = train_forest(X, y, ForestParams(n_estimators=6, seed=13))
+    assert (len(calls), len(forest.nodes.feature)) == (70, 140)
+
+
+def _reference_grow_tree(X, y, params, rng):
+    """Tree growth on one index array per node, reading y[idx] and splitting
+    by boolean masks: the grower that preceded rows held by class, kept as an
+    oracle. Recursive, so it also checks the preorder of the explicit stack."""
+    width = X.shape[1]
+    n_candidates = min(params.max_features_for(width), width)
+    rows = []  # [feature, threshold, left, right, n_tp, n_fp]
+
+    def add(idx, depth):
+        node = len(rows)
+        ys = y[idx]
+        n_tp = int(ys.sum())
+        n_fp = len(idx) - n_tp
+        split = None
+        if depth < params.max_depth and n_tp and n_fp and len(idx) >= params.min_samples_split:
+            candidates = rng.choice(width, size=n_candidates, replace=False)
+            split = best_split(X[idx], ys, candidates)
+        if split is None:
+            rows.append([-1, 0.0, node, node, n_tp, n_fp])
+            return node
+        feat, threshold, _ = split
+        mask = X[idx, feat] <= threshold
+        rows.append([feat, threshold, None, None, 0, 0])
+        rows[node][2:4] = add(idx[mask], depth + 1), add(idx[~mask], depth + 1)
+        return node
+
+    add(np.arange(len(y)), 0)
+    return forest_mod.Nodes(*(np.array(col) for col in zip(*rows)))
+
+
+def _continuous(rng):
+    X = rng.random((2000, 6))
+    y = ((X[:, 0] + X[:, 3] > 1.0) ^ (rng.random(2000) < 0.2)).astype(int)
+    return X, y
+
+
+def _encoder_like(rng):
+    levels = [2, 3, 5, 9, 17, 33]
+    base = np.column_stack([rng.integers(0, k, size=300) for k in levels]).astype(float)
+    base[rng.random(base.shape) < 0.15] = -1.0
+    X = base[rng.integers(0, 300, size=1500)]
+    y = ((X[:, 1] + X[:, 4] > 8) ^ (rng.random(1500) < 0.15)).astype(int)
+    return X, y
+
+
+@pytest.mark.parametrize("data, params", [
+    (_continuous, ForestParams()),
+    (_encoder_like, ForestParams()),
+    (_encoder_like, ForestParams(min_samples_split=5)),
+    (_continuous, ForestParams(max_depth=1)),
+    (_continuous, ForestParams(max_depth=12)),
+    (_encoder_like, ForestParams(max_depth=12, min_samples_split=5)),
+], ids=["continuous", "encoder-like", "min-split-5", "depth-1", "depth-12", "encoder-depth-12"])
+@pytest.mark.parametrize("bootstrap", [False, True], ids=["all-rows", "bootstrap"])
+def test_grow_tree_matches_the_index_array_reference(data, params, bootstrap):
+    X, y = data(np.random.default_rng(23))
+    if bootstrap:  # the reference gets the drawn rows; grow_tree gets their ids, repeats kept
+        boot = np.random.default_rng(29).integers(0, len(y), size=len(y))
+        expected = _reference_grow_tree(X[boot], y[boot], params, _rng(3))
+        drawn = forest_mod._ranked(X, y)._replace(
+            tp_rows=boot[y[boot] == 1], fp_rows=boot[y[boot] == 0])
+        got = grow_tree(drawn, None, params, _rng(3))
+    else:
+        expected = _reference_grow_tree(X, y, params, _rng(3))
+        got = grow_tree(X, y, params, _rng(3))
+    assert len(expected.feature) > 1
+    for name, want, have in zip(forest_mod.Nodes._fields, expected, got):
+        assert want.dtype == have.dtype and np.array_equal(want, have), name
+
+
+def _chain_model(depth: int) -> dict:
+    """A one-tree model whose splits nest `depth` deep, built bottom-up in a loop."""
+    node = {"tp": 2, "fp": 5}
+    for k in reversed(range(depth)):
+        leaf = {"tp": k % 3, "fp": 1 + k % 2}
+        node = {"feature": k % 2, "threshold": 0.5 * k / depth, "left": leaf, "right": node}
+    return {"version": MODEL_FORMAT_VERSION, "params": {}, "profile": None,
+            "feature_names": ["a", "b"], "trees": [node]}
+
+
+def test_model_nested_5000_deep_loads_and_scores_as_the_walk():
+    obj = _chain_model(5000)
+    forest = forest_from_dict(obj)
+    assert forest.descent.depth == 5000
+    rows = np.random.default_rng(4).random((40, 2)) * 0.6
+    rows[0] = 0.55  # goes right at every split, to the deepest leaf
+    _assert_batch_is_the_walk(forest, obj["trees"], rows)
+
+
+@pytest.mark.parametrize("depth", [900, 985, 1500, 5000])
+def test_predict_on_a_deeply_nested_model_never_prints_a_traceback(tmp_path, depth):
+    # a fresh interpreter, as a user runs it: json.loads reads about 1,000 levels, so a
+    # deeper file is invalid JSON; whatever it reads must load and score
+    split = '{"feature": 0, "threshold": 0.5, "left": {"tp": 1, "fp": 0}, "right": '
+    model, matrix, out = tmp_path / "model.json", tmp_path / "m.csv", tmp_path / "p.csv"
+    model.write_text('{"version": "1", "params": {}, "profile": null, "feature_names": ["a"], '
+                     '"trees": [' + split * depth + '{"tp": 0, "fp": 1}' + "}" * depth + "]}",
+                     encoding="utf-8")
+    matrix.write_text("a\n0.2\n0.7\n", encoding="utf-8")
+    src = str(Path(forest_mod.__file__).resolve().parents[1])
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "alert_sift.cli", "predict", "--in", str(matrix),
+         "--model", str(model), "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert "Traceback" not in proc.stderr
+    if proc.returncode == 0:
+        assert out.read_text(encoding="utf-8") == "row,proba,label\n0,1.0,1\n1,0.0,0\n"
+    else:
+        assert depth > 900 and proc.returncode == 1
+        assert proc.stderr.startswith("error: invalid JSON input") and proc.stderr.count("\n") == 1
+        assert not out.exists()
 
 
 def test_model_round_trip_is_lossless():

@@ -126,8 +126,10 @@ def test_label_only_matrix_is_refused_by_every_stage_and_writes_no_file(tmp_path
         "trees": [{"tp": 1, "fp": 1}],
     }), encoding="utf-8")
     out = tmp_path / "out"
+    err = _run(["train", "--model", str(out), "--in", str(matrix)], capsys)
+    assert err == "error: matrix must be 2-D with at least one column, got shape (4, 0)\n"
+    # the width-0 model is refused on load, before any matrix is read
     for argv in (
-        ["train", "--model", str(out)],
         ["explain", "--model", str(model), "--out", str(out)],
         ["explain", "--model", str(model), "--out", str(out), "--row", "0",
          "--attribution-out", str(tmp_path / "attribution.json")],
@@ -135,7 +137,7 @@ def test_label_only_matrix_is_refused_by_every_stage_and_writes_no_file(tmp_path
         ["evaluate", "--model", str(model), "--report", str(out)],
     ):
         err = _run(argv + ["--in", str(matrix)], capsys)
-        assert err == "error: matrix must be 2-D with at least one column, got shape (4, 0)\n"
+        assert err == "error: model feature_names is empty: a model needs at least one feature\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["labels.csv", "model.json"]
 
 
