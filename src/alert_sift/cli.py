@@ -50,7 +50,6 @@ from .evaluation import (
 )
 from .features import (
     FeatureProfile,
-    ScalingCaps,
     chi2_select,
     encode_alert,
     feature_names,
@@ -100,8 +99,17 @@ def _load_config(path: str | None) -> dict:
         return {}
     with open(path, encoding="utf-8") as fh:
         text = fh.read()  # outside the try: a UnicodeDecodeError is a ValueError too
+
+    def unique(pairs: list[tuple[str, object]]) -> dict:
+        obj: dict = {}
+        for key, value in pairs:
+            if key in obj:
+                raise AlertSiftError(f"config file {path} names key {key!r} twice")
+            obj[key] = value
+        return obj
+
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, object_pairs_hook=unique)
     except (ValueError, RecursionError) as exc:  # malformed, a long integer, deep nesting
         raise AlertSiftError(f"invalid JSON input: {exc}") from None
     if not isinstance(obj, dict):
@@ -318,7 +326,7 @@ def cmd_sample(opt: Namespace) -> str:
 
 def cmd_encode(opt: Namespace) -> str:
     profile = _profile(opt.profile)
-    caps = ScalingCaps()
+    caps = None  # encode_alert's default caps
     with _outputs({"--out": opt.out}) as (out,):
         if opt.caps:
             with open(opt.caps, encoding="utf-8") as fh:

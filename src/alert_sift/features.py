@@ -24,7 +24,8 @@ Every scaled entry is f(v) = round(min(v, cap) / cap, places) of one integer
 (the top 64 bits of an IPv6 address), and ``encode_alert`` reads it from a
 step table: the integers at which f changes, and its output at each.
 ``_steps`` builds every table (ports, HTTP status, addresses and the capped
-fields) from that one formula, once per cap value, and the tables are exact.
+fields) from that one formula, and the tables are exact. Each ``ScalingCaps``
+builds its four capped tables once, when it is made, so encoding builds none.
 
 The alert contract is ``ingest``'s: an alert that fails ``encode_alert``'s
 inline check, or whose address it cannot read, goes to ``ingest.refuse_alert``
@@ -136,7 +137,9 @@ def feature_names(profile: FeatureProfile) -> list[str]:
 class ScalingCaps:
     """Saturation caps for min-max scaled fields (config-exposed defaults).
 
-    Each cap is an integer in [1, 2**63 - 1].
+    Each cap is an integer in [1, 2**63 - 1]. ``tables``, built once when the
+    caps are made and not a field, holds the (thresholds, values) step tables
+    of the packet, byte, rule-sid and payload entries under these caps.
     """
 
     pkts_cap: int = 10_000
@@ -151,10 +154,12 @@ class ScalingCaps:
                 raise ValidationError(f"{name} must be >= 1")
             if cap > 2**63 - 1:  # the ranges _steps searches must fit a C ssize_t
                 raise ValidationError(f"{name} must be <= 2**63 - 1")
+        tables = (_steps(self.pkts_cap, 2), _steps(self.bytes_cap, 2),
+                  _steps(self.sid_max, 3), _steps(self.payload_cap, 3))
+        object.__setattr__(self, "tables", tables)
 
 
 _CAP_NAMES = [f.name for f in fields(ScalingCaps)]
-_DEFAULT_CAPS = ScalingCaps()
 
 
 def load_caps(source: Iterable[str]) -> ScalingCaps:
@@ -170,6 +175,8 @@ def load_caps(source: Iterable[str]) -> ScalingCaps:
             raise ValidationError(
                 f"caps line {line_no}: expected one of {sorted(_CAP_NAMES)}=value"
             )
+        if name in overrides:
+            raise ValidationError(f"caps line {line_no}: cap {name!r} listed twice")
         try:
             overrides[name] = int(value.strip())
         except ValueError:
@@ -223,26 +230,13 @@ def _steps(cap: int, places: int, lo: int = 0, hi: int | None = None):
 _IPV4_THRESHOLDS, _ADDRESS_GRID = _steps(2**32 - 1, 3)
 _PORT_AT, _PORTS = _steps(PORT_MAX, 2)
 _STATUS_AT, _STATUSES = _steps(1000, 3, lo=100, hi=599)
+_DEFAULT_CAPS = ScalingCaps()  # built at import, so no scored batch builds a table
 
 
 @lru_cache(maxsize=None)
 def _ipv6_thresholds() -> list[int]:
     """Built at the first IPv6 address: its search spans up to 2**12 integers a level."""
     return _steps(2**64 - 1, 3)[0]
-
-
-@lru_cache(maxsize=32)
-def _cap_steps(caps: ScalingCaps) -> tuple:
-    """(thresholds, values) of the packet, byte, rule-sid and payload entries under `caps`."""
-    return (
-        _steps(caps.pkts_cap, 2),
-        _steps(caps.bytes_cap, 2),
-        _steps(caps.sid_max, 3),
-        _steps(caps.payload_cap, 3),
-    )
-
-
-_DEFAULT_STEPS = _cap_steps(_DEFAULT_CAPS)
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
@@ -262,7 +256,8 @@ def encode_alert(
     """Assemble the full fixed-order vector for one alert.
 
     Each address is parsed once, for both its entries; every other scaled entry
-    is read from its step table. An alert that fails the inline check is
+    is read from its step table, the capped ones from caps' tables (the
+    default caps' when caps is None). An alert that fails the inline check is
     passed to ingest.refuse_alert, so it is refused with record_to_alert's
     error, or encoded when that passes it (an int subclass).
     """
@@ -287,8 +282,8 @@ def encode_alert(
         refuse_alert(alert)
         raise
     (pkts_at, pkts), (bytes_at, nbytes), (sid_at, sids), (payload_at, payloads) = (
-        _DEFAULT_STEPS if caps is None else _cap_steps(caps)
-    )
+        _DEFAULT_CAPS if caps is None else caps
+    ).tables
     grid = _ADDRESS_GRID
     return (
         src_private,
@@ -385,20 +380,16 @@ def chi2_select(matrix: np.ndarray, labels: Sequence[int], k: int) -> SelectionR
 def write_matrix_csv(
     stream: IO[str],
     matrix: np.ndarray,
-    labels: Sequence[int] | None,
+    labels: Sequence[int],
     names: Sequence[str],
 ) -> None:
-    """Export a feature matrix as CSV: named columns plus trailing label."""
-    X, labels = (as_matrix(matrix), None) if labels is None else as_labeled_matrix(matrix, labels)
+    """Export a labeled feature matrix as CSV: named columns plus trailing label."""
+    X, labels = as_labeled_matrix(matrix, labels)
     if X.shape[1] != len(names):
         raise ValidationError(f"{X.shape[1]} columns vs {len(names)} names")
-    header = list(names) + (["label"] if labels is not None else [])
-    stream.write(",".join(header) + "\n")
-    for i in range(X.shape[0]):
-        row = [repr(float(v)) for v in X[i]]
-        if labels is not None:
-            row.append(str(labels[i]))
-        stream.write(",".join(row) + "\n")
+    stream.write(",".join([*names, "label"]) + "\n")
+    for row, label in zip(X, labels):
+        stream.write(",".join([*(repr(float(v)) for v in row), str(label)]) + "\n")
 
 
 def read_matrix_csv(

@@ -171,11 +171,8 @@ class Ranked(NamedTuple):
     fp_rows: np.ndarray  # ids of the FP rows, likewise
 
 
-def _ranked(X: np.ndarray | Ranked, y: Sequence[int] | None) -> Ranked:
-    """Rank-code each column of a labeled matrix once, rows split by class;
-    a Ranked passes through, and y is not read."""
-    if isinstance(X, Ranked):
-        return X
+def _ranked(X: np.ndarray, y: Sequence[int]) -> Ranked:
+    """Rank-code each column of a labeled matrix once, rows split by class."""
     X, y = as_labeled_matrix(X, y)
     columns = [np.unique(column, return_inverse=True) for column in X.T]
     values = [distinct for distinct, _ in columns]
@@ -189,9 +186,7 @@ def _split(rows: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rows.compress(mask), rows.compress(~mask)
 
 
-def best_split(
-    X: np.ndarray | Ranked, y: Sequence[int] | None, candidate_features: Sequence[int]
-) -> tuple[int, float, float] | None:
+def best_split(rows: Ranked, candidate_features: Sequence[int]) -> tuple[int, float, float] | None:
     """Best (feature, threshold, Gini decrease) over the candidates, or None.
 
     Thresholds are midpoints between consecutive distinct values present
@@ -202,17 +197,16 @@ def best_split(
     (tp_r^2+fp_r^2)/n_r, a monotone transform of the Gini decrease with the
     parent fixed; exact integers settle candidates within float tolerance.
     """
-    X = _ranked(X, y)
-    total_tp, total_fp = len(X.tp_rows), len(X.fp_rows)
+    total_tp, total_fp = len(rows.tp_rows), len(rows.fp_rows)
     n = total_tp + total_fp
     parent_mass = total_tp * total_tp + total_fp * total_fp
     eps = _TIE_EPS * max(1.0, float(n))
 
     best: tuple[float, int, int, float, int] | None = None  # (score, N, D, threshold, feature)
     for feat in sorted(set(int(f) for f in candidate_features)):
-        column, size = X.codes[feat], len(X.values[feat])
-        tp_at = np.bincount(column.take(X.tp_rows), minlength=size)
-        n_at = np.bincount(column.take(X.fp_rows), minlength=size) + tp_at
+        column, size = rows.codes[feat], len(rows.values[feat])
+        tp_at = np.bincount(column.take(rows.tp_rows), minlength=size)
+        n_at = np.bincount(column.take(rows.fp_rows), minlength=size) + tp_at
         present = n_at.nonzero()[0]  # codes of the values present, ascending
         if present.size < 2:
             continue
@@ -231,7 +225,7 @@ def best_split(
             if pick is None or num * pick[1] > pick[0] * den:
                 pick = (num, den, int(i))
         num, den, i = pick
-        lo, hi = X.values[feat][present[i:i + 2]].tolist()  # floats: an overflow gives inf
+        lo, hi = rows.values[feat][present[i:i + 2]].tolist()  # floats: an overflow gives inf
         mid = (lo + hi) / 2.0
         threshold = mid if lo <= mid < hi else lo
         score = float(scores[i])
@@ -250,17 +244,14 @@ def best_split(
     return feat, threshold, float(decrease)
 
 
-def grow_tree(
-    X: np.ndarray | Ranked, y: Sequence[int] | None, params: ForestParams, rng: np.random.Generator
-) -> Nodes:
-    """Grow one depth-limited tree in preorder; candidate features draw from rng per node.
+def grow_tree(rows: Ranked, params: ForestParams, rng: np.random.Generator) -> Nodes:
+    """Grow one depth-limited tree on rows in preorder; candidate features draw from rng per node.
 
     Each node holds its TP row ids and its FP row ids; a split sends each
     class's ids left or right by the code of the split value."""
-    X = _ranked(X, y)
-    if not len(X.tp_rows) + len(X.fp_rows):
+    if not len(rows.tp_rows) + len(rows.fp_rows):
         raise ValidationError("cannot grow a tree on an empty sample")
-    width = len(X.values)
+    width = len(rows.values)
     n_candidates = min(params.max_features_for(width), width)
 
     def visit(item: tuple[np.ndarray, np.ndarray, int]) -> tuple:
@@ -269,18 +260,18 @@ def grow_tree(
         split = None
         if depth < params.max_depth and n_tp and n_fp and n_tp + n_fp >= params.min_samples_split:
             candidates = rng.choice(width, size=n_candidates, replace=False)
-            split = best_split(X._replace(tp_rows=tp_rows, fp_rows=fp_rows), None, candidates)
+            split = best_split(rows._replace(tp_rows=tp_rows, fp_rows=fp_rows), candidates)
         if split is None:
             return n_tp, n_fp
         feat, threshold, _ = split
-        go_left, column = X.values[feat] <= threshold, X.codes[feat]
+        go_left, column = rows.values[feat] <= threshold, rows.codes[feat]
         tp_left, tp_right = _split(tp_rows, go_left.take(column.take(tp_rows)))
         fp_left, fp_right = _split(fp_rows, go_left.take(column.take(fp_rows)))
         assert len(tp_left) + len(fp_left) and len(tp_right) + len(fp_right), \
             "split must partition the node"
         return feat, threshold, (tp_left, fp_left, depth + 1), (tp_right, fp_right, depth + 1)
 
-    return _preorder((X.tp_rows, X.fp_rows, 0), visit)
+    return _preorder((rows.tp_rows, rows.fp_rows, 0), visit)
 
 
 def _tree_rng(seed: int, tree_index: int) -> np.random.Generator:
@@ -317,7 +308,7 @@ def train_forest(
         rng = _tree_rng(params.seed, i)
         bootstrap = rng.integers(0, n, size=n)
         sample = Ranked(ranked.values, ranked.codes, *_split(bootstrap, is_tp.take(bootstrap)))
-        trees.append(grow_tree(sample, None, params, rng))
+        trees.append(grow_tree(sample, params, rng))
     return Forest(*_join(trees), params, list(feature_names))
 
 

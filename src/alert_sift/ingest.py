@@ -38,8 +38,10 @@ time, a blank line being a bad line like any other (``read_corpus``
 collects it). There is one writer, ``write_records``, and it is the one
 check of a label on output: it writes (alert, label or None) rows as they
 arrive, as the NDJSON lines ``json.dumps(record, sort_keys=True)`` of each
-alert's record in the default layout would give, from templates compiled
-from that layout.
+alert's record in the default layout would give. It fills one %-template per
+pattern of absent fields, and each template is ``json.dumps`` output itself:
+the record with a marker string for each present value, each quoted marker
+replaced by ``%s``.
 """
 
 from __future__ import annotations
@@ -406,36 +408,24 @@ def parse_labeled_record(text: str) -> LabeledAlert:
 def _template(absent: tuple[bool, ...]) -> tuple[str, Callable]:
     """The %-template of one pattern of absent fields, and a getter.
 
-    The template is the line ``json.dumps(record, sort_keys=True)`` gives in
-    the default layout, with a ``%s`` per value; the getter picks those
-    values, in template order, from the tuple of a RawAlert's JSON-encoded
+    The template is ``json.dumps(record, sort_keys=True)`` of the record in
+    the default layout whose present values are the marker strings
+    ``"\\0<index>"``, each quoted marker replaced by ``%s``; the getter picks
+    the values, in marker order, from the tuple of a RawAlert's JSON-encoded
     values and the label.
     """
     skip = {name for name, gone in zip(_ABSENT_KEYS, absent) if gone}
-    tree: dict = {}
+    record: dict = {}
     fields = (*_DEFAULT_READER.paths, ("label", (), "label"))
     for index, (field, parents, leaf) in enumerate(fields):
         if field not in skip:
-            node = tree
+            node = record
             for key in parents:
                 node = node.setdefault(key, {})
-            node[leaf] = index
-    order: list[int] = []
-
-    def emit(node: dict) -> str:
-        items = []
-        for key in sorted(node):
-            value = node[key]
-            if isinstance(value, dict):
-                text = emit(value)
-            else:
-                order.append(value)
-                text = "%s"
-            items.append(encode_basestring_ascii(key).replace("%", "%%") + ": " + text)
-        return "{" + ", ".join(items) + "}"
-
-    template = emit(tree) + "\n"
-    return template, itemgetter(*order)
+            node[leaf] = f"\0{index}"
+    # json.dumps writes a marker as "\u0000<index>": the split alternates text and index
+    parts = re.split(r'"\\u0000(\d+)"', json.dumps(record, sort_keys=True).replace("%", "%%"))
+    return "%s".join(parts[::2]) + "\n", itemgetter(*map(int, parts[1::2]))
 
 
 def write_records(
@@ -523,16 +513,14 @@ class Records:
             yield record
 
 
-def read_corpus(
-    source: Iterable[str], reader: Reader = _DEFAULT_READER
-) -> tuple[list[RawAlert], IngestReport]:
-    """Read newline-delimited records by reader; bad lines are counted, never fatal.
+def read_corpus(source: Iterable[str]) -> tuple[list[RawAlert], IngestReport]:
+    """Read newline-delimited records in the default layout; bad lines are counted, never fatal.
 
     Each line is parsed by parse_alert_record, through the parser's
     process-wide memos, which are bounded and hold only checked values.
     """
     rejected: list[tuple[int, str]] = []
-    records = Records(source, lambda text: parse_alert_record(text, reader), "corpus", rejected)
+    records = Records(source, parse_alert_record, "corpus", rejected)
     alerts = list(records)
     return alerts, IngestReport(records.count, len(rejected), rejected)
 

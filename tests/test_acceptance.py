@@ -24,6 +24,7 @@ from alert_sift.evaluation import cross_validate, kfold_split, workload_savings
 from alert_sift.features import FeatureProfile, chi2_select, encode_alert
 from alert_sift.forest import (
     ForestParams,
+    _ranked,
     best_split,
     forest_to_dict,
     predict_proba,
@@ -145,7 +146,7 @@ def test_criterion_3_split_oracle(capsys):
         else:
             X = np.round(rng.random((n, w)), 1)
         y = rng.integers(0, 2, size=n).astype(np.int64)
-        got = best_split(X, y, list(range(w)))
+        got = best_split(_ranked(X, y), list(range(w)))
         ref = _oracle_split(X, y, list(range(w)))
         if ref is None:
             ok = got is None

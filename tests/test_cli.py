@@ -172,6 +172,24 @@ def test_encode_refuses_a_cap_past_the_ceiling(chain, tmp_path, capsys, cap):
     assert not out.exists()
 
 
+def test_encode_refuses_a_cap_listed_twice(chain, tmp_path, capsys):
+    caps, out = tmp_path / "caps.txt", tmp_path / "out.csv"
+    caps.write_text("pkts_cap=5\npkts_cap=7\n", encoding="utf-8")
+    argv = ["encode", "--in", chain["sampled"], "--out", str(out), "--caps", str(caps)]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == "error: caps line 2: cap 'pkts_cap' listed twice\n"
+    assert not out.exists()
+
+
+def test_train_refuses_a_config_key_named_twice(chain, tmp_path, capsys):
+    config, model = tmp_path / "c.json", tmp_path / "model.json"
+    config.write_text('{"trees": 5, "trees": 7}\n', encoding="utf-8")
+    argv = ["train", "--config", str(config), "--in", chain["matrix"], "--model", str(model)]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == f"error: config file {config} names key 'trees' twice\n"
+    assert not model.exists()
+
+
 def test_train_takes_the_profile_from_the_feature_names(chain, tmp_path, capsys):
     full, reduced = tmp_path / "full29.csv", tmp_path / "reduced.csv"
     model, bad = tmp_path / "model.json", tmp_path / "bad_model.json"

@@ -505,7 +505,7 @@ def _cap_tables():
             ["pkts", "bytes", "sid", "payload"],
             [2, 2, 3, 3],
             [caps.pkts_cap, caps.bytes_cap, caps.sid_max, caps.payload_cap],
-            features._cap_steps(caps),
+            caps.tables,
         ):
             yield f"{name}@{cap}", _formula(cap, places), table, 3 * cap + 1
 
@@ -540,8 +540,21 @@ def test_step_tables_have_the_documented_levels():
     assert features._STATUS_AT == list(range(100, 600))
     assert len(features._ADDRESS_GRID) == 1001
     assert len(features._ipv6_thresholds()) == 1001
-    assert [len(t[0]) for t in features._cap_steps(ScalingCaps())] == [101, 101, 1001, 1001]
-    assert [len(t[0]) for t in features._cap_steps(ScalingCaps(3, 3, 3, 3))] == [4, 4, 4, 4]
+    assert [len(t[0]) for t in ScalingCaps().tables] == [101, 101, 1001, 1001]
+    assert [len(t[0]) for t in ScalingCaps(3, 3, 3, 3).tables] == [4, 4, 4, 4]
+
+
+def test_caps_build_their_tables_when_made(monkeypatch):
+    alert = parse_alert_record(make_line())
+    default, caps = ScalingCaps(), ScalingCaps(3, 30, 300, 3000)
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("encode_alert built a step table")
+
+    monkeypatch.setattr(features, "_steps", no_table)
+    for profile in FeatureProfile:
+        assert encode_alert(alert, profile) == oracle_encode(alert, profile, default)
+        assert encode_alert(alert, profile, caps) == oracle_encode(alert, profile, caps)
 
 
 def test_step_tables_match_the_helpers_over_cheap_domains():
@@ -553,7 +566,7 @@ def test_step_tables_match_the_helpers_over_cheap_domains():
     assert [_lookup(status_table, s) for s in range(100, 600)] == [
         round(s / 1000, 3) for s in range(100, 600)
     ]
-    pkts = features._cap_steps(ScalingCaps())[0]
+    pkts = ScalingCaps().tables[0]
     assert [_lookup(pkts, v) for v in range(10_002)] == [
         _scaled(v, 10_000, 2) for v in range(10_002)
     ]
@@ -683,7 +696,7 @@ def test_encode_alert_matches_ipaddress_oracle(
     # random integers almost never land on a table step: half the time, move
     # each scaled field to a step of its table, or one either side of it
     if data.draw(st.booleans(), label="at steps"):
-        pkts, nbytes, sids, payloads = features._cap_steps(caps or ScalingCaps())
+        pkts, nbytes, sids, payloads = (caps or ScalingCaps()).tables
         src_ip = _address_near_step(data, data.draw(st.sampled_from([4, 6])))
         dest_ip = _address_near_step(data, data.draw(st.sampled_from([4, 6])))
         src_port = _near_step(data, features._PORT_AT, 0, 65535)
@@ -733,6 +746,8 @@ def test_caps_file_overrides_and_validates():
     assert caps == ScalingCaps(pkts_cap=500, bytes_cap=2000)
     with pytest.raises(ValidationError):
         load_caps(["unknown=3"])
+    with pytest.raises(ValidationError, match="^caps line 3: cap 'pkts_cap' listed twice$"):
+        load_caps(["pkts_cap=5", "# note", "pkts_cap = 7"])
     with pytest.raises(ValidationError):
         load_caps(["pkts_cap=abc"])
     with pytest.raises(ValidationError):
@@ -843,9 +858,7 @@ def test_matrix_csv_round_trip():
 
 
 def test_matrix_csv_without_labels():
-    out = io.StringIO()
-    write_matrix_csv(out, np.array([[0.5, 1.0]]), None, ["a", "b"])
-    X, labels, names = read_matrix_csv(io.StringIO(out.getvalue()))
+    X, labels, names = read_matrix_csv(io.StringIO("a,b\n0.5,1.0\n"))
     assert labels is None
     assert names == ["a", "b"]
     assert X.tolist() == [[0.5, 1.0]]

@@ -19,10 +19,11 @@ from hypothesis import strategies as st
 from alert_sift import cli
 from alert_sift import forest as forest_mod
 from alert_sift.errors import ValidationError
-from alert_sift.features import FeatureProfile, feature_names, write_matrix_csv
+from alert_sift.features import FeatureProfile, feature_names
 from alert_sift.forest import (
     MODEL_FORMAT_VERSION,
     ForestParams,
+    _ranked,
     best_split,
     check_threshold,
     forest_from_dict,
@@ -75,7 +76,7 @@ def test_max_features_rule():
 def test_best_split_separable_feature_recovers_parent_gini():
     X = np.array([[5.0, 1.0, 0.0], [5.0, 2.0, 0.0], [5.0, 1.0, 1.0], [5.0, 2.0, 1.0]])
     y = np.array([0, 0, 1, 1])
-    feat, threshold, decrease = best_split(X, y, [0, 1, 2])
+    feat, threshold, decrease = best_split(_ranked(X, y), [0, 1, 2])
     assert feat == 2
     assert threshold == 0.5
     assert decrease == pytest.approx(0.5)
@@ -84,27 +85,27 @@ def test_best_split_separable_feature_recovers_parent_gini():
 def test_best_split_identical_samples_returns_none():
     X = np.ones((4, 2))
     y = np.array([0, 1, 0, 1])
-    assert best_split(X, y, [0, 1]) is None
+    assert best_split(_ranked(X, y), [0, 1]) is None
 
 
 def test_best_split_no_improving_split_returns_none():
     # XOR: every single split leaves both children at parent impurity
     X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
     y = np.array([0, 1, 1, 0])
-    assert best_split(X, y, [0, 1]) is None
+    assert best_split(_ranked(X, y), [0, 1]) is None
 
 
 def test_best_split_tie_prefers_lower_feature():
     X = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 0.0], [1.0, 1.0]])
     y = np.array([0, 1, 0, 1])
-    feat, _, _ = best_split(X, y, [1, 0])
+    feat, _, _ = best_split(_ranked(X, y), [1, 0])
     assert feat == 0
 
 
 def test_best_split_tie_prefers_lower_threshold():
     X = np.array([[0.0], [1.0], [2.0]])
     y = np.array([0, 1, 0])
-    _, threshold, _ = best_split(X, y, [0])
+    _, threshold, _ = best_split(_ranked(X, y), [0])
     assert threshold == 0.5
 
 
@@ -142,7 +143,7 @@ def test_best_split_six_sample_fixture_matches_brute_force():
         [[0.2, 3.0], [0.4, 1.0], [0.4, 2.0], [0.6, 1.0], [0.8, 3.0], [0.8, 2.0]]
     )
     y = np.array([0, 1, 0, 1, 1, 0])
-    got = best_split(X, y, [0, 1])
+    got = best_split(_ranked(X, y), [0, 1])
     ref = _oracle_split(X, y, [0, 1])
     assert got[0] == ref[1]
     assert got[1] == pytest.approx(ref[2])
@@ -156,7 +157,7 @@ def test_best_split_fuzz_matches_exact_oracle():
         w = int(rng.integers(1, 4))
         X = rng.integers(0, 4, size=(n, w)).astype(float)
         y = rng.integers(0, 2, size=n).astype(np.int64)
-        got = best_split(X, y, list(range(w)))
+        got = best_split(_ranked(X, y), list(range(w)))
         ref = _oracle_split(X, y, list(range(w)))
         if ref is None:
             assert got is None
@@ -184,7 +185,7 @@ def test_best_split_matches_exact_oracle_on_tied_negative_values(case):
     rows, candidates = case
     X = np.array([values for values, _ in rows], dtype=float) / 2
     y = np.array([label for _, label in rows], dtype=np.int64)
-    got = best_split(X, y, candidates)
+    got = best_split(_ranked(X, y), candidates)
     ref = _oracle_split(X, y, sorted(set(candidates)))
     if ref is None:
         assert got is None
@@ -199,10 +200,10 @@ def test_best_split_threshold_between_adjacent_doubles_partitions():
     assert (lo + hi) / 2.0 == hi  # the midpoint rounds onto the upper value
     X = np.array([[lo], [lo], [hi], [hi]])
     y = np.array([0, 0, 1, 1])
-    feat, threshold, decrease = best_split(X, y, [0])
+    feat, threshold, decrease = best_split(_ranked(X, y), [0])
     assert (feat, threshold) == (0, lo)
     assert decrease == pytest.approx(0.5)
-    tree = grow_tree(X, y, ForestParams(), _rng())
+    tree = grow_tree(_ranked(X, y), ForestParams(), _rng())
     assert tree.feature.tolist() == [0, -1, -1]
     assert (tree.n_tp[1:].tolist(), tree.n_fp[1:].tolist()) == ([0, 2], [2, 0])
 
@@ -210,7 +211,7 @@ def test_best_split_threshold_between_adjacent_doubles_partitions():
 def test_best_split_threshold_past_the_largest_double_is_the_lower_value():
     lo, hi = 1.6e308, 1.7e308  # their sum overflows
     X = np.array([[lo], [lo], [hi], [hi]])
-    feat, threshold, _ = best_split(X, np.array([0, 0, 1, 1]), [0])
+    feat, threshold, _ = best_split(_ranked(X, np.array([0, 0, 1, 1])), [0])
     assert (feat, threshold) == (0, lo)
 
 
@@ -228,7 +229,7 @@ def _depth(nodes, node=0):
 def test_grow_tree_pure_input_is_single_leaf():
     X = np.array([[0.0], [1.0], [2.0]])
     y = np.array([1, 1, 1])
-    tree = grow_tree(X, y, ForestParams(), _rng())
+    tree = grow_tree(_ranked(X, y), ForestParams(), _rng())
     assert tree.feature.tolist() == [-1]
     assert (tree.n_tp[0], tree.n_fp[0]) == (3, 0)
 
@@ -237,7 +238,7 @@ def test_grow_tree_depth_one_is_at_most_a_stump():
     rng = np.random.default_rng(5)
     X = rng.random((30, 3))
     y = rng.integers(0, 2, size=30)
-    tree = grow_tree(X, y, ForestParams(max_depth=1), _rng())
+    tree = grow_tree(_ranked(X, y), ForestParams(max_depth=1), _rng())
     assert _depth(tree) <= 1
 
 
@@ -253,7 +254,7 @@ def test_greedy_depth_two_fits_weighted_xor_with_all_features():
         t = int(ys.sum())
         if depth >= 2 or t == 0 or t == len(idx):
             return {"tp": t, "fp": len(idx) - t}
-        split = best_split(X[idx], ys, [0, 1])
+        split = best_split(_ranked(X[idx], ys), [0, 1])
         if split is None:
             return {"tp": t, "fp": len(idx) - t}
         feat, thr, _ = split
@@ -400,8 +401,8 @@ def _predict_stage(tmp_path, forest, rows, threshold: float = 0.5) -> list[int]:
     model, matrix, out = (tmp_path / name for name in ("model.json", "m.csv", "p.csv"))
     with open(model, "w", encoding="utf-8") as fh:
         save_forest(forest, fh)
-    with open(matrix, "w", encoding="utf-8") as fh:
-        write_matrix_csv(fh, np.asarray(rows, dtype=float), None, forest.feature_names)
+    lines = [forest.feature_names, *([repr(float(v)) for v in row] for row in rows)]
+    matrix.write_text("".join(",".join(line) + "\n" for line in lines), encoding="utf-8")
     argv = ["predict", "--in", str(matrix), "--model", str(model), "--out", str(out),
             "--threshold", repr(threshold)]
     assert cli.main(argv) == 0
@@ -612,7 +613,7 @@ def _reference_grow_tree(X, y, params, rng):
         split = None
         if depth < params.max_depth and n_tp and n_fp and len(idx) >= params.min_samples_split:
             candidates = rng.choice(width, size=n_candidates, replace=False)
-            split = best_split(X[idx], ys, candidates)
+            split = best_split(_ranked(X[idx], ys), candidates)
         if split is None:
             rows.append([-1, 0.0, node, node, n_tp, n_fp])
             return node
@@ -655,12 +656,11 @@ def test_grow_tree_matches_the_index_array_reference(data, params, bootstrap):
     if bootstrap:  # the reference gets the drawn rows; grow_tree gets their ids, repeats kept
         boot = np.random.default_rng(29).integers(0, len(y), size=len(y))
         expected = _reference_grow_tree(X[boot], y[boot], params, _rng(3))
-        drawn = forest_mod._ranked(X, y)._replace(
-            tp_rows=boot[y[boot] == 1], fp_rows=boot[y[boot] == 0])
-        got = grow_tree(drawn, None, params, _rng(3))
+        drawn = _ranked(X, y)._replace(tp_rows=boot[y[boot] == 1], fp_rows=boot[y[boot] == 0])
+        got = grow_tree(drawn, params, _rng(3))
     else:
         expected = _reference_grow_tree(X, y, params, _rng(3))
-        got = grow_tree(X, y, params, _rng(3))
+        got = grow_tree(_ranked(X, y), params, _rng(3))
     assert len(expected.feature) > 1
     for name, want, have in zip(forest_mod.Nodes._fields, expected, got):
         assert want.dtype == have.dtype and np.array_equal(want, have), name

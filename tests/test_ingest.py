@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import ipaddress
+import itertools
 import json
 from datetime import datetime, timedelta, timezone
 
@@ -718,6 +719,34 @@ def test_write_records_matches_json_dumps_byte_for_byte(records, nested, labeled
         if labeled:
             record = {**record, "label": labels[i]}
         expected.append(json.dumps(record, sort_keys=True) + "\n")
+    assert out.getvalue() == "".join(expected)
+
+
+# text that a %-template or a marker of the writer could mistake for its own
+_HOSTILE_TEXTS = ("100% %s", 'say "%(x)s" \\ now', "\x003 \x00", "na\u00efve \u2603 \U0001d11e", "%%s\u00003")
+
+
+def test_every_pattern_of_absent_fields_writes_json_dumps_bytes():
+    # write_records fills one template per pattern; the hypothesis test only samples them
+    description, class_type, rule_uuid, action, comment = _HOSTILE_TEXTS
+    alert = parse_alert_record(make_line())._replace(
+        rule_description=description, class_type=class_type, rule_uuid=rule_uuid, action=action)
+    present = {"http_status": 404, "pkts_to_server": 3, "pkts_to_client": 5,
+               "bytes_to_server": 700, "bytes_to_client": 2**40, "rev_comment": comment}
+    rows, expected = [], []
+    for i, absent in enumerate(itertools.product([False, True], repeat=len(present) + 1)):
+        gone = dict(zip(present, absent))
+        row = alert._replace(**{f: None if gone[f] else v for f, v in present.items()})
+        label = None if absent[-1] else i % 2
+        record = alert_to_record(row) | ({} if label is None else {"label": label})
+        out = io.StringIO()
+        write_records(out, [(row, label)])
+        assert out.getvalue() == json.dumps(record, sort_keys=True) + "\n", absent
+        rows.append((row, label))
+        expected.append(out.getvalue())
+    assert len(rows) == 2**7
+    out = io.StringIO()
+    write_records(out, rows)  # one write, every template held at once
     assert out.getvalue() == "".join(expected)
 
 
