@@ -1,12 +1,16 @@
-"""Command-line orchestrator for the alert-filtering pipeline.
+"""Command-line shell of the alert-filtering pipeline: the options and their
+config, _outputs, _read and one function per stage over the library modules.
 
 Subcommands chain through files: synth or ingest produces normalized
 NDJSON, label attaches 1/0 labels from rule comments, sample dedups and
 optionally splits by date, encode emits a feature-matrix CSV, and the
 model stages (select, train, evaluate, explain, predict) operate on that
-CSV plus a JSON model file. NDJSON streams in through ingest.Records, every
-file goes out through _outputs, which renames outputs only once all are written,
-and _read_matrix and _read_model refuse a matrix the stage or model cannot use.
+CSV plus a JSON model file. NDJSON streams in through ingest.Records and
+every other input file through _read; every file goes out through _outputs,
+which renames outputs only once all are written, and _read_matrix refuses a
+matrix the stage or model cannot use. Rule comments are one dict, {rule_uuid:
+comment}: a sidecar's from ingest.read_rule_comments, or the alerts' own from
+ingest.parse_embedded, which refuses a rule whose comments differ.
 
 _COMMANDS is the one place where flags and their defaults live: each
 subcommand's handler, its help line and one (name, flag, type, default,
@@ -37,17 +41,13 @@ import sys
 from argparse import Namespace
 from dataclasses import asdict
 from functools import partial
-from typing import Callable, Iterable, Iterator, TextIO
+from typing import Callable, Iterable, Iterator, TextIO, TypeVar
 
 import numpy as np
 
 from . import __version__
 from .errors import AlertSiftError
-from .evaluation import (
-    cross_validate,
-    evaluate_forest,
-    workload_savings,
-)
+from .evaluation import cross_validate, evaluate_forest, workload_savings
 from .features import (
     FeatureProfile,
     chi2_select,
@@ -72,18 +72,13 @@ from .ingest import (
     Records,
     load_field_map,
     parse_alert_record,
+    parse_embedded,
     parse_labeled_record,
     parse_timestamp,
     read_rule_comments,
     write_records,
 )
-from .labeling import (
-    KeywordConfig,
-    build_label_lists,
-    label_alerts,
-    load_keyword_config,
-    write_label_lists,
-)
+from .labeling import build_label_lists, label_alerts, load_keyword_config, write_label_lists
 from .sampling import SampleParams, dedup_sample, partition_by_period
 from .synth import (
     SynthSpec,
@@ -93,12 +88,21 @@ from .synth import (
     write_truth,
 )
 
+T = TypeVar("T")
+
+
+def _read(path: str | None, load: Callable[[TextIO], T]) -> T | None:
+    """load(fh) of the UTF-8 file at path, or None when no path is given."""
+    if path is None:
+        return None
+    with open(path, encoding="utf-8") as fh:
+        return load(fh)
+
 
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()  # outside the try: a UnicodeDecodeError is a ValueError too
+    text = _read(path, lambda fh: fh.read())  # outside the try: a decode error is a ValueError
 
     def unique(pairs: list[tuple[str, object]]) -> dict:
         obj: dict = {}
@@ -179,11 +183,6 @@ def _profile(name: str) -> FeatureProfile:
         raise AlertSiftError(f"unknown profile {name!r} (expected core20 or full29)") from None
 
 
-def _read_model(path: str) -> Forest:
-    with open(path, encoding="utf-8") as fh:
-        return load_forest(fh)
-
-
 def _read_matrix(
     path: str, labeled: bool = False, forest: Forest | None = None
 ) -> tuple[np.ndarray, np.ndarray | None, list[str]]:
@@ -192,8 +191,7 @@ def _read_matrix(
     If labeled, a matrix with no label column is refused; given a forest, so
     is one whose columns are not the model's features, in order.
     """
-    with open(path, encoding="utf-8") as fh:
-        X, labels, names = read_matrix_csv(fh)
+    X, labels, names = _read(path, read_matrix_csv)
     if labeled and labels is None:
         raise AlertSiftError(f"{path} has no label column; run encode on labeled input")
     expected = names if forest is None else forest.feature_names
@@ -229,15 +227,10 @@ def cmd_synth(opt: Namespace) -> str:
 
 
 def cmd_ingest(opt: Namespace) -> str:
-    parse = parse_alert_record
     with _outputs({"--out": opt.out}) as (out,):
-        if opt.field_map:
-            with open(opt.field_map, encoding="utf-8") as fh:
-                parse = partial(parse_alert_record, reader=load_field_map(fh))
-        comments = None
-        if opt.comments:
-            with open(opt.comments, encoding="utf-8") as fh:
-                comments = dict(read_rule_comments(fh))
+        reader = _read(opt.field_map or None, load_field_map)
+        parse = parse_alert_record if reader is None else partial(parse_alert_record, reader=reader)
+        comments = _read(opt.comments or None, read_rule_comments)
         rejected: list[tuple[int, str]] = []
         with open(opt.input, encoding="utf-8") as fh:
             alerts = Records(fh, parse, opt.input, rejected)
@@ -252,36 +245,17 @@ def cmd_ingest(opt: Namespace) -> str:
 
 def cmd_label(opt: Namespace) -> str:
     with _outputs({"--out": opt.out, "--lists": opt.lists or None}) as (out, lists):
-        cfg = KeywordConfig()
-        if opt.keywords:
-            with open(opt.keywords, encoding="utf-8") as fh:
-                cfg = load_keyword_config(fh)
-        rules = None
-        if opt.comments:
-            # the rules are known before the first alert, so the alerts stream through
-            with open(opt.comments, encoding="utf-8") as fh:
-                rules = read_rule_comments(fh)
-        # a rule's embedded comment may first appear on its last alert; two that differ leave
-        # its label undecided, as a sidecar listing it twice does: refused at the second
-        seen: dict[str, str] = {}
-
-        def embedded(text: str) -> RawAlert:
-            alert = parse_alert_record(text)
-            comment = alert.rev_comment
-            if comment and seen.setdefault(alert.rule_uuid, comment) != comment:
-                raise AlertSiftError(
-                    f"rule_uuid {alert.rule_uuid!r} has differing comments "
-                    f"{seen[alert.rule_uuid]!r} and {comment!r}"
-                )
-            return alert
-
+        cfg = _read(opt.keywords or None, load_keyword_config)
+        comments = _read(opt.comments or None, read_rule_comments)
         with open(opt.input, encoding="utf-8") as fh:
-            alerts = Records(fh, embedded if rules is None else parse_alert_record, opt.input)
-            stream: Iterable[RawAlert] = alerts
-            if rules is None:
-                stream = list(alerts)
-                rules = list(seen.items())
-            tp_list, fp_list = build_label_lists(rules, cfg)
+            if comments is None:  # each rule's embedded comment is known after the last alert
+                rules: dict[str, str] = {}
+                alerts = Records(fh, partial(parse_embedded, rules), opt.input)
+                stream: Iterable[RawAlert] = list(alerts)
+            else:  # the rules are known before the first alert, so the alerts stream through
+                rules = comments
+                stream = alerts = Records(fh, parse_alert_record, opt.input)
+            tp_list, fp_list = build_label_lists(rules.items(), cfg)
             written = [0, 0]  # rows written with label 0, with label 1
 
             def tally(rows: Iterator[tuple[RawAlert, int]]) -> Iterator[tuple[RawAlert, int]]:
@@ -291,7 +265,7 @@ def cmd_label(opt: Namespace) -> str:
 
             rows = tally(label_alerts(stream, tp_list, fp_list))
             # the sidecar comment of a rule is written onto its alerts, as ingest attaches it
-            write_records(out, rows, dict(rules) if opt.comments else None)
+            write_records(out, rows, comments)
         if lists:
             write_label_lists(tp_list, fp_list, lists)
     n_fp, n_tp = written
@@ -326,11 +300,8 @@ def cmd_sample(opt: Namespace) -> str:
 
 def cmd_encode(opt: Namespace) -> str:
     profile = _profile(opt.profile)
-    caps = None  # encode_alert's default caps
     with _outputs({"--out": opt.out}) as (out,):
-        if opt.caps:
-            with open(opt.caps, encoding="utf-8") as fh:
-                caps = load_caps(fh)
+        caps = _read(opt.caps or None, load_caps)  # None: encode_alert's default caps
         with open(opt.input, encoding="utf-8") as fh:
             labeled = list(Records(fh, parse_labeled_record, opt.input))
         # no labeled alerts give a header-only matrix
@@ -375,42 +346,31 @@ def cmd_evaluate(opt: Namespace) -> str:
     if opt.model is None and opt.kfold is None:
         raise AlertSiftError("evaluate needs --model, --kfold, or both")
     with _outputs({"--report": opt.report, "--summary": opt.summary or None}) as (out, summary):
-        forest = _read_model(opt.model) if opt.model else None
+        forest = _read(opt.model or None, load_forest)
         X, labels, _ = _read_matrix(opt.input, labeled=True, forest=forest)
-
         keys = ("confusion", "metrics", "savings_hours", "per_fold", "mean", "variance")
         report: dict = dict.fromkeys(keys)
+        rows: dict[str, float | None] = {}  # metric -> value, the --summary CSV's rows
         summary_bits = []
-        params = ForestParams(seed=opt.seed)
         if forest is not None:
-            params = forest.params
             cm, rep = evaluate_forest(forest, X, labels, opt.threshold)
             savings = workload_savings(cm.fp_as_fp, opt.minutes_per_alert)
-            report["confusion"] = asdict(cm)
-            report["metrics"] = asdict(rep)
-            report["savings_hours"] = savings
-            acc = "n/a" if rep.accuracy is None else f"{rep.accuracy:.3f}"
-            rec = "n/a" if rep.tp_recall is None else f"{rep.tp_recall:.3f}"
+            report.update(confusion=asdict(cm), metrics=asdict(rep), savings_hours=savings)
+            rows.update(report["metrics"], savings_hours=savings)
+            acc, rec = ("n/a" if v is None else f"{v:.3f}" for v in (rep.accuracy, rep.tp_recall))
             summary_bits.append(f"accuracy {acc}, tp_recall {rec}, savings {savings:.1f}h")
         if opt.kfold is not None:
+            params = ForestParams(seed=opt.seed) if forest is None else forest.params
             cv = cross_validate(X, labels, params, k=opt.kfold, threshold=opt.threshold)
-            report["per_fold"] = [asdict(r) for r in cv.reports]
-            report["mean"] = cv.mean_accuracy
-            report["variance"] = cv.accuracy_variance
-            summary_bits.append(
-                f"{opt.kfold}-fold mean {cv.mean_accuracy:.3f} var {cv.accuracy_variance:.5f}"
-            )
+            mean, variance = cv.mean_accuracy, cv.accuracy_variance
+            report.update(per_fold=[asdict(r) for r in cv.reports], mean=mean, variance=variance)
+            rows.update(kfold_mean_accuracy=mean, kfold_accuracy_variance=variance)
+            summary_bits.append(f"{opt.kfold}-fold mean {mean:.3f} var {variance:.5f}")
         out.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
         if summary:
             summary.write("metric,value\n")
-            if report["metrics"]:
-                for key, value in report["metrics"].items():
-                    summary.write(f"{key},{'' if value is None else repr(float(value))}\n")
-            if report["savings_hours"] is not None:
-                summary.write(f"savings_hours,{report['savings_hours']!r}\n")
-            if report["mean"] is not None:
-                summary.write(f"kfold_mean_accuracy,{report['mean']!r}\n")
-                summary.write(f"kfold_accuracy_variance,{report['variance']!r}\n")
+            for key, value in rows.items():
+                summary.write(f"{key},{'' if value is None else repr(float(value))}\n")
     return f"evaluate: {'; '.join(summary_bits)} -> {opt.report}"
 
 
@@ -419,7 +379,7 @@ def cmd_explain(opt: Namespace) -> str:
 
     attribution_path = opt.attribution_out if opt.row is not None else None
     with _outputs({"--out": opt.out, "--attribution-out": attribution_path}) as (out, row_out):
-        forest = _read_model(opt.model)
+        forest = _read(opt.model, load_forest)
         X, _, _ = _read_matrix(opt.input, forest=forest)
         if X.shape[0] == 0:
             raise AlertSiftError(f"{opt.input} has no rows to explain")
@@ -444,7 +404,7 @@ def cmd_explain(opt: Namespace) -> str:
 def cmd_predict(opt: Namespace) -> str:
     check_threshold(opt.threshold)
     with _outputs({"--out": opt.out}) as (out,):
-        forest = _read_model(opt.model)
+        forest = _read(opt.model, load_forest)
         X, _, _ = _read_matrix(opt.input, forest=forest)
         proba = predict_proba_batch(forest, X)
         preds = (proba >= opt.threshold).astype(int)

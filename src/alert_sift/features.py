@@ -133,13 +133,19 @@ def feature_names(profile: FeatureProfile) -> list[str]:
     return _CORE_NAMES + _EXTRA_NAMES
 
 
+def _is_int(value) -> bool:
+    """Whether value is an int and not a bool: the rule of every integer parameter."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ScalingCaps:
     """Saturation caps for min-max scaled fields (config-exposed defaults).
 
-    Each cap is an integer in [1, 2**63 - 1]. ``tables``, built once when the
-    caps are made and not a field, holds the (thresholds, values) step tables
-    of the packet, byte, rule-sid and payload entries under these caps.
+    Each cap is an integer in [1, 2**63 - 1]; any other value, a float, a
+    string or a bool included, is refused by name. ``tables``, built once when
+    the caps are made and not a field, holds the (thresholds, values) step
+    tables of the packet, byte, rule-sid and payload entries under these caps.
     """
 
     pkts_cap: int = 10_000
@@ -150,6 +156,8 @@ class ScalingCaps:
     def __post_init__(self):
         for name in _CAP_NAMES:
             cap = getattr(self, name)
+            if not _is_int(cap):
+                raise ValidationError(f"{name} must be an integer, got {cap!r}")
             if cap < 1:
                 raise ValidationError(f"{name} must be >= 1")
             if cap > 2**63 - 1:  # the ranges _steps searches must fit a C ssize_t

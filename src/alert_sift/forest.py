@@ -39,7 +39,13 @@ from typing import IO, NamedTuple, Sequence
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .features import FeatureProfile, as_labeled_matrix, as_matrix, feature_names as profile_names
+from .features import (
+    FeatureProfile,
+    _is_int,
+    as_labeled_matrix,
+    as_matrix,
+    feature_names as profile_names,
+)
 
 MODEL_FORMAT_VERSION = "1"
 
@@ -360,10 +366,6 @@ def _node_to_dict(nodes: Nodes, i: int) -> dict:
         "left": _node_to_dict(nodes, nodes.left[i]),
         "right": _node_to_dict(nodes, nodes.right[i]),
     }
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _node_from_dict(obj, width: int) -> tuple:

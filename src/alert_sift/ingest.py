@@ -8,7 +8,9 @@ paths is configurable via a field-map file of ``field=json.path`` lines.
 
 Analyst comments on the matched rule (``rev_comment``) may arrive embedded in
 each record or via a sidecar CSV with header ``rule_uuid,rev_comment``; both
-paths are supported.
+paths are supported. ``read_rule_comments`` reads a sidecar into a
+``{rule_uuid: comment}`` dict, and ``parse_embedded`` collects the embedded
+comments into one as it parses, refusing a rule whose comments differ.
 
 A RawAlert is an immutable NamedTuple; derive a changed copy with
 ``_replace``. A labeled row is a LabeledAlert NamedTuple ``(alert, label)``,
@@ -525,10 +527,11 @@ def read_corpus(source: Iterable[str]) -> tuple[list[RawAlert], IngestReport]:
     return alerts, IngestReport(records.count, len(rejected), rejected)
 
 
-def read_rule_comments(source: IO[str] | Iterator[str]) -> list[tuple[str, str]]:
+def read_rule_comments(source: IO[str] | Iterator[str]) -> dict[str, str]:
     """Read a rule-comment sidecar CSV with header ``rule_uuid,rev_comment``.
 
-    A rule_uuid listed twice is a ValidationError.
+    Returns ``{rule_uuid: rev_comment}`` in file order. A rule_uuid listed
+    twice is a ValidationError.
     """
     reader = csv.reader(source)
     try:
@@ -546,7 +549,26 @@ def read_rule_comments(source: IO[str] | Iterator[str]) -> list[tuple[str, str]]
         if row[0] in rules:
             raise ValidationError(f"duplicate rule_uuid {row[0]!r}")
         rules[row[0]] = row[1] if len(row) > 1 else ""
-    return list(rules.items())
+    return rules
+
+
+def parse_embedded(rules: dict[str, str], text: str) -> RawAlert:
+    """parse_alert_record of text, its embedded comment added to rules by rule_uuid.
+
+    A rule's embedded comment may first appear on its last alert, so rules is
+    complete only once every line is parsed. An empty or absent comment adds
+    nothing, and a repeat of a rule's comment is no conflict; a comment that
+    differs leaves the rule's label undecided, as a sidecar that lists the rule
+    twice does, and is a ValidationError.
+    """
+    alert = parse_alert_record(text)
+    comment = alert.rev_comment
+    if comment and rules.setdefault(alert.rule_uuid, comment) != comment:
+        raise ValidationError(
+            f"rule_uuid {alert.rule_uuid!r} has differing comments "
+            f"{rules[alert.rule_uuid]!r} and {comment!r}"
+        )
+    return alert
 
 
 def attach_comments(

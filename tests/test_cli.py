@@ -19,6 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import alert_sift
 from alert_sift import cli
 from alert_sift.errors import ValidationError
 from alert_sift.features import FeatureProfile, feature_names
@@ -283,6 +284,12 @@ def test_version_string(capsys):
         cli.main(["--version"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.strip() == "alert-sift 0.1.0 (model format 1)"
+
+
+def test_every_exported_name_resolves():
+    assert len(set(alert_sift.__all__)) == len(alert_sift.__all__)
+    for name in alert_sift.__all__:
+        assert getattr(alert_sift, name) is not None, name
 
 
 def test_config_file_supplies_defaults_and_flags_override(tmp_path):

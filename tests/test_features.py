@@ -242,6 +242,13 @@ def test_payload_scaling_refuses_a_cap_below_one(cap):
         load_caps([f"payload_cap={cap}"])
 
 
+@pytest.mark.parametrize("value", [1.5, 10_000.0, "5", True, False, None])
+def test_scaling_caps_refuse_a_cap_that_is_not_an_int(value):
+    with pytest.raises(ValidationError) as info:
+        ScalingCaps(pkts_cap=value)
+    assert str(info.value) == f"pkts_cap must be an integer, got {value!r}"
+
+
 def _flags(description: str, category: str, profile: FeatureProfile) -> dict[str, float]:
     """The keyword-flag entries of the fixture alert with this rule text, by name."""
     alert = parse_alert_record(make_line())._replace(rule_description=description,

@@ -24,6 +24,7 @@ from alert_sift.ingest import (
     ip_value,
     load_field_map,
     parse_alert_record,
+    parse_embedded,
     parse_timestamp,
     read_corpus,
     read_rule_comments,
@@ -321,8 +322,38 @@ def test_rule_comment_sidecar_reads_and_attaches():
     sidecar = io.StringIO("rule_uuid,rev_comment\nrule-aaa,Known benign scanner\n")
     comments = read_rule_comments(sidecar)
     alerts = [parse_alert_record(make_line())]
-    joined = attach_comments(alerts, comments)
+    joined = attach_comments(alerts, comments.items())
     assert joined[0].rev_comment == "Known benign scanner"
+
+
+def test_rule_comment_sidecar_reads_into_a_dict_in_file_order():
+    sidecar = io.StringIO("rule_uuid,rev_comment\nrule-ccc,alerted\n\nrule-aaa\nrule-bbb,a,b\n")
+    comments = read_rule_comments(sidecar)
+    assert type(comments) is dict
+    assert list(comments.items()) == [("rule-ccc", "alerted"), ("rule-aaa", ""), ("rule-bbb", "a")]
+
+
+def test_embedded_comment_is_added_to_its_rule():
+    rules: dict[str, str] = {}
+    alert = parse_embedded(rules, make_line(rev_comment="expected benign scanner"))
+    assert alert == parse_alert_record(make_line(rev_comment="expected benign scanner"))
+    assert rules == {"rule-aaa": "expected benign scanner"}
+    # a repeat of the comment, an empty one and none at all change nothing
+    for comment in ("expected benign scanner", "", None):
+        parse_embedded(rules, make_line(rev_comment=comment))
+    parse_embedded(rules, make_line(rule_uuid="rule-bbb", rev_comment="alerted"))
+    assert rules == {"rule-aaa": "expected benign scanner", "rule-bbb": "alerted"}
+
+
+def test_embedded_comment_that_differs_is_refused():
+    rules = {"rule-aaa": "alerted the client"}
+    with pytest.raises(ValidationError) as info:
+        parse_embedded(rules, make_line(rev_comment="expected benign scanner"))
+    assert str(info.value) == (
+        "rule_uuid 'rule-aaa' has differing comments "
+        "'alerted the client' and 'expected benign scanner'"
+    )
+    assert rules == {"rule-aaa": "alerted the client"}
 
 
 def test_sidecar_wins_over_embedded_comment():
