@@ -228,9 +228,9 @@ def cmd_synth(opt: Namespace) -> str:
 
 def cmd_ingest(opt: Namespace) -> str:
     with _outputs({"--out": opt.out}) as (out,):
-        reader = _read(opt.field_map or None, load_field_map)
+        reader = _read(opt.field_map, load_field_map)
         parse = parse_alert_record if reader is None else partial(parse_alert_record, reader=reader)
-        comments = _read(opt.comments or None, read_rule_comments)
+        comments = _read(opt.comments, read_rule_comments)
         rejected: list[tuple[int, str]] = []
         with open(opt.input, encoding="utf-8") as fh:
             alerts = Records(fh, parse, opt.input, rejected)
@@ -244,9 +244,9 @@ def cmd_ingest(opt: Namespace) -> str:
 
 
 def cmd_label(opt: Namespace) -> str:
-    with _outputs({"--out": opt.out, "--lists": opt.lists or None}) as (out, lists):
-        cfg = _read(opt.keywords or None, load_keyword_config)
-        comments = _read(opt.comments or None, read_rule_comments)
+    with _outputs({"--out": opt.out, "--lists": opt.lists}) as (out, lists):
+        cfg = _read(opt.keywords, load_keyword_config)
+        comments = _read(opt.comments, read_rule_comments)
         with open(opt.input, encoding="utf-8") as fh:
             if comments is None:  # each rule's embedded comment is known after the last alert
                 rules: dict[str, str] = {}
@@ -277,7 +277,7 @@ def cmd_label(opt: Namespace) -> str:
 
 def cmd_sample(opt: Namespace) -> str:
     params = SampleParams(stride=opt.stride, per_rule_cap=opt.per_rule_cap)
-    split = parse_timestamp(opt.split_date) if opt.split_date else None
+    split = None if opt.split_date is None else parse_timestamp(opt.split_date)
     paths = (
         {"--out": opt.out} if split is None
         else {"--train-out": opt.train_out, "--test-out": opt.test_out}
@@ -301,7 +301,7 @@ def cmd_sample(opt: Namespace) -> str:
 def cmd_encode(opt: Namespace) -> str:
     profile = _profile(opt.profile)
     with _outputs({"--out": opt.out}) as (out,):
-        caps = _read(opt.caps or None, load_caps)  # None: encode_alert's default caps
+        caps = _read(opt.caps, load_caps)  # None: encode_alert's default caps
         with open(opt.input, encoding="utf-8") as fh:
             labeled = list(Records(fh, parse_labeled_record, opt.input))
         # no labeled alerts give a header-only matrix
@@ -312,7 +312,7 @@ def cmd_encode(opt: Namespace) -> str:
 
 
 def cmd_select(opt: Namespace) -> str:
-    with _outputs({"--out": opt.out, "--matrix-out": opt.matrix_out or None}) as (out, matrix_out):
+    with _outputs({"--out": opt.out, "--matrix-out": opt.matrix_out}) as (out, matrix_out):
         X, labels, names = _read_matrix(opt.input, labeled=True)
         # missing-counter sentinels (-1.0) carry no frequency mass
         result = chi2_select(np.where(X < 0, 0.0, X), labels, opt.k)
@@ -345,8 +345,8 @@ def cmd_train(opt: Namespace) -> str:
 def cmd_evaluate(opt: Namespace) -> str:
     if opt.model is None and opt.kfold is None:
         raise AlertSiftError("evaluate needs --model, --kfold, or both")
-    with _outputs({"--report": opt.report, "--summary": opt.summary or None}) as (out, summary):
-        forest = _read(opt.model or None, load_forest)
+    with _outputs({"--report": opt.report, "--summary": opt.summary}) as (out, summary):
+        forest = _read(opt.model, load_forest)
         X, labels, _ = _read_matrix(opt.input, labeled=True, forest=forest)
         keys = ("confusion", "metrics", "savings_hours", "per_fold", "mean", "variance")
         report: dict = dict.fromkeys(keys)
@@ -540,9 +540,8 @@ def _convert(name: str, kind: Callable, value):
 def _resolve(command: str, args: Namespace, config: dict) -> Namespace:
     """Each option of command from its flag, else its config key, else its default.
 
-    A config value converts as if it were given to the flag. A config key
-    that names no option of any subcommand is refused, and so is a run
-    that leaves a required option unset.
+    A config value converts as the flag's text would; "" for an option whose default
+    is None is not given. An unknown config key or an unset required option is refused.
     """
     unknown = sorted(set(config) - _CONFIG_KEYS)
     if unknown:
@@ -553,6 +552,7 @@ def _resolve(command: str, args: Namespace, config: dict) -> Namespace:
         value = getattr(args, name)
         if value is None and name in config:
             value = _convert(name, kind, config[name])
+        value = None if value == "" and default is None else value
         if value is None and default is _REQUIRED:
             needed = " and ".join(row[1] for row in rows if row[3] is _REQUIRED)
             raise AlertSiftError(f"{command} needs {needed}")

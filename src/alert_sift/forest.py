@@ -419,7 +419,7 @@ def forest_from_dict(obj: dict) -> Forest:
     try:
         params = ForestParams(**obj["params"])
     except (KeyError, TypeError) as exc:
-        raise ValidationError(f"model params are missing or malformed: {exc}") from None
+        raise ValidationError(f"model params are missing or malformed: {exc!r}") from None
     names, trees = obj.get("feature_names"), obj.get("trees")
     if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
         raise ValidationError("model feature_names must be a list of strings")

@@ -10,6 +10,8 @@ import json
 import os
 import shutil
 import stat
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -286,6 +288,26 @@ def test_version_string(capsys):
     assert capsys.readouterr().out.strip() == "alert-sift 0.1.0 (model format 1)"
 
 
+def test_module_entry_point_exits_with_mains_code(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "alert_sift.cli", *argv], cwd=tmp_path,
+                              env=env, capture_output=True, text=True, check=False)
+
+    ok = run("synth", "--n-tp", "2", "--n-fp", "2", "--n-rules", "2", "--dup", "1")
+    assert (ok.returncode, ok.stderr) == (0, "")
+    assert ok.stdout == (
+        "synth: wrote 4 alerts over 2 rules to alerts.ndjson "
+        "(comments rule_comments.csv, truth ground_truth.csv)\n"
+    )
+    failed = run("label")
+    assert (failed.returncode, failed.stdout, failed.stderr) == (1, "", "error: label needs --in\n")
+    usage = run("label", "--bogus")
+    assert (usage.returncode, usage.stdout) == (2, "")
+    assert usage.stderr.endswith("alert-sift: error: unrecognized arguments: --bogus\n")
+
+
 def test_every_exported_name_resolves():
     assert len(set(alert_sift.__all__)) == len(alert_sift.__all__)
     for name in alert_sift.__all__:
@@ -456,6 +478,7 @@ _MODEL_MUTATIONS = {
     "no-trees": lambda m: m.update(trees=[]),
     "no-params": lambda m: m.pop("params"),
     "params-not-numbers": lambda m: m["params"].update(n_estimators="x"),
+    "params-key-with-newline": lambda m: m["params"].update({"\n": None}),
     "profile-unknown": lambda m: m.update(profile="bogus"),
     "profile-not-a-string": lambda m: m.update(profile=[1]),
     "profile-of-another-width": lambda m: m.update(profile="full29"),
@@ -893,6 +916,71 @@ def test_invalid_address_repeated_in_labeled_input_fails_on_its_first_line(tmp_p
         err = capsys.readouterr().err
         assert err == f"error: {bad} line 2: dst_ip is not a valid IP address: '10.0.0.300'\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.ndjson"]
+
+
+def _narrower_matrix(path: Path, chain: dict) -> Path:
+    """The chain's matrix without its first column: 19 features for a 20-feature model."""
+    with open(chain["matrix"], encoding="utf-8") as fh:
+        path.write_text("".join(line.split(",", 1)[1] for line in fh), encoding="utf-8")
+    return path
+
+
+def _written(path: Path, text: str) -> Path:
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+# each refusal: (argv, error text) from the inputs directory and the chain; no argv
+# names an output, so any output would land in the working directory as its default
+_REFUSALS = {
+    "sample-labeled-line-without-label": lambda d, chain: (
+        ["sample", "--in", str(_written(d / "a.ndjson", make_line() + "\n"))],
+        f"{d / 'a.ndjson'} line 1: missing label field",
+    ),
+    "encode-labeled-line-without-label": lambda d, chain: (
+        ["encode", "--in", str(_written(d / "a.ndjson", make_line() + "\n"))],
+        f"{d / 'a.ndjson'} line 1: missing label field",
+    ),
+    "empty-matrix": lambda d, chain: (
+        ["train", "--in", str(_written(d / "m.csv", ""))],
+        "matrix CSV is empty",
+    ),
+    "empty-rule-comments": lambda d, chain: (
+        ["label", "--in", chain["alerts"], "--comments", str(_written(d / "c.csv", ""))],
+        "rule-comment CSV is empty",
+    ),
+    "config-not-an-object": lambda d, chain: (
+        ["train", "--config", str(_written(d / "c.json", "[]")), "--in", chain["matrix"]],
+        f"config file {d / 'c.json'} must hold a JSON object",
+    ),
+    "config-value-with-nul": lambda d, chain: (
+        ["encode", "--config", str(_written(d / "c.json", '{"out": "m\\u0000.csv"}')),
+         "--in", chain["sampled"]],
+        "config key 'out' holds a NUL character",
+    ),
+    "model-not-an-object": lambda d, chain: (
+        ["predict", "--in", chain["matrix"], "--model", str(_written(d / "m.json", "[]"))],
+        "model file must hold a JSON object",
+    ),
+    "matrix-narrower-than-model": lambda d, chain: (
+        ["predict", "--in", str(_narrower_matrix(d / "m.csv", chain)), "--model", chain["model"]],
+        f"{d / 'm.csv'} has 19 features but the model expects 20",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REFUSALS))
+def test_refusal_exits_1_with_its_error_and_writes_nothing(
+    chain, tmp_path, monkeypatch, capsys, case
+):
+    inputs, work = tmp_path / "inputs", tmp_path / "work"
+    inputs.mkdir()
+    work.mkdir()
+    monkeypatch.chdir(work)
+    argv, error = _REFUSALS[case](inputs, chain)
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert not any(work.iterdir())
 
 
 @pytest.mark.parametrize("command", ["sample", "encode"])
@@ -1473,6 +1561,49 @@ def test_empty_optional_output_is_not_written(chain, tmp_path, monkeypatch, caps
         os.remove("out")
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["ingest"], "--field-map"),
+        (["ingest"], "--comments"),
+        (["label"], "--comments"),
+        (["label", "--comments", "{comments}"], "--keywords"),
+        (["sample", "--in", "{labeled}"], "--split-date"),
+        (["encode", "--in", "{sampled}"], "--caps"),
+        (["evaluate", "--in", "{matrix}", "--kfold", "2"], "--model"),
+    ],
+    ids=["ingest-field-map", "ingest-comments", "label-comments", "label-keywords",
+         "sample-split-date", "encode-caps", "evaluate-model"],
+)
+def test_empty_optional_input_is_not_read(chain, tmp_path, monkeypatch, capsys, argv, flag):
+    # by flag or by config key, "" runs as if the option were not given
+    monkeypatch.chdir(tmp_path)
+    argv = [arg.format(**chain) for arg in argv]
+    if "--in" not in argv:
+        argv += ["--in", chain["alerts"]]
+    Path("c.json").write_text(json.dumps({flag[2:].replace("-", "_"): ""}), encoding="utf-8")
+    runs = []
+    for extra in ([], [flag, ""], ["--config", "c.json"]):
+        run_ok(argv + extra)
+        written = sorted(set(os.listdir()) - {"c.json"})
+        runs.append((capsys.readouterr().out, {name: Path(name).read_bytes() for name in written}))
+        for name in written:
+            os.remove(name)
+    assert runs[0][1] and runs[1] == runs[0] and runs[2] == runs[0]
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_evaluate_with_an_empty_model_and_no_kfold_is_refused(chain, tmp_path, capsys, via):
+    report = tmp_path / "report.json"
+    config = tmp_path / "c.json"
+    config.write_text('{"model": ""}', encoding="utf-8")
+    given = ["--model", ""] if via == "flag" else ["--config", str(config)]
+    argv = ["evaluate", "--in", chain["matrix"], *given, "--report", str(report)]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == "error: evaluate needs --model, --kfold, or both\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+
 def _large_inputs(d, distinct: bool):
     raw, labeled = [], []
     for i in range(20_000):
@@ -1808,3 +1939,147 @@ def test_mutated_side_file_exits_with_error_never_a_traceback(chain, kind, data)
             assert code == 1
             assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
             assert not out.exists()
+
+
+_CI_SPLIT_DATE = "2025-05-07T00:00:00Z"
+
+
+@pytest.fixture(scope="module")
+def ci_chain(tmp_path_factory):
+    """The README chain on the 40/40/6/dup-4 corpus, as the installed-script check runs it.
+
+    synth, label and ingest with the sidecar, sample --stride 4 at the split
+    date (the default stride of 100 keeps one alert per rule of this corpus),
+    encode of both splits, train --trees 30 --seed 7 and evaluate --threshold 0.6.
+    """
+    d = tmp_path_factory.mktemp("ci_chain")
+    alerts, comments = str(d / "alerts.ndjson"), str(d / "rule_comments.csv")
+    run_ok(["synth", "--out", alerts, "--comments", comments, "--truth", str(d / "truth.csv"),
+            "--n-tp", "40", "--n-fp", "40", "--n-rules", "6", "--dup", "4"])
+    run_ok(["label", "--in", alerts, "--comments", comments, "--out", str(d / "labeled.ndjson")])
+    run_ok(["ingest", "--in", alerts, "--comments", comments, "--out", str(d / "ingested.ndjson")])
+    run_ok(["sample", "--in", str(d / "labeled.ndjson"), "--stride", "4",
+            "--split-date", _CI_SPLIT_DATE,
+            "--train-out", str(d / "train.ndjson"), "--test-out", str(d / "test.ndjson")])
+    for split in ("train", "test"):
+        run_ok(["encode", "--in", str(d / f"{split}.ndjson"), "--out", str(d / f"{split}.csv")])
+    run_ok(["train", "--in", str(d / "train.csv"), "--model", str(d / "model.json"),
+            "--trees", "30", "--seed", "7"])
+    run_ok(["evaluate", "--in", str(d / "test.csv"), "--model", str(d / "model.json"),
+            "--threshold", "0.6", "--report", str(d / "report.json")])
+    return d
+
+
+def test_field_map_that_lists_a_field_twice_leaves_no_output(ci_chain, tmp_path, capsys):
+    field_map = _written(tmp_path / "twice.map", "src_ip=net.src.addr\nsrc_ip=net.src\n")
+    argv = ["ingest", "--in", str(ci_chain / "alerts.ndjson"), "--field-map", str(field_map),
+            "--out", str(tmp_path / "ingested_twice.ndjson")]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == "error: field-map line 2: field 'src_ip' listed twice\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["twice.map"]
+
+
+def test_junk_line_is_counted_and_the_other_lines_give_the_clean_bytes(ci_chain, tmp_path, capsys):
+    junk = tmp_path / "alerts_junk.ndjson"
+    junk.write_bytes((ci_chain / "alerts.ndjson").read_bytes() + b"not json\n")
+    out = tmp_path / "ingested_junk.ndjson"
+    run_ok(["ingest", "--in", str(junk), "--comments", str(ci_chain / "rule_comments.csv"),
+            "--out", str(out)])
+    assert capsys.readouterr().out == f"ingest: accepted 320, rejected 1 -> {out}\n"
+    assert out.read_bytes() == (ci_chain / "ingested.ndjson").read_bytes()
+
+
+def test_caps_file_that_lists_the_defaults_writes_the_default_bytes(ci_chain, tmp_path):
+    caps = _written(tmp_path / "default_caps.txt",
+                    "pkts_cap=10000\nbytes_cap=1000000\npayload_cap=65535\nsid_max=10000000\n")
+    out = tmp_path / "train_default_caps.csv"
+    run_ok(["encode", "--in", str(ci_chain / "train.ndjson"), "--out", str(out),
+            "--caps", str(caps)])
+    assert out.read_bytes() == (ci_chain / "train.csv").read_bytes()
+
+
+@pytest.mark.parametrize("option, width", [("odd-caps", 20), ("full29", 29)])
+def test_odd_caps_and_full29_encode_every_row(ci_chain, tmp_path, capsys, option, width):
+    if option == "odd-caps":
+        caps = _written(tmp_path / "odd_caps.txt",
+                        "pkts_cap=7\nbytes_cap=7919\npayload_cap=3\nsid_max=999983\n")
+        extra = ["--caps", str(caps)]
+    else:
+        extra = ["--profile", "full29"]
+    out = tmp_path / "train.csv"
+    run_ok(["encode", "--in", str(ci_chain / "train.ndjson"), "--out", str(out), *extra])
+    assert capsys.readouterr().out == f"encode: 47 rows x {width} features -> {out}\n"
+    assert out.read_bytes() != (ci_chain / "train.csv").read_bytes()
+
+
+def test_one_config_file_gives_the_flags_model_and_report_bytes(ci_chain, tmp_path):
+    report, model = tmp_path / "report_config.json", tmp_path / "model_config.json"
+    config = _written(tmp_path / "pipeline.json", json.dumps(
+        {"trees": 30, "seed": 7, "threshold": 0.6, "report": str(report)}
+    ))
+    run_ok(["train", "--config", str(config), "--in", str(ci_chain / "train.csv"),
+            "--model", str(model)])
+    run_ok(["evaluate", "--config", str(config), "--in", str(ci_chain / "test.csv"),
+            "--model", str(model)])
+    assert model.read_bytes() == (ci_chain / "model.json").read_bytes()
+    assert report.read_bytes() == (ci_chain / "report.json").read_bytes()
+
+
+def test_model_of_a_chi2_selected_matrix_names_no_profile(ci_chain, tmp_path):
+    top10, model = tmp_path / "train_top10.csv", tmp_path / "model_top10.json"
+    run_ok(["select", "--in", str(ci_chain / "train.csv"), "--k", "10",
+            "--out", str(tmp_path / "selection.json"), "--matrix-out", str(top10)])
+    run_ok(["train", "--in", str(top10), "--model", str(model), "--trees", "30", "--seed", "7"])
+    run_ok(["explain", "--in", str(top10), "--model", str(model), "--row", "0",
+            "--out", str(tmp_path / "importance.csv"),
+            "--attribution-out", str(tmp_path / "attribution.json")])
+    profiles = [json.loads(path.read_text(encoding="utf-8"))["profile"]
+                for path in (model, ci_chain / "model.json")]
+    assert profiles == [None, "core20"]
+
+
+def test_evaluate_kfold_5_of_the_train_split(ci_chain, tmp_path):
+    report = tmp_path / "report_kfold.json"
+    run_ok(["evaluate", "--in", str(ci_chain / "train.csv"), "--kfold", "5",
+            "--report", str(report)])
+    data = json.loads(report.read_text(encoding="utf-8"))
+    assert len(data["per_fold"]) == 5 and data["confusion"] is None
+    assert data["mean"] == pytest.approx(sum(fold["accuracy"] for fold in data["per_fold"]) / 5)
+
+
+@pytest.mark.parametrize("depth", [1, 12])
+def test_stumps_and_deep_trees_train_predict_and_evaluate(ci_chain, tmp_path, depth):
+    # a model scores to its own deepest leaf, below or past the default depth of 6
+    model, test = tmp_path / "model.json", str(ci_chain / "test.csv")
+    predictions, report = tmp_path / "predictions.csv", tmp_path / "report.json"
+    run_ok(["train", "--in", str(ci_chain / "train.csv"), "--model", str(model),
+            "--trees", "30", "--depth", str(depth)])
+    run_ok(["predict", "--in", test, "--model", str(model), "--out", str(predictions)])
+    run_ok(["evaluate", "--in", test, "--model", str(model), "--report", str(report)])
+    assert sum(json.loads(report.read_text(encoding="utf-8"))["confusion"].values()) == 11
+    trees = json.loads(model.read_text(encoding="utf-8"))["trees"]
+    with open(test, encoding="utf-8") as fh:
+        rows = [[float(cell) for cell in line.split(",")[:-1]] for line in list(fh)[1:]]
+    with open(predictions, encoding="utf-8") as fh:
+        scored = [float(line.split(",")[1]) for line in list(fh)[1:]]
+    expected = [sum(_leaf_fraction(tree, row) for tree in trees) / len(trees) for row in rows]
+    assert scored == pytest.approx(expected)
+
+
+def _leaf_fraction(node: dict, row: list[float]) -> float:
+    """The TP fraction of the leaf a row reaches in one model-file tree."""
+    while "feature" in node:
+        node = node["left"] if row[node["feature"]] <= node["threshold"] else node["right"]
+    return node["tp"] / (node["tp"] + node["fp"])
+
+
+def test_default_stride_writes_a_header_only_test_matrix(ci_chain, tmp_path):
+    # the default --stride 100 keeps one alert per rule, all before the split date
+    train, test = tmp_path / "train.ndjson", tmp_path / "test.ndjson"
+    run_ok(["sample", "--in", str(ci_chain / "labeled.ndjson"), "--split-date", _CI_SPLIT_DATE,
+            "--train-out", str(train), "--test-out", str(test)])
+    assert test.read_bytes() == b""
+    for split in (train, test):
+        run_ok(["encode", "--in", str(split), "--out", str(split.with_suffix(".csv"))])
+    header = (tmp_path / "train.csv").read_text(encoding="utf-8").splitlines(keepends=True)[0]
+    assert (tmp_path / "test.csv").read_text(encoding="utf-8") == header
