@@ -27,9 +27,7 @@ step table: the integers at which f changes, and its output at each.
 fields) from that one formula, and the tables are exact. Each ``ScalingCaps``
 builds its four capped tables once, when it is made, so encoding builds none.
 
-The alert contract is ``ingest``'s: an alert that fails ``encode_alert``'s
-inline check, or whose address it cannot read, goes to ``ingest.refuse_alert``
-and is refused with the error ``record_to_alert`` gives for it.
+``encode_alert`` tests no field of its alert: a RawAlert is checked where it is made.
 """
 
 from __future__ import annotations
@@ -45,7 +43,7 @@ from typing import IO, Iterable, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .ingest import _MEMO_SIZE, RawAlert, ip_value, refuse_alert
+from .ingest import _MEMO_SIZE, RawAlert, ip_value
 
 PORT_MAX = 65535
 
@@ -265,30 +263,16 @@ def encode_alert(
 
     Each address is parsed once, for both its entries; every other scaled entry
     is read from its step table, the capped ones from caps' tables (the
-    default caps' when caps is None). An alert that fails the inline check is
-    passed to ingest.refuse_alert, so it is refused with record_to_alert's
-    error, or encoded when that passes it (an int subclass).
+    default caps' when caps is None). A RawAlert is checked where it is made,
+    so no field is tested here; any other value, a plain tuple too, is refused.
     """
+    if not isinstance(alert, RawAlert):
+        raise ValidationError(f"alert must be a RawAlert, got {type(alert).__name__}")
     (src_ip, dst_ip, sport, dport, sid, description, class_type, _, _, _,
      payload, status, pkts_ts, pkts_tc, bytes_ts, bytes_tc, _) = alert
-    if not (
-        type(sport) is type(dport) is type(sid) is type(payload) is int
-        and type(description) is type(class_type) is str
-        and 0 <= sport <= PORT_MAX and 0 <= dport <= PORT_MAX and sid >= 0 and payload >= 0
-        and (status is None or type(status) is int and 100 <= status <= 599)
-        and (pkts_ts is None or type(pkts_ts) is int and pkts_ts >= 0)
-        and (pkts_tc is None or type(pkts_tc) is int and pkts_tc >= 0)
-        and (bytes_ts is None or type(bytes_ts) is int and bytes_ts >= 0)
-        and (bytes_tc is None or type(bytes_tc) is int and bytes_tc >= 0)
-    ):
-        refuse_alert(alert)
-    try:
-        src_private, ks = _address(src_ip)
-        dst_private, kd = _address(dst_ip)
-        flags = _keyword_flags(description, class_type, profile)
-    except (AttributeError, TypeError, ValueError):
-        refuse_alert(alert)
-        raise
+    src_private, ks = _address(src_ip)
+    dst_private, kd = _address(dst_ip)
+    flags = _keyword_flags(description, class_type, profile)
     (pkts_at, pkts), (bytes_at, nbytes), (sid_at, sids), (payload_at, payloads) = (
         _DEFAULT_CAPS if caps is None else caps
     ).tables

@@ -258,7 +258,7 @@ def grow_tree(rows: Ranked, params: ForestParams, rng: np.random.Generator) -> N
     if not len(rows.tp_rows) + len(rows.fp_rows):
         raise ValidationError("cannot grow a tree on an empty sample")
     width = len(rows.values)
-    n_candidates = min(params.max_features_for(width), width)
+    n_candidates = params.max_features_for(width)
 
     def visit(item: tuple[np.ndarray, np.ndarray, int]) -> tuple:
         tp_rows, fp_rows, depth = item

@@ -12,28 +12,27 @@ paths are supported. ``read_rule_comments`` reads a sidecar into a
 ``{rule_uuid: comment}`` dict, and ``parse_embedded`` collects the embedded
 comments into one as it parses, refusing a rule whose comments differ.
 
-A RawAlert is an immutable NamedTuple; derive a changed copy with
-``_replace``. A labeled row is a LabeledAlert NamedTuple ``(alert, label)``,
-unchecked as any pair is. Parsing is two steps, ``decode_record`` (line to
-dict) and ``record_to_alert`` (dict to validated RawAlert, in one pass over
-the fields); ``parse_alert_record`` is the two in a row, and
-``parse_labeled_record`` takes the label from the same dict, so no line is
-decoded twice. ``load_field_map`` compiles a field map once, into one
-function that reads a record's values with one ``.get`` each, with no loop
-over fields; given none, the parsers read the default layout. The parser
-remembers, process-wide, the addresses and timestamp strings (with their
-parsed datetimes) that passed its checks. Only checked values enter, so a
-memo saves work but never changes a result or an error text, and each is
-emptied when it reaches ``_MEMO_SIZE`` entries, so distinct values hold a
-bounded set. Addresses are read by ``ip_value``: a plain dotted quad by one
-compiled pattern, anything else by ``ipaddress``, so both accept the same
-strings and give the same number.
+A RawAlert is an immutable NamedTuple checked however it is made, so no code
+that takes one checks its fields. A labeled row is a LabeledAlert NamedTuple
+``(alert, label)``, unchecked as any pair is. Parsing is two steps,
+``decode_record`` (line to dict) and ``record_to_alert`` (dict to validated
+RawAlert, in one pass over the fields); ``parse_alert_record`` is the two in a
+row, and ``parse_labeled_record`` takes the label from the same dict, so no
+line is decoded twice. ``load_field_map`` compiles a field map once, into one
+function that reads a record's values with one ``.get`` each, with no loop over
+fields; given none, the parsers read the default layout. The parser remembers,
+process-wide, the addresses and timestamp strings (with their parsed datetimes)
+that passed its checks. Only checked values enter, so a memo saves work but
+never changes a result or an error text, and each is emptied when it reaches
+``_MEMO_SIZE`` entries, so distinct values hold a bounded set. Addresses are
+read by ``ip_value``: a plain dotted quad by one compiled pattern, anything
+else by ``ipaddress``, so both read the same strings to the same number.
 
 ``refuse_alert`` states the alert contract once: walking the fields in
 RawAlert order with one table of integer ranges (``_INT_RANGES``), it raises
-the error of the first field at fault. ``record_to_alert`` and
-``features.encode_alert`` each check the contract inline first and call it
-only when that check fails; a new dotted quad needs its pattern alone.
+the error of the first field at fault. A RawAlert runs it where it is made;
+``record_to_alert`` checks inline first, calls it only when that check fails,
+and makes its alert unchecked; a new dotted quad needs its pattern alone.
 
 There is one NDJSON reader, ``Records``: it parses a stream a line at a
 time, a blank line being a bad line like any other (``read_corpus``
@@ -95,12 +94,10 @@ _REQUIRED_FIELDS = (
 # Entries a memo of distinct values holds before it is emptied; a corpus
 # repeats a few thousand addresses, timestamps and rule texts, so repeats still hit.
 _MEMO_SIZE = 2**12
-_new = tuple.__new__  # a RawAlert or LabeledAlert without its Python-level __new__
+_new = tuple.__new__  # a RawAlert or LabeledAlert of checked values, skipping its __new__
 
 
-class RawAlert(NamedTuple):
-    """One parsed IDS alert record; immutable, so derive a changed copy with ``_replace``."""
-
+class _Fields(NamedTuple):
     src_ip: str
     dst_ip: str
     src_port: int
@@ -118,6 +115,22 @@ class RawAlert(NamedTuple):
     bytes_to_server: int | None = None
     bytes_to_client: int | None = None
     rev_comment: str | None = None
+
+
+class RawAlert(_Fields):
+    """One IDS alert, checked by ``refuse_alert`` however it is made; copy it by ``_replace``."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        return refuse_alert(super().__new__(cls, *args, **kwargs))
+
+    @classmethod
+    def _make(cls, iterable) -> RawAlert:  # _replace's constructor too
+        return refuse_alert(super()._make(iterable))
+
+    def __reduce__(self):  # every pickle protocol, and copy, rebuild through __new__
+        return type(self), tuple(self)
 
 
 # The RawAlert fields that may be None, in field order: those whose default is None.
@@ -278,14 +291,17 @@ def _validate_ip(name: str, value: str) -> None:
         raise ValidationError(f"{name} is not a valid IP address: {value!r}") from None
 
 
-def refuse_alert(values: Iterable) -> None:
+def refuse_alert(values: Iterable) -> Iterable:
     """Raise the ValidationError of the first field, in RawAlert order, that an alert may not hold.
 
     `values` is a RawAlert, or a record's fields with absent texts and payload
     length defaulted and the timestamp as text. Only ``_OPTIONAL`` fields may
     be None; an address is a string ``ip_value`` reads, an integer field a
     non-bool int within ``_INT_RANGES`` (a subclass passes), other text a str.
+    A RawAlert's timestamp is a timezone-aware datetime, a record's a string
+    ``parse_timestamp`` reads. Returns values when no field is at fault.
     """
+    made = isinstance(values, RawAlert)
     for name, value in zip(RawAlert._fields, values):
         if value is None and name in _OPTIONAL:
             continue
@@ -297,12 +313,15 @@ def refuse_alert(values: Iterable) -> None:
                 bound = f">= {lo}" if hi is None else f"in {lo}..{hi}"
                 raise ValidationError(f"{name} out of range: {value} (expected {bound})")
         elif name == "timestamp":
-            if not isinstance(value, datetime):
+            if not made:
                 parse_timestamp(value)
+            elif not isinstance(value, datetime) or value.tzinfo is None:
+                raise ValidationError(f"timestamp must be a timezone-aware datetime, got {value!r}")
         elif name in ("src_ip", "dst_ip") and isinstance(value, str):
             _validate_ip(name, value)
         elif type(value) is not str:
             raise ValidationError(f"{name} must be a string, got {value!r}")
+    return values
 
 
 def decode_record(line: str) -> dict:

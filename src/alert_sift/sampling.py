@@ -13,6 +13,7 @@ from datetime import datetime
 from typing import Iterable
 
 from .errors import ValidationError
+from .features import _is_int
 from .ingest import LabeledAlert
 
 
@@ -22,10 +23,11 @@ class SampleParams:
     per_rule_cap: int = 10
 
     def __post_init__(self):
-        if self.stride < 1:
-            raise ValidationError(f"stride must be >= 1, got {self.stride}")
-        if self.per_rule_cap < 1:
-            raise ValidationError(f"per_rule_cap must be >= 1, got {self.per_rule_cap}")
+        for name, value in vars(self).items():
+            if not _is_int(value):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
+                raise ValidationError(f"{name} must be >= 1, got {value}")
 
 
 def dedup_sample(

@@ -24,6 +24,7 @@ from datetime import datetime, timedelta, timezone
 from typing import IO
 
 from .errors import ValidationError
+from .features import _is_int
 
 _WINDOW_START = datetime(2025, 1, 1, tzinfo=timezone.utc)
 _WINDOW_DAYS = 180
@@ -102,10 +103,15 @@ class SynthSpec:
     seed: int = 42
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if name != "signal_strength" and not _is_int(value):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
         if self.n_tp < 0 or self.n_fp < 0:
             raise ValidationError("alert counts must be >= 0")
         if self.n_rules < 1:
             raise ValidationError("n_rules must be >= 1")
+        if self.n_rules < 2 and self.n_tp > 0 and self.n_fp > 0:
+            raise ValidationError("n_rules must be >= 2 when both classes have alerts")
         if self.duplication_factor < 1:
             raise ValidationError("duplication_factor must be >= 1")
         if not 0.0 <= self.signal_strength <= 1.0:
@@ -141,8 +147,8 @@ def _volume(rng: random.Random, own, other, strength: float) -> tuple[int, int, 
 def _rule_table(spec: SynthSpec, rng: random.Random) -> tuple[list[dict], list[dict]]:
     """Rules with uuid, sid, and a class-consistent analyst comment."""
     if spec.n_tp > 0 and spec.n_fp > 0:
-        n_tp_rules = max(1, spec.n_rules // 2)
-        n_fp_rules = max(1, spec.n_rules - n_tp_rules)
+        n_tp_rules = spec.n_rules // 2
+        n_fp_rules = spec.n_rules - n_tp_rules
     elif spec.n_tp > 0:
         n_tp_rules, n_fp_rules = spec.n_rules, 0
     else:
@@ -171,8 +177,6 @@ def generate_corpus(spec: SynthSpec) -> SynthCorpus:
     base_alerts: list[tuple[str, int, dict]] = []  # (timestamp key, order, record)
     order = 0
     for label, count, rules in ((1, spec.n_tp, tp_rules), (0, spec.n_fp, fp_rules)):
-        if count > 0 and not rules:
-            raise ValidationError("no rules allocated for a non-empty class")
         own, other = _POOLS[label], _POOLS[1 - label]
         for _ in range(count):
             rule = rules[rng.randrange(len(rules))]

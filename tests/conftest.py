@@ -12,7 +12,8 @@ from alert_sift.ingest import parse_alert_record
 # hypothesis imports this module lazily, while it reports a failing example;
 # with libcst installed the import warns, and under -W error the report then
 # ends in INTERNALERROR instead of the falsifying example. Import it here once,
-# ignoring only that DeprecationWarning; every test still runs under -W error.
+# ignoring only that DeprecationWarning; every test still runs with warnings as
+# errors, as pyproject.toml's filterwarnings sets.
 with warnings.catch_warnings():
     warnings.simplefilter("ignore", DeprecationWarning)
     try:

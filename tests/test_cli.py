@@ -152,6 +152,14 @@ def test_sample_refuses_one_path_for_both_splits(chain, tmp_path, monkeypatch, c
     assert sorted(os.listdir(tmp_path)) == ["link.ndjson", "sub"]
 
 
+def test_synth_refuses_one_rule_for_two_classes(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["synth", "--n-tp", "2", "--n-fp", "2", "--n-rules", "1", "--dup", "1"]) == 1
+    message = "error: n_rules must be >= 2 when both classes have alerts\n"
+    assert capsys.readouterr() == ("", message)
+    assert os.listdir(tmp_path) == []
+
+
 def test_explain_row_out_of_range_writes_nothing(chain, tmp_path, capsys):
     out, attribution = tmp_path / "importance.csv", tmp_path / "attribution.json"
     argv = ["explain", "--in", chain["matrix"], "--model", chain["model"], "--out", str(out),

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from alert_sift import features
+from alert_sift import features, ingest
 from alert_sift.errors import ValidationError
 from alert_sift.features import (
     FeatureProfile,
@@ -298,7 +298,7 @@ def test_non_str_text_is_refused_when_its_str_twin_is_memoised():
         with pytest.raises(ValidationError) as info:
             encode_alert(alert._replace(**{field: value}), FeatureProfile.FULL29)
         assert str(info.value) == f"{field} must be a string, got {value!r}"
-    # the memoised flags raise these, and encode_alert turns them into the refusals above
+    # the memoised flags would raise these, so such an alert is refused where it is made
     with pytest.raises(TypeError, match="argument of type 'NoneType' is not iterable"):
         features._keyword_flags(None, class_type, FeatureProfile.CORE20)
     with pytest.raises(AttributeError, match="'int' object has no attribute 'lower'"):
@@ -370,10 +370,12 @@ def test_fixture_alert_golden_vector():
     ],
 )
 def test_encode_refuses_an_out_of_range_field_with_the_helpers_error(field, value, message):
-    # the helper is ingest.refuse_alert, so the error names the field as record_to_alert's does
-    alert = parse_alert_record(make_line())._replace(**{field: value})
+    # the helper is ingest.refuse_alert, run where the alert is made, so no
+    # such alert reaches encode_alert and the error names the field as
+    # record_to_alert's does
+    alert = parse_alert_record(make_line())
     with pytest.raises(ValidationError) as info:
-        encode_alert(alert)
+        alert._replace(**{field: value})
     assert str(info.value) == message
 
 
@@ -397,10 +399,11 @@ def test_encode_refuses_an_out_of_range_field_with_the_helpers_error(field, valu
 )
 def test_encode_refuses_a_number_that_is_not_an_int(field, value):
     # a non-integer can sit on the other side of a table step from the
-    # scaling formula, so it is refused as record_to_alert refuses it
-    alert = parse_alert_record(make_line())._replace(**{field: value})
+    # scaling formula, so the alert is refused where it is made, as
+    # record_to_alert refuses it
+    alert = parse_alert_record(make_line())
     with pytest.raises(ValidationError) as info:
-        encode_alert(alert)
+        alert._replace(**{field: value})
     assert str(info.value) == f"{field} must be an integer, got {value!r}"
 
 
@@ -421,11 +424,20 @@ def test_encode_refuses_a_number_that_is_not_an_int(field, value):
     ],
 )
 def test_encode_refuses_a_bad_address_or_text_as_record_to_alert_does(field, value, message):
-    # a hand-built RawAlert skips record_to_alert; encoding fails closed with its texts
-    alert = parse_alert_record(make_line())._replace(**{field: value})
+    # a hand-built RawAlert skips record_to_alert, and is refused where it is made with its texts
+    alert = parse_alert_record(make_line())
     with pytest.raises(ValidationError) as info:
-        encode_alert(alert, FeatureProfile.FULL29)
+        alert._replace(**{field: value})
     assert str(info.value) == message
+
+
+def test_encode_refuses_a_value_that_is_not_a_raw_alert():
+    # a plain tuple or list of an alert's fields was never checked, so it is not encoded
+    alert = parse_alert_record(make_line())
+    for value in (tuple(alert), list(alert)):
+        with pytest.raises(ValidationError) as info:
+            encode_alert(value)
+        assert str(info.value) == f"alert must be a RawAlert, got {type(value).__name__}"
 
 
 class _Int(int):
@@ -457,19 +469,18 @@ _FIELD_VALUE = st.one_of(
 @example(field="dst_port", value=_Int(443), profile=FeatureProfile.FULL29)
 @example(field="http_status", value=_Int(600), profile=FeatureProfile.CORE20)
 def test_encode_either_encodes_or_raises_the_ingest_refusal(field, value, profile):
-    # the alert contract has one owner: any error encode_alert raises is refuse_alert's
-    alert = parse_alert_record(make_line())._replace(**{field: value})
+    # the alert contract has one owner: a value is refused where the alert is
+    # made, with refuse_alert's text, or the alert encodes with no error
+    alert = parse_alert_record(make_line())
     try:
-        refuse_alert(alert)
+        changed = alert._replace(**{field: value})
     except ValidationError as exc:
-        refusal = str(exc)
+        i = RawAlert._fields.index(field)
+        with pytest.raises(ValidationError) as info:
+            refuse_alert(ingest._new(RawAlert, (*alert[:i], value, *alert[i + 1:])))
+        assert str(exc) == str(info.value)
     else:
-        refusal = None
-    try:
-        row = encode_alert(alert, profile)
-    except ValidationError as exc:
-        assert str(exc) == refusal
-    else:
+        row = encode_alert(changed, profile)
         assert len(row) == profile.width
         if isinstance(value, _Int):
             assert row == encode_alert(alert._replace(**{field: int(value)}), profile)

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import copy
 import io
 import ipaddress
 import itertools
 import json
+import pickle
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -606,6 +608,69 @@ def test_parsed_rows_are_exact_raw_and_labeled_alerts():
     (labeled,) = label_alerts([alert], [(alert.rule_uuid, "alerted the client")], [])
     assert type(labeled) is LabeledAlert and labeled == LabeledAlert(alert, 1)
     assert labeled._replace(label=0).label == 0
+
+
+# (field, value, refuse_alert's text): a value no RawAlert may hold
+_BAD_FIELDS = [
+    ("src_ip", "nope", "src_ip is not a valid IP address: 'nope'"),
+    ("src_port", 65536, "src_port out of range: 65536 (expected in 0..65535)"),
+    ("rule_sid", 2.5e6, "rule_sid must be an integer, got 2500000.0"),
+    ("action", ["x"], "action must be a string, got ['x']"),
+    ("timestamp", "2025-03-04T10:20:30Z",
+     "timestamp must be a timezone-aware datetime, got '2025-03-04T10:20:30Z'"),
+    ("http_status", 600, "http_status out of range: 600 (expected in 100..599)"),
+    ("rev_comment", 5, "rev_comment must be a string, got 5"),
+]
+
+
+@pytest.mark.parametrize("field, value, message", _BAD_FIELDS, ids=[f for f, *_ in _BAD_FIELDS])
+def test_every_way_of_making_an_alert_refuses_a_bad_field(field, value, message):
+    alert = parse_alert_record(make_line())
+    i = RawAlert._fields.index(field)
+    values = (*alert[:i], value, *alert[i + 1:])
+    unchecked = ingest._new(RawAlert, values)  # as no public way can make it
+    with pytest.raises(ValidationError) as info:
+        ingest.refuse_alert(unchecked)
+    assert str(info.value) == message
+    ways = {
+        "positional": lambda: RawAlert(*values),
+        "keyword": lambda: RawAlert(**dict(zip(RawAlert._fields, values))),
+        "_make": lambda: RawAlert._make(values),
+        "_replace": lambda: alert._replace(**{field: value}),
+        "copy": lambda: copy.copy(unchecked),
+        **{f"pickle protocol {protocol}": lambda protocol=protocol: pickle.loads(
+            pickle.dumps(unchecked, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)},
+    }
+    for way, make in ways.items():
+        with pytest.raises(ValidationError) as info:
+            make()
+        assert (way, str(info.value)) == (way, message)
+
+
+def test_every_way_of_making_an_alert_keeps_a_good_one():
+    alert = parse_alert_record(make_line())
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        again = pickle.loads(pickle.dumps(alert, protocol))
+        assert type(again) is RawAlert and again == alert
+    assert RawAlert._make(alert) == RawAlert(**alert._asdict()) == copy.deepcopy(alert) == alert
+
+
+@pytest.mark.parametrize("stamp", [
+    "2025-03-04T10:20:30Z",
+    datetime(2025, 3, 4, 10, 20, 30),
+    1741083630,
+    None,
+])
+def test_an_alert_refuses_a_timestamp_that_is_not_an_aware_datetime(stamp):
+    # such a timestamp used to reach write_records (AttributeError on a str's
+    # isoformat) and partition_by_period (a bare TypeError against an aware instant)
+    alert = parse_alert_record(make_line())
+    with pytest.raises(ValidationError) as info:
+        alert._replace(timestamp=stamp)
+    assert str(info.value) == f"timestamp must be a timezone-aware datetime, got {stamp!r}"
+    eastern = timezone(timedelta(hours=-5))
+    moved = alert._replace(timestamp=alert.timestamp.astimezone(eastern))
+    assert moved.timestamp == alert.timestamp
 
 
 _ALERT_BLOCK = {"signature": "ET SCAN", "category": "attempted-recon"}

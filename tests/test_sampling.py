@@ -60,6 +60,15 @@ def test_params_validated():
         SampleParams(per_rule_cap=0)
 
 
+@pytest.mark.parametrize("name", ["stride", "per_rule_cap"])
+@pytest.mark.parametrize("value", [1.5, True, "3", None])
+def test_params_refuse_a_count_that_is_not_an_int(name, value):
+    # stride=1.5 used to keep positions 0, 3, 6, ... and stride=True to act as 1
+    with pytest.raises(ValidationError) as info:
+        SampleParams(**{name: value})
+    assert str(info.value) == f"{name} must be an integer, got {value!r}"
+
+
 @given(
     st.lists(st.sampled_from(["a", "b", "c"]), max_size=120),
     st.integers(1, 20),

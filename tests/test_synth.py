@@ -110,6 +110,25 @@ def test_spec_validation():
         SynthSpec(signal_strength=1.5)
 
 
+@pytest.mark.parametrize("name", ["n_tp", "n_fp", "n_rules", "duplication_factor", "seed"])
+@pytest.mark.parametrize("value", [1.5, "3", True, None])
+def test_spec_refuses_a_count_that_is_not_an_int(name, value):
+    with pytest.raises(ValidationError) as info:
+        SynthSpec(**{name: value})
+    assert str(info.value) == f"{name} must be an integer, got {value!r}"
+
+
+def test_spec_refuses_one_rule_for_two_classes():
+    # each class needs a rule of its own, so one rule would be written as two
+    with pytest.raises(ValidationError) as info:
+        SynthSpec(n_tp=2, n_fp=2, n_rules=1)
+    assert str(info.value) == "n_rules must be >= 2 when both classes have alerts"
+    for n_tp, n_fp in ((2, 0), (0, 2)):
+        corpus = generate_corpus(SynthSpec(n_tp=n_tp, n_fp=n_fp, n_rules=1, duplication_factor=1))
+        assert len(corpus.comments) == 1 and len(corpus.alerts) == 2
+    assert len(generate_corpus(SynthSpec(n_tp=2, n_fp=2, n_rules=2)).comments) == 2
+
+
 def _crossover(corpus, truth_value, foreign_pool):
     rows = [r for r, t in zip(corpus.alerts, corpus.truth) if t == truth_value]
     hits = sum(r["alert"]["signature"] in foreign_pool for r in rows)
