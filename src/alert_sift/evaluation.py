@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_int
 from .features import as_labeled_matrix
 from .forest import Forest, ForestParams, check_threshold, predict_proba_batch, train_forest
 
@@ -27,9 +27,8 @@ class ConfusionMatrix:
     fp_as_tp: int = 0
 
     def __post_init__(self):
-        for name in ("tp_as_tp", "tp_as_fp", "fp_as_fp", "fp_as_tp"):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"{name} must be >= 0")
+        for name, value in vars(self).items():
+            check_int(name, value, 0)
 
     @property
     def total(self) -> int:
@@ -88,8 +87,9 @@ def kfold_split(n: int, k: int, seed: int) -> list[list[int]]:
     The first n mod k folds take the larger size. Deterministic per seed; a
     negative seed is taken modulo 2**64, as the forest's tree seeds are.
     """
-    if k < 2:
-        raise ValidationError(f"k must be >= 2, got {k}")
+    check_int("n", n)
+    check_int("k", k, 2)
+    check_int("seed", seed)
     if k > n:
         raise ValidationError(f"k={k} exceeds sample count n={n}")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed & 0xFFFFFFFFFFFFFFFF)))
@@ -160,8 +160,7 @@ def evaluate_forest(
 
 def workload_savings(filtered_fp_count: int, minutes_per_alert: float = 4.0) -> float:
     """Analyst hours saved by suppressing that many alerts from review."""
-    if filtered_fp_count < 0:
-        raise ValidationError("filtered_fp_count must be >= 0")
+    check_int("filtered_fp_count", filtered_fp_count, 0)
     if not 0 < minutes_per_alert < np.inf:
         raise ValidationError(f"minutes_per_alert must be finite and > 0, got {minutes_per_alert}")
     return filtered_fp_count * minutes_per_alert / 60.0

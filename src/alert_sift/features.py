@@ -42,7 +42,7 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_int
 from .ingest import _MEMO_SIZE, RawAlert, ip_value
 
 PORT_MAX = 65535
@@ -131,17 +131,12 @@ def feature_names(profile: FeatureProfile) -> list[str]:
     return _CORE_NAMES + _EXTRA_NAMES
 
 
-def _is_int(value) -> bool:
-    """Whether value is an int and not a bool: the rule of every integer parameter."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class ScalingCaps:
     """Saturation caps for min-max scaled fields (config-exposed defaults).
 
-    Each cap is an integer in [1, 2**63 - 1]; any other value, a float, a
-    string or a bool included, is refused by name. ``tables``, built once when
+    Each cap is an integer in 1..2**63 - 1, refused by ``check_int`` otherwise
+    (a float, a string or a bool included). ``tables``, built once when
     the caps are made and not a field, holds the (thresholds, values) step
     tables of the packet, byte, rule-sid and payload entries under these caps.
     """
@@ -152,14 +147,8 @@ class ScalingCaps:
     sid_max: int = 10_000_000
 
     def __post_init__(self):
-        for name in _CAP_NAMES:
-            cap = getattr(self, name)
-            if not _is_int(cap):
-                raise ValidationError(f"{name} must be an integer, got {cap!r}")
-            if cap < 1:
-                raise ValidationError(f"{name} must be >= 1")
-            if cap > 2**63 - 1:  # the ranges _steps searches must fit a C ssize_t
-                raise ValidationError(f"{name} must be <= 2**63 - 1")
+        for name in _CAP_NAMES:  # the ranges _steps searches must fit a C ssize_t
+            check_int(name, getattr(self, name), 1, 2**63 - 1)
         tables = (_steps(self.pkts_cap, 2), _steps(self.bytes_cap, 2),
                   _steps(self.sid_max, 3), _steps(self.payload_cap, 3))
         object.__setattr__(self, "tables", tables)
@@ -345,8 +334,7 @@ def chi2_select(matrix: np.ndarray, labels: Sequence[int], k: int) -> SelectionR
     the column total weighted by the class prior. Features with zero total
     mass score 0.
     """
-    if k < 1:
-        raise ValidationError(f"k must be >= 1, got {k}")
+    check_int("k", k, 1)
     X, y = as_labeled_matrix(matrix, labels)
     if np.any(X < 0):
         raise ValidationError("chi2 requires non-negative feature values")

@@ -38,10 +38,9 @@ from typing import IO, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, check_int
 from .features import (
     FeatureProfile,
-    _is_int,
     as_labeled_matrix,
     as_matrix,
     feature_names as profile_names,
@@ -65,10 +64,7 @@ class ForestParams:
 
     def __post_init__(self):
         for name, value in vars(self).items():
-            if not _is_int(value):
-                raise ValidationError(f"{name} must be an integer, got {value!r}")
-            if name != "seed" and value < 1:
-                raise ValidationError(f"{name} must be >= 1")
+            check_int(name, value, None if name == "seed" else 1)
 
     def max_features_for(self, width: int) -> int:
         """Candidate features per node: floor(sqrt(width)), at least 1."""
@@ -140,6 +136,8 @@ class Forest:
 
     def __post_init__(self):
         names = self.feature_names
+        if not all(isinstance(n, str) for n in names):
+            raise ValidationError("model feature_names must be a list of strings")
         if len(set(names)) != len(names):
             twice = next(n for i, n in enumerate(names) if n in names[:i])
             raise ValidationError(f"model feature_names name {twice!r} twice")
@@ -377,8 +375,7 @@ def _node_from_dict(obj, width: int) -> tuple:
         if missing:
             raise ValidationError(f"model split node lacks {', '.join(missing)}")
         feature, threshold = obj["feature"], obj["threshold"]
-        if not (_is_int(feature) and 0 <= feature < width):
-            raise ValidationError(f"model split feature {feature!r} outside [0, {width})")
+        check_int("model split feature", feature, 0, width - 1)
         if (
             isinstance(threshold, bool)
             or not isinstance(threshold, (int, float))
@@ -387,10 +384,8 @@ def _node_from_dict(obj, width: int) -> tuple:
             raise ValidationError(f"model split threshold {threshold!r} is not a finite number")
         return feature, float(threshold), obj["left"], obj["right"]
     n_tp, n_fp = obj.get("tp"), obj.get("fp")
-    if not (_is_int(n_tp) and _is_int(n_fp) and min(n_tp, n_fp) >= 0):
-        raise ValidationError(
-            f"model leaf counts must be non-negative integers, got tp={n_tp!r}, fp={n_fp!r}"
-        )
+    check_int("model leaf tp", n_tp, 0)
+    check_int("model leaf fp", n_fp, 0)
     if n_tp + n_fp == 0:
         raise ValidationError("model leaf has tp + fp == 0 and carries no samples")
     if n_tp + n_fp >= 2**53:  # the node arrays hold int64 counts, added exactly as floats
@@ -421,7 +416,7 @@ def forest_from_dict(obj: dict) -> Forest:
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"model params are missing or malformed: {exc!r}") from None
     names, trees = obj.get("feature_names"), obj.get("trees")
-    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+    if not isinstance(names, list):
         raise ValidationError("model feature_names must be a list of strings")
     if not names:
         raise ValidationError("model feature_names is empty: a model needs at least one feature")

@@ -58,7 +58,7 @@ from operator import itemgetter
 from socket import inet_aton
 from typing import IO, Callable, Iterable, Iterator, NamedTuple
 
-from .errors import AlertSiftError, ParseError, ValidationError
+from .errors import AlertSiftError, ParseError, ValidationError, check_int
 
 # RawAlert field -> dotted JSON path in the input record.
 DEFAULT_FIELD_MAP: dict[str, str] = {
@@ -296,8 +296,8 @@ def refuse_alert(values: Iterable) -> Iterable:
 
     `values` is a RawAlert, or a record's fields with absent texts and payload
     length defaulted and the timestamp as text. Only ``_OPTIONAL`` fields may
-    be None; an address is a string ``ip_value`` reads, an integer field a
-    non-bool int within ``_INT_RANGES`` (a subclass passes), other text a str.
+    be None; an address is a string ``ip_value`` reads, an integer field one
+    ``check_int`` passes within its ``_INT_RANGES`` bounds, other text a str.
     A RawAlert's timestamp is a timezone-aware datetime, a record's a string
     ``parse_timestamp`` reads. Returns values when no field is at fault.
     """
@@ -306,12 +306,7 @@ def refuse_alert(values: Iterable) -> Iterable:
         if value is None and name in _OPTIONAL:
             continue
         if name in _INT_RANGES:
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValidationError(f"{name} must be an integer, got {value!r}")
-            lo, hi = _INT_RANGES[name]
-            if value < lo or (hi is not None and value > hi):
-                bound = f">= {lo}" if hi is None else f"in {lo}..{hi}"
-                raise ValidationError(f"{name} out of range: {value} (expected {bound})")
+            check_int(name, value, *_INT_RANGES[name])
         elif name == "timestamp":
             if not made:
                 parse_timestamp(value)

@@ -12,8 +12,7 @@ from dataclasses import dataclass
 from datetime import datetime
 from typing import Iterable
 
-from .errors import ValidationError
-from .features import _is_int
+from .errors import ValidationError, check_int
 from .ingest import LabeledAlert
 
 
@@ -24,10 +23,7 @@ class SampleParams:
 
     def __post_init__(self):
         for name, value in vars(self).items():
-            if not _is_int(value):
-                raise ValidationError(f"{name} must be an integer, got {value!r}")
-            if value < 1:
-                raise ValidationError(f"{name} must be >= 1, got {value}")
+            check_int(name, value, 1)
 
 
 def dedup_sample(
@@ -57,8 +53,10 @@ def partition_by_period(
     alerts: list[LabeledAlert], split_instant: datetime
 ) -> tuple[list[LabeledAlert], list[LabeledAlert]]:
     """Split into (train, test): timestamps before the instant train, rest test."""
-    if split_instant.tzinfo is None:
-        raise ValidationError("split_instant must be timezone-aware")
+    if not isinstance(split_instant, datetime) or split_instant.tzinfo is None:
+        raise ValidationError(
+            f"split_instant must be a timezone-aware datetime, got {split_instant!r}"
+        )
     train = [a for a in alerts if a.alert.timestamp < split_instant]
     test = [a for a in alerts if a.alert.timestamp >= split_instant]
     return train, test

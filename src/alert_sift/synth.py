@@ -23,8 +23,7 @@ from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from typing import IO
 
-from .errors import ValidationError
-from .features import _is_int
+from .errors import ValidationError, check_int
 
 _WINDOW_START = datetime(2025, 1, 1, tzinfo=timezone.utc)
 _WINDOW_DAYS = 180
@@ -103,18 +102,15 @@ class SynthSpec:
     seed: int = 42
 
     def __post_init__(self):
-        for name, value in vars(self).items():
-            if name != "signal_strength" and not _is_int(value):
-                raise ValidationError(f"{name} must be an integer, got {value!r}")
-        if self.n_tp < 0 or self.n_fp < 0:
-            raise ValidationError("alert counts must be >= 0")
-        if self.n_rules < 1:
-            raise ValidationError("n_rules must be >= 1")
+        for name, lo in (("n_tp", 0), ("n_fp", 0), ("n_rules", 1), ("duplication_factor", 1),
+                         ("seed", None)):
+            check_int(name, getattr(self, name), lo)
         if self.n_rules < 2 and self.n_tp > 0 and self.n_fp > 0:
             raise ValidationError("n_rules must be >= 2 when both classes have alerts")
-        if self.duplication_factor < 1:
-            raise ValidationError("duplication_factor must be >= 1")
-        if not 0.0 <= self.signal_strength <= 1.0:
+        strength = self.signal_strength
+        if isinstance(strength, bool) or not isinstance(strength, (int, float)):
+            raise ValidationError(f"signal_strength must be a number, got {strength!r}")
+        if not 0.0 <= strength <= 1.0:
             raise ValidationError("signal_strength must be in [0, 1]")
 
 
@@ -174,7 +170,7 @@ def generate_corpus(spec: SynthSpec) -> SynthCorpus:
     tp_rules, fp_rules = _rule_table(spec, rng)
     s = spec.signal_strength
 
-    base_alerts: list[tuple[str, int, dict]] = []  # (timestamp key, order, record)
+    base_alerts: list[tuple[str, int, dict, int]] = []  # (timestamp key, order, record, label)
     order = 0
     for label, count, rules in ((1, spec.n_tp, tp_rules), (0, spec.n_fp, fp_rules)):
         own, other = _POOLS[label], _POOLS[1 - label]

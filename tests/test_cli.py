@@ -179,7 +179,8 @@ def test_encode_refuses_a_cap_past_the_ceiling(chain, tmp_path, capsys, cap):
     caps.write_text(f"pkts_cap={cap}\n", encoding="utf-8")
     argv = ["encode", "--in", chain["sampled"], "--out", str(out), "--caps", str(caps)]
     assert cli.main(argv) == 1
-    assert capsys.readouterr().err == "error: pkts_cap must be <= 2**63 - 1\n"
+    error = f"error: pkts_cap out of range: {cap} (expected in 1..{2**63 - 1})\n"
+    assert capsys.readouterr().err == error
     assert not out.exists()
 
 

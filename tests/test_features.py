@@ -236,9 +236,10 @@ def test_payload_scaling_saturates():
 
 @pytest.mark.parametrize("cap", [0, -3])
 def test_payload_scaling_refuses_a_cap_below_one(cap):
-    with pytest.raises(ValidationError, match="^payload_cap must be >= 1$"):
+    error = f"^payload_cap out of range: {cap} \\(expected in 1\\.\\.{2**63 - 1}\\)$"
+    with pytest.raises(ValidationError, match=error):
         ScalingCaps(payload_cap=cap)
-    with pytest.raises(ValidationError, match="^payload_cap must be >= 1$"):
+    with pytest.raises(ValidationError, match=error):
         load_caps([f"payload_cap={cap}"])
 
 
@@ -779,7 +780,7 @@ def test_caps_above_the_ceiling_are_refused(name):
     for cap in (2**63, 2**116, 10**300):
         with pytest.raises(ValidationError) as info:
             load_caps([f"{name}={cap}"])
-        assert str(info.value) == f"{name} must be <= 2**63 - 1"
+        assert str(info.value) == f"{name} out of range: {cap} (expected in 1..{2**63 - 1})"
 
 
 def test_feature_vector_width_validated():

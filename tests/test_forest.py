@@ -764,6 +764,17 @@ def test_model_that_names_a_feature_twice_is_refused():
         train_forest(X, [0, 1, 0, 1], ForestParams(n_estimators=2), feature_names=["a", "a"])
 
 
+def test_model_that_names_a_feature_by_a_non_string_is_refused():
+    X = np.array([[0.0, 1.0], [1.0, 0.0], [0.5, 0.5], [1.0, 1.0]])
+    obj = forest_to_dict(train_forest(X, [0, 1, 0, 1], ForestParams(n_estimators=2)))
+    obj["feature_names"] = ["a", 2]
+    with pytest.raises(ValidationError, match="^model feature_names must be a list of strings$"):
+        forest_from_dict(obj)
+    # training once wrote such a model, which loading then refused
+    with pytest.raises(ValidationError, match="^model feature_names must be a list of strings$"):
+        train_forest(X, [0, 1, 0, 1], ForestParams(n_estimators=2), feature_names=[1, 2])
+
+
 def test_model_version_field_mandatory():
     rng = np.random.default_rng(12)
     X = rng.random((10, 2))

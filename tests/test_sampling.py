@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from datetime import datetime, timezone
+from datetime import date, datetime, timezone
 
 import pytest
 from hypothesis import given
@@ -149,3 +149,13 @@ def test_partition_is_exhaustive_and_ordered():
 def test_partition_requires_aware_instant():
     with pytest.raises(ValidationError):
         partition_by_period(_dated_stream([1]), datetime(2022, 5, 1))
+
+
+@pytest.mark.parametrize(
+    "instant", ["2025-01-01", None, 1735689600, date(2025, 1, 1), datetime(2022, 5, 1)]
+)
+def test_partition_refuses_an_instant_that_is_not_an_aware_datetime(instant):
+    # a string once ended in AttributeError: 'str' object has no attribute 'tzinfo'
+    with pytest.raises(ValidationError) as info:
+        partition_by_period([], instant)
+    assert str(info.value) == f"split_instant must be a timezone-aware datetime, got {instant!r}"

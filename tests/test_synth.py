@@ -118,6 +118,16 @@ def test_spec_refuses_a_count_that_is_not_an_int(name, value):
     assert str(info.value) == f"{name} must be an integer, got {value!r}"
 
 
+@pytest.mark.parametrize("value", ["0.5", None, True, False, [0.5]])
+def test_spec_refuses_a_signal_strength_that_is_not_a_number(value):
+    # "0.5" and None once ended in a bare TypeError, and True was taken as 1.0
+    with pytest.raises(ValidationError) as info:
+        SynthSpec(signal_strength=value)
+    assert str(info.value) == f"signal_strength must be a number, got {value!r}"
+    for number in (0, 1, 0.25):
+        assert SynthSpec(signal_strength=number).signal_strength == number
+
+
 def test_spec_refuses_one_rule_for_two_classes():
     # each class needs a rule of its own, so one rule would be written as two
     with pytest.raises(ValidationError) as info:
