@@ -308,12 +308,16 @@ def as_labeled_matrix(
     """as_matrix of rows, and one int64 label per row: the one check of labels.
 
     Each must equal 0 or 1 exactly (1.0 and True pass); the first that does not
-    (1.7, NaN, 2, "1", None, a row of labels) is refused by name, uncast.
+    (1.7, NaN, 2, "1", None, a row of labels) is refused by name, uncast. A 1-D
+    bool, int or float array of 0s and 1s passes in one vectorised test; any
+    other input is walked label by label, which names the first at fault.
     """
     X = as_matrix(rows)
-    for i, label in enumerate(labels.tolist() if isinstance(labels, np.ndarray) else labels):
-        if label not in (0, 1):
-            raise ValidationError(f"labels must be 0/1, got {label!r} at row {i}")
+    if not (isinstance(labels, np.ndarray) and labels.ndim == 1 and labels.dtype.kind in "buif"
+            and ((labels == 0) | (labels == 1)).all()):
+        for i, label in enumerate(labels.tolist() if isinstance(labels, np.ndarray) else labels):
+            if label not in (0, 1):
+                raise ValidationError(f"labels must be 0/1, got {label!r} at row {i}")
     y = np.asarray(labels, dtype=np.int64)
     if X.shape[0] != len(y):
         raise ValidationError(f"{X.shape[0]} rows vs {len(y)} labels")

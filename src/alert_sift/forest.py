@@ -430,7 +430,8 @@ def forest_from_dict(obj: dict) -> Forest:
 
 
 def save_forest(forest: Forest, stream: IO[str]) -> None:
-    json.dump(forest_to_dict(forest), stream, sort_keys=True)
+    # one json.dumps string: json.dump never runs the C encoder and writes once per token
+    stream.write(json.dumps(forest_to_dict(forest), sort_keys=True))
 
 
 def load_forest(stream: IO[str]) -> Forest:

@@ -18,15 +18,19 @@ that takes one checks its fields. A labeled row is a LabeledAlert NamedTuple
 ``decode_record`` (line to dict) and ``record_to_alert`` (dict to validated
 RawAlert, in one pass over the fields); ``parse_alert_record`` is the two in a
 row, and ``parse_labeled_record`` takes the label from the same dict, so no
-line is decoded twice. ``load_field_map`` compiles a field map once, into one
-function that reads a record's values with one ``.get`` each, with no loop over
-fields; given none, the parsers read the default layout. The parser remembers,
-process-wide, the addresses and timestamp strings (with their parsed datetimes)
-that passed its checks. Only checked values enter, so a memo saves work but
-never changes a result or an error text, and each is emptied when it reaches
-``_MEMO_SIZE`` entries, so distinct values hold a bounded set. Addresses are
-read by ``ip_value``: a plain dotted quad by one compiled pattern, anything
-else by ``ipaddress``, so both read the same strings to the same number.
+line is decoded twice. ``decode_record`` reads a line that is one JSON object
+from end to end with one call of the C scanner ``json.loads`` runs (``_SCAN``),
+and gives every other line to ``json.loads`` itself, so every result and error
+text is ``json.loads``' own. ``load_field_map`` compiles a field map once, into
+one function that reads a record's values with one ``.get`` each, with no loop
+over fields; given none, the parsers read the default layout. The parser
+remembers, process-wide, the addresses and timestamp strings (with their parsed
+datetimes) that passed its checks. Only checked values enter, so a memo saves
+work but never changes a result or an error text, and each is emptied when it
+reaches ``_MEMO_SIZE`` entries, so distinct values hold a bounded set.
+Addresses are read by ``ip_value``: a plain dotted quad by one compiled
+pattern, anything else by ``ipaddress``, so both read the same strings to the
+same number.
 
 ``refuse_alert`` states the alert contract once: walking the fields in
 RawAlert order with one table of integer ranges (``_INT_RANGES``), it raises
@@ -59,6 +63,9 @@ from socket import inet_aton
 from typing import IO, Callable, Iterable, Iterator, NamedTuple
 
 from .errors import AlertSiftError, ParseError, ValidationError, check_int
+
+# The scanner json.loads runs, with its default settings, without its Python wrapper.
+_SCAN = json.JSONDecoder().scan_once
 
 # RawAlert field -> dotted JSON path in the input record.
 DEFAULT_FIELD_MAP: dict[str, str] = {
@@ -320,7 +327,20 @@ def refuse_alert(values: Iterable) -> Iterable:
 
 
 def decode_record(line: str) -> dict:
-    """Decode one NDJSON line; ParseError unless it holds a JSON object."""
+    """Decode one NDJSON line; ParseError unless it holds a JSON object.
+
+    A line that is one JSON object from its first character to its last is
+    read by one call of json.loads' own C scanner, _SCAN; every other line
+    (leading whitespace or a BOM, trailing data, a value that is no object,
+    bytes, or any error of the scan) is read again by json.loads, so each
+    result and each error text is json.loads' own.
+    """
+    try:
+        obj, end = _SCAN(line, 0)
+        if end == len(line) and type(obj) is dict:
+            return obj
+    except (StopIteration, TypeError, ValueError, RecursionError):  # TypeError: bytes
+        pass
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:

@@ -22,7 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import alert_sift
-from alert_sift import cli
+from alert_sift import cli, ingest
 from alert_sift.errors import ValidationError
 from alert_sift.features import FeatureProfile, feature_names
 from alert_sift.forest import load_forest, predict_proba_batch
@@ -992,18 +992,19 @@ def test_refusal_exits_1_with_its_error_and_writes_nothing(
     assert not any(work.iterdir())
 
 
-@pytest.mark.parametrize("command", ["sample", "encode"])
-def test_each_labeled_line_is_decoded_once(chain, tmp_path, monkeypatch, command):
-    calls = []
-    loads = json.loads
-
-    def counting_loads(text, *args, **kwargs):
-        calls.append(text)
-        return loads(text, *args, **kwargs)
-
-    monkeypatch.setattr(json, "loads", counting_loads)
-    run_ok([command, "--in", chain["labeled"], "--out", str(tmp_path / "out")])
-    assert len(calls) == _count_lines(chain["labeled"]) > 0
+@pytest.mark.parametrize("command", ["ingest", "label", "sample", "encode"])
+def test_each_line_is_decoded_once(chain, tmp_path, monkeypatch, command):
+    # a clean line is one call of the scanner and never reaches json.loads; a line
+    # decoded twice, by either, makes one count too many
+    scans, loads = [], []
+    scan, json_loads = ingest._SCAN, json.loads
+    monkeypatch.setattr(ingest, "_SCAN", lambda text, idx: scans.append(text) or scan(text, idx))
+    monkeypatch.setattr(json, "loads", lambda text, **kw: loads.append(text) or json_loads(text, **kw))
+    src = chain["labeled"] if command in ("sample", "encode") else chain["alerts"]
+    argv = [command, "--in", src, "--out", str(tmp_path / "out")]
+    run_ok(argv + (["--comments", chain["comments"]] if command == "label" else []))
+    assert len(scans) == _count_lines(src) > 0
+    assert loads == []
 
 
 @pytest.mark.parametrize(

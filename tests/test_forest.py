@@ -587,6 +587,18 @@ def test_saved_model_bytes_match_golden_digest_on_encoder_like_matrix():
     assert digest == "611713d2bf0ab3c6b4edc6335017de3c3e6d301de427f366e4814fd6663f07e7"
 
 
+def test_saved_model_is_one_write_of_json_dumps_bytes():
+    # save_forest writes json.dumps' one string: the bytes json.dump would stream, token by token
+    X, y = _golden_matrix()
+    forest = train_forest(X, y, ForestParams(n_estimators=6, seed=13))
+    streamed = io.StringIO()
+    json.dump(forest_to_dict(forest), streamed, sort_keys=True)
+    sink, writes = io.StringIO(), []
+    sink.write = writes.append
+    save_forest(forest, sink)
+    assert writes == [streamed.getvalue()]
+
+
 def test_every_node_that_may_split_calls_best_split_through_the_module(monkeypatch):
     # the benchmark's tracer counts forest.best_split_calls by rebinding the module global
     calls = []

@@ -121,6 +121,76 @@ def test_malformed_json_is_parse_error():
         parse_alert_record("[1, 2, 3]")
 
 
+def _decoded(line: str | bytes) -> str:
+    try:
+        return repr(ingest.decode_record(line))
+    except ParseError as exc:
+        return f"ParseError: {exc}"
+
+
+def _decoded_by_json_loads(line: str | bytes) -> str:
+    """The reference: decode_record's outcome when json.loads reads every line."""
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        return f"ParseError: malformed JSON: {exc.msg}"
+    except (ValueError, RecursionError) as exc:
+        return f"ParseError: unreadable JSON: {exc}"
+    return repr(obj) if isinstance(obj, dict) else "ParseError: record is not a JSON object"
+
+
+_DEEP = 100_000
+_CRAFTED_LINES = [
+    "", " ", " {}", "{} ", "\t{}\n", "\ufeff{}", "{} {}", "{}x", "{}",
+    "[1]", "NaN", "-Infinity", '{"a": NaN, "b": -Infinity, "c": Infinity}',
+    '"\\ud800"', '{"a": "\\ud800"}', '{"a": "\ud800"}',
+    "9" * 5000, '{"a": ' + "9" * 5000 + "}", '{"a": 1e' + "9" * 5000 + "}",
+    "[" * _DEEP + "]" * _DEEP, '{"a": ' * _DEEP + "1" + "}" * _DEEP,
+    '{"a": 1, "a": 2}', '{"a": 1, "b": {"c": 1, "c": [2]}, "a": 3}',
+    '{"a": "\x01"}', '{"a\tb": 1}', '{"a":\x001}', "{\x7f}", '{"a": "\x7f\x80"}',
+    make_line(), make_line() + " ", make_line()[:-1],
+    b'{"a": 1}', b"\xef\xbb\xbf{}", b"\xff{}", make_line().encode("utf-16"),
+]
+
+
+@pytest.mark.parametrize("line", _CRAFTED_LINES, ids=range(len(_CRAFTED_LINES)))
+def test_decode_record_reads_a_crafted_line_as_json_loads_does(line):
+    assert _decoded(line) == _decoded_by_json_loads(line)
+
+
+_PIECES = st.sampled_from(
+    list(" \t\n\r\ufeff\x00\x01\x1f\"\\/{}[],:-+.eE0") + ["\ud800", "\\u", "NaN", "{}", "9" * 5000]
+) | st.characters()
+
+
+@st.composite
+def _mutated_record(draw) -> str:
+    """A valid record's line with one to three pieces inserted, replaced, deleted or cut."""
+    line = make_line(**draw(st.sampled_from([{}, {"http": None}, {"payload_len": 2**70}])))
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(line)))
+        kind = draw(st.sampled_from(["insert", "replace", "delete", "cut"]))
+        if kind == "cut":
+            line = line[:i]
+        elif kind == "delete":
+            line = line[:i] + line[i + 1:]
+        else:
+            line = line[:i] + draw(_PIECES) + line[i + (kind == "replace"):]
+    return line
+
+
+@settings(max_examples=500, deadline=None)
+@given(line=_mutated_record())
+def test_decode_record_reads_a_mutated_line_as_json_loads_does(line):
+    assert _decoded(line) == _decoded_by_json_loads(line)
+
+
+def test_decode_record_scans_with_the_c_scanner_json_loads_uses():
+    # without the C extension both fall to the pure-Python scanner, and the fast path is lost
+    c_scanner = json.scanner.c_make_scanner
+    assert c_scanner is None or isinstance(ingest._SCAN, c_scanner)
+
+
 def test_invalid_ip_rejected():
     with pytest.raises(ValidationError):
         parse_alert_record(make_line(src_ip="999.1.2.3"))

@@ -92,6 +92,22 @@ def test_a_label_equal_to_0_or_1_passes_in_any_numeric_type():
         _CONSUMERS[consumer](_X, labels)
 
 
+# dtype kind -> bad labels an array of that kind can hold
+_BAD_BY_KIND = {"b": (), "i": (2, -1), "u": (2, 255), "f": (2, 1.7, 0.5, np.nan, -1)}
+
+
+@pytest.mark.parametrize("dtype", [np.bool_, np.int8, np.uint8, np.int64, np.float32, np.float64])
+def test_a_label_array_is_read_as_its_list_is(dtype):
+    X, y = as_labeled_matrix(_X, np.array(_Y, dtype=dtype))
+    assert y.dtype == np.int64 and y.tolist() == _Y
+    for bad in _BAD_BY_KIND[np.dtype(dtype).kind]:
+        labels = np.array(_labels_with(bad), dtype=dtype)
+        error = f"labels must be 0/1, got {labels.tolist()[3]!r} at row 3"
+        for form in (labels, labels.tolist()):
+            with pytest.raises(ValidationError, match=f"^{re.escape(error)}$"):
+                as_labeled_matrix(_X, form)
+
+
 def test_a_label_array_of_another_length_is_refused():
     with pytest.raises(ValidationError, match="^8 rows vs 7 labels$"):
         as_labeled_matrix(_X, _Y[:7])
