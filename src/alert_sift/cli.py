@@ -14,8 +14,10 @@ ingest.parse_embedded, which refuses a rule whose comments differ.
 
 _COMMANDS is the one place where flags and their defaults live: each
 subcommand's handler, its help line and one (name, flag, type, default,
-help) row per option. The parser, each flag's "(default X)" help, config
-typing and the unknown-key check all come from it.
+help) row per option, plus the least value of an integer option the library
+bounds. The parser, each flag's "(default X)" help, config typing, the
+unknown-key check and each integer option's range check all come from it;
+an integer out of range is refused by its flag's name, before the stage runs.
 
 Each option resolves from its flag, else its config key, else its default
 (flags > config file > built-in defaults). The config file is JSON keyed by
@@ -46,7 +48,7 @@ from typing import Callable, Iterable, Iterator, TextIO, TypeVar
 import numpy as np
 
 from . import __version__
-from .errors import AlertSiftError
+from .errors import AlertSiftError, check_int
 from .evaluation import cross_validate, evaluate_forest, workload_savings
 from .features import (
     FeatureProfile,
@@ -417,18 +419,19 @@ def cmd_predict(opt: Namespace) -> str:
 
 _REQUIRED = object()  # the default of an option that a run must be given
 
-# One row per option: (name, flag, type, default, help). The name is the
-# option's attribute and config key; a default of None is not documented.
+# One row per option: (name, flag, type, default, help[, least]). The name is the
+# option's attribute and config key; a default of None is not documented. An integer
+# option below its least value is refused by its flag, as the library would refuse it.
 _SEED = ("seed", "--seed", int, 42, "RNG seed")
 _COMMANDS: dict[str, tuple[Callable[[Namespace], str], str, list[tuple]]] = {
     "synth": (cmd_synth, "generate a deterministic synthetic corpus", [
         ("out", "--out", str, "alerts.ndjson", "alerts NDJSON path"),
         ("comments", "--comments", str, "rule_comments.csv", "rule-comment sidecar CSV"),
         ("truth", "--truth", str, "ground_truth.csv", "ground-truth CSV"),
-        ("n_tp", "--n-tp", int, 982, "base TP alerts"),
-        ("n_fp", "--n-fp", int, 1126, "base FP alerts"),
-        ("n_rules", "--n-rules", int, 200, "rule count"),
-        ("dup", "--dup", int, 50, "duplication factor"),
+        ("n_tp", "--n-tp", int, 982, "base TP alerts", 0),
+        ("n_fp", "--n-fp", int, 1126, "base FP alerts", 0),
+        ("n_rules", "--n-rules", int, 200, "rule count", 1),
+        ("dup", "--dup", int, 50, "duplication factor", 1),
         ("signal", "--signal", float, 0.9, "signal strength in [0,1]"),
         _SEED,
     ]),
@@ -448,8 +451,8 @@ _COMMANDS: dict[str, tuple[Callable[[Namespace], str], str, list[tuple]]] = {
     "sample": (cmd_sample, "dedup-sample and optionally split by date", [
         ("input", "--in", str, _REQUIRED, "labeled NDJSON"),
         ("out", "--out", str, "sampled.ndjson", "sampled NDJSON output"),
-        ("stride", "--stride", int, 100, "keep every stride-th per rule"),
-        ("per_rule_cap", "--per-rule-cap", int, 10, "max survivors per rule"),
+        ("stride", "--stride", int, 100, "keep every stride-th per rule", 1),
+        ("per_rule_cap", "--per-rule-cap", int, 10, "max survivors per rule", 1),
         ("split_date", "--split-date", str, None, "ISO timestamp; before=train, rest=test"),
         ("train_out", "--train-out", str, "train.ndjson", "train split path"),
         ("test_out", "--test-out", str, "test.ndjson", "test split path"),
@@ -463,21 +466,21 @@ _COMMANDS: dict[str, tuple[Callable[[Namespace], str], str, list[tuple]]] = {
     "select": (cmd_select, "rank features by chi-squared score", [
         ("input", "--in", str, _REQUIRED, "labeled matrix CSV"),
         ("out", "--out", str, "selection.json", "selection JSON output"),
-        ("k", "--k", int, 20, "features to keep"),
+        ("k", "--k", int, 20, "features to keep", 1),
         ("matrix_out", "--matrix-out", str, None, "also write the reduced matrix CSV"),
     ]),
     "train": (cmd_train, "train the bagged forest on a labeled matrix", [
         ("input", "--in", str, _REQUIRED, "labeled matrix CSV"),
         ("model", "--model", str, "model.json", "model JSON output"),
-        ("trees", "--trees", int, 100, "tree count"),
-        ("depth", "--depth", int, 6, "max depth"),
-        ("min_split", "--min-split", int, 2, "min samples to split"),
+        ("trees", "--trees", int, 100, "tree count", 1),
+        ("depth", "--depth", int, 6, "max depth", 1),
+        ("min_split", "--min-split", int, 2, "min samples to split", 1),
         _SEED,
     ]),
     "evaluate": (cmd_evaluate, "holdout and/or k-fold evaluation", [
         ("input", "--in", str, _REQUIRED, "labeled matrix CSV"),
         ("model", "--model", str, None, "trained model JSON (holdout evaluation)"),
-        ("kfold", "--kfold", int, None, "also cross-validate with this many folds"),
+        ("kfold", "--kfold", int, None, "also cross-validate with this many folds", 2),
         ("threshold", "--threshold", float, 0.5, "TP decision threshold"),
         ("minutes_per_alert", "--minutes-per-alert", float, 4.0,
          "analyst minutes per reviewed alert"),
@@ -518,7 +521,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for command, (_, help_line, rows) in _COMMANDS.items():
         p = sub.add_parser(command, help=help_line)
         p.add_argument("--config", help="JSON config file; flags override its values")
-        for name, flag, kind, default, text in rows:
+        for name, flag, kind, default, text, *_ in rows:
             if default is not None and default is not _REQUIRED:
                 text = f"{text} (default {default})"
             p.add_argument(flag, dest=name, type=kind, help=text)
@@ -541,14 +544,15 @@ def _resolve(command: str, args: Namespace, config: dict) -> Namespace:
     """Each option of command from its flag, else its config key, else its default.
 
     A config value converts as the flag's text would; "" for an option whose default
-    is None is not given. An unknown config key or an unset required option is refused.
+    is None is not given. An unknown config key, an unset required option and an
+    integer below its row's least value (named by its flag) are refused.
     """
     unknown = sorted(set(config) - _CONFIG_KEYS)
     if unknown:
         raise AlertSiftError(f"unknown config key {unknown[0]!r}")
     rows = _COMMANDS[command][2]
     resolved = Namespace()
-    for name, _, kind, default, _ in rows:
+    for name, flag, kind, default, _, *least in rows:
         value = getattr(args, name)
         if value is None and name in config:
             value = _convert(name, kind, config[name])
@@ -556,6 +560,8 @@ def _resolve(command: str, args: Namespace, config: dict) -> Namespace:
         if value is None and default is _REQUIRED:
             needed = " and ".join(row[1] for row in rows if row[3] is _REQUIRED)
             raise AlertSiftError(f"{command} needs {needed}")
+        if value is not None and least:
+            check_int(flag, value, *least)
         setattr(resolved, name, default if value is None else value)
     return resolved
 

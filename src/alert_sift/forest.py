@@ -2,7 +2,9 @@
 
 Trees greedily split on Gini impurity decrease at thresholds between
 consecutive distinct feature values. Columns are rank-coded once per
-forest, so a node counts its rows per value with bincount, without a sort.
+forest, so a node counts its rows per value with bincount, without a sort;
+each column's codes narrow as they are made, so one int64 column of codes
+is alive at a time.
 Near-ties are re-compared in exact integers, so tie-breaking (lower feature,
 then lower threshold) never depends on float rounding order.
 
@@ -26,7 +28,9 @@ every pair steps one level down at once, exactly that many times; a leaf is
 its own child, so a pair that reaches one stays there. Leaf values add up in
 tree order, so a row scores the same alone (predict_proba, a batch of one)
 as in any batch. Models persist as format "1": per tree, nested {feature,
-threshold, left, right} and {tp, fp} nodes.
+threshold, left, right} and {tp, fp} nodes, the bytes json.dumps gives with
+sorted keys. save_forest writes them tree by tree from the node arrays, with
+an explicit stack and no recursion, so a model of any depth saves.
 """
 
 from __future__ import annotations
@@ -178,7 +182,11 @@ class Ranked(NamedTuple):
 def _ranked(X: np.ndarray, y: Sequence[int]) -> Ranked:
     """Rank-code each column of a labeled matrix once, rows split by class."""
     X, y = as_labeled_matrix(X, y)
-    columns = [np.unique(column, return_inverse=True) for column in X.T]
+    # each inverse narrows as it is made, so one int64 inverse is alive at a time
+    columns = [
+        (distinct, inverse.astype(np.min_scalar_type(len(distinct))))
+        for distinct, inverse in (np.unique(column, return_inverse=True) for column in X.T)
+    ]
     values = [distinct for distinct, _ in columns]
     dtype = np.min_scalar_type(max(map(len, values), default=0))
     codes = np.array([inverse for _, inverse in columns], dtype=dtype).reshape(X.shape[::-1])
@@ -355,17 +363,6 @@ def predict_proba_batch(forest: Forest, X: np.ndarray) -> np.ndarray:
     return total / n_trees
 
 
-def _node_to_dict(nodes: Nodes, i: int) -> dict:
-    if nodes.feature[i] < 0:
-        return {"tp": int(nodes.n_tp[i]), "fp": int(nodes.n_fp[i])}
-    return {
-        "feature": int(nodes.feature[i]),
-        "threshold": float(nodes.threshold[i]),
-        "left": _node_to_dict(nodes, nodes.left[i]),
-        "right": _node_to_dict(nodes, nodes.right[i]),
-    }
-
-
 def _node_from_dict(obj, width: int) -> tuple:
     """Visit one model node, refusing any structure that scoring cannot use."""
     if not isinstance(obj, dict):
@@ -393,14 +390,27 @@ def _node_from_dict(obj, width: int) -> tuple:
     return n_tp, n_fp
 
 
-def forest_to_dict(forest: Forest) -> dict:
+def _model(forest: Forest, trees: list) -> dict:
     return {
         "version": MODEL_FORMAT_VERSION,
         "params": asdict(forest.params),
         "profile": forest.profile.value if forest.profile else None,
         "feature_names": forest.feature_names,
-        "trees": [_node_to_dict(forest.nodes, root) for root in forest.roots],
+        "trees": trees,
     }
+
+
+def forest_to_dict(forest: Forest) -> dict:
+    """The model as nested dicts, built bottom-up: in preorder a child follows its parent."""
+    feature, threshold, left, right, n_tp, n_fp = (col.tolist() for col in forest.nodes)
+    built: list = [None] * len(feature)
+    for i in reversed(range(len(feature))):
+        if feature[i] < 0:
+            built[i] = {"tp": n_tp[i], "fp": n_fp[i]}
+        else:
+            built[i] = {"feature": feature[i], "threshold": threshold[i],
+                        "left": built[left[i]], "right": built[right[i]]}
+    return _model(forest, [built[root] for root in forest.roots.tolist()])
 
 
 def forest_from_dict(obj: dict) -> Forest:
@@ -429,9 +439,40 @@ def forest_from_dict(obj: dict) -> Forest:
     return Forest(*_join(trees), params, names)
 
 
+def _cut(*keys: str) -> list[str]:
+    """json.dumps(sort_keys=True) of an object whose keys hold a marker, split at the markers."""
+    return json.dumps(dict.fromkeys(keys, "\0"), sort_keys=True).split(json.dumps("\0"))
+
+
+# a split node's text, between its subtrees, and a leaf's: format "1" as json.dumps writes it
+_SPLIT = _cut("feature", "left", "right", "threshold")
+_OPEN, _RIGHT, _CLOSE = "%d".join(_SPLIT[:2]), _SPLIT[2], "%r".join(_SPLIT[3:])
+_LEAF = "%d".join(_cut("fp", "tp"))
+
+
 def save_forest(forest: Forest, stream: IO[str]) -> None:
-    # one json.dumps string: json.dump never runs the C encoder and writes once per token
-    stream.write(json.dumps(forest_to_dict(forest), sort_keys=True))
+    """Write json.dumps(forest_to_dict(forest), sort_keys=True), one write per tree.
+
+    Each tree's text comes from the node arrays in one pass over an explicit
+    stack, so neither a nested dict nor recursion is needed."""
+    head, tail = json.dumps(_model(forest, []), sort_keys=True).split('"trees": []')
+    feature, threshold, left, right, n_tp, n_fp = (col.tolist() for col in forest.nodes)
+    stream.write(head + '"trees": [')
+    separator = ""
+    for root in forest.roots.tolist():
+        parts, stack = [], [root]
+        while stack:
+            item = stack.pop()
+            if type(item) is str:  # the text between or after a split's subtrees
+                parts.append(item)
+            elif feature[item] < 0:
+                parts.append(_LEAF % (n_fp[item], n_tp[item]))
+            else:
+                parts.append(_OPEN % feature[item])
+                stack += [_CLOSE % threshold[item], right[item], _RIGHT, left[item]]
+        stream.write(separator + "".join(parts))
+        separator = json.JSONEncoder.item_separator
+    stream.write("]" + tail)
 
 
 def load_forest(stream: IO[str]) -> Forest:

@@ -411,6 +411,43 @@ def test_evaluate_threshold_outside_open_unit_interval_exits_with_error(
         assert not report.exists()
 
 
+def test_train_trees_refusal_names_the_flag(chain, tmp_path, capsys):
+    # the library checks n_estimators; the user typed --trees (or the config key trees)
+    model, config = tmp_path / "model.json", tmp_path / "c.json"
+    config.write_text('{"trees": 0}', encoding="utf-8")
+    argv = ["train", "--in", chain["matrix"], "--model", str(model)]
+    for extra in (["--trees", "0"], ["--config", str(config)]):
+        assert cli.main(argv + extra) == 1
+        assert capsys.readouterr().err == "error: --trees out of range: 0 (expected >= 1)\n"
+        assert not model.exists()
+
+
+def test_evaluate_kfold_refusal_names_the_flag(chain, tmp_path, capsys):
+    report = tmp_path / "report.json"
+    argv = ["evaluate", "--in", chain["matrix"], "--kfold", "1", "--report", str(report)]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == "error: --kfold out of range: 1 (expected >= 2)\n"
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("command, flag, least", [
+    ("synth", "--n-tp", 0), ("synth", "--n-fp", 0), ("synth", "--n-rules", 1),
+    ("synth", "--dup", 1), ("sample", "--stride", 1), ("sample", "--per-rule-cap", 1),
+    ("select", "--k", 1), ("train", "--trees", 1), ("train", "--depth", 1),
+    ("train", "--min-split", 1), ("evaluate", "--kfold", 2),
+])
+def test_every_bounded_integer_flag_is_refused_by_its_name_before_the_stage_runs(
+    tmp_path, monkeypatch, capsys, command, flag, least
+):
+    # --in names no file: the option is refused before any input is read
+    monkeypatch.chdir(tmp_path)
+    argv = [command, flag, str(least - 1)] + ([] if command == "synth" else ["--in", "absent"])
+    assert cli.main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {flag} out of range: {least - 1} "
+                                       f"(expected >= {least})\n")
+    assert os.listdir(tmp_path) == []
+
+
 @pytest.mark.parametrize("minutes", ["nan", "inf", "-inf"])
 def test_evaluate_non_finite_minutes_per_alert_exits_with_error(chain, tmp_path, capsys, minutes):
     report = tmp_path / "report.json"

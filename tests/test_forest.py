@@ -8,6 +8,8 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
+from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,7 +20,7 @@ from hypothesis import strategies as st
 
 from alert_sift import cli
 from alert_sift import forest as forest_mod
-from alert_sift.errors import ValidationError
+from alert_sift.errors import ParseError, ValidationError
 from alert_sift.features import FeatureProfile, feature_names
 from alert_sift.forest import (
     MODEL_FORMAT_VERSION,
@@ -587,18 +589,6 @@ def test_saved_model_bytes_match_golden_digest_on_encoder_like_matrix():
     assert digest == "611713d2bf0ab3c6b4edc6335017de3c3e6d301de427f366e4814fd6663f07e7"
 
 
-def test_saved_model_is_one_write_of_json_dumps_bytes():
-    # save_forest writes json.dumps' one string: the bytes json.dump would stream, token by token
-    X, y = _golden_matrix()
-    forest = train_forest(X, y, ForestParams(n_estimators=6, seed=13))
-    streamed = io.StringIO()
-    json.dump(forest_to_dict(forest), streamed, sort_keys=True)
-    sink, writes = io.StringIO(), []
-    sink.write = writes.append
-    save_forest(forest, sink)
-    assert writes == [streamed.getvalue()]
-
-
 def test_every_node_that_may_split_calls_best_split_through_the_module(monkeypatch):
     # the benchmark's tracer counts forest.best_split_calls by rebinding the module global
     calls = []
@@ -722,6 +712,142 @@ def test_predict_on_a_deeply_nested_model_never_prints_a_traceback(tmp_path, dep
         assert depth > 900 and proc.returncode == 1
         assert proc.stderr.startswith("error: invalid JSON input") and proc.stderr.count("\n") == 1
         assert not out.exists()
+
+
+def _writes(forest) -> list[str]:
+    """The texts save_forest hands to stream.write, one per call."""
+    sink, writes = io.StringIO(), []
+    sink.write = writes.append
+    save_forest(forest, sink)
+    return writes
+
+
+@pytest.mark.parametrize("data, params", [
+    (lambda rng: _golden_matrix(), ForestParams(n_estimators=6, seed=13)),
+    (_encoder_like, ForestParams(n_estimators=5, max_depth=12, seed=2)),
+    (_continuous, ForestParams(n_estimators=3, seed=-4)),
+], ids=["golden", "encoder-like-depth-12", "continuous"])
+def test_saved_model_is_json_dump_bytes_one_write_per_tree(data, params):
+    # save_forest writes the bytes json.dump streams token by token, a tree at a time
+    X, y = data(np.random.default_rng(23))
+    forest = train_forest(X, y, params)
+    streamed = io.StringIO()
+    json.dump(forest_to_dict(forest), streamed, sort_keys=True)
+    writes = _writes(forest)
+    assert "".join(writes) == streamed.getvalue()
+    assert len(writes) == params.n_estimators + 2  # the head, each tree, the tail
+
+
+# thresholds whose text is easy to get wrong: a signed zero, integer-valued floats,
+# the largest finite doubles (a split past them keeps its lower value) and a subnormal
+_THRESHOLDS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 0.0, 1.0, -3.0, 2.0**52, 1e16, 1.6e308, 1.7e308, -1.7e308, 5e-324]),
+    st.integers(-(2**53), 2**53).map(float),
+)
+# leaf counts small or with tp + fp just below 2**53, the most a leaf may carry
+_TOTALS = st.one_of(st.integers(1, 40), st.integers(2**53 - 40, 2**53 - 1))
+_LEAVES = _TOTALS.flatmap(
+    lambda total: st.integers(0, total).map(lambda tp: {"tp": tp, "fp": total - tp}))
+_TREES = st.recursive(_LEAVES, lambda kids: st.builds(
+    lambda feature, threshold, left, right: {
+        "feature": feature, "threshold": threshold, "left": left, "right": right},
+    st.integers(0, 2), _THRESHOLDS, kids, kids), max_leaves=24)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_TREES, min_size=1, max_size=4), st.integers(-(2**63), 2**63))
+def test_saved_model_of_drawn_trees_is_json_dumps_of_them(trees, seed):
+    model = {"version": MODEL_FORMAT_VERSION, "params": asdict(ForestParams(seed=seed)),
+             "profile": None, "feature_names": ["a", "b", "c"], "trees": trees}
+    forest = forest_from_dict(model)
+    assert forest_to_dict(forest) == model
+    writes = _writes(forest)
+    assert "".join(writes) == json.dumps(model, sort_keys=True)
+    assert len(writes) == len(trees) + 2
+
+
+def test_saved_threshold_and_count_texts():
+    big = 2**53 - 1
+    trees = [
+        {"feature": 0, "threshold": -0.0, "left": {"tp": big, "fp": 0},
+         "right": {"tp": 0, "fp": big}},
+        {"feature": 1, "threshold": 3, "left": {"tp": 1, "fp": 1},  # a JSON integer: 3.0
+         "right": {"feature": 0, "threshold": 1.7e308, "left": {"tp": 2, "fp": 0},
+                   "right": {"tp": 0, "fp": 2}}},
+    ]
+    forest = _hand_built(trees, 2, max_depth=2)
+    text = "".join(_writes(forest))
+    assert text == json.dumps(forest_to_dict(forest), sort_keys=True)
+    assert '"trees": [{"feature": 0, "left": {"fp": 0, "tp": 9007199254740991}' in text
+    assert '"threshold": -0.0}' in text and '"threshold": 3.0}' in text
+    assert '"threshold": 1.7e+308}' in text
+
+
+def test_model_nested_5000_deep_saves_and_the_bytes_are_refused_on_load():
+    # the writer needs no recursion, so any depth saves; json reads about 1,000 levels
+    obj = _chain_model(5000)
+    text = "".join(_writes(forest_from_dict(obj)))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(12_000)  # json.dumps recurses per level: the oracle needs the room
+    try:
+        assert text == json.dumps({**obj, "params": asdict(ForestParams())}, sort_keys=True)
+    finally:
+        sys.setrecursionlimit(limit)
+    with pytest.raises(ParseError, match="^invalid JSON input: maximum recursion depth"):
+        load_forest(io.StringIO(text))
+
+
+@pytest.mark.parametrize("levels, dtype", [([2, 17, 255, 100], np.uint8), ([2, 300, 2], np.uint16)],
+                         ids=["uint8", "uint16-upcast"])
+def test_rank_codes_are_the_unique_inverses_in_the_widest_columns_type(levels, dtype):
+    # each column's codes narrow as they are made; all take the type of the most values
+    rng = np.random.default_rng(6)
+    X = np.column_stack([rng.permutation(np.resize(np.arange(k) * 0.5 - 3, 1000)) for k in levels])
+    ranked = _ranked(X, rng.integers(0, 2, 1000))
+    assert ranked.codes.dtype == dtype == np.min_scalar_type(max(levels))
+    for j, k in enumerate(levels):
+        values, inverse = np.unique(X[:, j], return_inverse=True)
+        assert len(values) == k and np.array_equal(ranked.values[j], values)
+        assert np.array_equal(ranked.codes[j], inverse)
+
+
+def _traced_peak(call) -> int:
+    """The most memory Python's allocators (numpy's included) held during call()."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class _Counter:
+    """A text stream that keeps only the count of characters written to it."""
+
+    chars = 0
+
+    def write(self, text: str) -> None:
+        self.chars += len(text)
+
+
+def test_save_holds_under_half_of_what_one_json_dumps_string_holds():
+    X, y = _encoder_like(np.random.default_rng(23))
+    forest = train_forest(X, y, ForestParams(n_estimators=10, seed=5))
+    text = json.dumps(forest_to_dict(forest), sort_keys=True)
+    oracle = _traced_peak(lambda: json.dumps(forest_to_dict(forest), sort_keys=True))
+    sink = _Counter()
+    assert _traced_peak(lambda: save_forest(forest, sink)) < oracle / 2
+    assert sink.chars == len(text)
+
+
+def test_rank_coding_holds_under_the_int64_inverses_of_every_column():
+    # encoder-like columns of 200 levels: the codes are one byte a cell, not eight
+    rng = np.random.default_rng(1)
+    n, width = 20_000, 20
+    X = rng.integers(0, 200, size=(n, width)).astype(float)
+    y = rng.integers(0, 2, size=n)
+    assert _traced_peak(lambda: _ranked(X, y)) < n * width * 8
 
 
 def test_model_round_trip_is_lossless():
