@@ -182,15 +182,20 @@ class Ranked(NamedTuple):
 def _ranked(X: np.ndarray, y: Sequence[int]) -> Ranked:
     """Rank-code each column of a labeled matrix once, rows split by class."""
     X, y = as_labeled_matrix(X, y)
-    # each inverse narrows as it is made, so one int64 inverse is alive at a time
-    columns = [
-        (distinct, inverse.astype(np.min_scalar_type(len(distinct))))
-        for distinct, inverse in (np.unique(column, return_inverse=True) for column in X.T)
-    ]
+    columns = [_coded(column) for column in X.T]
     values = [distinct for distinct, _ in columns]
     dtype = np.min_scalar_type(max(map(len, values), default=0))
     codes = np.array([inverse for _, inverse in columns], dtype=dtype).reshape(X.shape[::-1])
     return Ranked(values, codes, *_split(np.arange(len(y)), y == 1))
+
+
+def _coded(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(a column's distinct values, its codes in the least type they need).
+
+    np.unique's int64 inverse is freed on return, so one is alive at a time.
+    """
+    distinct, inverse = np.unique(column, return_inverse=True)
+    return distinct, inverse.astype(np.min_scalar_type(len(distinct)))
 
 
 def _split(rows: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
