@@ -2,9 +2,10 @@
 
 Trees greedily split on Gini impurity decrease at thresholds between
 consecutive distinct feature values. Columns are rank-coded once per
-forest, so a node counts its rows per value with bincount, without a sort;
-each column's codes narrow as they are made, so one int64 column of codes
-is alive at a time.
+forest, so a node counts its rows per value without a sort: bincount for a
+column of three or more values, count_nonzero of the ones for a two-valued
+column (a flag), and nothing for a constant one. Each column's codes narrow
+as they are made, so one int64 column of codes is alive at a time.
 Near-ties are re-compared in exact integers, so tie-breaking (lower feature,
 then lower threshold) never depends on float rounding order.
 
@@ -13,7 +14,7 @@ Each tree trains on an n-row bootstrap draw; its RNG stream derives from
 deterministic and per-tree parallelizable. A node holds the ids of its drawn
 rows split by class, TP ids and FP ids (a row drawn twice is listed twice),
 all indexing the forest's one code array: its class counts are the two
-lengths, a split candidate is two bincounts over the codes of those ids, and
+lengths, a split candidate is two counts over the codes of those ids, and
 a split sends each class's ids left or right with compress, so no node reads
 a label and no tree copies codes. Trees grow in preorder (a node draws its
 candidates, then its left subtree grows, then its right) into one set of
@@ -206,8 +207,12 @@ def _split(rows: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def best_split(rows: Ranked, candidate_features: Sequence[int]) -> tuple[int, float, float] | None:
     """Best (feature, threshold, Gini decrease) over the candidates, or None.
 
-    Thresholds are midpoints between consecutive distinct values present
-    (the lower value where the midpoint rounds onto the upper or overflows).
+    A candidate outside 0..width-1 is refused. Each candidate counts its
+    rows per value, by class: two bincounts over the codes, or, for a
+    two-valued column, the count of code 1 in each class; a one-valued
+    column is skipped. Thresholds are midpoints between consecutive
+    distinct values present (the lower value where the midpoint rounds
+    onto the upper or overflows).
     The split maximizing weighted Gini decrease wins; ties go to the lower
     feature index, then the lower threshold. None when no split strictly
     decreases impurity. Scores are compared as s = (tp_l^2+fp_l^2)/n_l +
@@ -219,11 +224,23 @@ def best_split(rows: Ranked, candidate_features: Sequence[int]) -> tuple[int, fl
     parent_mass = total_tp * total_tp + total_fp * total_fp
     eps = _TIE_EPS * max(1.0, float(n))
 
+    features = sorted({int(f) for f in candidate_features})
+    for end in features[:1] + features[-1:]:  # the least and the greatest
+        check_int("candidate feature", end, 0, len(rows.values) - 1)
+
     best: tuple[float, int, int, float, int] | None = None  # (score, N, D, threshold, feature)
-    for feat in sorted(set(int(f) for f in candidate_features)):
+    for feat in features:
         column, size = rows.codes[feat], len(rows.values[feat])
-        tp_at = np.bincount(column.take(rows.tp_rows), minlength=size)
-        n_at = np.bincount(column.take(rows.fp_rows), minlength=size) + tp_at
+        if size < 2:  # a constant column
+            continue
+        if size == 2:  # codes 0 and 1: count the ones
+            tp_one = np.count_nonzero(column.take(rows.tp_rows))
+            one = tp_one + np.count_nonzero(column.take(rows.fp_rows))
+            tp_at = np.array([total_tp - tp_one, tp_one])
+            n_at = np.array([n - one, one])
+        else:
+            tp_at = np.bincount(column.take(rows.tp_rows), minlength=size)
+            n_at = np.bincount(column.take(rows.fp_rows), minlength=size) + tp_at
         present = n_at.nonzero()[0]  # codes of the values present, ascending
         if present.size < 2:
             continue

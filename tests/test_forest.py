@@ -125,6 +125,8 @@ def _oracle_split(X, y, feats):
         vals = sorted(set(X[:, feat].tolist()))
         for lo, hi in zip(vals, vals[1:]):
             thr = (lo + hi) / 2
+            if not lo <= thr < hi:  # the midpoint rounds onto hi or overflows
+                thr = lo
             left = [int(y[i]) for i in range(n) if X[i, feat] <= thr]
             right = [int(y[i]) for i in range(n) if X[i, feat] > thr]
             dec = parent - (
@@ -215,6 +217,84 @@ def test_best_split_threshold_past_the_largest_double_is_the_lower_value():
     X = np.array([[lo], [lo], [hi], [hi]])
     feat, threshold, _ = best_split(_ranked(X, np.array([0, 0, 1, 1])), [0])
     assert (feat, threshold) == (0, lo)
+
+
+# two-valued column kinds: (the value of a 0 bit, of a 1 bit)
+_PAIRS = {
+    "flag": (0.0, 1.0),
+    "signed-zero": (-0.0, 0.0),  # np.unique reads one value
+    "minus-one": (-1.0, 0.0),
+    "huge": (1.6e308, 1.7e308),  # the midpoint overflows: the threshold is lo
+}
+
+
+@st.composite
+def _mixed_split_case(draw):
+    """(X, y, bootstrap ids, candidates) over two-valued, constant and many-valued
+    columns; a 300-value column beside them, when drawn, makes the codes uint16."""
+    n = draw(st.integers(2, 30))
+    columns = []
+    for kind in draw(st.lists(st.sampled_from([*_PAIRS, "constant", "many"]),
+                              min_size=1, max_size=5)):
+        if kind == "constant":
+            columns.append(np.full(n, 3.5))
+            continue
+        cells = draw(st.lists(st.integers(0, 1 if kind in _PAIRS else 9), min_size=n, max_size=n))
+        columns.append(np.take(_PAIRS[kind], cells) if kind in _PAIRS else np.array(cells, float))
+    X = np.column_stack(columns)
+    y = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        rows = np.arange(300) % n
+        X, y = np.column_stack([X[rows], np.arange(300) * 0.5 - 7]), y[rows]
+    ids = np.array(draw(st.lists(st.integers(0, len(y) - 1), min_size=2, max_size=40)))
+    candidates = draw(st.lists(st.integers(0, X.shape[1] - 1), min_size=1, max_size=6))
+    return X, y, ids, candidates
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mixed_split_case())
+def test_best_split_on_drawn_ids_of_flag_and_constant_columns_matches_exact_oracle(case):
+    # the ids repeat as a bootstrap lists them; the oracle reads the drawn rows themselves
+    X, y, ids, candidates = case
+    ranked = _ranked(X, y)
+    assert ranked.codes.dtype == (np.uint16 if len(y) == 300 else np.uint8)
+    tp = y[ids] == 1
+    got = best_split(ranked._replace(tp_rows=ids[tp], fp_rows=ids[~tp]), candidates)
+    ref = _oracle_split(X[ids], y[ids], sorted(set(candidates)))
+    if ref is None:
+        assert got is None
+    else:
+        assert got[:2] == (ref[1], ref[2])
+        assert got[2] == pytest.approx(float(ref[0]), abs=1e-12)
+
+
+def test_bincount_counts_only_candidates_of_three_or_more_values(monkeypatch):
+    # a flag counts its ones and a constant column is skipped: two values are
+    # bincount's slowest case
+    X = np.array([[0.0, 4.0, 0.0, 2.0], [1.0, 4.0, 1.0, 3.0], [0.0, 4.0, 2.0, 2.0],
+                  [1.0, 4.0, 3.0, 4.0], [1.0, 4.0, 1.0, 2.0]])
+    y = np.array([0, 0, 1, 1, 1])
+    ranked = _ranked(X, y)
+    assert [len(v) for v in ranked.values] == [2, 1, 4, 3]
+    calls = []
+    bincount = np.bincount
+    monkeypatch.setattr(np, "bincount", lambda *a, **k: calls.append(1) or bincount(*a, **k))
+    for candidates, expected in (([0], 0), ([1], 0), ([0, 1], 0), ([2], 2), ([3], 2),
+                                 ([3, 1, 0, 2], 4)):
+        calls.clear()
+        best_split(ranked, candidates)
+        assert len(calls) == expected, candidates
+
+
+@pytest.mark.parametrize("candidates, index", [([-1], -1), ([0, -2], -2), ([2], 2), ([1, 5, 0], 5)])
+def test_best_split_refuses_a_candidate_outside_the_columns(candidates, index):
+    # -1 once scored the last column through numpy's negative indexing, and -1 is
+    # the leaf marker in Nodes.feature; 2 once ended in a bare IndexError
+    X = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    ranked = _ranked(X, np.array([0, 1, 0, 1]))
+    with pytest.raises(ValidationError) as info:
+        best_split(ranked, candidates)
+    assert str(info.value) == f"candidate feature out of range: {index} (expected in 0..1)"
 
 
 def _rng(seed=0):
@@ -589,6 +669,18 @@ def test_saved_model_bytes_match_golden_digest_on_encoder_like_matrix():
     assert digest == "611713d2bf0ab3c6b4edc6335017de3c3e6d301de427f366e4814fd6663f07e7"
 
 
+def test_saved_model_bytes_match_golden_digest_on_flag_heavy_matrix():
+    # two-valued and constant columns beside wide ones, as the encoders' flags give;
+    # pins the split search where most candidates have one or two values
+    X, y = _flag_heavy(np.random.default_rng(53))
+    ranked = _ranked(X, y)
+    assert [len(v) for v in ranked.values].count(2) == 17 and ranked.codes.dtype == np.uint16
+    buf = io.StringIO()
+    save_forest(train_forest(X, y, ForestParams(n_estimators=10, seed=11)), buf)
+    digest = hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest()
+    assert digest == "911fd392eabf028753e68779a2b27ab5090354f70d8887c6ab2bc922d40f436e"
+
+
 def test_every_node_that_may_split_calls_best_split_through_the_module(monkeypatch):
     # the benchmark's tracer counts forest.best_split_calls by rebinding the module global
     calls = []
@@ -644,6 +736,18 @@ def _encoder_like(rng):
     return X, y
 
 
+def _flag_heavy(rng):
+    """FULL29-like columns: 17 flags at base rates 1% to 90%, a constant, a 101-level and
+    a 1,001-level column, in 600 base rows drawn 2,400 times (the codes are uint16)."""
+    rates = np.linspace(0.01, 0.9, 17)
+    flags = (rng.random((600, 17)) < rates).astype(float)
+    base = np.column_stack([flags, np.full(600, 7.0), rng.integers(0, 101, size=600),
+                            rng.integers(0, 1001, size=600)])
+    X = base[rng.integers(0, 600, size=2400)]
+    y = ((X[:, 3] + X[:, 12] + (X[:, 18] > 60) >= 2) ^ (rng.random(2400) < 0.1)).astype(int)
+    return X, y
+
+
 @pytest.mark.parametrize("data, params", [
     (_continuous, ForestParams()),
     (_encoder_like, ForestParams()),
@@ -651,7 +755,9 @@ def _encoder_like(rng):
     (_continuous, ForestParams(max_depth=1)),
     (_continuous, ForestParams(max_depth=12)),
     (_encoder_like, ForestParams(max_depth=12, min_samples_split=5)),
-], ids=["continuous", "encoder-like", "min-split-5", "depth-1", "depth-12", "encoder-depth-12"])
+    (_flag_heavy, ForestParams(max_depth=12)),
+], ids=["continuous", "encoder-like", "min-split-5", "depth-1", "depth-12", "encoder-depth-12",
+        "flag-heavy"])
 @pytest.mark.parametrize("bootstrap", [False, True], ids=["all-rows", "bootstrap"])
 def test_grow_tree_matches_the_index_array_reference(data, params, bootstrap):
     X, y = data(np.random.default_rng(23))
