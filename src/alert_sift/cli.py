@@ -12,12 +12,12 @@ matrix the stage or model cannot use. Rule comments are one dict, {rule_uuid:
 comment}: a sidecar's from ingest.read_rule_comments, or the alerts' own from
 ingest.parse_embedded, which refuses a rule whose comments differ.
 
-_COMMANDS is the one place where flags and their defaults live: each
-subcommand's handler, its help line and one (name, flag, type, default,
-help) row per option, plus the least value of an integer option the library
-bounds. The parser, each flag's "(default X)" help, config typing, the
-unknown-key check and each integer option's range check all come from it;
-an integer out of range is refused by its flag's name, before the stage runs.
+_COMMANDS is the one place where flags live: each subcommand's handler, its help
+line and one (name, flag, type, default, help) row per option; an option that
+feeds a library parameter has the library's field as its default, and takes the
+default and least value stated there. The parser, each "(default X)" help, config
+typing, the unknown-key check and each range check come from it: an integer below
+its least value is refused by its flag's name, before the stage runs.
 
 Each option resolves from its flag, else its config key, else its default
 (flags > config file > built-in defaults). The config file is JSON keyed by
@@ -41,7 +41,7 @@ import os
 import stat
 import sys
 from argparse import Namespace
-from dataclasses import asdict
+from dataclasses import Field, asdict
 from functools import partial
 from typing import Callable, Iterable, Iterator, TextIO, TypeVar
 
@@ -49,8 +49,9 @@ import numpy as np
 
 from . import __version__
 from .errors import AlertSiftError, check_int
-from .evaluation import cross_validate, evaluate_forest, workload_savings
+from .evaluation import KFOLD_K, cross_validate, evaluate_forest, workload_savings
 from .features import (
+    SELECT_K,
     FeatureProfile,
     chi2_select,
     encode_alert,
@@ -418,22 +419,28 @@ def cmd_predict(opt: Namespace) -> str:
 
 
 _REQUIRED = object()  # the default of an option that a run must be given
+_SYNTH, _SAMPLE, _FOREST = (t.__dataclass_fields__ for t in (SynthSpec, SampleParams, ForestParams))
 
-# One row per option: (name, flag, type, default, help[, least]). The name is the
-# option's attribute and config key; a default of None is not documented. An integer
-# option below its least value is refused by its flag, as the library would refuse it.
-_SEED = ("seed", "--seed", int, 42, "RNG seed")
+
+def _default(spec) -> tuple:
+    """A row's (default, least value): a library field's own, else (spec, None)."""
+    return (spec.default, spec.metadata.get("least")) if isinstance(spec, Field) else (spec, None)
+
+
+# One row per option: (name, flag, type, default, help). The name is the option's attribute
+# and config key; a default of None is not documented. A library field as default gives the
+# option the field's default and least value, and a value below that is refused by its flag.
 _COMMANDS: dict[str, tuple[Callable[[Namespace], str], str, list[tuple]]] = {
     "synth": (cmd_synth, "generate a deterministic synthetic corpus", [
         ("out", "--out", str, "alerts.ndjson", "alerts NDJSON path"),
         ("comments", "--comments", str, "rule_comments.csv", "rule-comment sidecar CSV"),
         ("truth", "--truth", str, "ground_truth.csv", "ground-truth CSV"),
-        ("n_tp", "--n-tp", int, 982, "base TP alerts", 0),
-        ("n_fp", "--n-fp", int, 1126, "base FP alerts", 0),
-        ("n_rules", "--n-rules", int, 200, "rule count", 1),
-        ("dup", "--dup", int, 50, "duplication factor", 1),
-        ("signal", "--signal", float, 0.9, "signal strength in [0,1]"),
-        _SEED,
+        ("n_tp", "--n-tp", int, _SYNTH["n_tp"], "base TP alerts"),
+        ("n_fp", "--n-fp", int, _SYNTH["n_fp"], "base FP alerts"),
+        ("n_rules", "--n-rules", int, _SYNTH["n_rules"], "rule count"),
+        ("dup", "--dup", int, _SYNTH["duplication_factor"], "duplication factor"),
+        ("signal", "--signal", float, _SYNTH["signal_strength"], "signal strength in [0,1]"),
+        ("seed", "--seed", int, _SYNTH["seed"], "RNG seed"),
     ]),
     "ingest": (cmd_ingest, "parse and validate an NDJSON alert log", [
         ("input", "--in", str, _REQUIRED, "raw NDJSON alert log"),
@@ -451,8 +458,8 @@ _COMMANDS: dict[str, tuple[Callable[[Namespace], str], str, list[tuple]]] = {
     "sample": (cmd_sample, "dedup-sample and optionally split by date", [
         ("input", "--in", str, _REQUIRED, "labeled NDJSON"),
         ("out", "--out", str, "sampled.ndjson", "sampled NDJSON output"),
-        ("stride", "--stride", int, 100, "keep every stride-th per rule", 1),
-        ("per_rule_cap", "--per-rule-cap", int, 10, "max survivors per rule", 1),
+        ("stride", "--stride", int, _SAMPLE["stride"], "keep every stride-th per rule"),
+        ("per_rule_cap", "--per-rule-cap", int, _SAMPLE["per_rule_cap"], "max survivors per rule"),
         ("split_date", "--split-date", str, None, "ISO timestamp; before=train, rest=test"),
         ("train_out", "--train-out", str, "train.ndjson", "train split path"),
         ("test_out", "--test-out", str, "test.ndjson", "test split path"),
@@ -466,27 +473,28 @@ _COMMANDS: dict[str, tuple[Callable[[Namespace], str], str, list[tuple]]] = {
     "select": (cmd_select, "rank features by chi-squared score", [
         ("input", "--in", str, _REQUIRED, "labeled matrix CSV"),
         ("out", "--out", str, "selection.json", "selection JSON output"),
-        ("k", "--k", int, 20, "features to keep", 1),
+        ("k", "--k", int, SELECT_K, "features to keep"),
         ("matrix_out", "--matrix-out", str, None, "also write the reduced matrix CSV"),
     ]),
     "train": (cmd_train, "train the bagged forest on a labeled matrix", [
         ("input", "--in", str, _REQUIRED, "labeled matrix CSV"),
         ("model", "--model", str, "model.json", "model JSON output"),
-        ("trees", "--trees", int, 100, "tree count", 1),
-        ("depth", "--depth", int, 6, "max depth", 1),
-        ("min_split", "--min-split", int, 2, "min samples to split", 1),
-        _SEED,
+        ("trees", "--trees", int, _FOREST["n_estimators"], "tree count"),
+        ("depth", "--depth", int, _FOREST["max_depth"], "max depth"),
+        ("min_split", "--min-split", int, _FOREST["min_samples_split"], "min samples to split"),
+        ("seed", "--seed", int, _FOREST["seed"], "RNG seed"),
     ]),
     "evaluate": (cmd_evaluate, "holdout and/or k-fold evaluation", [
         ("input", "--in", str, _REQUIRED, "labeled matrix CSV"),
         ("model", "--model", str, None, "trained model JSON (holdout evaluation)"),
-        ("kfold", "--kfold", int, None, "also cross-validate with this many folds", 2),
+        ("kfold", "--kfold", int, KFOLD_K, "also cross-validate with this many folds"),
         ("threshold", "--threshold", float, 0.5, "TP decision threshold"),
         ("minutes_per_alert", "--minutes-per-alert", float, 4.0,
          "analyst minutes per reviewed alert"),
         ("report", "--report", str, "report.json", "report JSON output"),
         ("summary", "--summary", str, None, "also write a metric,value CSV here"),
-        ("seed", "--seed", int, 42, "RNG seed of --kfold; with --model, the model's seed is used"),
+        ("seed", "--seed", int, _FOREST["seed"],
+         "RNG seed of --kfold; with --model, the model's seed is used"),
     ]),
     "explain": (cmd_explain, "per-feature attribution and global importance", [
         ("input", "--in", str, _REQUIRED, "matrix CSV"),
@@ -521,8 +529,8 @@ def _build_parser() -> argparse.ArgumentParser:
     for command, (_, help_line, rows) in _COMMANDS.items():
         p = sub.add_parser(command, help=help_line)
         p.add_argument("--config", help="JSON config file; flags override its values")
-        for name, flag, kind, default, text, *_ in rows:
-            if default is not None and default is not _REQUIRED:
+        for name, flag, kind, spec, text in rows:
+            if (default := _default(spec)[0]) is not None and default is not _REQUIRED:
                 text = f"{text} (default {default})"
             p.add_argument(flag, dest=name, type=kind, help=text)
     return parser
@@ -552,7 +560,8 @@ def _resolve(command: str, args: Namespace, config: dict) -> Namespace:
         raise AlertSiftError(f"unknown config key {unknown[0]!r}")
     rows = _COMMANDS[command][2]
     resolved = Namespace()
-    for name, flag, kind, default, _, *least in rows:
+    for name, flag, kind, spec, _ in rows:
+        default, least = _default(spec)
         value = getattr(args, name)
         if value is None and name in config:
             value = _convert(name, kind, config[name])
@@ -560,8 +569,8 @@ def _resolve(command: str, args: Namespace, config: dict) -> Namespace:
         if value is None and default is _REQUIRED:
             needed = " and ".join(row[1] for row in rows if row[3] is _REQUIRED)
             raise AlertSiftError(f"{command} needs {needed}")
-        if value is not None and least:
-            check_int(flag, value, *least)
+        if value is not None and least is not None:
+            check_int(flag, value, least)
         setattr(resolved, name, default if value is None else value)
     return resolved
 

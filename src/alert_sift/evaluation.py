@@ -7,7 +7,7 @@ positives (noise to filter).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -15,6 +15,8 @@ import numpy as np
 from .errors import ValidationError, check_int
 from .features import as_labeled_matrix
 from .forest import Forest, ForestParams, check_threshold, predict_proba_batch, train_forest
+
+KFOLD_K = field(default=None, metadata={"least": 2})  # kfold_split's k; no folds unless asked
 
 
 @dataclass(frozen=True)
@@ -88,7 +90,7 @@ def kfold_split(n: int, k: int, seed: int) -> list[list[int]]:
     negative seed is taken modulo 2**64, as the forest's tree seeds are.
     """
     check_int("n", n)
-    check_int("k", k, 2)
+    check_int("k", k, KFOLD_K.metadata["least"])
     check_int("seed", seed)
     if k > n:
         raise ValidationError(f"k={k} exceeds sample count n={n}")

@@ -35,7 +35,7 @@ from __future__ import annotations
 import ipaddress
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import lru_cache
 from typing import IO, Iterable, Sequence
@@ -46,6 +46,7 @@ from .errors import ValidationError, check_int
 from .ingest import _MEMO_SIZE, RawAlert, ip_value
 
 PORT_MAX = 65535
+SELECT_K = field(default=20, metadata={"least": 1})  # chi2_select's k and select's default k
 
 # (feature name, source text, keyword). Description keywords are matched
 # case-sensitively (uppercase signature tokens); class-type keywords are
@@ -128,7 +129,9 @@ def feature_names(profile: FeatureProfile) -> list[str]:
     """Ordered column names for the given profile."""
     if profile is FeatureProfile.CORE20:
         return list(_CORE_NAMES)
-    return _CORE_NAMES + _EXTRA_NAMES
+    if profile is FeatureProfile.FULL29:
+        return _CORE_NAMES + _EXTRA_NAMES
+    raise ValidationError(f"profile must be a FeatureProfile, got {profile!r}")
 
 
 @dataclass(frozen=True)
@@ -236,6 +239,8 @@ def _ipv6_thresholds() -> list[int]:
 
 @lru_cache(maxsize=_MEMO_SIZE)
 def _keyword_flags(description: str, class_type: str, profile: FeatureProfile) -> tuple:
+    if profile not in _KEYWORDS:  # refused as feature_names refuses it, on a cache miss only
+        feature_names(profile)
     class_folded = class_type.lower()
     return tuple(
         float(keyword in (description if in_description else class_folded))
@@ -338,7 +343,7 @@ def chi2_select(matrix: np.ndarray, labels: Sequence[int], k: int) -> SelectionR
     the column total weighted by the class prior. Features with zero total
     mass score 0.
     """
-    check_int("k", k, 1)
+    check_int("k", k, SELECT_K.metadata["least"])
     X, y = as_labeled_matrix(matrix, labels)
     if np.any(X < 0):
         raise ValidationError("chi2 requires non-negative feature values")

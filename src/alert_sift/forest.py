@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import IO, NamedTuple, Sequence
 
 import numpy as np
@@ -62,14 +62,14 @@ _CHUNK_CELLS = 2**16
 
 @dataclass(frozen=True)
 class ForestParams:
-    n_estimators: int = 100
-    max_depth: int = 6
-    min_samples_split: int = 2
+    n_estimators: int = field(default=100, metadata={"least": 1})
+    max_depth: int = field(default=6, metadata={"least": 1})
+    min_samples_split: int = field(default=2, metadata={"least": 1})
     seed: int = 42
 
     def __post_init__(self):
-        for name, value in vars(self).items():
-            check_int(name, value, None if name == "seed" else 1)
+        for spec in fields(self):
+            check_int(spec.name, getattr(self, spec.name), spec.metadata.get("least"))
 
     def max_features_for(self, width: int) -> int:
         """Candidate features per node: floor(sqrt(width)), at least 1."""

@@ -8,7 +8,7 @@ rule, which removes bulk duplication while allowing slight repetition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from datetime import datetime
 from typing import Iterable
 
@@ -18,12 +18,12 @@ from .ingest import LabeledAlert
 
 @dataclass(frozen=True)
 class SampleParams:
-    stride: int = 100
-    per_rule_cap: int = 10
+    stride: int = field(default=100, metadata={"least": 1})
+    per_rule_cap: int = field(default=10, metadata={"least": 1})
 
     def __post_init__(self):
-        for name, value in vars(self).items():
-            check_int(name, value, 1)
+        for spec in fields(self):
+            check_int(spec.name, getattr(self, spec.name), spec.metadata["least"])
 
 
 def dedup_sample(

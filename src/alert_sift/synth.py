@@ -19,7 +19,7 @@ from __future__ import annotations
 import csv
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timedelta, timezone
 from typing import IO
 
@@ -94,17 +94,17 @@ _FP_COMMENTS = (
 
 @dataclass(frozen=True)
 class SynthSpec:
-    n_tp: int = 982
-    n_fp: int = 1126
-    n_rules: int = 200
-    duplication_factor: int = 50
+    n_tp: int = field(default=982, metadata={"least": 0})
+    n_fp: int = field(default=1126, metadata={"least": 0})
+    n_rules: int = field(default=200, metadata={"least": 1})
+    duplication_factor: int = field(default=50, metadata={"least": 1})
     signal_strength: float = 0.9
     seed: int = 42
 
     def __post_init__(self):
-        for name, lo in (("n_tp", 0), ("n_fp", 0), ("n_rules", 1), ("duplication_factor", 1),
-                         ("seed", None)):
-            check_int(name, getattr(self, name), lo)
+        for spec in fields(self):
+            if spec.name != "signal_strength":
+                check_int(spec.name, getattr(self, spec.name), spec.metadata.get("least"))
         if self.n_rules < 2 and self.n_tp > 0 and self.n_fp > 0:
             raise ValidationError("n_rules must be >= 2 when both classes have alerts")
         strength = self.signal_strength

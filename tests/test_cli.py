@@ -439,13 +439,19 @@ def test_evaluate_kfold_refusal_names_the_flag(chain, tmp_path, capsys):
 def test_every_bounded_integer_flag_is_refused_by_its_name_before_the_stage_runs(
     tmp_path, monkeypatch, capsys, command, flag, least
 ):
-    # --in names no file: the option is refused before any input is read
-    monkeypatch.chdir(tmp_path)
-    argv = [command, flag, str(least - 1)] + ([] if command == "synth" else ["--in", "absent"])
-    assert cli.main(argv) == 1
-    assert capsys.readouterr() == ("", f"error: {flag} out of range: {least - 1} "
-                                       f"(expected >= {least})\n")
-    assert os.listdir(tmp_path) == []
+    # --in names no file: the option is refused before any input is read, whether the
+    # value came by flag or by config key; the config file sits outside the watched cwd
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({flag[2:].replace("-", "_"): least - 1}), encoding="utf-8")
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    argv = [command] + ([] if command == "synth" else ["--in", "absent"])
+    for given in ([flag, str(least - 1)], ["--config", str(config)]):
+        assert cli.main(argv + given) == 1
+        assert capsys.readouterr() == ("", f"error: {flag} out of range: {least - 1} "
+                                           f"(expected >= {least})\n")
+        assert os.listdir(cwd) == []
 
 
 @pytest.mark.parametrize("minutes", ["nan", "inf", "-inf"])

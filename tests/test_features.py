@@ -330,6 +330,16 @@ def test_profile_lengths():
     assert len(encode_alert(alert, FeatureProfile.FULL29)) == 29
 
 
+@pytest.mark.parametrize("profile", ["core20", "full29", None, 20])
+def test_a_profile_that_is_not_a_feature_profile_is_refused(profile):
+    # feature_names("core20") once gave the 29 full names and encode_alert a bare KeyError
+    alert = parse_alert_record(make_line())
+    for call in (lambda: feature_names(profile), lambda: encode_alert(alert, profile)):
+        with pytest.raises(ValidationError) as info:
+            call()
+        assert str(info.value) == f"profile must be a FeatureProfile, got {profile!r}"
+
+
 def test_fixture_alert_golden_vector():
     # every entry hand-derived from the conftest fixture record
     alert = parse_alert_record(make_line())

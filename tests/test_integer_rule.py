@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 import alert_sift
-from alert_sift import cli
 from alert_sift.errors import ValidationError, check_int
 from alert_sift.evaluation import ConfusionMatrix, kfold_split, workload_savings
 from alert_sift.features import ScalingCaps, chi2_select
@@ -75,30 +74,6 @@ _CALLERS = {
     "kfold_split seed": ("seed", None, None, lambda v: kfold_split(10, 2, v)),
     "workload_savings count": ("filtered_fp_count", 0, None, lambda v: workload_savings(v)),
 }
-
-
-# each CLI option with a least value: the caller that takes it from the stage
-_FLAG_CALLERS = {
-    ("synth", "--n-tp"): "SynthSpec n_tp",
-    ("synth", "--n-fp"): "SynthSpec n_fp",
-    ("synth", "--n-rules"): "SynthSpec n_rules",
-    ("synth", "--dup"): "SynthSpec duplication_factor",
-    ("sample", "--stride"): "SampleParams stride",
-    ("sample", "--per-rule-cap"): "SampleParams per_rule_cap",
-    ("select", "--k"): "chi2_select k",
-    ("train", "--trees"): "ForestParams n_estimators",
-    ("train", "--depth"): "ForestParams max_depth",
-    ("train", "--min-split"): "ForestParams min_samples_split",
-    ("evaluate", "--kfold"): "kfold_split k",
-}
-
-
-def test_each_flag_bound_is_the_bound_of_the_caller_it_feeds():
-    # the CLI refuses a value by the flag's name, so it must refuse exactly what the library would
-    bounds = {(command, row[1]): row[5] for command, (_, _, rows) in cli._COMMANDS.items()
-              for row in rows if len(row) > 5}
-    assert bounds == {flag: _CALLERS[caller][1] for flag, caller in _FLAG_CALLERS.items()}
-    assert all(_CALLERS[caller][2] is None for caller in _FLAG_CALLERS.values())
 
 
 def _cases():
