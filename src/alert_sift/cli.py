@@ -13,9 +13,10 @@ comment}: a sidecar's from ingest.read_rule_comments, or the alerts' own from
 ingest.parse_embedded, which refuses a rule whose comments differ.
 
 _COMMANDS is the one place where flags live: each subcommand's handler, its help
-line and one (name, flag, type, default, help) row per option; an option that
-feeds a library parameter has the library's field as its default, and takes the
-default and least value stated there. The parser, each "(default X)" help, config
+line and one (flag, type, default, help) row per option, named _name(flag). An
+option that feeds a library parameter has the library's field as its default,
+takes the default and least value stated there, and reaches the stage in
+opt.params under the field's name. The parser, each "(default X)" help, config
 typing, the unknown-key check and each range check come from it: an integer below
 its least value is refused by its flag's name, before the stage runs.
 
@@ -49,7 +50,9 @@ import numpy as np
 
 from . import __version__
 from .errors import AlertSiftError, check_int
-from .evaluation import KFOLD_K, cross_validate, evaluate_forest, workload_savings
+from .evaluation import (
+    KFOLD_K, MINUTES_PER_ALERT, cross_validate, evaluate_forest, workload_savings
+)
 from .features import (
     SELECT_K,
     FeatureProfile,
@@ -62,6 +65,7 @@ from .features import (
 )
 from .forest import (
     MODEL_FORMAT_VERSION,
+    THRESHOLD,
     Forest,
     ForestParams,
     check_threshold,
@@ -183,7 +187,7 @@ def _profile(name: str) -> FeatureProfile:
     try:
         return FeatureProfile(name)
     except ValueError:
-        raise AlertSiftError(f"unknown profile {name!r} (expected core20 or full29)") from None
+        raise AlertSiftError(f"unknown profile {name!r} (expected {_PROFILES})") from None
 
 
 def _read_matrix(
@@ -209,14 +213,7 @@ def _read_matrix(
 
 
 def cmd_synth(opt: Namespace) -> str:
-    spec = SynthSpec(
-        n_tp=opt.n_tp,
-        n_fp=opt.n_fp,
-        n_rules=opt.n_rules,
-        duplication_factor=opt.dup,
-        signal_strength=opt.signal,
-        seed=opt.seed,
-    )
+    spec = SynthSpec(**opt.params)
     paths = {"--out": opt.out, "--comments": opt.comments, "--truth": opt.truth}
     with _outputs(paths) as (alerts_fh, comments_fh, truth_fh):
         corpus = generate_corpus(spec)
@@ -279,7 +276,7 @@ def cmd_label(opt: Namespace) -> str:
 
 
 def cmd_sample(opt: Namespace) -> str:
-    params = SampleParams(stride=opt.stride, per_rule_cap=opt.per_rule_cap)
+    params = SampleParams(**opt.params)
     split = None if opt.split_date is None else parse_timestamp(opt.split_date)
     paths = (
         {"--out": opt.out} if split is None
@@ -333,9 +330,7 @@ def cmd_select(opt: Namespace) -> str:
 
 
 def cmd_train(opt: Namespace) -> str:
-    params = ForestParams(
-        n_estimators=opt.trees, max_depth=opt.depth, min_samples_split=opt.min_split, seed=opt.seed
-    )
+    params = ForestParams(**opt.params)
     with _outputs({"--model": opt.model}) as (out,):
         X, labels, names = _read_matrix(opt.input, labeled=True)
         save_forest(train_forest(X, labels, params, feature_names=names), out)
@@ -363,7 +358,7 @@ def cmd_evaluate(opt: Namespace) -> str:
             acc, rec = ("n/a" if v is None else f"{v:.3f}" for v in (rep.accuracy, rep.tp_recall))
             summary_bits.append(f"accuracy {acc}, tp_recall {rec}, savings {savings:.1f}h")
         if opt.kfold is not None:
-            params = ForestParams(seed=opt.seed) if forest is None else forest.params
+            params = ForestParams(**opt.params) if forest is None else forest.params
             cv = cross_validate(X, labels, params, k=opt.kfold, threshold=opt.threshold)
             mean, variance = cv.mean_accuracy, cv.accuracy_variance
             report.update(per_fold=[asdict(r) for r in cv.reports], mean=mean, variance=variance)
@@ -419,7 +414,13 @@ def cmd_predict(opt: Namespace) -> str:
 
 
 _REQUIRED = object()  # the default of an option that a run must be given
+_PROFILES = " or ".join(profile.value for profile in FeatureProfile)  # --profile's choices
 _SYNTH, _SAMPLE, _FOREST = (t.__dataclass_fields__ for t in (SynthSpec, SampleParams, ForestParams))
+
+
+def _name(flag: str) -> str:
+    """An option's attribute and config key: its long flag, dashes as underscores (--in: input)."""
+    return "input" if flag == "--in" else flag[2:].replace("-", "_")
 
 
 def _default(spec) -> tuple:
@@ -427,92 +428,91 @@ def _default(spec) -> tuple:
     return (spec.default, spec.metadata.get("least")) if isinstance(spec, Field) else (spec, None)
 
 
-# One row per option: (name, flag, type, default, help). The name is the option's attribute
-# and config key; a default of None is not documented. A library field as default gives the
-# option the field's default and least value, and a value below that is refused by its flag.
+# One row per option: (flag, type, default, help); _name(flag) is its attribute and config key.
+# A default of None is not documented; a threshold, minutes or profile default is the library's.
+# A library field as default gives the option the field's default and least value, and a value
+# below that is refused by its flag; a parameter type's field also routes it to opt.params.
 _COMMANDS: dict[str, tuple[Callable[[Namespace], str], str, list[tuple]]] = {
     "synth": (cmd_synth, "generate a deterministic synthetic corpus", [
-        ("out", "--out", str, "alerts.ndjson", "alerts NDJSON path"),
-        ("comments", "--comments", str, "rule_comments.csv", "rule-comment sidecar CSV"),
-        ("truth", "--truth", str, "ground_truth.csv", "ground-truth CSV"),
-        ("n_tp", "--n-tp", int, _SYNTH["n_tp"], "base TP alerts"),
-        ("n_fp", "--n-fp", int, _SYNTH["n_fp"], "base FP alerts"),
-        ("n_rules", "--n-rules", int, _SYNTH["n_rules"], "rule count"),
-        ("dup", "--dup", int, _SYNTH["duplication_factor"], "duplication factor"),
-        ("signal", "--signal", float, _SYNTH["signal_strength"], "signal strength in [0,1]"),
-        ("seed", "--seed", int, _SYNTH["seed"], "RNG seed"),
+        ("--out", str, "alerts.ndjson", "alerts NDJSON path"),
+        ("--comments", str, "rule_comments.csv", "rule-comment sidecar CSV"),
+        ("--truth", str, "ground_truth.csv", "ground-truth CSV"),
+        ("--n-tp", int, _SYNTH["n_tp"], "base TP alerts"),
+        ("--n-fp", int, _SYNTH["n_fp"], "base FP alerts"),
+        ("--n-rules", int, _SYNTH["n_rules"], "rule count"),
+        ("--dup", int, _SYNTH["duplication_factor"], "duplication factor"),
+        ("--signal", float, _SYNTH["signal_strength"], "signal strength in [0,1]"),
+        ("--seed", int, _SYNTH["seed"], "RNG seed"),
     ]),
     "ingest": (cmd_ingest, "parse and validate an NDJSON alert log", [
-        ("input", "--in", str, _REQUIRED, "raw NDJSON alert log"),
-        ("out", "--out", str, "parsed.ndjson", "normalized NDJSON output"),
-        ("field_map", "--field-map", str, None, "field=json.path remap file"),
-        ("comments", "--comments", str, None, "rule-comment sidecar CSV to attach"),
+        ("--in", str, _REQUIRED, "raw NDJSON alert log"),
+        ("--out", str, "parsed.ndjson", "normalized NDJSON output"),
+        ("--field-map", str, None, "field=json.path remap file"),
+        ("--comments", str, None, "rule-comment sidecar CSV to attach"),
     ]),
     "label": (cmd_label, "weak-label alerts from rule comments", [
-        ("input", "--in", str, _REQUIRED, "normalized NDJSON from ingest"),
-        ("out", "--out", str, "labeled.ndjson", "labeled NDJSON output"),
-        ("comments", "--comments", str, None, "rule-comment sidecar CSV"),
-        ("keywords", "--keywords", str, None, "keyword config file (tp:/fp: stanzas)"),
-        ("lists", "--lists", str, None, "also write the label lists CSV here"),
+        ("--in", str, _REQUIRED, "normalized NDJSON from ingest"),
+        ("--out", str, "labeled.ndjson", "labeled NDJSON output"),
+        ("--comments", str, None, "rule-comment sidecar CSV"),
+        ("--keywords", str, None, "keyword config file (tp:/fp: stanzas)"),
+        ("--lists", str, None, "also write the label lists CSV here"),
     ]),
     "sample": (cmd_sample, "dedup-sample and optionally split by date", [
-        ("input", "--in", str, _REQUIRED, "labeled NDJSON"),
-        ("out", "--out", str, "sampled.ndjson", "sampled NDJSON output"),
-        ("stride", "--stride", int, _SAMPLE["stride"], "keep every stride-th per rule"),
-        ("per_rule_cap", "--per-rule-cap", int, _SAMPLE["per_rule_cap"], "max survivors per rule"),
-        ("split_date", "--split-date", str, None, "ISO timestamp; before=train, rest=test"),
-        ("train_out", "--train-out", str, "train.ndjson", "train split path"),
-        ("test_out", "--test-out", str, "test.ndjson", "test split path"),
+        ("--in", str, _REQUIRED, "labeled NDJSON"),
+        ("--out", str, "sampled.ndjson", "sampled NDJSON output"),
+        ("--stride", int, _SAMPLE["stride"], "keep every stride-th per rule"),
+        ("--per-rule-cap", int, _SAMPLE["per_rule_cap"], "max survivors per rule"),
+        ("--split-date", str, None, "ISO timestamp; before=train, rest=test"),
+        ("--train-out", str, "train.ndjson", "train split path"),
+        ("--test-out", str, "test.ndjson", "test split path"),
     ]),
     "encode": (cmd_encode, "encode labeled alerts into the feature matrix CSV", [
-        ("input", "--in", str, _REQUIRED, "labeled NDJSON"),
-        ("out", "--out", str, "matrix.csv", "matrix CSV output"),
-        ("profile", "--profile", str, "core20", "core20 or full29"),
-        ("caps", "--caps", str, None, "scaling-caps file (name=value lines)"),
+        ("--in", str, _REQUIRED, "labeled NDJSON"),
+        ("--out", str, "matrix.csv", "matrix CSV output"),
+        ("--profile", str, FeatureProfile.CORE20.value, _PROFILES),
+        ("--caps", str, None, "scaling-caps file (name=value lines)"),
     ]),
     "select": (cmd_select, "rank features by chi-squared score", [
-        ("input", "--in", str, _REQUIRED, "labeled matrix CSV"),
-        ("out", "--out", str, "selection.json", "selection JSON output"),
-        ("k", "--k", int, SELECT_K, "features to keep"),
-        ("matrix_out", "--matrix-out", str, None, "also write the reduced matrix CSV"),
+        ("--in", str, _REQUIRED, "labeled matrix CSV"),
+        ("--out", str, "selection.json", "selection JSON output"),
+        ("--k", int, SELECT_K, "features to keep"),
+        ("--matrix-out", str, None, "also write the reduced matrix CSV"),
     ]),
     "train": (cmd_train, "train the bagged forest on a labeled matrix", [
-        ("input", "--in", str, _REQUIRED, "labeled matrix CSV"),
-        ("model", "--model", str, "model.json", "model JSON output"),
-        ("trees", "--trees", int, _FOREST["n_estimators"], "tree count"),
-        ("depth", "--depth", int, _FOREST["max_depth"], "max depth"),
-        ("min_split", "--min-split", int, _FOREST["min_samples_split"], "min samples to split"),
-        ("seed", "--seed", int, _FOREST["seed"], "RNG seed"),
+        ("--in", str, _REQUIRED, "labeled matrix CSV"),
+        ("--model", str, "model.json", "model JSON output"),
+        ("--trees", int, _FOREST["n_estimators"], "tree count"),
+        ("--depth", int, _FOREST["max_depth"], "max depth"),
+        ("--min-split", int, _FOREST["min_samples_split"], "min samples to split"),
+        ("--seed", int, _FOREST["seed"], "RNG seed"),
     ]),
     "evaluate": (cmd_evaluate, "holdout and/or k-fold evaluation", [
-        ("input", "--in", str, _REQUIRED, "labeled matrix CSV"),
-        ("model", "--model", str, None, "trained model JSON (holdout evaluation)"),
-        ("kfold", "--kfold", int, KFOLD_K, "also cross-validate with this many folds"),
-        ("threshold", "--threshold", float, 0.5, "TP decision threshold"),
-        ("minutes_per_alert", "--minutes-per-alert", float, 4.0,
-         "analyst minutes per reviewed alert"),
-        ("report", "--report", str, "report.json", "report JSON output"),
-        ("summary", "--summary", str, None, "also write a metric,value CSV here"),
-        ("seed", "--seed", int, _FOREST["seed"],
+        ("--in", str, _REQUIRED, "labeled matrix CSV"),
+        ("--model", str, None, "trained model JSON (holdout evaluation)"),
+        ("--kfold", int, KFOLD_K, "also cross-validate with this many folds"),
+        ("--threshold", float, THRESHOLD, "TP decision threshold"),
+        ("--minutes-per-alert", float, MINUTES_PER_ALERT, "analyst minutes per reviewed alert"),
+        ("--report", str, "report.json", "report JSON output"),
+        ("--summary", str, None, "also write a metric,value CSV here"),
+        ("--seed", int, _FOREST["seed"],
          "RNG seed of --kfold; with --model, the model's seed is used"),
     ]),
     "explain": (cmd_explain, "per-feature attribution and global importance", [
-        ("input", "--in", str, _REQUIRED, "matrix CSV"),
-        ("model", "--model", str, _REQUIRED, "trained model JSON"),
-        ("out", "--out", str, "importance.csv", "importance CSV output"),
-        ("row", "--row", int, None, "also attribute this row to JSON"),
-        ("attribution_out", "--attribution-out", str, "attribution.json",
-         "per-row attribution JSON path"),
+        ("--in", str, _REQUIRED, "matrix CSV"),
+        ("--model", str, _REQUIRED, "trained model JSON"),
+        ("--out", str, "importance.csv", "importance CSV output"),
+        ("--row", int, None, "also attribute this row to JSON"),
+        ("--attribution-out", str, "attribution.json", "per-row attribution JSON path"),
     ]),
     "predict": (cmd_predict, "score a matrix with a trained model", [
-        ("input", "--in", str, _REQUIRED, "matrix CSV"),
-        ("model", "--model", str, _REQUIRED, "trained model JSON"),
-        ("out", "--out", str, "predictions.csv", "predictions CSV output"),
-        ("threshold", "--threshold", float, 0.5, "TP decision threshold"),
+        ("--in", str, _REQUIRED, "matrix CSV"),
+        ("--model", str, _REQUIRED, "trained model JSON"),
+        ("--out", str, "predictions.csv", "predictions CSV output"),
+        ("--threshold", float, THRESHOLD, "TP decision threshold"),
     ]),
 }
 # one config file may serve several subcommands, so any row's name is a known key
-_CONFIG_KEYS = {row[0] for _, _, rows in _COMMANDS.values() for row in rows}
+_CONFIG_KEYS = {_name(row[0]) for _, _, rows in _COMMANDS.values() for row in rows}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -529,10 +529,10 @@ def _build_parser() -> argparse.ArgumentParser:
     for command, (_, help_line, rows) in _COMMANDS.items():
         p = sub.add_parser(command, help=help_line)
         p.add_argument("--config", help="JSON config file; flags override its values")
-        for name, flag, kind, spec, text in rows:
+        for flag, kind, spec, text in rows:
             if (default := _default(spec)[0]) is not None and default is not _REQUIRED:
                 text = f"{text} (default {default})"
-            p.add_argument(flag, dest=name, type=kind, help=text)
+            p.add_argument(flag, dest=_name(flag), type=kind, help=text)
     return parser
 
 
@@ -559,19 +559,21 @@ def _resolve(command: str, args: Namespace, config: dict) -> Namespace:
     if unknown:
         raise AlertSiftError(f"unknown config key {unknown[0]!r}")
     rows = _COMMANDS[command][2]
-    resolved = Namespace()
-    for name, flag, kind, spec, _ in rows:
-        default, least = _default(spec)
+    resolved = Namespace(params={})
+    for flag, kind, spec, _ in rows:
+        name, (default, least) = _name(flag), _default(spec)
         value = getattr(args, name)
         if value is None and name in config:
             value = _convert(name, kind, config[name])
         value = None if value == "" and default is None else value
         if value is None and default is _REQUIRED:
-            needed = " and ".join(row[1] for row in rows if row[3] is _REQUIRED)
+            needed = " and ".join(row[0] for row in rows if row[2] is _REQUIRED)
             raise AlertSiftError(f"{command} needs {needed}")
         if value is not None and least is not None:
             check_int(flag, value, least)
         setattr(resolved, name, default if value is None else value)
+        if isinstance(spec, Field) and spec.name:  # SELECT_K and KFOLD_K have no name
+            resolved.params[spec.name] = getattr(resolved, name)
     return resolved
 
 

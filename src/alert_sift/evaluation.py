@@ -12,11 +12,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ValidationError, check_int
+from .errors import ValidationError, check_int, check_number
 from .features import as_labeled_matrix
-from .forest import Forest, ForestParams, check_threshold, predict_proba_batch, train_forest
+from .forest import (
+    THRESHOLD, Forest, ForestParams, check_threshold, predict_proba_batch, train_forest
+)
 
 KFOLD_K = field(default=None, metadata={"least": 2})  # kfold_split's k; no folds unless asked
+MINUTES_PER_ALERT = 4.0  # workload_savings' default analyst minutes per reviewed alert
 
 
 @dataclass(frozen=True)
@@ -121,7 +124,7 @@ def cross_validate(
     labels: Sequence[int],
     params: ForestParams | None = None,
     k: int = 10,
-    threshold: float = 0.5,
+    threshold: float = THRESHOLD,
 ) -> CrossValidation:
     """Train on each fold's complement, evaluate on the fold, in fold order.
 
@@ -149,7 +152,7 @@ def evaluate_forest(
     forest: Forest,
     matrix: np.ndarray,
     labels: Sequence[int],
-    threshold: float = 0.5,
+    threshold: float = THRESHOLD,
 ) -> tuple[ConfusionMatrix, MetricsReport]:
     """Holdout evaluation of a trained forest on a labeled matrix."""
     check_threshold(threshold)
@@ -160,9 +163,10 @@ def evaluate_forest(
     return cm, metrics(cm)
 
 
-def workload_savings(filtered_fp_count: int, minutes_per_alert: float = 4.0) -> float:
+def workload_savings(filtered_fp_count: int, minutes_per_alert: float = MINUTES_PER_ALERT) -> float:
     """Analyst hours saved by suppressing that many alerts from review."""
     check_int("filtered_fp_count", filtered_fp_count, 0)
+    check_number("minutes_per_alert", minutes_per_alert)
     if not 0 < minutes_per_alert < np.inf:
         raise ValidationError(f"minutes_per_alert must be finite and > 0, got {minutes_per_alert}")
     return filtered_fp_count * minutes_per_alert / 60.0

@@ -258,7 +258,8 @@ def encode_alert(
     Each address is parsed once, for both its entries; every other scaled entry
     is read from its step table, the capped ones from caps' tables (the
     default caps' when caps is None). A RawAlert is checked where it is made,
-    so no field is tested here; any other value, a plain tuple too, is refused.
+    so no field is tested here; any other value, a plain tuple too, is refused,
+    as are caps with no tables (a dict, say).
     """
     if not isinstance(alert, RawAlert):
         raise ValidationError(f"alert must be a RawAlert, got {type(alert).__name__}")
@@ -267,9 +268,11 @@ def encode_alert(
     src_private, ks = _address(src_ip)
     dst_private, kd = _address(dst_ip)
     flags = _keyword_flags(description, class_type, profile)
-    (pkts_at, pkts), (bytes_at, nbytes), (sid_at, sids), (payload_at, payloads) = (
-        _DEFAULT_CAPS if caps is None else caps
-    ).tables
+    try:  # caught, not checked beforehand: a per-alert call runs no isinstance
+        tables = (_DEFAULT_CAPS if caps is None else caps).tables
+    except AttributeError:
+        raise ValidationError(f"caps must be a ScalingCaps, got {type(caps).__name__}") from None
+    (pkts_at, pkts), (bytes_at, nbytes), (sid_at, sids), (payload_at, payloads) = tables
     grid = _ADDRESS_GRID
     return (
         src_private,

@@ -43,7 +43,7 @@ from typing import IO, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ParseError, ValidationError, check_int
+from .errors import ParseError, ValidationError, check_int, check_number
 from .features import (
     FeatureProfile,
     as_labeled_matrix,
@@ -52,6 +52,7 @@ from .features import (
 )
 
 MODEL_FORMAT_VERSION = "1"
+THRESHOLD = 0.5  # the default decision threshold: a row that scores at least this is a TP
 
 # Relative float tolerance below which split scores are re-compared exactly.
 _TIE_EPS = 1e-9
@@ -355,7 +356,8 @@ def _scored(forest: Forest, rows: Sequence[Sequence[float]] | np.ndarray) -> np.
 
 
 def check_threshold(threshold: float) -> None:
-    """Refuse a decision threshold outside (0, 1), NaN included."""
+    """Refuse a decision threshold that is not a number or lies outside (0, 1), NaN included."""
+    check_number("threshold", threshold)
     if not 0.0 < threshold < 1.0:
         raise ValidationError(f"threshold must be in (0, 1), got {threshold}")
 
@@ -395,11 +397,8 @@ def _node_from_dict(obj, width: int) -> tuple:
             raise ValidationError(f"model split node lacks {', '.join(missing)}")
         feature, threshold = obj["feature"], obj["threshold"]
         check_int("model split feature", feature, 0, width - 1)
-        if (
-            isinstance(threshold, bool)
-            or not isinstance(threshold, (int, float))
-            or not math.isfinite(threshold)
-        ):
+        check_number("model split threshold", threshold)
+        if not math.isfinite(threshold):
             raise ValidationError(f"model split threshold {threshold!r} is not a finite number")
         return feature, float(threshold), obj["left"], obj["right"]
     n_tp, n_fp = obj.get("tp"), obj.get("fp")

@@ -40,6 +40,12 @@ class KeywordConfig:
     fp_keywords: tuple[str, ...] = DEFAULT_FP_KEYWORDS
 
     def __post_init__(self):
+        for name in ("tp_keywords", "fp_keywords"):  # a str would match by its characters
+            words = getattr(self, name)
+            if not isinstance(words, (tuple, list)) or not all(
+                isinstance(word, str) and word for word in words
+            ):
+                raise ValidationError(f"{name} must list non-empty strings, got {words!r}")
         if not self.tp_keywords or not self.fp_keywords:
             raise ValidationError("both keyword lists must be non-empty")
         overlap = {k.lower() for k in self.tp_keywords} & {k.lower() for k in self.fp_keywords}
@@ -50,6 +56,8 @@ class KeywordConfig:
 def classify_comment(comment: str | None, cfg: KeywordConfig | None = None) -> LabelDecision:
     """Decide TP/FP/ambiguous/unmatched for one comment by substring search."""
     cfg = cfg or KeywordConfig()
+    if comment is not None and not isinstance(comment, str):
+        raise ValidationError(f"rule comment must be a string or None, got {comment!r}")
     if not comment:
         return LabelDecision.UNMATCHED
     haystack = comment.lower()

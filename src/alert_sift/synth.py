@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, fields
 from datetime import datetime, timedelta, timezone
 from typing import IO
 
-from .errors import ValidationError, check_int
+from .errors import ValidationError, check_int, check_number
 
 _WINDOW_START = datetime(2025, 1, 1, tzinfo=timezone.utc)
 _WINDOW_DAYS = 180
@@ -107,10 +107,8 @@ class SynthSpec:
                 check_int(spec.name, getattr(self, spec.name), spec.metadata.get("least"))
         if self.n_rules < 2 and self.n_tp > 0 and self.n_fp > 0:
             raise ValidationError("n_rules must be >= 2 when both classes have alerts")
-        strength = self.signal_strength
-        if isinstance(strength, bool) or not isinstance(strength, (int, float)):
-            raise ValidationError(f"signal_strength must be a number, got {strength!r}")
-        if not 0.0 <= strength <= 1.0:
+        check_number("signal_strength", self.signal_strength)
+        if not 0.0 <= self.signal_strength <= 1.0:
             raise ValidationError("signal_strength must be in [0, 1]")
 
 

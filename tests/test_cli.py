@@ -1912,6 +1912,55 @@ def test_no_flags_resolve_each_documented_default(chain, tmp_path, monkeypatch):
             assert value in written, key
 
 
+# command -> (the inputs it needs, the library call a spy watches, the index of the parameter
+# object among its arguments, {flag: (that object's field, a value that is not its default)})
+_PARAMETER_FLAGS = {
+    "synth": (lambda p: [], "generate_corpus", 0, {
+        "--n-tp": ("n_tp", 3), "--n-fp": ("n_fp", 4), "--n-rules": ("n_rules", 3),
+        "--dup": ("duplication_factor", 2), "--signal": ("signal_strength", 0.25),
+        "--seed": ("seed", 7),
+    }),
+    "sample": (lambda p: ["--in", p["labeled"]], "dedup_sample", 1, {
+        "--stride": ("stride", 3), "--per-rule-cap": ("per_rule_cap", 4),
+    }),
+    "train": (lambda p: ["--in", p["matrix"]], "train_forest", 2, {
+        "--trees": ("n_estimators", 3), "--depth": ("max_depth", 2),
+        "--min-split": ("min_samples_split", 5), "--seed": ("seed", 9),
+    }),
+    "evaluate": (lambda p: ["--in", p["matrix"], "--kfold", "3"], "cross_validate", 2, {
+        "--seed": ("seed", 11),
+    }),
+}
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("command", sorted(_PARAMETER_FLAGS))
+def test_each_parameter_option_reaches_its_field(chain, tmp_path, monkeypatch, command, via):
+    """A value that no default holds, given by flag or by config key, is what the library sees."""
+    inputs, call, index, flags = _PARAMETER_FLAGS[command]
+    seen = []
+    real = getattr(cli, call)
+
+    def spy(*args, **kwargs):
+        seen.append(args[index])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, call, spy)
+    monkeypatch.chdir(tmp_path)
+    if via == "flag":
+        given = [text for flag, (_, value) in flags.items() for text in (flag, str(value))]
+    else:
+        config = {flag[2:].replace("-", "_"): value for flag, (_, value) in flags.items()}
+        Path("config.json").write_text(json.dumps(config), encoding="utf-8")
+        given = ["--config", "config.json"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        run_ok([command, *inputs(chain), *given])
+    params = seen[0]
+    for flag, (field, value) in flags.items():
+        assert value != getattr(type(params)(), field), flag  # not the default
+        assert getattr(params, field) == value, flag
+
+
 # every option name of every subcommand, and keys that name no option
 _FUZZ_KEYS = sorted(
     {"input" if flag == "--in" else flag[2:].replace("-", "_")

@@ -451,6 +451,15 @@ def test_encode_refuses_a_value_that_is_not_a_raw_alert():
         assert str(info.value) == f"alert must be a RawAlert, got {type(value).__name__}"
 
 
+@pytest.mark.parametrize("caps", [{"pkts_cap": 5}, "x", 5])
+def test_encode_refuses_caps_that_are_not_scaling_caps(caps):
+    # these once ended in a bare AttributeError naming the missing tables
+    alert = parse_alert_record(make_line())
+    with pytest.raises(ValidationError) as info:
+        encode_alert(alert, FeatureProfile.CORE20, caps)
+    assert str(info.value) == f"caps must be a ScalingCaps, got {type(caps).__name__}"
+
+
 class _Int(int):
     """An int subclass: refuse_alert passes it, and it encodes as its value."""
 

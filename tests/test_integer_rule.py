@@ -1,7 +1,8 @@
 """The one integer rule: every integer the package takes is checked by errors.check_int.
 
 Each caller refuses a float, a bool and a value outside its bounds with the
-same two texts, and no other module states the rule.
+same two texts, and no other module states the rule. Likewise every real
+number is checked by errors.check_number before its range.
 """
 
 from __future__ import annotations
@@ -12,10 +13,12 @@ import numpy as np
 import pytest
 
 import alert_sift
-from alert_sift.errors import ValidationError, check_int
-from alert_sift.evaluation import ConfusionMatrix, kfold_split, workload_savings
+from alert_sift.errors import ValidationError, check_int, check_number
+from alert_sift.evaluation import (
+    ConfusionMatrix, cross_validate, evaluate_forest, kfold_split, workload_savings
+)
 from alert_sift.features import ScalingCaps, chi2_select
-from alert_sift.forest import ForestParams, forest_from_dict
+from alert_sift.forest import ForestParams, check_threshold, forest_from_dict, train_forest
 from alert_sift.ingest import parse_alert_record
 from alert_sift.sampling import SampleParams
 from alert_sift.synth import SynthSpec
@@ -26,11 +29,11 @@ _ALERT = parse_alert_record(make_line())
 _X, _Y = np.array([[0.0, 1.0], [1.0, 0.0], [0.5, 0.5], [1.0, 1.0]]), [0, 1, 0, 1]
 
 
-def _model(feature=0, tp=1, fp=0) -> dict:
+def _model(feature=0, tp=1, fp=0, threshold=0.5) -> dict:
     """A two-feature stump model with one field set by the caller."""
     return {
         "version": "1", "params": {}, "profile": None, "feature_names": ["a", "b"],
-        "trees": [{"feature": feature, "threshold": 0.5, "left": {"tp": tp, "fp": fp},
+        "trees": [{"feature": feature, "threshold": threshold, "left": {"tp": tp, "fp": fp},
                    "right": {"tp": 1, "fp": 3}}],
     }
 
@@ -116,6 +119,40 @@ def test_check_int_texts_and_bounds():
 def test_only_errors_states_the_integer_rule():
     sources = {p.name: p.read_text(encoding="utf-8")
                for p in Path(alert_sift.__file__).parent.glob("*.py")}
-    for text in ("must be an integer", "out of range:"):
+    for text in ("must be an integer", "out of range:", "must be a number"):
         assert [name for name, source in sources.items() if text in source] == ["errors.py"]
     assert [name for name, source in sources.items() if "_is_int" in source] == []
+
+
+_FOREST = train_forest(_X, _Y, ForestParams(n_estimators=2))
+
+# (name in the error, a call that hands the value to one caller)
+_NUMBER_CALLERS = {
+    "SynthSpec signal_strength": ("signal_strength", lambda v: SynthSpec(signal_strength=v)),
+    "check_threshold": ("threshold", check_threshold),
+    "evaluate_forest threshold": ("threshold", lambda v: evaluate_forest(_FOREST, _X, _Y, v)),
+    "cross_validate threshold": ("threshold", lambda v: cross_validate(_X, _Y, threshold=v)),
+    "workload_savings minutes": ("minutes_per_alert", lambda v: workload_savings(3, v)),
+    "model split threshold": ("model split threshold",
+                              lambda v: forest_from_dict(_model(threshold=v))),
+}
+
+
+@pytest.mark.parametrize("value", ["0.5", None, True, [0.5]])
+@pytest.mark.parametrize("caller", sorted(_NUMBER_CALLERS))
+def test_every_number_the_package_takes_is_refused_by_the_one_rule(caller, value):
+    # check_threshold("0.5") and workload_savings(3, "4") once ended in a bare TypeError,
+    # and workload_savings(3, True) counted the bool as one minute
+    name, call = _NUMBER_CALLERS[caller]
+    with pytest.raises(ValidationError) as info:
+        call(value)
+    assert str(info.value) == f"{name} must be a number, got {value!r}"
+
+
+def test_check_number_takes_any_real_number_and_leaves_the_range_to_its_caller():
+    for value in (0, -3, 0.25, float("nan"), float("inf"), np.float64(0.5), np.int64(2), 2**70):
+        check_number("x", value)
+    for value in (False, "1", 1j, None):
+        with pytest.raises(ValidationError) as info:
+            check_number("x", value)
+        assert str(info.value) == f"x must be a number, got {value!r}"

@@ -59,6 +59,28 @@ def test_keyword_config_rejects_empty_or_overlapping_lists():
         KeywordConfig(tp_keywords=("sent",), fp_keywords=("SENT",))
 
 
+@pytest.mark.parametrize("name, words", [
+    ("tp_keywords", "alerted"), ("tp_keywords", ("",)), ("tp_keywords", (5,)),
+    ("fp_keywords", ("benign", "")), ("fp_keywords", None),
+])
+def test_keyword_config_refuses_a_list_that_is_not_of_non_empty_strings(name, words):
+    # "alerted" once matched by its characters, so "zzz e" was a TP, and "" matched every comment
+    with pytest.raises(ValidationError) as info:
+        KeywordConfig(**{name: words})
+    assert str(info.value) == f"{name} must list non-empty strings, got {words!r}"
+    assert KeywordConfig(tp_keywords=["sent"]).tp_keywords == ["sent"]  # a list is a list
+
+
+@pytest.mark.parametrize("comment", [123, b"alerted", ["alerted"]])
+def test_a_comment_that_is_neither_a_string_nor_none_is_refused(comment):
+    # these once ended in a bare AttributeError
+    for call in (lambda: classify_comment(comment), lambda: build_label_lists([("r1", comment)])):
+        with pytest.raises(ValidationError) as info:
+            call()
+        assert str(info.value) == f"rule comment must be a string or None, got {comment!r}"
+    assert classify_comment(None) is LabelDecision.UNMATCHED
+
+
 def test_build_label_lists_partitions_rules():
     rules = [
         ("r1", "confirmed and alerted"),
