@@ -4,10 +4,13 @@ Trees greedily split on Gini impurity decrease at thresholds between
 consecutive distinct feature values. Columns are rank-coded once per
 forest, so a node counts its rows per value without a sort: bincount for a
 column of three or more values, count_nonzero of the ones for a two-valued
-column (a flag), and nothing for a constant one. Each column's codes narrow
-as they are made, so one int64 column of codes is alive at a time.
-Near-ties are re-compared in exact integers, so tie-breaking (lower feature,
-then lower threshold) never depends on float rounding order.
+column (a flag), and nothing for a constant one. A column of at most 32
+values scores its thresholds in a loop on Python ints, where numpy's
+per-call cost would dominate; a wider one scores them on arrays. Each
+column's codes narrow as they are made, so one int64 column of codes is
+alive at a time. Near-ties are re-compared in exact integers, so
+tie-breaking (lower feature, then lower threshold) never depends on float
+rounding order.
 
 Each tree trains on an n-row bootstrap draw; its RNG stream derives from
 (seed, tree index) via numpy's SeedSequence/PCG64, so training is
@@ -56,6 +59,10 @@ THRESHOLD = 0.5  # the default decision threshold: a row that scores at least th
 
 # Relative float tolerance below which split scores are re-compared exactly.
 _TIE_EPS = 1e-9
+
+# A split candidate of at most this many values is scored on Python ints, a wider
+# one on arrays: about 20 numpy calls cost a candidate as much as a loop over ~32 values.
+_FEW_VALUES = 32
 
 # Bound on the (trees x rows) working set of one scoring chunk.
 _CHUNK_CELLS = 2**16
@@ -208,75 +215,106 @@ def _split(rows: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def best_split(rows: Ranked, candidate_features: Sequence[int]) -> tuple[int, float, float] | None:
     """Best (feature, threshold, Gini decrease) over the candidates, or None.
 
-    A candidate outside 0..width-1 is refused. Each candidate counts its
-    rows per value, by class: two bincounts over the codes, or, for a
-    two-valued column, the count of code 1 in each class; a one-valued
-    column is skipped. Thresholds are midpoints between consecutive
-    distinct values present (the lower value where the midpoint rounds
-    onto the upper or overflows).
+    Each candidate must be an int in 0..width-1. A candidate counts its rows
+    per value, by class: two bincounts over the codes, or, for a two-valued
+    column, the count of code 1 in each class; a one-valued column is
+    skipped. A column of at most _FEW_VALUES values is scored on Python
+    ints, a wider one on arrays; both give each threshold's (score, N, D,
+    code below, code above) to one pick. Thresholds are midpoints between
+    consecutive distinct values present (the lower value where the midpoint
+    rounds onto the upper or overflows).
     The split maximizing weighted Gini decrease wins; ties go to the lower
     feature index, then the lower threshold. None when no split strictly
     decreases impurity. Scores are compared as s = (tp_l^2+fp_l^2)/n_l +
-    (tp_r^2+fp_r^2)/n_r, a monotone transform of the Gini decrease with the
-    parent fixed; exact integers settle candidates within float tolerance.
+    (tp_r^2+fp_r^2)/n_r = N/D, a monotone transform of the Gini decrease with
+    the parent fixed; exact integers N and D settle candidates within float
+    tolerance.
     """
     total_tp, total_fp = len(rows.tp_rows), len(rows.fp_rows)
     n = total_tp + total_fp
     parent_mass = total_tp * total_tp + total_fp * total_fp
     eps = _TIE_EPS * max(1.0, float(n))
+    for feat in candidate_features:
+        check_int("candidate feature", feat, 0, len(rows.values) - 1)
 
-    features = sorted({int(f) for f in candidate_features})
-    for end in features[:1] + features[-1:]:  # the least and the greatest
-        check_int("candidate feature", end, 0, len(rows.values) - 1)
-
-    best: tuple[float, int, int, float, int] | None = None  # (score, N, D, threshold, feature)
-    for feat in features:
+    best: tuple | None = None  # (score, N, D, code below, code above, feature)
+    for feat in sorted(set(candidate_features)):
         column, size = rows.codes[feat], len(rows.values[feat])
         if size < 2:  # a constant column
             continue
         if size == 2:  # codes 0 and 1: count the ones
-            tp_one = np.count_nonzero(column.take(rows.tp_rows))
-            one = tp_one + np.count_nonzero(column.take(rows.fp_rows))
-            tp_at = np.array([total_tp - tp_one, tp_one])
-            n_at = np.array([n - one, one])
+            tp_one = int(np.count_nonzero(column.take(rows.tp_rows)))
+            fp_one = int(np.count_nonzero(column.take(rows.fp_rows)))
+            scored = _scored_on_ints([total_tp - tp_one, tp_one], [total_fp - fp_one, fp_one],
+                                     total_tp, total_fp)
         else:
             tp_at = np.bincount(column.take(rows.tp_rows), minlength=size)
-            n_at = np.bincount(column.take(rows.fp_rows), minlength=size) + tp_at
-        present = n_at.nonzero()[0]  # codes of the values present, ascending
-        if present.size < 2:
+            fp_at = np.bincount(column.take(rows.fp_rows), minlength=size)
+            if size <= _FEW_VALUES:
+                scored = _scored_on_ints(tp_at.tolist(), fp_at.tolist(), total_tp, total_fp)
+            else:
+                scored = _scored_on_arrays(tp_at, fp_at, total_tp, total_fp, eps)
+        if not scored:  # one value present
             continue
-        tp_left = tp_at[present[:-1]].cumsum()
-        n_left = n_at[present[:-1]].cumsum()
-        fp_left = n_left - tp_left
-        n_right = n - n_left
-        mass_left = tp_left * tp_left + fp_left * fp_left
-        mass_right = (total_tp - tp_left) ** 2 + (total_fp - fp_left) ** 2
-        scores = mass_left / n_left + mass_right / n_right
-
-        pick = None  # (N, D, boundary), exact max at lowest threshold
-        for i in (scores >= scores.max() - eps).nonzero()[0]:
-            num = int(mass_left[i]) * int(n_right[i]) + int(mass_right[i]) * int(n_left[i])
-            den = int(n_left[i]) * int(n_right[i])
-            if pick is None or num * pick[1] > pick[0] * den:
-                pick = (num, den, int(i))
-        num, den, i = pick
-        lo, hi = rows.values[feat][present[i:i + 2]].tolist()  # floats: an overflow gives inf
-        mid = (lo + hi) / 2.0
-        threshold = mid if lo <= mid < hi else lo
-        score = float(scores[i])
-
+        top = max(scored)[0] - eps
+        pick = None  # exact max at lowest threshold, among those within eps of the top
+        for item in scored:
+            if item[0] >= top and (pick is None or item[1] * pick[2] > pick[1] * item[2]):
+                pick = item
+        score, num, den = pick[:3]
         # a clear float win, or an exact strict one within eps; exact ties keep the lower feature
         if best is None or score > best[0] + eps or (
             score >= best[0] - eps and num * best[2] > best[1] * den
         ):
-            best = (score, num, den, threshold, feat)
+            best = (*pick, feat)
 
     # require a strict impurity decrease: s_split > s_parent, exactly
     if best is None or best[1] * n <= parent_mass * best[2]:
         return None
-    _, num, den, threshold, feat = best
+    _, num, den, below, above, feat = best
+    lo, hi = rows.values[feat].item(below), rows.values[feat].item(above)
+    mid = (lo + hi) / 2.0  # floats: an overflow gives inf
+    threshold = mid if lo <= mid < hi else lo
     decrease = (num / den - parent_mass / n) / n
     return feat, threshold, float(decrease)
+
+
+def _scored_on_ints(tp_at: list[int], fp_at: list[int], total_tp: int, total_fp: int) -> list:
+    """(score, N, D, code below, code above) of each threshold between present codes."""
+    n = total_tp + total_fp
+    scored, tp_left, fp_left, below = [], 0, 0, None
+    for code, (tp, fp) in enumerate(zip(tp_at, fp_at)):
+        if not (tp or fp):
+            continue
+        if below is not None:
+            n_left, tp_right, fp_right = tp_left + fp_left, total_tp - tp_left, total_fp - fp_left
+            n_right = n - n_left
+            mass_left = tp_left * tp_left + fp_left * fp_left
+            mass_right = tp_right * tp_right + fp_right * fp_right
+            score = float(mass_left) / n_left + float(mass_right) / n_right  # as arrays divide
+            scored.append((score, mass_left * n_right + mass_right * n_left, n_left * n_right,
+                           below, code))
+        tp_left, fp_left, below = tp_left + tp, fp_left + fp, code
+    return scored
+
+
+def _scored_on_arrays(tp_at: np.ndarray, fp_at: np.ndarray, total_tp: int, total_fp: int,
+                      eps: float) -> list:
+    """_scored_on_ints' items for the thresholds scoring within eps of the best only."""
+    present = (tp_at + fp_at).nonzero()[0]  # codes of the values present, ascending
+    if present.size < 2:
+        return []
+    tp_left, fp_left = tp_at[present[:-1]].cumsum(), fp_at[present[:-1]].cumsum()
+    n_left = tp_left + fp_left
+    n_right = (total_tp + total_fp) - n_left
+    mass_left = tp_left * tp_left + fp_left * fp_left
+    mass_right = (total_tp - tp_left) ** 2 + (total_fp - fp_left) ** 2
+    scores = mass_left / n_left + mass_right / n_right
+    near = (scores >= scores.max() - eps).nonzero()[0]
+    items = (a[near].tolist() for a in (scores, mass_left, n_left, mass_right, n_right,
+                                        present[:-1], present[1:]))
+    return [(s, ml * nr + mr * nl, nl * nr, below, above)  # N and D on Python ints
+            for s, ml, nl, mr, nr, below, above in zip(*items)]
 
 
 def grow_tree(rows: Ranked, params: ForestParams, rng: np.random.Generator) -> Nodes:
@@ -294,7 +332,7 @@ def grow_tree(rows: Ranked, params: ForestParams, rng: np.random.Generator) -> N
         n_tp, n_fp = len(tp_rows), len(fp_rows)
         split = None
         if depth < params.max_depth and n_tp and n_fp and n_tp + n_fp >= params.min_samples_split:
-            candidates = rng.choice(width, size=n_candidates, replace=False)
+            candidates = rng.choice(width, size=n_candidates, replace=False).tolist()
             split = best_split(rows._replace(tp_rows=tp_rows, fp_rows=fp_rows), candidates)
         if split is None:
             return n_tp, n_fp

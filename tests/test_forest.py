@@ -231,7 +231,9 @@ _PAIRS = {
 @st.composite
 def _mixed_split_case(draw):
     """(X, y, bootstrap ids, candidates) over two-valued, constant and many-valued
-    columns; a 300-value column beside them, when drawn, makes the codes uint16."""
+    columns; when drawn, 300 rows add columns of 32 and 33 values, either side of
+    the cut between scoring on Python ints and on arrays, and a 300-value column,
+    which makes the codes uint16."""
     n = draw(st.integers(2, 30))
     columns = []
     for kind in draw(st.lists(st.sampled_from([*_PAIRS, "constant", "many"]),
@@ -245,7 +247,8 @@ def _mixed_split_case(draw):
     y = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
     if draw(st.booleans()):
         rows = np.arange(300) % n
-        X, y = np.column_stack([X[rows], np.arange(300) * 0.5 - 7]), y[rows]
+        cut = [np.take(draw(st.permutations(range(k))), rows % k) * 0.25 - 3 for k in (32, 33)]
+        X, y = np.column_stack([X[rows], *cut, np.arange(300) * 0.5 - 7]), y[rows]
     ids = np.array(draw(st.lists(st.integers(0, len(y) - 1), min_size=2, max_size=40)))
     candidates = draw(st.lists(st.integers(0, X.shape[1] - 1), min_size=1, max_size=6))
     return X, y, ids, candidates
@@ -286,15 +289,85 @@ def test_bincount_counts_only_candidates_of_three_or_more_values(monkeypatch):
         assert len(calls) == expected, candidates
 
 
-@pytest.mark.parametrize("candidates, index", [([-1], -1), ([0, -2], -2), ([2], 2), ([1, 5, 0], 5)])
-def test_best_split_refuses_a_candidate_outside_the_columns(candidates, index):
+def test_array_scoring_runs_only_for_candidates_of_more_than_32_values(monkeypatch):
+    # a column of at most 32 values is scored on Python ints, fed Python ints only
+    # (numpy int64 scalars would overflow the exact N*D products); a wider one on arrays
+    levels = [1, 2, 3, 32, 33, 101]
+    X = np.column_stack([np.arange(202) % k for k in levels]).astype(float)
+    ranked = _ranked(X, np.arange(202) % 3 == 0)
+    assert [len(v) for v in ranked.values] == levels and forest_mod._FEW_VALUES == 32
+    calls = []
+
+    def spy(name):
+        score = getattr(forest_mod, name)
+
+        def counted(tp_at, fp_at, *args):
+            if name == "_scored_on_ints":
+                assert {type(count) for count in tp_at + fp_at} == {int}
+            calls.append(name)
+            return score(tp_at, fp_at, *args)
+        monkeypatch.setattr(forest_mod, name, counted)
+
+    spy("_scored_on_ints")
+    spy("_scored_on_arrays")
+    for candidates, expected in (([0], []), ([1], ["ints"]), ([2], ["ints"]), ([3], ["ints"]),
+                                 ([4], ["arrays"]), ([5], ["arrays"]),
+                                 ([5, 0, 3, 4, 1], ["ints", "ints", "arrays", "arrays"])):
+        calls.clear()
+        best_split(ranked, candidates)
+        assert calls == [f"_scored_on_{path}" for path in expected], candidates
+
+
+@pytest.mark.parametrize("candidates, text", [
+    ([-1], "out of range: -1 (expected in 0..1)"),
+    ([0, -2], "out of range: -2 (expected in 0..1)"),
+    ([2], "out of range: 2 (expected in 0..1)"),
+    ([1, 5, 0], "out of range: 5 (expected in 0..1)"),
+    ([np.float64(0.9)], "must be an integer, got np.float64(0.9)"),
+    ([1.7], "must be an integer, got 1.7"),
+    ([0, "1"], "must be an integer, got '1'"),
+    ([True], "must be an integer, got True"),
+    ([np.int64(1)], "must be an integer, got np.int64(1)"),
+])
+def test_best_split_refuses_a_candidate_outside_the_columns(candidates, text):
     # -1 once scored the last column through numpy's negative indexing, and -1 is
-    # the leaf marker in Nodes.feature; 2 once ended in a bare IndexError
+    # the leaf marker in Nodes.feature; 2 once ended in a bare IndexError; 0.9 and
+    # True were once truncated to columns 0 and 1, and '1' was read as column 1
     X = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     ranked = _ranked(X, np.array([0, 1, 0, 1]))
     with pytest.raises(ValidationError) as info:
         best_split(ranked, candidates)
-    assert str(info.value) == f"candidate feature out of range: {index} (expected in 0..1)"
+    assert str(info.value) == f"candidate feature {text}"
+
+
+# per column, the (TP, FP) left of its best threshold over 5,000 TP and 7,000 FP rows:
+# their float scores lie within 1e-9 * n of each other, and exactly the last is the greatest
+_NEAR_TIED = {2: (4663, 121), 20: (4870, 333), 40: (4767, 224)}
+
+
+def test_best_split_settles_near_ties_exactly_where_the_products_pass_int64():
+    rng = np.random.default_rng(5)
+    y = np.repeat([1, 0], [5000, 7000])
+    n, columns = len(y), []
+    for levels, (tp_left, fp_left) in _NEAR_TIED.items():  # a flag, 20 and 40 values
+        left = np.zeros(n, bool)
+        left[:tp_left] = left[5000:5000 + fp_left] = True
+        half = levels // 2
+        columns.append(np.where(left, rng.integers(0, half, n), rng.integers(half, levels, n)))
+    X = np.column_stack(columns).astype(float)
+    tp_left, fp_left = _NEAR_TIED[40]
+    n_left, n_right = tp_left + fp_left, n - tp_left - fp_left
+    num = ((tp_left**2 + fp_left**2) * n_right
+           + ((5000 - tp_left)**2 + (7000 - fp_left)**2) * n_left)
+    assert num * n_left * n_right > 2**63  # N * D: the exact comparison needs Python ints
+    ids = np.random.default_rng(6).permutation(n)
+    ranked = _ranked(X, y)
+    assert [len(v) for v in ranked.values] == list(_NEAR_TIED)
+    tp = y[ids] == 1
+    got = best_split(ranked._replace(tp_rows=ids[tp], fp_rows=ids[~tp]), [2, 0, 1])
+    ref = _oracle_split(X[ids], y[ids], [0, 1, 2])
+    assert got[:2] == (ref[1], ref[2]) == (2, 19.5)
+    assert got[2] == pytest.approx(float(ref[0]), abs=1e-12)
 
 
 def _rng(seed=0):
@@ -681,6 +754,17 @@ def test_saved_model_bytes_match_golden_digest_on_flag_heavy_matrix():
     assert digest == "911fd392eabf028753e68779a2b27ab5090354f70d8887c6ab2bc922d40f436e"
 
 
+def test_saved_model_bytes_match_golden_digest_on_columns_either_side_of_the_cut():
+    # columns of 2, 3 and 32 values are scored on Python ints, of 33, 101 and 1,001
+    # on arrays; pins the split search where both feed one pick
+    X, y = _cut_crossing(np.random.default_rng(59))
+    assert [len(v) for v in _ranked(X, y).values] == _CUT_LEVELS
+    buf = io.StringIO()
+    save_forest(train_forest(X, y, ForestParams(n_estimators=10, seed=17)), buf)
+    digest = hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest()
+    assert digest == "9007cd9e01c67d759930d5065b805a0c6844ee586092fbee829c989c737c2861"
+
+
 def test_every_node_that_may_split_calls_best_split_through_the_module(monkeypatch):
     # the benchmark's tracer counts forest.best_split_calls by rebinding the module global
     calls = []
@@ -706,7 +790,7 @@ def _reference_grow_tree(X, y, params, rng):
         n_fp = len(idx) - n_tp
         split = None
         if depth < params.max_depth and n_tp and n_fp and len(idx) >= params.min_samples_split:
-            candidates = rng.choice(width, size=n_candidates, replace=False)
+            candidates = rng.choice(width, size=n_candidates, replace=False).tolist()
             split = best_split(_ranked(X[idx], ys), candidates)
         if split is None:
             rows.append([-1, 0.0, node, node, n_tp, n_fp])
@@ -745,6 +829,18 @@ def _flag_heavy(rng):
                             rng.integers(0, 1001, size=600)])
     X = base[rng.integers(0, 600, size=2400)]
     y = ((X[:, 3] + X[:, 12] + (X[:, 18] > 60) >= 2) ^ (rng.random(2400) < 0.1)).astype(int)
+    return X, y
+
+
+_CUT_LEVELS = [2, 3, 32, 33, 101, 1001]
+
+
+def _cut_crossing(rng):
+    """3,000 rows, every level of each of the _CUT_LEVELS columns present; the label
+    reads four of them, with 15% of it flipped."""
+    X = np.column_stack([rng.permutation(np.arange(3000) % k) for k in _CUT_LEVELS]).astype(float)
+    y = ((X[:, 0] + (X[:, 2] > 15) + (X[:, 3] > 20) + (X[:, 5] > 500) >= 2)
+         ^ (rng.random(3000) < 0.15)).astype(int)
     return X, y
 
 
