@@ -49,7 +49,7 @@ from typing import Callable, Iterable, Iterator, TextIO, TypeVar
 import numpy as np
 
 from . import __version__
-from .errors import AlertSiftError, check_int
+from .errors import AlertSiftError, check_int, load_json
 from .evaluation import (
     KFOLD_K, MINUTES_PER_ALERT, cross_validate, evaluate_forest, workload_savings
 )
@@ -107,25 +107,7 @@ def _read(path: str | None, load: Callable[[TextIO], T]) -> T | None:
 
 
 def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    text = _read(path, lambda fh: fh.read())  # outside the try: a decode error is a ValueError
-
-    def unique(pairs: list[tuple[str, object]]) -> dict:
-        obj: dict = {}
-        for key, value in pairs:
-            if key in obj:
-                raise AlertSiftError(f"config file {path} names key {key!r} twice")
-            obj[key] = value
-        return obj
-
-    try:
-        obj = json.loads(text, object_pairs_hook=unique)
-    except (ValueError, RecursionError) as exc:  # malformed, a long integer, deep nesting
-        raise AlertSiftError(f"invalid JSON input: {exc}") from None
-    if not isinstance(obj, dict):
-        raise AlertSiftError(f"config file {path} must hold a JSON object")
-    return obj
+    return _read(path, lambda fh: load_json(fh.read(), f"config file {path}")) or {}
 
 
 @contextlib.contextmanager

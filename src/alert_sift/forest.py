@@ -33,8 +33,10 @@ its own child, so a pair that reaches one stays there. Leaf values add up in
 tree order, so a row scores the same alone (predict_proba, a batch of one)
 as in any batch. Models persist as format "1": per tree, nested {feature,
 threshold, left, right} and {tp, fp} nodes, the bytes json.dumps gives with
-sorted keys. save_forest writes them tree by tree from the node arrays, with
-an explicit stack and no recursion, so a model of any depth saves.
+sorted keys. save_forest, the one writer, writes them tree by tree from the
+node arrays, with an explicit stack and no recursion, so a model of any
+depth saves. load_forest reads the file with errors.load_json, so a model
+file that names a key twice, in any object, is refused as a config file is.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from typing import IO, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ParseError, ValidationError, check_int, check_number
+from .errors import ValidationError, check_int, check_number, load_json
 from .features import (
     FeatureProfile,
     as_labeled_matrix,
@@ -449,29 +451,6 @@ def _node_from_dict(obj, width: int) -> tuple:
     return n_tp, n_fp
 
 
-def _model(forest: Forest, trees: list) -> dict:
-    return {
-        "version": MODEL_FORMAT_VERSION,
-        "params": asdict(forest.params),
-        "profile": forest.profile.value if forest.profile else None,
-        "feature_names": forest.feature_names,
-        "trees": trees,
-    }
-
-
-def forest_to_dict(forest: Forest) -> dict:
-    """The model as nested dicts, built bottom-up: in preorder a child follows its parent."""
-    feature, threshold, left, right, n_tp, n_fp = (col.tolist() for col in forest.nodes)
-    built: list = [None] * len(feature)
-    for i in reversed(range(len(feature))):
-        if feature[i] < 0:
-            built[i] = {"tp": n_tp[i], "fp": n_fp[i]}
-        else:
-            built[i] = {"feature": feature[i], "threshold": threshold[i],
-                        "left": built[left[i]], "right": built[right[i]]}
-    return _model(forest, [built[root] for root in forest.roots.tolist()])
-
-
 def forest_from_dict(obj: dict) -> Forest:
     if not isinstance(obj, dict):
         raise ValidationError("model file must hold a JSON object")
@@ -510,11 +489,19 @@ _LEAF = "%d".join(_cut("fp", "tp"))
 
 
 def save_forest(forest: Forest, stream: IO[str]) -> None:
-    """Write json.dumps(forest_to_dict(forest), sort_keys=True), one write per tree.
+    """Write model format "1", the bytes json.dumps(sort_keys=True) gives, one write per tree.
 
-    Each tree's text comes from the node arrays in one pass over an explicit
-    stack, so neither a nested dict nor recursion is needed."""
-    head, tail = json.dumps(_model(forest, []), sort_keys=True).split('"trees": []')
+    The head and tail are json.dumps of the model with no trees. Each tree's
+    text comes from the node arrays in one pass over an explicit stack, so
+    neither a nested dict nor recursion is needed."""
+    model = {
+        "version": MODEL_FORMAT_VERSION,
+        "params": asdict(forest.params),
+        "profile": forest.profile.value if forest.profile else None,
+        "feature_names": forest.feature_names,
+        "trees": [],
+    }
+    head, tail = json.dumps(model, sort_keys=True).split('"trees": []')
     feature, threshold, left, right, n_tp, n_fp = (col.tolist() for col in forest.nodes)
     stream.write(head + '"trees": [')
     separator = ""
@@ -535,9 +522,4 @@ def save_forest(forest: Forest, stream: IO[str]) -> None:
 
 
 def load_forest(stream: IO[str]) -> Forest:
-    text = stream.read()  # outside the try: a UnicodeDecodeError is a ValueError too
-    try:
-        obj = json.loads(text)
-    except (ValueError, RecursionError) as exc:  # malformed, a long integer, deep nesting
-        raise ParseError(f"invalid JSON input: {exc}") from None
-    return forest_from_dict(obj)
+    return forest_from_dict(load_json(stream.read(), "model file"))

@@ -17,7 +17,7 @@ import pytest
 from conftest import make_line
 from test_attribution import _brute_phi
 from test_features import _brute_chi2, assert_vector_invariants
-from test_forest import _oracle_split
+from test_forest import _oracle_split, _saved
 
 from alert_sift import cli
 from alert_sift.evaluation import cross_validate, kfold_split, workload_savings
@@ -26,7 +26,6 @@ from alert_sift.forest import (
     ForestParams,
     _ranked,
     best_split,
-    forest_to_dict,
     predict_proba,
     train_forest,
 )
@@ -185,7 +184,7 @@ def test_criterion_4_shap_exactness(capsys):
         for row in rng.integers(0, 4, size=(2, width)).astype(float):
             got = np.asarray(tree_shap(forest, row).phi)
             ref = np.zeros(width)
-            trees = forest_to_dict(forest)["trees"]
+            trees = _saved(forest)["trees"]
             for tree in trees:
                 ref += _brute_phi(tree, row, width)
             ref /= len(trees)

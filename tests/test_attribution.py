@@ -8,6 +8,8 @@ from math import factorial
 import numpy as np
 import pytest
 
+from test_forest import _saved
+
 from alert_sift import attribution
 from alert_sift.attribution import Attribution, global_importance, tree_shap
 from alert_sift.errors import ValidationError
@@ -15,7 +17,6 @@ from alert_sift.forest import (
     MODEL_FORMAT_VERSION,
     ForestParams,
     forest_from_dict,
-    forest_to_dict,
     predict_proba,
     predict_proba_batch,
     train_forest,
@@ -156,7 +157,7 @@ def test_matches_exhaustive_shapley_on_random_forests():
         forest = train_forest(
             X, y, ForestParams(n_estimators=3, max_depth=depth, seed=int(rng.integers(1000)))
         )
-        trees = forest_to_dict(forest)["trees"]
+        trees = _saved(forest)["trees"]
         paths = [p for tree in trees for p in _path_features(tree)]
         widest = max([widest] + [len(set(p)) for p in paths])
         repeats = repeats or any(len(set(p)) < len(p) for p in paths)

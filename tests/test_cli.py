@@ -1014,6 +1014,12 @@ _REFUSALS = {
         ["predict", "--in", chain["matrix"], "--model", str(_written(d / "m.json", "[]"))],
         "model file must hold a JSON object",
     ),
+    "model-names-a-key-twice": lambda d, chain: (
+        ["predict", "--in", chain["matrix"], "--model", str(_written(
+            d / "m.json", Path(chain["model"]).read_text(encoding="utf-8").replace(
+                '"version": "1"', '"version": "1", "version": "1"')))],
+        "model file names key 'version' twice",
+    ),
     "matrix-narrower-than-model": lambda d, chain: (
         ["predict", "--in", str(_narrower_matrix(d / "m.csv", chain)), "--model", chain["model"]],
         f"{d / 'm.csv'} has 19 features but the model expects 20",

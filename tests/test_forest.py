@@ -29,7 +29,6 @@ from alert_sift.forest import (
     best_split,
     check_threshold,
     forest_from_dict,
-    forest_to_dict,
     grow_tree,
     load_forest,
     predict_proba,
@@ -633,7 +632,7 @@ def test_predict_proba_batch_equals_single_rows_across_chunks(monkeypatch):
     X = np.round(rng.random((70, 4)) * 8) / 8
     y = (X[:, 0] + X[:, 3] > 1.0).astype(int)
     forest = train_forest(X, y, ForestParams(n_estimators=11))
-    trees = forest_to_dict(forest)["trees"]
+    trees = _saved(forest)["trees"]
     monkeypatch.setattr(forest_mod, "_CHUNK_CELLS", 3 * 11)  # 3 rows per chunk
     rows = np.round(rng.random((8, 4)) * 8) / 8
     singles = np.array([predict_proba(forest, row) for row in rows])
@@ -924,19 +923,27 @@ def _writes(forest) -> list[str]:
     return writes
 
 
+def _saved(forest) -> dict:
+    """The model as nested dicts: json.loads of the text save_forest writes."""
+    return json.loads("".join(_writes(forest)))
+
+
 @pytest.mark.parametrize("data, params", [
     (lambda rng: _golden_matrix(), ForestParams(n_estimators=6, seed=13)),
     (_encoder_like, ForestParams(n_estimators=5, max_depth=12, seed=2)),
     (_continuous, ForestParams(n_estimators=3, seed=-4)),
 ], ids=["golden", "encoder-like-depth-12", "continuous"])
 def test_saved_model_is_json_dump_bytes_one_write_per_tree(data, params):
-    # save_forest writes the bytes json.dump streams token by token, a tree at a time
+    # save_forest writes canonical json.dumps text, a tree at a time, of the forest's nodes
     X, y = data(np.random.default_rng(23))
     forest = train_forest(X, y, params)
-    streamed = io.StringIO()
-    json.dump(forest_to_dict(forest), streamed, sort_keys=True)
     writes = _writes(forest)
-    assert "".join(writes) == streamed.getvalue()
+    text = "".join(writes)
+    assert json.dumps(json.loads(text), sort_keys=True) == text
+    loaded = forest_from_dict(json.loads(text))
+    for name, want, have in zip(forest_mod.Nodes._fields, forest.nodes, loaded.nodes):
+        assert want.dtype == have.dtype and np.array_equal(want, have), name
+    assert np.array_equal(loaded.roots, forest.roots)
     assert len(writes) == params.n_estimators + 2  # the head, each tree, the tail
 
 
@@ -963,7 +970,6 @@ def test_saved_model_of_drawn_trees_is_json_dumps_of_them(trees, seed):
     model = {"version": MODEL_FORMAT_VERSION, "params": asdict(ForestParams(seed=seed)),
              "profile": None, "feature_names": ["a", "b", "c"], "trees": trees}
     forest = forest_from_dict(model)
-    assert forest_to_dict(forest) == model
     writes = _writes(forest)
     assert "".join(writes) == json.dumps(model, sort_keys=True)
     assert len(writes) == len(trees) + 2
@@ -980,7 +986,8 @@ def test_saved_threshold_and_count_texts():
     ]
     forest = _hand_built(trees, 2, max_depth=2)
     text = "".join(_writes(forest))
-    assert text == json.dumps(forest_to_dict(forest), sort_keys=True)
+    assert json.dumps(json.loads(text), sort_keys=True) == text
+    assert json.loads(text)["trees"] == trees
     assert '"trees": [{"feature": 0, "left": {"fp": 0, "tp": 9007199254740991}' in text
     assert '"threshold": -0.0}' in text and '"threshold": 3.0}' in text
     assert '"threshold": 1.7e+308}' in text
@@ -1056,8 +1063,9 @@ class _Counter:
 def test_save_holds_under_half_of_what_one_json_dumps_string_holds():
     X, y = _encoder_like(np.random.default_rng(23))
     forest = train_forest(X, y, ForestParams(n_estimators=10, seed=5))
-    text = json.dumps(forest_to_dict(forest), sort_keys=True)
-    oracle = _traced_peak(lambda: json.dumps(forest_to_dict(forest), sort_keys=True))
+    obj = _saved(forest)
+    text = json.dumps(obj, sort_keys=True)
+    oracle = _traced_peak(lambda: json.dumps(obj, sort_keys=True))
     sink = _Counter()
     assert _traced_peak(lambda: save_forest(forest, sink)) < oracle / 2
     assert sink.chars == len(text)
@@ -1100,7 +1108,7 @@ def test_profile_comes_from_the_feature_names(profile):
     assert train_forest(X, y, params, feature_names=names).profile is profile
     # the width alone, or the right names in another order, name no profile
     assert train_forest(X, y, params).profile is None
-    obj = forest_to_dict(train_forest(X, y, params, feature_names=names[::-1]))
+    obj = _saved(train_forest(X, y, params, feature_names=names[::-1]))
     assert obj["profile"] is None
     assert forest_from_dict(obj).profile is None
     obj["profile"] = profile.value  # a claim its names do not bear out
@@ -1110,12 +1118,12 @@ def test_profile_comes_from_the_feature_names(profile):
     assert forest_from_dict(obj).profile is profile
     # a null claim over a profile's names, which only a hand edit writes, loads as that profile
     obj["profile"] = None
-    assert forest_to_dict(forest_from_dict(obj))["profile"] == profile.value
+    assert _saved(forest_from_dict(obj))["profile"] == profile.value
 
 
 def test_model_that_names_a_feature_twice_is_refused():
     X = np.array([[0.0, 1.0], [1.0, 0.0], [0.5, 0.5], [1.0, 1.0]])
-    obj = forest_to_dict(train_forest(X, [0, 1, 0, 1], ForestParams(n_estimators=2)))
+    obj = _saved(train_forest(X, [0, 1, 0, 1], ForestParams(n_estimators=2)))
     obj["feature_names"] = ["a", "a"]
     with pytest.raises(ValidationError, match="^model feature_names name 'a' twice$"):
         forest_from_dict(obj)
@@ -1124,9 +1132,24 @@ def test_model_that_names_a_feature_twice_is_refused():
         train_forest(X, [0, 1, 0, 1], ForestParams(n_estimators=2), feature_names=["a", "a"])
 
 
+@pytest.mark.parametrize("old, new, key", [
+    ('"version": "1"', '"version": "1", "version": "1"', "version"),
+    ('{"feature": 0, ', '{"feature": 0, "feature": 1, ', "feature"),
+], ids=["top-level", "split-node"])
+def test_model_file_that_names_a_key_twice_is_refused(old, new, key):
+    # json.loads alone keeps a repeated key's last value: this split once loaded on feature 1
+    trees = [{"feature": 0, "threshold": 0.5, "left": {"tp": 1, "fp": 0},
+              "right": {"tp": 0, "fp": 1}}]
+    text = "".join(_writes(_hand_built(trees, 2, max_depth=1)))
+    assert load_forest(io.StringIO(text)).nodes.feature.tolist() == [0, -1, -1]
+    assert text.count(old) == 1
+    with pytest.raises(ValidationError, match=f"^model file names key '{key}' twice$"):
+        load_forest(io.StringIO(text.replace(old, new)))
+
+
 def test_model_that_names_a_feature_by_a_non_string_is_refused():
     X = np.array([[0.0, 1.0], [1.0, 0.0], [0.5, 0.5], [1.0, 1.0]])
-    obj = forest_to_dict(train_forest(X, [0, 1, 0, 1], ForestParams(n_estimators=2)))
+    obj = _saved(train_forest(X, [0, 1, 0, 1], ForestParams(n_estimators=2)))
     obj["feature_names"] = ["a", 2]
     with pytest.raises(ValidationError, match="^model feature_names must be a list of strings$"):
         forest_from_dict(obj)
@@ -1139,7 +1162,7 @@ def test_model_version_field_mandatory():
     rng = np.random.default_rng(12)
     X = rng.random((10, 2))
     y = np.array([0, 1] * 5)
-    obj = forest_to_dict(train_forest(X, y, ForestParams(n_estimators=2)))
+    obj = _saved(train_forest(X, y, ForestParams(n_estimators=2)))
     obj["version"] = "999"
     with pytest.raises(ValidationError, match="version"):
         load_forest(io.StringIO(json.dumps(obj)))

@@ -119,7 +119,9 @@ def test_check_int_texts_and_bounds():
 def test_only_errors_states_the_integer_rule():
     sources = {p.name: p.read_text(encoding="utf-8")
                for p in Path(alert_sift.__file__).parent.glob("*.py")}
-    for text in ("must be an integer", "out of range:", "must be a number"):
+    # and the JSON-file rule: the config and model files are read by errors.load_json
+    for text in ("must be an integer", "out of range:", "must be a number",
+                 "invalid JSON input", "names key"):
         assert [name for name, source in sources.items() if text in source] == ["errors.py"]
     assert [name for name, source in sources.items() if "_is_int" in source] == []
 
