@@ -203,7 +203,7 @@ def cmd_synth(opt: Namespace) -> str:
         write_comments(corpus, comments_fh)
         write_truth(corpus, truth_fh)
     return (
-        f"synth: wrote {len(corpus.alerts)} alerts over {len(corpus.comments)} rules "
+        f"synth: wrote {sum(map(len, corpus.ports))} alerts over {len(corpus.comments)} rules "
         f"to {opt.out} (comments {opt.comments}, truth {opt.truth})"
     )
 

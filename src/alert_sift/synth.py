@@ -12,6 +12,13 @@ Every base alert is replicated duplication_factor times with only the
 ephemeral source port varying, reproducing the sensor-duplication
 pathology the dedup sampler exists for. Timestamps spread uniformly over
 a 180-day window so a date cut gives a time-disjoint train/test split.
+
+A corpus is stored as drawn: one record per base alert (``src_port`` 0 in
+its key position), that alert's tuple of duplicate ports and its label.
+``write_alerts`` encodes each base record once, with a marker for the
+port, and writes every duplicate by putting its port between the two
+halves; the ``alerts`` and ``truth`` views expand the duplicates only for
+callers that want them as dicts and labels.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ import json
 import random
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timedelta, timezone
+from functools import cached_property
 from typing import IO
 
 from .errors import ValidationError, check_int, check_number
@@ -114,11 +122,30 @@ class SynthSpec:
 
 @dataclass(frozen=True)
 class SynthCorpus:
-    """Alert dicts in emission order, rule comments, and per-alert truth."""
+    """Base records in emission order, their duplicate ports and labels, and rule comments.
 
-    alerts: tuple[dict, ...]
+    Base alert i is written once per port in ``ports[i]``: ``records[i]``
+    with that ``src_port``, labelled ``labels[i]``.
+    """
+
+    records: tuple[dict, ...]  # src_port 0, set per duplicate
+    ports: tuple[tuple[int, ...], ...]
+    labels: tuple[int, ...]  # 1 = TP
     comments: tuple[tuple[str, str], ...]  # (rule_uuid, rev_comment)
-    truth: tuple[int, ...]  # 1 = TP, aligned with alerts
+
+    @cached_property
+    def alerts(self) -> tuple[dict, ...]:
+        """Every duplicate as its own alert dict, in emission order."""
+        return tuple(
+            dict(record, src_port=port)
+            for record, ports in zip(self.records, self.ports)
+            for port in ports
+        )
+
+    @cached_property
+    def truth(self) -> tuple[int, ...]:
+        """The label of each alert, aligned with ``alerts``."""
+        return tuple(label for label, ports in zip(self.labels, self.ports) for _ in ports)
 
 
 def _pick(rng: random.Random, own: tuple, other: tuple, strength: float):
@@ -184,7 +211,7 @@ def generate_corpus(spec: SynthSpec) -> SynthCorpus:
                 "src_ip": _pick(rng, own[2], other[2], s) + str(rng.randint(1, 254)),
                 "dest_ip": _DST_PREFIXES[rng.randrange(len(_DST_PREFIXES))]
                 + str(rng.randint(1, 254)),
-                "src_port": 0,  # per-duplicate, set at replication time
+                "src_port": 0,  # one per duplicate, in SynthCorpus.ports
                 "dest_port": int(_pick(rng, own[4], other[4], s)),
                 "rule_uuid": rule["uuid"],
                 "action": "alert",
@@ -206,26 +233,35 @@ def generate_corpus(spec: SynthSpec) -> SynthCorpus:
             order += 1
 
     base_alerts.sort(key=lambda item: (item[0], item[1]))
-
-    alerts: list[dict] = []
-    truth: list[int] = []
-    for stamp, _, record, label in base_alerts:
-        for _ in range(spec.duplication_factor):
-            dup = dict(record)
-            dup["src_port"] = rng.randint(1024, 65535)
-            alerts.append(dup)
-            truth.append(label)
+    copies = range(spec.duplication_factor)
+    ports = tuple(tuple(rng.randint(1024, 65535) for _ in copies) for _ in base_alerts)
 
     comments = tuple(
         (rule["uuid"], rule["comment"]) for rule in tp_rules + fp_rules
     )
-    return SynthCorpus(alerts=tuple(alerts), comments=comments, truth=tuple(truth))
+    return SynthCorpus(
+        records=tuple(record for _, _, record, _ in base_alerts),
+        ports=ports,
+        labels=tuple(label for _, _, _, label in base_alerts),
+        comments=comments,
+    )
+
+
+# no pool value holds a NUL, so the quoted marker appears once, as src_port
+_PORT_MARKER = "\0port"
+_QUOTED_MARKER = json.dumps(_PORT_MARKER)
 
 
 def write_alerts(corpus: SynthCorpus, stream: IO[str]) -> None:
-    for record in corpus.alerts:
-        stream.write(json.dumps(record, sort_keys=True))
-        stream.write("\n")
+    """Write each alert as ``json.dumps(alert, sort_keys=True)``, one line each.
+
+    Each base record is encoded once with the port marker as its src_port;
+    every duplicate is the text around the marker with its port in between.
+    """
+    for record, ports in zip(corpus.records, corpus.ports):
+        line = json.dumps(dict(record, src_port=_PORT_MARKER), sort_keys=True)
+        head, _, tail = line.partition(_QUOTED_MARKER)
+        stream.write("".join([f"{head}{port}{tail}\n" for port in ports]))
 
 
 def write_comments(corpus: SynthCorpus, stream: IO[str]) -> None:
@@ -236,7 +272,15 @@ def write_comments(corpus: SynthCorpus, stream: IO[str]) -> None:
 
 
 def write_truth(corpus: SynthCorpus, stream: IO[str]) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(["index", "label"])
-    for i, label in enumerate(corpus.truth):
-        writer.writerow([i, label])
+    """Write the ``index,label`` CSV of every alert as one string.
+
+    Two integers need no CSV quoting; the rows of one base alert share its
+    label, so they are its indices joined by ``,<label>\\n``.
+    """
+    parts, start = ["index,label\n"], 0
+    for label, ports in zip(corpus.labels, corpus.ports):
+        stop = start + len(ports)
+        row_end = f",{label}\n"
+        parts.append(row_end.join(map(str, range(start, stop))) + row_end)
+        start = stop
+    stream.write("".join(parts))

@@ -27,6 +27,7 @@ from alert_sift.errors import ValidationError
 from alert_sift.features import FeatureProfile, feature_names
 from alert_sift.forest import load_forest, predict_proba_batch
 from alert_sift.ingest import LabeledAlert, parse_alert_record, write_records
+from alert_sift.synth import SynthCorpus
 
 from conftest import make_line, make_record
 
@@ -933,6 +934,40 @@ def test_synth_and_evaluate_output_matches_golden_digest(digest_run, name):
     data = (digest_run / name).read_bytes()
     assert data.count(b"\n") > 1
     assert hashlib.sha256(data).hexdigest() == _RUN_DIGESTS[name]
+
+
+# sha256 of the default-size synth run (105,400 alerts) at seed 7, computed
+# before the corpus was stored as base records and duplicate ports.
+_DEFAULT_SYNTH_DIGESTS = {
+    "alerts.ndjson": "0a98c021f81994f786cb8a94802a889b4bf8d00300b86ad52dd5b34bd9bee3d7",
+    "truth.csv": "bb2c00f6a0061ffc1f0f6cc690738263bc9cf8a978d6466d7f105cfb0bc6b424",
+    "comments.csv": "d0edfcc475e55c873fd12d503b77acff66355c56e722da21b8e6c7b13c1035a6",
+}
+
+
+def test_default_synth_output_matches_golden_digest(tmp_path):
+    paths = {name: str(tmp_path / name) for name in _DEFAULT_SYNTH_DIGESTS}
+    with contextlib.redirect_stdout(io.StringIO()):
+        run_ok(["synth", "--seed", "7", "--out", paths["alerts.ndjson"],
+                "--comments", paths["comments.csv"], "--truth", paths["truth.csv"]])
+    assert _count_lines(paths["alerts.ndjson"]) == 105_400
+    for name, digest in _DEFAULT_SYNTH_DIGESTS.items():
+        assert hashlib.sha256(Path(paths[name]).read_bytes()).hexdigest() == digest, name
+
+
+def test_synth_counts_alerts_from_ports_without_building_the_views(tmp_path, monkeypatch, capsys):
+    def refuse(corpus):
+        raise AssertionError("synth built an expanded view")
+
+    monkeypatch.setattr(SynthCorpus, "alerts", property(refuse))
+    monkeypatch.setattr(SynthCorpus, "truth", property(refuse))
+    alerts, truth = tmp_path / "alerts.ndjson", tmp_path / "truth.csv"
+    run_ok(["synth", "--out", str(alerts), "--comments", str(tmp_path / "comments.csv"),
+            "--truth", str(truth), "--n-tp", "3", "--n-fp", "4", "--n-rules", "2", "--dup", "5"])
+    summary = capsys.readouterr().out
+    assert summary.startswith("synth: wrote 35 alerts over 2 rules ")
+    assert _count_lines(alerts) == 35
+    assert _count_lines(truth) == 1 + 35
 
 
 def _labeled_line(**overrides) -> str:

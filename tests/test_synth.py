@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import io
 import json
 import math
@@ -9,6 +10,7 @@ from datetime import timedelta
 
 import pytest
 
+from alert_sift import synth
 from alert_sift.errors import ValidationError
 from alert_sift.ingest import parse_alert_record, parse_timestamp
 from alert_sift.labeling import build_label_lists, label_corpus
@@ -183,3 +185,65 @@ def test_writers_produce_headers_and_rows():
     assert truth_lines[0] == "index,label"
     assert truth_lines[1].split(",")[0] == "0"
     assert len(truth_lines) == 9
+
+
+def test_views_expand_each_base_record_in_its_key_order_once():
+    corpus = generate_corpus(SMALL)
+    assert all(record["src_port"] == 0 for record in corpus.records)
+    assert [len(ports) for ports in corpus.ports] == [3] * 70
+    alerts = iter(corpus.alerts)
+    for record, ports in zip(corpus.records, corpus.ports):
+        for port in ports:
+            alert = next(alerts)
+            assert list(alert) == list(record)
+            assert alert == {**record, "src_port": port}
+    assert corpus.alerts is corpus.alerts and corpus.truth is corpus.truth
+    assert corpus.truth == tuple(label for label in corpus.labels for _ in range(3))
+
+
+# one pool per marker group a string is drawn from, each value holding a
+# character that JSON escapes or a printf-style template would misread
+_ESCAPES = ("100%", 'say "hi"', "C:\\temp\\", "caf\u00e9 \u00e9", "line\u2028sep", "%s %d %%")
+
+
+def _escape_pools(label):
+    descriptions, class_types, prefixes, statuses, dst_ports, volume = synth._POOLS[label]
+    tagged = tuple(f"{label}{value}" for value in _ESCAPES)
+    return tagged, tagged[::-1], tuple(f"{value}." for value in tagged), statuses, dst_ports, volume
+
+
+_WRITER_SPECS = {
+    "dup1": SynthSpec(n_tp=9, n_fp=11, n_rules=4, duplication_factor=1, seed=3),
+    "dup3-signal0": SynthSpec(n_tp=9, n_fp=11, n_rules=4, duplication_factor=3,
+                              signal_strength=0.0, seed=4),
+    "dup50-signal1": SynthSpec(n_tp=9, n_fp=11, n_rules=4, duplication_factor=50,
+                               signal_strength=1.0, seed=5),
+    "no-tp": SynthSpec(n_tp=0, n_fp=12, n_rules=3, duplication_factor=3, seed=6),
+    "no-fp": SynthSpec(n_tp=12, n_fp=0, n_rules=3, duplication_factor=3, seed=7),
+    "empty": SynthSpec(n_tp=0, n_fp=0, n_rules=2, duplication_factor=3, seed=8),
+}
+
+
+@pytest.mark.parametrize("pools", ["default", "escapes"])
+@pytest.mark.parametrize("spec", sorted(_WRITER_SPECS))
+def test_writers_match_plain_json_and_csv_oracles(monkeypatch, spec, pools):
+    if pools == "escapes":
+        monkeypatch.setattr(synth, "_POOLS", {1: _escape_pools(1), 0: _escape_pools(0)})
+        monkeypatch.setattr(synth, "_DST_PREFIXES", tuple(f"{v}." for v in _ESCAPES))
+    corpus = generate_corpus(_WRITER_SPECS[spec])
+    if pools == "escapes":
+        for record in corpus.records:
+            assert record["alert"]["signature"][1:] in _ESCAPES
+    alerts_out, truth_out = io.StringIO(), io.StringIO()
+    write_alerts(corpus, alerts_out)
+    write_truth(corpus, truth_out)
+    assert alerts_out.getvalue() == "".join(
+        json.dumps(alert, sort_keys=True) + "\n" for alert in corpus.alerts
+    )
+    oracle = io.StringIO()
+    writer = csv.writer(oracle, lineterminator="\n")
+    writer.writerow(["index", "label"])
+    for i, label in enumerate(corpus.truth):
+        writer.writerow([i, label])
+    assert truth_out.getvalue() == oracle.getvalue()
+    assert len(corpus.truth) == len(corpus.alerts) == sum(map(len, corpus.ports))
